@@ -6,9 +6,9 @@ protected either by 6-fold repeated extraction or by [12,2,8]
 Cordaro-Wagner SM codes; every scheme performs 144 single-qubit
 measurements in total, so the curves compare like against like.
 
-The exact evaluator enumerates the decoder's success patterns, so the
-deep tail comes out noise-free; a Monte Carlo pass at one point shows the
-two agree.  The Shor-with-SM scheme needs the import-only [18,6,8] SM
+The exact evaluator counts the decoder's failing patterns once per SM
+part and evaluates them at every grid point, so the deep tail comes out
+noise-free; a Monte Carlo pass at one point shows the two agree.  The Shor-with-SM scheme needs the import-only [18,6,8] SM
 code for its Z part (set QDS_DATA_DIR); it is skipped when absent.
 
 Writes: measurement_error_curves.csv

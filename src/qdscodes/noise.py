@@ -13,6 +13,12 @@ scheme is split into independently decoded parts (one per generator
 type); the scheme fails when any part fails, and a part fails when its
 decoder returns the wrong word or declares a tie.
 
+Exact evaluation never forms 1 - success.  An SM part's failing error
+patterns are counted once, by walking its cosets by syndrome, and kept as
+a histogram over per-class flip counts; a repetition bit fails with a
+sum of binomial terms.  The unit failure probabilities f_i combine as
+p_se = -expm1(sum log1p(-f_i)), so a tiny p_se keeps its precision.
+
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
 numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
@@ -22,11 +28,13 @@ i.e. PCG64 seeded through numpy's documented SeedSequence hash.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +43,12 @@ from .codes import StabilizerCode, SubsystemCode, catalog
 from .errors import CapacityError, PreconditionError, StructureError
 from .gf4 import F4Vector
 from .qds import measured_elements
-from .smcodes import BinaryLinearCode, sm_catalog
+from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
 
 AUTO_EXACT_BITS = 20
 HARD_EXACT_BITS = 25
+MAX_SM_LENGTH = 64  # received words are packed into uint64
+MAX_SM_DIM = 20  # every codeword is listed, as smcodes caps its enumeration
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 COSET_LEADER = "coset-leader"
@@ -70,12 +80,78 @@ class RepetitionPart:
         return self.fold * sum(self.weights)
 
 
+class _Costs:
+    """A decoder's cost of a word, which depends on the word only through
+    its per-class flip counts.
+
+    Bit positions are grouped by equal label, classes in first-seen order.
+    A word's key reads its count vector (c_0, c_1, ...) as a mixed-radix
+    number with class 0 least significant, so keys index the cost table
+    and histograms over count vectors.  Without lams the cost is the flip
+    count (minimum-weight decoding); with lams it is sum_k c_k lams[k].
+    """
+
+    def __init__(self, labels: Sequence, lams: np.ndarray | None = None):
+        index: dict = {}
+        masks: list[int] = []
+        self.first: list[int] = []
+        for j, label in enumerate(labels):
+            if label not in index:
+                index[label] = len(masks)
+                masks.append(0)
+                self.first.append(j)
+            masks[index[label]] |= 1 << j
+        self.masks = [np.uint64(m) for m in masks]
+        self.sizes = [m.bit_count() for m in masks]
+        self.lams = lams
+        vectors = self.count_vectors()
+        if lams is None:
+            # small integers: comparisons run on uint8, and MAX_SM_LENGTH < 255
+            self.table = np.array([sum(counts) for counts in vectors], dtype=np.uint8)
+            self.ceiling = np.iinfo(np.uint8).max
+        else:
+            # the sum weighted_ml_decode forms, zero counts skipped so an
+            # infinite lambda (p = 0 or 1) never makes 0 * inf
+            self.table = np.array(
+                [sum(c * lam for c, lam in zip(counts, lams) if c) for counts in vectors],
+                dtype=float,
+            )
+            self.ceiling = math.inf
+
+    def key(self, words: np.ndarray) -> np.ndarray:
+        key = None
+        stride = 1
+        for mask, size in zip(self.masks, self.sizes):
+            counts = np.bitwise_count(words & mask)
+            key = counts if key is None else key + counts * np.intp(stride)
+            stride *= size + 1
+        return key
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        if self.lams is None:
+            return np.bitwise_count(words)
+        return self.table.take(self.key(words))
+
+    def count_vectors(self) -> list[tuple[int, ...]]:
+        """Every per-class count vector, in key order."""
+        ranges = (range(size + 1) for size in reversed(self.sizes))
+        return [counts[::-1] for counts in itertools.product(*ranges)]
+
+    def outer(self, per_class: Sequence[np.ndarray]) -> np.ndarray:
+        """prod_k per_class[k][c_k] for every count vector, in key order."""
+        return functools.reduce(
+            lambda acc, v: np.multiply.outer(v, acc).ravel(), per_class[1:], per_class[0]
+        )
+
+
 @dataclass(frozen=True)
 class SMPart:
     """A block of measured elements protected by one SM code.
 
     weights[j] is the Pauli weight of measured element j in systematic
-    order, so bit j flips with probability p_err(weights[j], p_m).
+    order, so bit j flips with probability p_err(weights[j], p_m).  The
+    failing-pattern histogram of minimum-weight decoding does not depend
+    on p_m; it is built on first use and kept on this part.
     """
 
     code: BinaryLinearCode
@@ -83,6 +159,15 @@ class SMPart:
     decoder: str = COSET_LEADER
 
     def __post_init__(self):
+        if self.code.length > MAX_SM_LENGTH:
+            raise CapacityError(
+                f"SM code length {self.code.length} exceeds the {MAX_SM_LENGTH}-bit word cap"
+            )
+        if self.code.dim > MAX_SM_DIM:
+            raise CapacityError(
+                f"SM code dimension {self.code.dim} exceeds the codeword enumeration cap "
+                f"of {MAX_SM_DIM}"
+            )
         if len(self.weights) != self.code.length:
             raise StructureError("one weight per measured element is required")
         if self.decoder not in DECODERS:
@@ -91,6 +176,38 @@ class SMPart:
     @property
     def total_measurements(self) -> int:
         return sum(self.weights)
+
+    @cached_property
+    def _codewords(self) -> np.ndarray:
+        return np.array(self.code.codewords(), dtype=np.uint64)
+
+    @cached_property
+    def _unit_costs(self) -> _Costs:
+        """Minimum-weight decoding, with the weight classes as classes."""
+        return _Costs(self.weights)
+
+    @cached_property
+    def _unit_failures(self) -> np.ndarray:
+        return _failing_patterns(self, self._unit_costs)
+
+    @cached_property
+    def _unit_runner_up(self) -> np.ndarray:
+        return _runner_up_by_syndrome(self, self._unit_costs)
+
+    def _costs(self, q: Sequence[float]) -> _Costs:
+        """The cost the decoder minimizes at flip probabilities q.
+
+        Weighted ML with one likelihood class and 0 < lambda < inf makes
+        every comparison that minimum-weight decoding makes, so it shares
+        the unit costs (and their cached histogram).  Otherwise its costs
+        are summed as weighted_ml_decode sums them, in the same class
+        order, so exact ties are decided identically.
+        """
+        if self.decoder == WEIGHTED_ML:
+            lams, labels = likelihood_classes(q)
+            if not (len(lams) == 1 and 0.0 < lams[0] < math.inf):
+                return _Costs(labels, lams)
+        return self._unit_costs
 
 
 Part = RepetitionPart | SMPart
@@ -119,104 +236,138 @@ class SimResult:
 # exact evaluation
 # ----------------------------------------------------------------------
 
+def _flip_probabilities(part: SMPart, p_m: float) -> list[float]:
+    per_weight = {w: p_err(w, p_m) for w in set(part.weights)}
+    return [per_weight[w] for w in part.weights]
+
+
 def _majority_bit_failure(q: float, fold: int) -> float:
     """P[majority wrong or tied] for one bit under iid flips q."""
-    fail = sum(
+    return math.fsum(
         math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c)
-        for c in range((fold // 2) + 1, fold + 1)
+        for c in range((fold + 1) // 2, fold + 1)
     )
-    if fold % 2 == 0:
-        c = fold // 2
-        fail += math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c)
-    return fail
 
 
-def _repetition_success(part: RepetitionPart, p_m: float) -> float:
-    out = 1.0
-    for w in part.weights:
-        out *= 1.0 - _majority_bit_failure(p_err(w, p_m), part.fold)
-    return out
+def _coset_bases(code: BinaryLinearCode) -> Iterator[np.ndarray]:
+    """The words (0, s) for every syndrome s, DEFAULT_CHUNK_SIZE at a time.
 
-
-def _flip_probs(part: SMPart, p_m: float) -> np.ndarray:
-    return np.array([p_err(w, p_m) for w in part.weights])
-
-
-def _class_masks(q: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Group bit positions with identical flip probability.
-
-    Costs are per-class counts dotted with the class log-likelihood
-    ratios, in a fixed class order, so equal count vectors always produce
-    bitwise-equal floats and exact ties are detected reliably.
+    In systematic order (0, s) has syndrome s, so the cosets (0, s) ^ C
+    partition F2^n and come out in syndrome order.
     """
-    masks: list[int] = []
-    lams: list[float] = []
-    index: dict[float, int] = {}
-    for j, p in enumerate(q.tolist()):
-        if p not in index:
-            index[p] = len(masks)
-            masks.append(0)
-            if p == 0.0:
-                lams.append(math.inf)
-            elif p == 1.0:
-                lams.append(-math.inf)
-            else:
-                lams.append(math.log((1.0 - p) / p))
-        masks[index[p]] |= 1 << j
-    return masks, np.array(lams)
+    cosets = 1 << code.redundancy
+    for start in range(0, cosets, DEFAULT_CHUNK_SIZE):
+        syndromes = np.arange(start, min(start + DEFAULT_CHUNK_SIZE, cosets), dtype=np.uint64)
+        yield syndromes << np.uint64(code.dim)
 
 
-def _class_costs(words: np.ndarray, masks: list[int], lams: np.ndarray) -> np.ndarray:
-    counts = np.empty((len(words), len(masks)))
-    for k, mask in enumerate(masks):
-        counts[:, k] = np.bitwise_count(words & np.uint32(mask))
-    return counts @ lams
+def _coset_tiles(base: np.ndarray, codewords: np.ndarray) -> Iterator[np.ndarray]:
+    """base ^ C in blocks of shape (rows, len(base)), each of at most
+    DEFAULT_CHUNK_SIZE words or a single row.  rows is a power of two, so
+    with 2^k codewords every block has a power-of-two row count."""
+    rows = 1 << max(0, (DEFAULT_CHUNK_SIZE // len(base)).bit_length() - 1)
+    for start in range(0, len(codewords), rows):
+        yield base ^ codewords[start:start + rows, None]
 
 
-def _word_probabilities(words: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.ones(len(words))
-    for j, p in enumerate(q.tolist()):
-        bit = (words >> np.uint32(j)) & 1
-        out *= np.where(bit == 1, p, 1.0 - p)
-    return out
+def _lowest_two(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
+    """Merge two (lowest, second-lowest) pairs, counted with multiplicity."""
+    (low_a, second_a), (low_b, second_b) = a, b
+    return (
+        np.minimum(low_a, low_b),
+        np.minimum(np.minimum(second_a, second_b), np.maximum(low_a, low_b)),
+    )
 
 
-def _sm_success_exact(part: SMPart, p_m: float) -> float:
-    """Probability mass of error patterns the decoder corrects to zero."""
-    nbits = part.code.length
-    if nbits > HARD_EXACT_BITS:
+def _runner_up(base: np.ndarray, codewords: np.ndarray, costs: _Costs) -> np.ndarray:
+    """The second-smallest cost, counted with multiplicity, over each coset
+    base ^ C.
+
+    A word is the unique minimum-cost member of its coset, the condition
+    under which both decoders return it as the error pattern, iff its cost
+    is below this.  Each block is reduced by merging its halves until one
+    row is left, so a block costs O(log rows) array operations.
+    """
+    ceiling = np.full(len(base), costs.ceiling, dtype=costs.table.dtype)
+    pair = (ceiling, ceiling)
+    for members in _coset_tiles(base, codewords):
+        cost = costs(members)
+        block = (cost, np.full_like(cost, costs.ceiling))
+        while len(block[0]) > 1:
+            half = len(block[0]) // 2
+            block = _lowest_two(
+                (block[0][:half], block[1][:half]), (block[0][half:], block[1][half:])
+            )
+        pair = _lowest_two(pair, (block[0][0], block[1][0]))
+    return pair[1]
+
+
+def _runner_up_by_syndrome(part: SMPart, costs: _Costs) -> np.ndarray:
+    return np.concatenate(
+        [_runner_up(base, part._codewords, costs) for base in _coset_bases(part.code)]
+    )
+
+
+def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
+    """Per cost key, the number of patterns the decoder fails on.
+
+    A pattern is decoded to zero iff it is the unique minimum-cost member
+    of its coset, so each coset holds at most one success; the failures
+    are all patterns minus the successes.
+    """
+    code = part.code
+    if code.length > HARD_EXACT_BITS:
         raise CapacityError(
-            f"exact enumeration over 2^{nbits} patterns exceeds the 2^{HARD_EXACT_BITS} cap"
+            f"exact enumeration over 2^{code.length} patterns exceeds the 2^{HARD_EXACT_BITS} cap"
         )
-    q = _flip_probs(part, p_m)
-    if part.decoder == COSET_LEADER:
-        leader, _, mult = part.code.coset_table
-        unique_leaders = leader[mult == 1]
-        return float(np.sum(_word_probabilities(unique_leaders, q)))
-    # weighted ML: the zero codeword must strictly beat every other codeword
-    words = np.arange(1 << nbits, dtype=np.uint32)
-    masks, lams = _class_masks(q)
-    costs = _class_costs(words, masks, lams)
-    success = np.ones(len(words), dtype=bool)
-    for c in part.code.codewords():
-        if c == 0:
-            continue
-        success &= costs < costs[words ^ np.uint32(c)]
-    return float(np.sum(_word_probabilities(words[success], q)))
+    totals = costs.outer(
+        [np.array([math.comb(n, c) for c in range(n + 1)], dtype=np.int64) for n in costs.sizes]
+    )
+    success = np.zeros_like(totals)
+    for base in _coset_bases(code):
+        second = _runner_up(base, part._codewords, costs)
+        for members in _coset_tiles(base, part._codewords):
+            keys = costs.key(members)
+            success += np.bincount(keys[costs.table.take(keys) < second], minlength=len(totals))
+    return totals - success
 
 
-def part_success_exact(part: Part, p_m: float) -> float:
+def _pattern_probabilities(q: float, n: int) -> np.ndarray:
+    """q^c (1 - q)^(n - c): one given pattern of c flips among n bits."""
+    flips = np.arange(n + 1)
+    return q**flips * (1.0 - q) ** (n - flips)
+
+
+def _sm_failure_exact(part: SMPart, p_m: float) -> float:
+    """Failure probability: the sum over count vectors c of
+    failing[c] * prod_k q_k^c_k (1 - q_k)^(N_k - c_k)."""
+    q = _flip_probabilities(part, p_m)
+    costs = part._costs(q)
+    failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
+    probs = costs.outer([_pattern_probabilities(q[j], n) for j, n in zip(costs.first, costs.sizes)])
+    return min(1.0, math.fsum((failing * probs)[failing > 0].tolist()))
+
+
+def _failure_probabilities(part: Part, p_m: float) -> list[float]:
+    """Failure probability of each independently decoded unit of the part:
+    the SM part itself, or each bit of a repetition part."""
     if isinstance(part, RepetitionPart):
-        return _repetition_success(part, p_m)
-    return _sm_success_exact(part, p_m)
+        return [_majority_bit_failure(p_err(w, p_m), part.fold) for w in part.weights]
+    return [_sm_failure_exact(part, p_m)]
 
 
 def pse_exact(scheme: MeasurementScheme, p_m: float) -> SimResult:
-    """Exact p_se: one minus the product of the parts' success probabilities."""
-    ok = 1.0
-    for part in scheme.parts:
-        ok *= part_success_exact(part, p_m)
-    return SimResult(p_se=1.0 - ok, stderr=0.0, trials=0, method="exact")
+    """Exact p_se = 1 - prod(1 - f) over the independently decoded units.
+
+    Taken as -expm1(sum log1p(-f)), so a small p_se keeps full relative
+    precision instead of cancelling in 1 - prod(success).
+    """
+    failures = [f for part in scheme.parts for f in _failure_probabilities(part, p_m)]
+    if any(f >= 1.0 for f in failures):
+        p_se = 1.0
+    else:
+        p_se = max(0.0, -math.expm1(math.fsum(math.log1p(-f) for f in failures)))
+    return SimResult(p_se=p_se, stderr=0.0, trials=0, method="exact")
 
 
 # ----------------------------------------------------------------------
@@ -238,28 +389,42 @@ def _repetition_failures(part: RepetitionPart, p_m: float, rng, size: int) -> np
     return failed
 
 
-def _sm_failures(part: SMPart, p_m: float, rng, size: int) -> np.ndarray:
-    q = _flip_probs(part, p_m)
-    uniform = rng.random((size, part.code.length))
-    bits = uniform < q
-    words = np.zeros(size, dtype=np.uint32)
-    for j in range(part.code.length):
-        words |= bits[:, j].astype(np.uint32) << np.uint32(j)
-    if part.decoder == COSET_LEADER:
-        leader, _, mult = part.code.coset_table
-        synd = np.zeros(size, dtype=np.uint32)
-        for j, h in enumerate(part.code.parity_checks):
-            synd |= (np.bitwise_count(words & np.uint32(h)) & 1).astype(np.uint32) << np.uint32(j)
-        success = (mult[synd] == 1) & (words == leader[synd])
-        return ~success
-    masks, lams = _class_masks(q)
-    costs = _class_costs(words, masks, lams)
-    success = np.ones(size, dtype=bool)
-    for c in part.code.codewords():
-        if c == 0:
-            continue
-        success &= costs < _class_costs(words ^ np.uint32(c), masks, lams)
-    return ~success
+def _syndromes(code: BinaryLinearCode, words: np.ndarray) -> np.ndarray:
+    synd = np.zeros(len(words), dtype=np.intp)
+    for j, h in enumerate(code.parity_checks):
+        synd |= (np.bitwise_count(words & np.uint64(h)) & 1).astype(np.intp) << j
+    return synd
+
+
+def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
+    """Draw and decode one chunk of received words for the part.
+
+    A word succeeds iff it is the unique minimum-cost member of its coset.
+    With few codewords the coset is scanned per word; with more codewords
+    than syndrome bits, and at most 2^AUTO_EXACT_BITS patterns, each
+    coset's runner-up cost is computed once and looked up by syndrome.
+    """
+    code = part.code
+    q = _flip_probabilities(part, p_m)
+    costs = part._costs(q)
+    if len(part._codewords) > code.redundancy and code.length <= AUTO_EXACT_BITS:
+        if costs is part._unit_costs:
+            table = part._unit_runner_up
+        else:
+            table = _runner_up_by_syndrome(part, costs)
+
+        def runner_up(words):
+            return table[_syndromes(code, words)]
+    else:
+        def runner_up(words):
+            return _runner_up(words, part._codewords, costs)
+
+    def failures(rng, size: int) -> np.ndarray:
+        padded = np.zeros((size, MAX_SM_LENGTH), dtype=bool)
+        np.less(rng.random((size, code.length)), q, out=padded[:, :code.length])
+        words = np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+        return ~(costs(words) < runner_up(words))
+    return failures
 
 
 def pse_monte_carlo(
@@ -272,6 +437,12 @@ def pse_monte_carlo(
     """Sampled p_se; deterministic for fixed (seed, trials, chunk_size)."""
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
+    samplers = [
+        functools.partial(_repetition_failures, part, p_m)
+        if isinstance(part, RepetitionPart)
+        else _sm_failure_sampler(part, p_m)
+        for part in scheme.parts
+    ]
     failures = 0
     done = 0
     for chunk_index in itertools.count():
@@ -280,11 +451,8 @@ def pse_monte_carlo(
         size = min(chunk_size, trials - done)
         rng = _chunk_rng(seed, chunk_index)
         failed = np.zeros(size, dtype=bool)
-        for part in scheme.parts:
-            if isinstance(part, RepetitionPart):
-                failed |= _repetition_failures(part, p_m, rng, size)
-            else:
-                failed |= _sm_failures(part, p_m, rng, size)
+        for sample in samplers:
+            failed |= sample(rng, size)
         failures += int(np.sum(failed))
         done += size
     p_hat = failures / trials

@@ -257,7 +257,7 @@ def coset_leader_decode(code: BinaryLinearCode, received: BitVector) -> DecodeOu
     return DecodeOutcome(message, success=int(multiplicity[s]) == 1)
 
 
-def _likelihood_classes(flip_probs: Sequence[float]) -> tuple[np.ndarray, list[int]]:
+def likelihood_classes(flip_probs: Sequence[float]) -> tuple[np.ndarray, list[int]]:
     """Group positions by identical flip probability.
 
     Returns (per-class log-likelihood-ratio weights, per-position class
@@ -296,7 +296,7 @@ def weighted_ml_decode(
         raise DimensionError("flip_probs length does not match the code length")
     if code.dim > 20:
         raise CapacityError("codeword enumeration capped at dimension 20")
-    lam, classes = _likelihood_classes(flip_probs)
+    lam, classes = likelihood_classes(flip_probs)
     nclass = len(lam)
 
     def counts_of(word: int) -> tuple[int, ...]:

@@ -9,9 +9,10 @@ measured over log2 p_m in [-12, -10], where the curve has reached that
 asymptote (3.976).  Over [-7, -5] the weight-5-and-up terms still count
 and the true slope is 3.2436 (the reference data has 3.238), so no
 correct evaluator reaches 4 there; tests/test_noise.py checks both
-figures against an exact rational enumeration of all 2^12 patterns.
-Windows below log2 p_m = -14 are avoided: there the 1 - prod(success)
-in pse_exact cancels and log2 p_se drifts (1e-3 bits at -16).
+figures against an exact rational enumeration of all 2^12 patterns,
+and holds pse_exact to it within 1e-9 bits down to log2 p_m = -24:
+pse_exact sums failure probability and never forms 1 - success, so the
+window is chosen for where the asymptote is reached, not for precision.
 """
 
 import itertools

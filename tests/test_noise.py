@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdscodes.errors import AvailabilityError, PreconditionError, StructureError
+from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError, StructureError
 from qdscodes.codes import catalog
 from qdscodes.gf4 import BitVector
 from qdscodes.noise import (
+    DECODERS,
     MeasurementScheme,
     RepetitionPart,
     SMPart,
@@ -26,7 +29,13 @@ from qdscodes.noise import (
     sweep,
     sweep_csv,
 )
-from qdscodes.smcodes import sm_catalog
+from qdscodes.smcodes import (
+    BinaryLinearCode,
+    coset_leader_decode,
+    parse_binary_code_text,
+    sm_catalog,
+    weighted_ml_decode,
+)
 
 
 def closed_form_p_err(w, p):
@@ -244,8 +253,26 @@ def test_bs_sm_curve_matches_rational_failure_polynomial():
 
     for lp in (-5, -7, -10):
         assert math.log2(pse_exact(scheme, 2.0**lp).p_se) == pytest.approx(log2_pse(lp), abs=1e-6)
+    # exact down to p_se ~ 2^-92: nothing cancels in 1 - success
+    for lp in (-16, -20, -24):
+        assert math.log2(pse_exact(scheme, 2.0**lp).p_se) == pytest.approx(log2_pse(lp), abs=1e-9)
     # [-7, -5] is the transition region, short of the p_m^4 asymptote
     assert round((log2_pse(-5) - log2_pse(-7)) / 2, 4) == 3.2436
+
+
+def test_bs_6fold_matches_rational_majority_failures_at_tiny_pm():
+    # each of the four weight-6 generators is read six times and decoded
+    # by majority, ties failing: a bit fails with 3 or more of 6 flips
+    scheme = build_scheme("fig1-bs-6fold")
+    (part,) = scheme.parts
+    assert (part.weights, part.fold) == ((6, 6, 6, 6), 6)
+    p_m = Fraction(2) ** -20
+    q = (1 - (1 - 2 * p_m) ** 6) / 2
+    bit_fail = sum(math.comb(6, c) * q**c * (1 - q) ** (6 - c) for c in range(3, 7))
+    p_se = 1 - (1 - bit_fail) ** 4
+    oracle = math.log2(p_se.numerator) - math.log2(p_se.denominator)
+    assert round(oracle, 3) == -45.923
+    assert math.log2(pse_exact(scheme, 2.0**-20).p_se) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_sm_part_with_heterogeneous_weights_ml_vs_mc():
@@ -260,6 +287,116 @@ def test_sm_part_with_heterogeneous_weights_ml_vs_mc():
 def test_sm_part_weight_count_mismatch():
     with pytest.raises(StructureError):
         SMPart(code=sm_catalog("cw-12-2-8"), weights=(6,) * 11)
+
+
+@st.composite
+def systematic_parts(draw):
+    """A random systematic [n, k] code, n <= 10, with element weights from {2, 4, 6}."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    columns = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n - k, max_size=n - k))
+    rows = tuple(
+        (1 << i) | sum(((col >> i) & 1) << (k + j) for j, col in enumerate(columns))
+        for i in range(k)
+    )
+    weights = tuple(draw(st.lists(st.sampled_from((2, 4, 6)), min_size=n, max_size=n)))
+    return SMPart(BinaryLinearCode(n, rows), weights, draw(st.sampled_from(DECODERS)))
+
+
+def _brute_force_failure(part: SMPart, p_m: float) -> float:
+    """Classify all 2^n words with the public single-word decoders; a word
+    is a success iff the decoder flags no tie and returns message 0."""
+    code, n = part.code, part.code.length
+    assert code.column_permutation == tuple(range(n))
+    q = [p_err(w, p_m) for w in part.weights]
+    failing = []
+    for word in range(1 << n):
+        received = BitVector(n, word)
+        if part.decoder == "coset-leader":
+            out = coset_leader_decode(code, received)
+        else:
+            out = weighted_ml_decode(code, received, q)
+        if not (out.success and out.message.bits == 0):
+            failing.append(math.prod(q[j] if (word >> j) & 1 else 1.0 - q[j] for j in range(n)))
+    return math.fsum(failing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(part=systematic_parts(), log2_pm=st.sampled_from((-1.5, -3.0, -6.0)))
+def test_exact_enumerator_matches_brute_force_decoding(part, log2_pm):
+    got = pse_exact(MeasurementScheme("random", (part,)), 2.0**log2_pm).p_se
+    assert got == pytest.approx(_brute_force_failure(part, 2.0**log2_pm), rel=1e-12, abs=0.0)
+
+
+def _high_rate_code(a_columns: list[int]) -> BinaryLinearCode:
+    """Systematic [k + 2, k] code whose message bit i has parity column a_columns[i]."""
+    rows = tuple((1 << i) | (col << len(a_columns)) for i, col in enumerate(a_columns))
+    return BinaryLinearCode(len(a_columns) + 2, rows)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("a_columns", [
+    [0b01] * 8,  # coset 01 holds nine weight-1 patterns
+    [0b01, 0b10, 0b10, 0b10, 0b11, 0b11, 0b11, 0b11],  # coset 01 holds exactly two
+])
+def test_high_rate_code_exact_and_monte_carlo(decoder, a_columns):
+    # 256 codewords in 4 cosets: Monte Carlo looks the runner-up cost up
+    # by syndrome
+    part = SMPart(_high_rate_code(a_columns), (2, 4, 6, 2, 4, 6, 2, 4, 6, 2), decoder)
+    scheme = MeasurementScheme("high-rate", (part,))
+    exact = pse_exact(scheme, 2.0**-3).p_se
+    assert exact == pytest.approx(_brute_force_failure(part, 2.0**-3), rel=1e-12, abs=0.0)
+    trials = 1 << 16
+    mc = pse_monte_carlo(scheme, 2.0**-3, trials, seed=9)
+    assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+def _dim2_exact_failure(rows: tuple[int, int], q: float) -> float:
+    """Weighted-ML failure of a dimension-2 code under one flip probability.
+
+    With one likelihood class the zero word is decoded iff |e & c| < |c|/2
+    for each nonzero codeword c.  The codewords r1, r2, r1 ^ r2 cover three
+    column blocks, so the success mass is a triple sum over per-block flips.
+    """
+    r1, r2 = rows
+    a, b, c = (r1 & ~r2).bit_count(), (r1 & r2).bit_count(), (r2 & ~r1).bit_count()
+
+    def binom(size):
+        return [math.comb(size, x) * q**x * (1.0 - q) ** (size - x) for x in range(size + 1)]
+
+    pa, pb, pc = binom(a), binom(b), binom(c)
+    ok = math.fsum(
+        pa[x] * pb[y] * pc[z]
+        for x in range(a + 1) for y in range(b + 1) for z in range(c + 1)
+        if 2 * (x + y) < a + b and 2 * (y + z) < b + c and 2 * (x + z) < a + c
+    )
+    return 1.0 - ok
+
+
+def test_weighted_ml_monte_carlo_on_a_35_bit_code():
+    # longer than 32 bits: received words are packed into uint64
+    rng = np.random.default_rng(35)
+    r1, r2 = (int(v) for v in rng.integers(1, 1 << 35, size=2))
+    assert r1 != r2
+    code = BinaryLinearCode(35, (r1, r2), "random-35-2")
+    scheme = MeasurementScheme(code.name, (SMPart(code, (4,) * 35, "weighted-ml"),))
+    trials = 1 << 16
+    exact = _dim2_exact_failure((r1, r2), p_err(4, 2.0**-4))
+    mc = pse_monte_carlo(scheme, 2.0**-4, trials, seed=11)
+    assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+def test_sm_part_longer_than_a_packed_word_is_refused():
+    code = BinaryLinearCode(65, ((1 << 65) - 1,))
+    with pytest.raises(CapacityError):
+        SMPart(code, (2,) * 65)
+
+
+def test_sm_part_of_too_high_dimension_is_refused():
+    # a [40, 30] code would list 2^30 codewords
+    code = BinaryLinearCode(40, tuple((1 << i) | (1 << 39) for i in range(30)))
+    with pytest.raises(CapacityError):
+        SMPart(code, (2,) * 40)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +419,47 @@ def test_monte_carlo_deterministic_and_chunked():
     assert a.p_se == b.p_se
     assert a.trials == 30_000
     assert a.stderr == pytest.approx(math.sqrt(a.p_se * (1 - a.p_se) / 30_000))
+
+
+# failures out of 20 000 trials at log2 p_m = -3, seed 7, chunk size 7 000,
+# as recorded before the Monte Carlo decoder moved onto the coset kernel
+PINNED_MC_FAILURES = [
+    ("fig1-bs-sm", "coset-leader", 17914),
+    ("fig1-bs-sm", "weighted-ml", 17914),
+    ("fig1-bs-6fold", "coset-leader", 18533),
+    ("fig2-bs-216", "coset-leader", 16897),
+]
+
+
+@pytest.mark.parametrize("name,decoder,failures", PINNED_MC_FAILURES)
+def test_monte_carlo_failure_counts_are_pinned(name, decoder, failures):
+    scheme = build_scheme(name, decoder=decoder)
+    result = pse_monte_carlo(scheme, 2.0**-3, trials=20_000, seed=7, chunk_size=7_000)
+    assert result.p_se * 20_000 == failures
+
+
+def test_p_se_paths_build_no_coset_table(monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"coset table built for {code.name or code.length}")
+
+    monkeypatch.setattr(BinaryLinearCode, "coset_table", property(refuse))
+    rng = np.random.default_rng(20)
+    columns = rng.integers(1, 1 << 6, size=14)
+    rows = ["".join("1" if j == i else "0" for j in range(6))
+            + "".join(str((int(col) >> i) & 1) for col in columns) for i in range(6)]
+    imported = sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"),
+                         parse_binary_code_text("\n".join(rows), "import-20-6"), name="import-20-6")
+    for scheme in (build_scheme("fig2-bs-216"), imported):
+        rows_out = sweep(scheme, [-2.0, -6.0], method="exact")
+        assert all(math.isfinite(r.log2_pse) for r in rows_out)
+        assert 0.0 < pse_monte_carlo(scheme, 2.0**-2, trials=5_000, seed=1).p_se < 1.0
+
+
+def test_weighted_ml_pm_zero_gives_zero():
+    # p = 0 gives lambda = inf; zero flip counts must not turn 0 * inf into nan
+    scheme = build_scheme("fig1-bs-sm", decoder="weighted-ml")
+    assert pse_exact(scheme, 0.0).p_se == 0.0
+    assert pse_monte_carlo(scheme, 0.0, trials=1000, seed=3).p_se == 0.0
 
 
 def test_monte_carlo_validates_trials():
