@@ -80,7 +80,7 @@ def cmd_catalog(args) -> int:
     if args.action == "list":
         quantum = [_code_summary(n, codes_mod.catalog(n)) for n in codes_mod.catalog_names()]
         sm = []
-        for name in ("cw-12-2-8", "cw-17-2-11", "cw-18-2-12"):
+        for name in sm_mod.CORDARO_WAGNER_BLOCKS:
             code = sm_mod.sm_catalog(name)
             sm.append(
                 {"name": name, "length": code.length, "dim": code.dim,
@@ -231,10 +231,10 @@ def cmd_bounds(args) -> int:
     if len(given) != 1:
         raise QDSError("choose exactly one of --check, --table, --families")
     if args.check is not None:
-        vals = args.check
-        n, k = int(vals[0]), int(vals[1])
-        d = int(vals[2]) if len(vals) > 2 else 3
-        l = int(vals[3]) if len(vals) > 3 else 0
+        if not 2 <= len(args.check) <= 4:
+            raise QDSError(f"--check takes n k [d l], got {' '.join(args.check)!r}")
+        # d defaults to 3 and l to 0
+        n, k, d, l = [int(v) for v in args.check] + [3, 0][len(args.check) - 2 :]
         report = {
             "n": n,
             "k": k,
@@ -285,8 +285,6 @@ def _parse_pm_grid(spec: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    if args.method == "mc" and args.trials < 1:
-        raise QDSError("--trials must be positive")
     if args.trials < 1:
         raise QDSError("--trials must be positive")
     scheme = noise_mod.build_scheme(args.scheme, args.data_dir, decoder=args.decoder)

@@ -8,7 +8,8 @@ n <= 16, search weight <= 5).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .errors import (
     RankError,
     StructureError,
 )
-from .gf4 import F4Vector, f2_rank, pauli_string_parse, syndrome, trace_inner_product
+from .gf4 import F4Vector, f2_rank, pauli_string_parse, trace_inner_product
 
 MAX_N = 16
 MAX_SEARCH_WEIGHT = 5
@@ -201,39 +202,51 @@ def errors_of_weight(n: int, weight: int) -> Iterator[F4Vector]:
             yield F4Vector(n, x, z)
 
 
-def _check_caps(n: int, max_weight: int) -> int:
+def min_weight_outside(excluded: AdditiveCode, extra_cost: Callable[[F4Vector], float]) -> int:
+    """min over e outside span(excluded) of weight(e) + extra_cost(e).
+
+    Enumerates e by increasing weight with the running minimum as cutoff,
+    and stops at the first e of zero extra cost.  The cheap extra cost is
+    computed first; span membership is tested only for an e that would
+    lower the running minimum.  A minimum that vectors beyond the search
+    weight could still undercut is refused, not returned.
+    """
+    n = excluded.n
     if n > MAX_N:
         raise CapacityError(f"n={n} exceeds the enumeration cap n<={MAX_N}")
-    return min(max_weight, n)
+    top = min(MAX_SEARCH_WEIGHT, n)
+    basis = excluded.basis()
+    best = math.inf
+    for w in range(1, top + 1):
+        if w >= best:
+            break
+        for e in errors_of_weight(n, w):
+            total = w + extra_cost(e)
+            if total < best and not basis.contains(e.bit_expansion()):
+                best = total
+                if total == w:
+                    return w
+    if best == math.inf or (top < n and best > top + 1):
+        raise CapacityError(
+            f"no minimum settled by vectors of weight <= {top} (search cap {MAX_SEARCH_WEIGHT})"
+        )
+    return best
 
 
-def min_distance_stabilizer(code: StabilizerCode, max_weight: int = MAX_SEARCH_WEIGHT) -> int:
-    """min weight of v with zero syndrome and v not in the stabilizer span."""
-    max_weight = _check_caps(code.n, max_weight)
-    basis = code.code.basis()
-    for w in range(1, max_weight + 1):
-        for e in errors_of_weight(code.n, w):
-            if syndrome(code.rows, e).bits == 0 and not basis.contains(e.bit_expansion()):
-                return w
-    raise CapacityError(f"no logical operator of weight <= {max_weight} found")
+def min_distance(code: StabilizerCode | SubsystemCode) -> int:
+    """min weight of e with zero syndrome outside the stabilizer (outside
+    the gauge group for subsystem codes)."""
+    rows = code.rows
 
+    def syndrome_cost(e: F4Vector) -> float:
+        # zero iff the syndrome is zero; stops at the first anticommuting row
+        for g in rows:
+            if trace_inner_product(g, e):
+                return math.inf
+        return 0
 
-def min_distance_subsystem(code: SubsystemCode, max_weight: int = MAX_SEARCH_WEIGHT) -> int:
-    """min weight of v with zero syndrome against the stabilizer and v outside
-    the gauge span."""
-    max_weight = _check_caps(code.n, max_weight)
-    gauge_basis = code.gauge.basis()
-    for w in range(1, max_weight + 1):
-        for e in errors_of_weight(code.n, w):
-            if syndrome(code.rows, e).bits == 0 and not gauge_basis.contains(e.bit_expansion()):
-                return w
-    raise CapacityError(f"no dressed logical operator of weight <= {max_weight} found")
-
-
-def min_distance(code: StabilizerCode | SubsystemCode, max_weight: int = MAX_SEARCH_WEIGHT) -> int:
-    if isinstance(code, SubsystemCode):
-        return min_distance_subsystem(code, max_weight)
-    return min_distance_stabilizer(code, max_weight)
+    excluded = code.gauge if isinstance(code, SubsystemCode) else code.code
+    return min_weight_outside(excluded, syndrome_cost)
 
 
 def is_impure(code: StabilizerCode | SubsystemCode, d: int) -> bool:

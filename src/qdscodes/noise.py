@@ -48,7 +48,6 @@ from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
 AUTO_EXACT_BITS = 20
 HARD_EXACT_BITS = 25
 MAX_SM_LENGTH = 64  # received words are packed into uint64
-MAX_SM_DIM = 20  # every codeword is listed, as smcodes caps its enumeration
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 COSET_LEADER = "coset-leader"
@@ -163,11 +162,7 @@ class SMPart:
             raise CapacityError(
                 f"SM code length {self.code.length} exceeds the {MAX_SM_LENGTH}-bit word cap"
             )
-        if self.code.dim > MAX_SM_DIM:
-            raise CapacityError(
-                f"SM code dimension {self.code.dim} exceeds the codeword enumeration cap "
-                f"of {MAX_SM_DIM}"
-            )
+        self._codewords  # every codeword is listed, so codewords() caps the dimension
         if len(self.weights) != self.code.length:
             raise StructureError("one weight per measured element is required")
         if self.decoder not in DECODERS:
@@ -478,9 +473,9 @@ class SweepRow:
 CSV_HEADER = ("log2_pm", "log2_pse", "stderr", "trials", "total_measurements", "scheme", "method")
 
 
-def exact_is_feasible(scheme: MeasurementScheme, auto_bits: int = AUTO_EXACT_BITS) -> bool:
+def exact_is_feasible(scheme: MeasurementScheme) -> bool:
     return all(
-        isinstance(p, RepetitionPart) or p.code.length <= auto_bits for p in scheme.parts
+        isinstance(p, RepetitionPart) or p.code.length <= AUTO_EXACT_BITS for p in scheme.parts
     )
 
 
@@ -531,7 +526,7 @@ def sweep_csv(rows: Iterable[SweepRow]) -> str:
     writer.writerow(CSV_HEADER)
     for r in rows:
         writer.writerow(
-            [f"{r.log2_pm:.10g}", f"{r.log2_pse:.10g}", f"{r.stderr:.6g}",
+            [f"{r.log2_pm:.10g}", repr(r.log2_pse), f"{r.stderr:.6g}",
              r.trials, r.total_measurements, r.scheme, r.method]
         )
     return buf.getvalue()

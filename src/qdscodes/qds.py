@@ -19,17 +19,15 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .codes import (
-    MAX_SEARCH_WEIGHT,
     AdditiveCode,
     StabilizerCode,
     SubsystemCode,
-    errors_of_weight,
     is_impure,
     make_stabilizer,
     min_distance,
+    min_weight_outside,
 )
 from .errors import (
-    CapacityError,
     ConstructionFailureError,
     DimensionError,
     ParseError,
@@ -120,34 +118,20 @@ def extended_syndrome(qds: QDSCode, e: F4Vector) -> BitVector:
     return BitVector(len(qds.measured), bits)
 
 
-def qds_min_distance(qds: QDSCode, max_weight: int = MAX_SEARCH_WEIGHT) -> int:
+def qds_min_distance(qds: QDSCode) -> int:
     """min over e outside C (outside D for subsystem bases) of
     weight(e) + weight(extended_syndrome(e)).
 
-    Enumerates e by increasing weight with the running minimum as cutoff;
-    the dual characterization makes an explicit dual basis unnecessary.
+    The dual characterization makes an explicit dual basis unnecessary.
     """
     excluded = qds.base.gauge if isinstance(qds.base, SubsystemCode) else qds.base.code
-    basis = excluded.basis()
-    best = None
-    for w in range(0, max_weight + 1):
-        if best is not None and w >= best:
-            return best
-        for e in errors_of_weight(qds.n, w):
-            if basis.contains(e.bit_expansion()):
-                continue
-            total = w + extended_syndrome(qds, e).weight
-            if best is None or total < best:
-                best = total
-    if best is None:
-        raise CapacityError(f"no excluded vector of weight <= {max_weight} found")
-    return best
+    return min_weight_outside(excluded, lambda e: extended_syndrome(qds, e).weight)
 
 
-def qds_params(qds: QDSCode, max_weight: int = MAX_SEARCH_WEIGHT) -> QDSParams:
+def qds_params(qds: QDSCode) -> QDSParams:
     base = qds.base
     r = base.r if isinstance(base, SubsystemCode) else 0
-    return QDSParams(base.n, base.k, r, qds_min_distance(qds, max_weight), qds.l)
+    return QDSParams(base.n, base.k, r, qds_min_distance(qds), qds.l)
 
 
 def identity_qds(base: StabilizerCode | SubsystemCode) -> QDSCode:
@@ -225,6 +209,10 @@ def single_symbol_errors(n: int) -> list[F4Vector]:
 # generator search: impure distance-3 codes as zero-redundancy QDS codes
 # ----------------------------------------------------------------------
 
+# pivots are the stabilizer elements of weight below the distance 3
+PIVOT_WEIGHT = 2
+
+
 @dataclass(frozen=True)
 class ImpureSearchResult:
     rows: tuple[F4Vector, ...]
@@ -234,8 +222,8 @@ class ImpureSearchResult:
     strings_examined: int
 
 
-def _low_weight_span_elements(code: AdditiveCode, max_weight: int = 2) -> list[F4Vector]:
-    elems = [v for v in code.span() if 0 < v.weight <= max_weight]
+def _low_weight_span_elements(code: AdditiveCode) -> list[F4Vector]:
+    elems = [v for v in code.span() if 0 < v.weight <= PIVOT_WEIGHT]
     elems.sort(key=lambda v: (v.weight, v.symbols()))
     return elems
 

@@ -41,6 +41,7 @@ from .errors import (
 from .gf4 import BitVector
 
 MAX_TABLE_LENGTH = 25
+MAX_CODEWORD_DIM = 20
 
 DATA_DIR_ENV = "QDS_DATA_DIR"
 
@@ -187,14 +188,16 @@ class BinaryLinearCode:
 
     def codewords(self) -> list[int]:
         """All 2^dim codewords in systematic column order."""
+        if self.dim > MAX_CODEWORD_DIM:
+            raise CapacityError(
+                f"listing 2^{self.dim} codewords exceeds the dimension cap {MAX_CODEWORD_DIM}"
+            )
         words = [0]
         for row in self.systematic_rows:
             words += [w ^ row for w in words]
         return words
 
     def minimum_distance(self) -> int:
-        if self.dim > 20:
-            raise CapacityError("codeword enumeration capped at dimension 20")
         return min(w.bit_count() for w in self.codewords() if w)
 
 
@@ -277,7 +280,8 @@ def likelihood_classes(flip_probs: Sequence[float]) -> tuple[np.ndarray, list[in
             elif p == 1.0:
                 lam.append(-math.inf)
             else:
-                lam.append(math.log((1.0 - p) / p))
+                # (1 - p) / p overflows to inf for subnormal p; this form stays finite
+                lam.append(math.log1p(-p) - math.log(p))
         classes.append(seen[p])
     return np.array(lam), classes
 
@@ -294,8 +298,6 @@ def weighted_ml_decode(
         raise DimensionError(f"received length {received.n} != code length {code.length}")
     if len(flip_probs) != code.length:
         raise DimensionError("flip_probs length does not match the code length")
-    if code.dim > 20:
-        raise CapacityError("codeword enumeration capped at dimension 20")
     lam, classes = likelihood_classes(flip_probs)
     nclass = len(lam)
 
@@ -358,6 +360,13 @@ def _identity(m: int) -> BinaryLinearCode:
     )
 
 
+# name -> support-block sizes of the bundled Cordaro-Wagner [n, 2] codes
+CORDARO_WAGNER_BLOCKS = {
+    "cw-12-2-8": (4, 4, 4),
+    "cw-17-2-11": (6, 6, 5),
+    "cw-18-2-12": (6, 6, 6),
+}
+
 _IMPORTED_PARAMS = {
     # name -> (length, dim, declared minimum distance)
     "grassl-18-6-8": (18, 6, 8),
@@ -397,27 +406,20 @@ def sm_catalog(name: str, directory: str | Path | None = None) -> BinaryLinearCo
     """Bundled SM codes, plus import-only entries resolved from QDS_DATA_DIR."""
     if name in _IMPORTED_PARAMS:
         return _load_imported(name, directory)
-    if name == "cw-12-2-8":
-        return _cordaro_wagner((4, 4, 4), name)
-    if name == "cw-17-2-11":
-        return _cordaro_wagner((6, 6, 5), name)
-    if name == "cw-18-2-12":
-        return _cordaro_wagner((6, 6, 6), name)
+    if name in CORDARO_WAGNER_BLOCKS:
+        return _cordaro_wagner(CORDARO_WAGNER_BLOCKS[name], name)
     kind, _, arg = name.partition("-")
     if kind in ("parity", "repetition", "identity") and arg.isdigit():
         size = int(arg)
         if size < 1:
             raise CatalogError(f"size in {name!r} must be positive")
         return {"parity": _parity, "repetition": _repetition, "identity": _identity}[kind](size)
-    raise CatalogError(
-        f"unknown SM code {name!r}; known: cw-12-2-8, cw-17-2-11, cw-18-2-12, "
-        f"parity-<m>, repetition-<l>, identity-<m>, " + ", ".join(_IMPORTED_PARAMS)
-    )
+    raise CatalogError(f"unknown SM code {name!r}; known: {', '.join(sm_catalog_names())}")
 
 
 def sm_catalog_names() -> tuple[str, ...]:
-    return ("cw-12-2-8", "cw-17-2-11", "cw-18-2-12", "parity-<m>", "repetition-<l>",
-            "identity-<m>") + tuple(sorted(_IMPORTED_PARAMS))
+    return (tuple(CORDARO_WAGNER_BLOCKS) + ("parity-<m>", "repetition-<l>", "identity-<m>")
+            + tuple(sorted(_IMPORTED_PARAMS)))
 
 
 # ----------------------------------------------------------------------

@@ -182,6 +182,13 @@ def test_bounds_table(capsys):
     assert lines[-1] == "26,22,19,19,18"
 
 
+@pytest.mark.parametrize("values", [["5"], ["9", "1", "3", "0", "7"]])
+def test_bounds_check_rejects_wrong_value_count(capsys, values):
+    code, _, err = run(capsys, "bounds", "--check", *values)
+    assert code == 2
+    assert "n k [d l]" in err
+
+
 def test_bounds_requires_one_mode(capsys):
     code, _, err = run(capsys, "bounds", "--check", "9", "1", "--families", "3")
     assert code == 2

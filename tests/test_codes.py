@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdscodes.codes import (
     AdditiveCode,
@@ -16,8 +18,6 @@ from qdscodes.codes import (
     make_stabilizer,
     make_subsystem,
     min_distance,
-    min_distance_stabilizer,
-    min_distance_subsystem,
     parse_code_text,
     read_code_file,
     write_code_file,
@@ -26,10 +26,12 @@ from qdscodes.errors import (
     CommutationError,
     CatalogError,
     ParseError,
+    QDSError,
     RankError,
     StructureError,
 )
 from qdscodes.gf4 import F4Vector, pauli_string_parse, syndrome, trace_inner_product
+from qdscodes.smcodes import parse_binary_code_text
 
 STABILIZER_PARAMS = {
     # name -> (n, k, d, impure)
@@ -86,7 +88,7 @@ def test_catalog_stabilizer_parameters(name):
     code = catalog(name)
     assert isinstance(code, StabilizerCode)
     assert (code.n, code.k, code.m) == (n, k, n - k)
-    assert min_distance_stabilizer(code) == d
+    assert min_distance(code) == d
     assert is_impure(code, d) == impure
 
 
@@ -107,9 +109,9 @@ def test_span_members_have_zero_syndrome(name):
 def test_catalog_distances_match_brute_force_oracle():
     for name in ("five-qubit", "example-6-1-3", "steane", "shor"):
         code = catalog(name)
-        assert brute_force_distance(code) == min_distance_stabilizer(code)
+        assert brute_force_distance(code) == min_distance(code)
     bs = catalog("bacon-shor")
-    assert brute_force_distance(bs) == min_distance_subsystem(bs) == 3
+    assert brute_force_distance(bs) == min_distance(bs) == 3
 
 
 def test_catalog_unknown_name():
@@ -142,7 +144,7 @@ def test_bacon_shor_parameters():
     assert len(bs.gauge.rows) == 12
     assert all(g.weight == 2 for g in bs.gauge.rows)
     assert [s.weight for s in bs.rows] == [6, 6, 6, 6]
-    assert min_distance_subsystem(bs) == 3
+    assert min_distance(bs) == 3
 
 
 def test_bacon_shor_stabilizer_is_center_of_gauge():
@@ -196,7 +198,7 @@ def test_subsystem_with_r_zero_equals_stabilizer_code():
     assert {v.symbols() for v in sub.stabilizer.span()} == {
         v.symbols() for v in five.code.span()
     }
-    assert min_distance_subsystem(sub) == min_distance_stabilizer(five)
+    assert min_distance(sub) == min_distance(five)
 
 
 def test_make_subsystem_rejects_bad_stabilizer_presentation():
@@ -217,17 +219,17 @@ def test_min_distance_dispatch():
 def test_distance_invariant_under_equivalence_moves():
     rng = np.random.default_rng(17)
     code = catalog("example-6-1-3")
-    d = min_distance_stabilizer(code)
+    d = min_distance(code)
     rows = list(code.rows)
     # coordinate permutation
     perm = rng.permutation(6).tolist()
     permuted = make_stabilizer([r.permute(perm) for r in rows])
-    assert min_distance_stabilizer(permuted) == d
+    assert min_distance(permuted) == d
     # per-coordinate scaling and conjugation
     scaled = make_stabilizer([r.scale_at(2, 2) for r in rows])
-    assert min_distance_stabilizer(scaled) == d
+    assert min_distance(scaled) == d
     conjugated = make_stabilizer([r.conjugate_at(4) for r in rows])
-    assert min_distance_stabilizer(conjugated) == d
+    assert min_distance(conjugated) == d
 
 
 def test_is_impure_matches_direct_span_scan():
@@ -275,3 +277,13 @@ def test_parse_errors_carry_line_numbers():
         parse_code_text("# only comments\n")
     with pytest.raises(ParseError, match="GAUGE"):
         parse_code_text("XX\nGAUGE\nZZ\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(), st.text(alphabet="IXYZ01ixyz \t#\nGAUGE")))
+def test_parsers_raise_only_package_errors(text):
+    for parse in (parse_code_text, parse_binary_code_text):
+        try:
+            parse(text)
+        except QDSError:
+            pass

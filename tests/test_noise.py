@@ -496,6 +496,14 @@ def test_sweep_csv_schema():
     assert ",144,fig1-bs-sm,exact" in lines[1]
 
 
+def test_sweep_csv_log2_pse_reads_back_exactly():
+    # at log2 p_m = -20, 10 significant digits would give -60.96672501
+    rows = sweep(build_scheme("fig1-bs-sm"), [-20.0], method="exact")
+    lines = sweep_csv(rows).strip().split("\n")[1:]
+    assert [float(line.split(",")[1]) for line in lines] == [r.log2_pse for r in rows]
+    assert rows[0].log2_pse == pytest.approx(-60.96672501, abs=1e-8)
+
+
 def test_sweep_zero_pse_renders_negative_infinity():
     rows = sweep(build_scheme("fig1-shor-6fold"), [-math.inf], method="exact")
     assert rows[0].log2_pse == -math.inf

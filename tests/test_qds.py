@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qdscodes.codes import catalog, make_stabilizer, make_subsystem
-from qdscodes.errors import DimensionError, PreconditionError
+from qdscodes.codes import catalog, make_stabilizer, make_subsystem, min_distance
+from qdscodes.errors import CapacityError, DimensionError, PreconditionError
 from qdscodes.gf4 import (
     BitVector,
     F4Vector,
@@ -165,6 +165,30 @@ def test_five_qubit_parity_augmented_distance_3():
 def test_qds_distance_upper_bounded_by_base_distance():
     for name in DISTANCE_3_CATALOG:
         assert qds_min_distance(identity_qds(catalog(name))) <= 3
+
+
+def bacon_shor_gauge_rows(size: int) -> list[F4Vector]:
+    """XX on horizontal and ZZ on vertical neighbours of a size x size grid."""
+    n = size * size
+    rows = []
+    for r in range(size):
+        for c in range(size - 1):
+            pair = (1 << (size * r + c)) | (1 << (size * r + c + 1))
+            rows.append(F4Vector(n, pair, 0))
+    for c in range(size):
+        for r in range(size - 1):
+            pair = (1 << (size * r + c)) | (1 << (size * (r + 1) + c))
+            rows.append(F4Vector(n, 0, pair))
+    return rows
+
+
+def test_distance_searches_share_the_length_cap():
+    bs25 = make_subsystem(bacon_shor_gauge_rows(5))
+    assert bs25.n == 25
+    with pytest.raises(CapacityError, match=r"n=25 exceeds the enumeration cap n<=16"):
+        min_distance(bs25)
+    with pytest.raises(CapacityError, match=r"n=25 exceeds the enumeration cap n<=16"):
+        qds_min_distance(identity_qds(bs25))
 
 
 # ----------------------------------------------------------------------

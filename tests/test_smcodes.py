@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdscodes import f2
 from qdscodes.errors import (
@@ -227,15 +229,34 @@ def test_coset_leader_capacity_limit():
 # weighted ML decoding
 # ----------------------------------------------------------------------
 
-def test_weighted_ml_agrees_with_coset_leader_on_unique_cosets():
-    cw = sm_catalog("cw-12-2-8")
-    _, _, mult = cw.coset_table
-    probs = [0.1] * 12
-    for word in range(1 << 12):
-        received = BitVector(12, word)
-        cl = coset_leader_decode(cw, received)
-        ml = weighted_ml_decode(cw, received, probs)
-        if mult[cw.word_syndrome(word)] == 1:
+@st.composite
+def systematic_codes(draw):
+    """A random systematic [n, k] code with n <= 9."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 9))
+    columns = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n - k, max_size=n - k))
+    rows = tuple(
+        (1 << i) | sum(((col >> i) & 1) << (k + j) for j, col in enumerate(columns))
+        for i in range(k)
+    )
+    return BinaryLinearCode(n, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=systematic_codes(),
+       p=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+@example(code=sm_catalog("cw-12-2-8"), p=0.1)
+@example(code=BinaryLinearCode(2, (1,)), p=5e-324)  # (1 - p) / p overflows
+def test_weighted_ml_agrees_with_coset_leader_on_unique_cosets(code, p):
+    # uniform flips make weighted ML minimum-weight decoding, ties included
+    n = code.length
+    _, _, mult = code.coset_table
+    probs = [p] * n
+    for word in range(1 << n):
+        received = BitVector(n, word)
+        cl = coset_leader_decode(code, received)
+        ml = weighted_ml_decode(code, received, probs)
+        if mult[code.word_syndrome(word)] == 1:
             assert cl.success and ml.success and cl.message == ml.message
         else:
             assert not cl.success and not ml.success
