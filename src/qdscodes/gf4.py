@@ -95,9 +95,6 @@ class BitVector:
             raise DimensionError(f"length mismatch: {self.n} vs {other.n}")
         return BitVector(self.n, self.bits ^ other.bits)
 
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.n + other.n, self.bits | (other.bits << self.n))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.to_tuple())
 

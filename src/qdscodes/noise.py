@@ -45,8 +45,7 @@ from .gf4 import F4Vector
 from .qds import measured_elements
 from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
 
-AUTO_EXACT_BITS = 20
-HARD_EXACT_BITS = 25
+HARD_EXACT_BITS = 25  # longest SM part whose 2^n patterns any p_se path enumerates
 MAX_SM_LENGTH = 64  # received words are packed into uint64
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -396,13 +395,13 @@ def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
 
     A word succeeds iff it is the unique minimum-cost member of its coset.
     With few codewords the coset is scanned per word; with more codewords
-    than syndrome bits, and at most 2^AUTO_EXACT_BITS patterns, each
+    than syndrome bits, and at most 2^HARD_EXACT_BITS patterns, each
     coset's runner-up cost is computed once and looked up by syndrome.
     """
     code = part.code
     q = _flip_probabilities(part, p_m)
     costs = part._costs(q)
-    if len(part._codewords) > code.redundancy and code.length <= AUTO_EXACT_BITS:
+    if len(part._codewords) > code.redundancy and code.length <= HARD_EXACT_BITS:
         if costs is part._unit_costs:
             table = part._unit_runner_up
         else:
@@ -432,6 +431,8 @@ def pse_monte_carlo(
     """Sampled p_se; deterministic for fixed (seed, trials, chunk_size)."""
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
+    if chunk_size < 1:
+        raise PreconditionError(f"chunk_size must be >= 1, got {chunk_size}")
     samplers = [
         functools.partial(_repetition_failures, part, p_m)
         if isinstance(part, RepetitionPart)
@@ -475,7 +476,7 @@ CSV_HEADER = ("log2_pm", "log2_pse", "stderr", "trials", "total_measurements", "
 
 def exact_is_feasible(scheme: MeasurementScheme) -> bool:
     return all(
-        isinstance(p, RepetitionPart) or p.code.length <= AUTO_EXACT_BITS for p in scheme.parts
+        isinstance(p, RepetitionPart) or p.code.length <= HARD_EXACT_BITS for p in scheme.parts
     )
 
 
@@ -490,7 +491,7 @@ def sweep(
     """Evaluate p_se over a grid of log2(p_m) values, in grid order.
 
     method "auto" uses exact evaluation when every SM part enumerates at
-    most 2^20 patterns and Monte Carlo otherwise.
+    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.
     """
     if not len(pm_log2_grid):
         raise PreconditionError("empty p_m grid")
@@ -582,18 +583,17 @@ def sm_scheme(
     sm_x: BinaryLinearCode,
     sm_z: BinaryLinearCode,
     decoder: str = COSET_LEADER,
-    x_order: Sequence[int] | None = None,
     z_order: Sequence[int] | None = None,
     name: str = "",
 ) -> MeasurementScheme:
     """Protect the X-type and Z-type syndromes with separate SM codes.
 
-    The generator orders matter: permuting the rows changes which
+    The Z generator order matters: permuting the rows changes which
     stabilizer products are measured and hence the measurement total.
     """
     x_rows, z_rows = split_rows_by_type(code.rows)
     parts = (
-        _sm_part(_apply_order(x_rows, x_order), sm_x, decoder),
+        _sm_part(x_rows, sm_x, decoder),
         _sm_part(_apply_order(z_rows, z_order), sm_z, decoder),
     )
     return MeasurementScheme(name or "sm-scheme", parts)
@@ -631,7 +631,6 @@ def build_scheme(
     name: str,
     data_dir: str | Path | None = None,
     decoder: str = COSET_LEADER,
-    z_order: Sequence[int] | None = None,
 ) -> MeasurementScheme:
     """Construct one of the named figure schemes.
 
@@ -648,7 +647,6 @@ def build_scheme(
             sm_catalog("cw-12-2-8"),
             sm_catalog("grassl-18-6-8", data_dir),
             decoder,
-            z_order=z_order,
             name=name,
         )
     if name == "fig1-bs-sm":
@@ -665,9 +663,8 @@ def build_scheme(
     if name in ("fig2-shor-204", "fig2-shor-216"):
         shor = catalog("shor")
         sm_z = sm_catalog("grassl-25-6-11", data_dir)
-        if z_order is None:
-            _, z_rows = split_rows_by_type(shor.rows)
-            z_order = _shor_z_order_for_total(sm_z, z_rows, FIG2_SHOR_Z_TOTALS[name])
+        _, z_rows = split_rows_by_type(shor.rows)
+        z_order = _shor_z_order_for_total(sm_z, z_rows, FIG2_SHOR_Z_TOTALS[name])
         return sm_scheme(
             shor, sm_catalog(FIG2_X_CODES[name]), sm_z, decoder, z_order=z_order, name=name
         )
@@ -675,14 +672,3 @@ def build_scheme(
         f"unknown scheme {name!r}; known: {', '.join(FIG1_SCHEMES + FIG2_SCHEMES)}"
     )
 
-
-def figure1_schemes(
-    data_dir: str | Path | None = None, decoder: str = COSET_LEADER
-) -> dict[str, MeasurementScheme]:
-    return {name: build_scheme(name, data_dir, decoder) for name in FIG1_SCHEMES}
-
-
-def figure2_schemes(
-    data_dir: str | Path | None = None, decoder: str = COSET_LEADER
-) -> dict[str, MeasurementScheme]:
-    return {name: build_scheme(name, data_dir, decoder) for name in FIG2_SCHEMES}

@@ -112,10 +112,7 @@ def extended_syndrome(qds: QDSCode, e: F4Vector) -> BitVector:
     """Bit j = measured[j] * e; equals (s, s . A) for the base syndrome s."""
     if e.n != qds.n:
         raise DimensionError(f"error length {e.n} != code length {qds.n}")
-    bits = 0
-    for j, g in enumerate(qds.measured):
-        bits |= trace_inner_product(g, e) << j
-    return BitVector(len(qds.measured), bits)
+    return syndrome(qds.measured, e)
 
 
 def qds_min_distance(qds: QDSCode) -> int:

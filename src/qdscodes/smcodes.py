@@ -59,10 +59,6 @@ class DecodeOutcome:
     success: bool
 
 
-def _popcounts(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
-
-
 @dataclass(frozen=True)
 class BinaryLinearCode:
     """An [length, dim] binary linear code given by generator rows.
@@ -165,10 +161,10 @@ class BinaryLinearCode:
         if n > MAX_TABLE_LENGTH:
             raise CapacityError(f"coset table for length {n} exceeds the {MAX_TABLE_LENGTH}-bit cap")
         words = np.arange(1 << n, dtype=np.uint32)
-        weights = _popcounts(words)
+        weights = np.bitwise_count(words)
         synd = np.zeros(1 << n, dtype=np.uint32)
         for j, h in enumerate(self.parity_checks):
-            synd |= (_popcounts(words & np.uint32(h)) & 1).astype(np.uint32) << np.uint32(j)
+            synd |= (np.bitwise_count(words & np.uint32(h)) & 1).astype(np.uint32) << np.uint32(j)
         lexkey = np.zeros(1 << n, dtype=np.uint32)
         for i in range(n):
             lexkey |= ((words >> np.uint32(i)) & 1) << np.uint32(n - 1 - i)

@@ -245,6 +245,15 @@ def test_simulate_missing_import_exits_5(capsys):
     assert "grassl-18-6-8" in err
 
 
+def test_simulate_shor_sm_with_offline_stand_in(capsys, shor_sm_data_dir):
+    code, out, _ = run(capsys, "simulate", "--scheme", "fig1-shor-sm", "--pm-log2=-3",
+                       "--data-dir", str(shor_sm_data_dir))
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "total_measurements: 144"
+    assert lines[2].endswith(",144,fig1-shor-sm,exact")
+
+
 def test_simulate_unknown_scheme_exits_3(capsys):
     code, _, err = run(capsys, "simulate", "--scheme", "fig9", "--pm-log2", "-3")
     assert code == 3

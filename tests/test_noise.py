@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError, StructureError
 from qdscodes.codes import catalog
 from qdscodes.gf4 import BitVector
+from qdscodes.qds import measured_elements
 from qdscodes.noise import (
     DECODERS,
     MeasurementScheme,
     RepetitionPart,
     SMPart,
+    _shor_z_order_for_total,
     build_scheme,
     exact_is_feasible,
-    figure2_schemes,
     p_err,
     pse_exact,
     pse_monte_carlo,
@@ -92,8 +93,24 @@ def test_fig2_bs_totals():
 def test_fig2_shor_needs_import():
     with pytest.raises(AvailabilityError, match="grassl-25-6-11"):
         build_scheme("fig2-shor-204")
-    with pytest.raises(AvailabilityError):
-        figure2_schemes()
+
+
+def test_fig1_shor_sm_with_offline_stand_in(shor_sm_data_dir):
+    scheme = build_scheme("fig1-shor-sm", data_dir=shor_sm_data_dir)
+    assert scheme.total_measurements == 144
+    assert [p.total_measurements for p in scheme.parts] == [72, 72]
+
+
+def test_shor_z_order_search_with_offline_stand_in(golay_18_6_8):
+    _, z_rows = split_rows_by_type(catalog("shor").rows)
+
+    def z_total(order):
+        return sum(v.weight for v in measured_elements([z_rows[i] for i in order], golay_18_6_8))
+
+    assert {z_total(order) for order in itertools.permutations(range(6))} == {72, 76}
+    assert z_total(_shor_z_order_for_total(golay_18_6_8, z_rows, 76)) == 76
+    with pytest.raises(StructureError):
+        _shor_z_order_for_total(golay_18_6_8, z_rows, 74)
 
 
 def test_fig2_x_part_totals_from_catalog():
@@ -467,6 +484,50 @@ def test_monte_carlo_validates_trials():
         pse_monte_carlo(build_scheme("fig1-bs-sm"), 0.1, trials=0)
 
 
+@pytest.mark.parametrize("name", ["fig1-bs-sm", "fig1-bs-6fold"])
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_monte_carlo_validates_chunk_size(name, chunk_size):
+    # with chunk_size 0 a repetition-only scheme's chunk loop never advances
+    with pytest.raises(PreconditionError, match="chunk_size"):
+        pse_monte_carlo(build_scheme(name), 0.1, trials=100, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_fig1_shor_sm_exact_and_monte_carlo_agree(shor_sm_data_dir, decoder):
+    # the [18,6] Z part has more codewords than syndrome bits, so Monte
+    # Carlo looks its runner-up costs up by syndrome
+    scheme = build_scheme("fig1-shor-sm", data_dir=shor_sm_data_dir, decoder=decoder)
+    trials = 10**5
+    for log2_pm in (-2.0, -3.0, -4.0):
+        exact = pse_exact(scheme, 2.0**log2_pm).p_se
+        mc = pse_monte_carlo(scheme, 2.0**log2_pm, trials, seed=31)
+        assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+def _random_part(n: int, k: int, seed: int, decoder: str) -> SMPart:
+    """A seeded random systematic [n, k] part with element weights from {2, 4, 6}."""
+    rng = np.random.default_rng(seed)
+    columns = rng.integers(0, 1 << k, size=n - k)
+    rows = tuple(
+        (1 << i) | sum(((int(col) >> i) & 1) << (k + j) for j, col in enumerate(columns))
+        for i in range(k)
+    )
+    weights = tuple(int(w) for w in rng.choice((2, 4, 6), size=n))
+    return SMPart(BinaryLinearCode(n, rows, f"random-{n}-{k}"), weights, decoder)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_monte_carlo_syndrome_table_above_20_bits(decoder):
+    part = _random_part(22, 6, seed=22, decoder=decoder)
+    scheme = MeasurementScheme(part.code.name, (part,))
+    trials = 1 << 16
+    exact = pse_exact(scheme, 2.0**-3).p_se
+    mc = pse_monte_carlo(scheme, 2.0**-3, trials, seed=13)
+    assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
+    if decoder == "coset-leader":
+        assert "_unit_runner_up" in part.__dict__  # looked up, not scanned per word
+
+
 # ----------------------------------------------------------------------
 # sweeps and CSV
 # ----------------------------------------------------------------------
@@ -484,6 +545,18 @@ def test_sweep_auto_picks_exact_for_small_schemes():
     assert exact_is_feasible(scheme)
     rows = sweep(scheme, [-3.0], method="auto")
     assert rows[0].method == "exact"
+
+
+def test_sweep_auto_picks_exact_up_to_the_enumeration_cap():
+    # one cap, HARD_EXACT_BITS = 25, decides auto's choice
+    exact_rows = sweep(MeasurementScheme("r22", (_random_part(22, 6, 22, "coset-leader"),)),
+                       [-3.0], method="auto")
+    assert exact_rows[0].method == "exact"
+    assert exact_rows[0].trials == 0
+    mc_rows = sweep(MeasurementScheme("r26", (_random_part(26, 6, 26, "coset-leader"),)),
+                    [-3.0], method="auto", trials=1000)
+    assert mc_rows[0].method == "monte-carlo"
+    assert mc_rows[0].trials == 1000
 
 
 def test_sweep_csv_schema():
