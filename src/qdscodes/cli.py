@@ -287,6 +287,8 @@ def _parse_pm_grid(spec: str) -> list[float]:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise QDSError("--trials must be positive")
+    if args.seed < 0:
+        raise QDSError("--seed must be non-negative")
     scheme = noise_mod.build_scheme(args.scheme, args.data_dir, decoder=args.decoder)
     print(f"total_measurements: {scheme.total_measurements}")
     grid = _parse_pm_grid(args.pm_log2)

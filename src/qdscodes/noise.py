@@ -19,10 +19,21 @@ a histogram over per-class flip counts; a repetition bit fails with a
 sum of binomial terms.  The unit failure probabilities f_i combine as
 p_se = -expm1(sum log1p(-f_i)), so a tiny p_se keeps its precision.
 
+Monte Carlo draws flip counts, not one float per flip.  Each bit of a
+repetition part takes one uniform u and fails iff u >= F(t - 1), the
+Binomial(fold, q) lower-tail CDF at the majority threshold t.  An SM
+part's weight classes are split into near-equal blocks of at most
+SAMPLER_BLOCK_BITS bits; per block a first uniform gives the flip count c
+by inverse CDF of Binomial(N, q), and a second picks one of the C(N, c)
+words with c flips from a table of the block's words sorted by popcount.
+
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
 numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
-i.e. PCG64 seeded through numpy's documented SeedSequence hash.
+i.e. PCG64 seeded through numpy's documented SeedSequence hash.  Within
+a chunk the parts draw in scheme order: a repetition part one array of
+uniforms per syndrome bit, an SM part a count array then a position
+array per block, blocks in class order.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
 HARD_EXACT_BITS = 25  # longest SM part whose 2^n patterns any p_se path enumerates
 MAX_SM_LENGTH = 64  # received words are packed into uint64
 DEFAULT_CHUNK_SIZE = 1 << 16
+SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
 
 COSET_LEADER = "coset-leader"
 WEIGHTED_ML = "weighted-ml"
@@ -187,6 +199,26 @@ class SMPart:
     @cached_property
     def _unit_runner_up(self) -> np.ndarray:
         return _runner_up_by_syndrome(self, self._unit_costs)
+
+    @cached_property
+    def _sampler_blocks(self) -> list[tuple[int, np.ndarray]]:
+        """Each weight class split into near-equal blocks of at most
+        SAMPLER_BLOCK_BITS bits, as (class index, table): the table holds
+        the block's 2^N words on their bit positions, sorted by popcount,
+        so the words with c flips are the C(N, c) entries after the first
+        sum_{j<c} C(N, j)."""
+        blocks = []
+        for k, mask in enumerate(self._unit_costs.masks):
+            positions = [j for j in range(self.code.length) if (int(mask) >> j) & 1]
+            count = -(-len(positions) // SAMPLER_BLOCK_BITS)
+            for block in np.array_split(np.array(positions, dtype=np.uint64), count):
+                local = np.arange(1 << len(block), dtype=np.uint64)
+                local = local[np.argsort(np.bitwise_count(local), kind="stable")]
+                table = np.zeros_like(local)
+                for i, position in enumerate(block):
+                    table |= ((local >> np.uint64(i)) & np.uint64(1)) << position
+                blocks.append((k, table))
+        return blocks
 
     def _costs(self, q: Sequence[float]) -> _Costs:
         """The cost the decoder minimizes at flip probabilities q.
@@ -372,15 +404,61 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
 
 
-def _repetition_failures(part: RepetitionPart, p_m: float, rng, size: int) -> np.ndarray:
-    failed = np.zeros(size, dtype=bool)
-    for w in part.weights:
-        counts = rng.binomial(part.fold, p_err(w, p_m), size=size)
-        if part.fold % 2 == 0:
-            failed |= 2 * counts >= part.fold
-        else:
-            failed |= 2 * counts > part.fold
-    return failed
+def _repetition_sampler(part: RepetitionPart, p_m: float) -> Callable[..., np.ndarray]:
+    """Draw one chunk of majority failures for the part.
+
+    Bit i's flip count c ~ Binomial(fold, q_i) reaches the threshold
+    t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
+    uniform u satisfies u >= F(t - 1), so one uniform per bit decides it.
+    """
+    fold, t = part.fold, (part.fold + 1) // 2
+
+    def lower_tail(q: float) -> float:
+        return math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c) for c in range(t))
+
+    thresholds = [lower_tail(p_err(w, p_m)) for w in part.weights]
+
+    def failures(rng, size: int) -> np.ndarray:
+        failed = np.zeros(size, dtype=bool)
+        for threshold in thresholds:
+            failed |= rng.random(size) >= threshold
+        return failed
+    return failures
+
+
+def _sm_word_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., np.ndarray]:
+    """Draw one chunk of received words, bit j flipped with probability q[j].
+
+    Per block of N bits of one class (q): the flip count c is the inverse
+    CDF of Binomial(N, q) at a first uniform, and a second uniform v picks
+    entry min(floor(v C(N, c)), C(N, c) - 1) among the table's words with
+    c flips.  The blocks cover disjoint bits, so their words are ORed.
+    """
+    class_q = [q[j] for j in part._unit_costs.first]
+    draws = []
+    for k, table in part._sampler_blocks:
+        n = len(table).bit_length() - 1
+        runs = np.array([math.comb(n, c) for c in range(n + 1)], dtype=float)
+        cdf = np.cumsum(runs * _pattern_probabilities(class_q[k], n))[:-1]
+        starts = (np.cumsum(runs) - runs).astype(np.intp)
+        # the count is the number of F(0), ..., F(n - 1) at most u; u < 1,
+        # so a CDF value of 1 never counts
+        draws.append((cdf[cdf < 1.0], runs, starts, table))
+
+    def words(rng, size: int) -> np.ndarray:
+        out = np.zeros(size, dtype=np.uint64)
+        for cdf, runs, starts, table in draws:
+            u = rng.random(size)
+            counts = np.zeros(size, dtype=np.uint8)
+            for value in cdf:
+                counts += u >= value
+            counts = counts.astype(np.intp)
+            run = runs.take(counts)
+            pick = rng.random(size) * run
+            np.minimum(pick, run - 1.0, out=pick)
+            out |= table.take(starts.take(counts) + pick.astype(np.intp))
+        return out
+    return words
 
 
 def _syndromes(code: BinaryLinearCode, words: np.ndarray) -> np.ndarray:
@@ -390,8 +468,8 @@ def _syndromes(code: BinaryLinearCode, words: np.ndarray) -> np.ndarray:
     return synd
 
 
-def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw and decode one chunk of received words for the part.
+def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Which received words the part's decoder fails on, at flip probabilities q.
 
     A word succeeds iff it is the unique minimum-cost member of its coset.
     With few codewords the coset is scanned per word; with more codewords
@@ -399,7 +477,6 @@ def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
     coset's runner-up cost is computed once and looked up by syndrome.
     """
     code = part.code
-    q = _flip_probabilities(part, p_m)
     costs = part._costs(q)
     if len(part._codewords) > code.redundancy and code.length <= HARD_EXACT_BITS:
         if costs is part._unit_costs:
@@ -413,12 +490,16 @@ def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
         def runner_up(words):
             return _runner_up(words, part._codewords, costs)
 
-    def failures(rng, size: int) -> np.ndarray:
-        padded = np.zeros((size, MAX_SM_LENGTH), dtype=bool)
-        np.less(rng.random((size, code.length)), q, out=padded[:, :code.length])
-        words = np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    def failed(words: np.ndarray) -> np.ndarray:
         return ~(costs(words) < runner_up(words))
-    return failures
+    return failed
+
+
+def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
+    """Draw and decode one chunk of received words for the part."""
+    q = _flip_probabilities(part, p_m)
+    draw, failed = _sm_word_sampler(part, q), _sm_decoder(part, q)
+    return lambda rng, size: failed(draw(rng, size))
 
 
 def pse_monte_carlo(
@@ -433,8 +514,10 @@ def pse_monte_carlo(
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     if chunk_size < 1:
         raise PreconditionError(f"chunk_size must be >= 1, got {chunk_size}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     samplers = [
-        functools.partial(_repetition_failures, part, p_m)
+        _repetition_sampler(part, p_m)
         if isinstance(part, RepetitionPart)
         else _sm_failure_sampler(part, p_m)
         for part in scheme.parts

@@ -239,6 +239,16 @@ def test_simulate_zero_trials_usage_error(capsys):
     assert code == 2
 
 
+def test_simulate_negative_seed_usage_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--scheme", "fig1-bs-sm", "--pm-log2", "-3", "--method", "mc",
+        "--seed", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--seed must be non-negative" in err
+
+
 def test_simulate_missing_import_exits_5(capsys):
     code, _, err = run(capsys, "simulate", "--scheme", "fig1-shor-sm", "--pm-log2", "-3")
     assert code == 5

@@ -15,10 +15,15 @@ from qdscodes.gf4 import BitVector
 from qdscodes.qds import measured_elements
 from qdscodes.noise import (
     DECODERS,
+    DEFAULT_CHUNK_SIZE,
     MeasurementScheme,
     RepetitionPart,
     SMPart,
+    _chunk_rng,
+    _flip_probabilities,
     _shor_z_order_for_total,
+    _sm_decoder,
+    _sm_word_sampler,
     build_scheme,
     exact_is_feasible,
     p_err,
@@ -390,13 +395,18 @@ def _dim2_exact_failure(rows: tuple[int, int], q: float) -> float:
     return 1.0 - ok
 
 
+def _random_35_bit_part() -> SMPart:
+    rng = np.random.default_rng(35)
+    rows = tuple(int(v) for v in rng.integers(1, 1 << 35, size=2))
+    return SMPart(BinaryLinearCode(35, rows, "random-35-2"), (4,) * 35, "weighted-ml")
+
+
 def test_weighted_ml_monte_carlo_on_a_35_bit_code():
     # longer than 32 bits: received words are packed into uint64
-    rng = np.random.default_rng(35)
-    r1, r2 = (int(v) for v in rng.integers(1, 1 << 35, size=2))
+    part = _random_35_bit_part()
+    r1, r2 = part.code.rows
     assert r1 != r2
-    code = BinaryLinearCode(35, (r1, r2), "random-35-2")
-    scheme = MeasurementScheme(code.name, (SMPart(code, (4,) * 35, "weighted-ml"),))
+    scheme = MeasurementScheme(part.code.name, (part,))
     trials = 1 << 16
     exact = _dim2_exact_failure((r1, r2), p_err(4, 2.0**-4))
     mc = pse_monte_carlo(scheme, 2.0**-4, trials, seed=11)
@@ -439,12 +449,13 @@ def test_monte_carlo_deterministic_and_chunked():
 
 
 # failures out of 20 000 trials at log2 p_m = -3, seed 7, chunk size 7 000,
-# as recorded before the Monte Carlo decoder moved onto the coset kernel
+# as drawn by the flip-count samplers (inverse-CDF counts, table positions)
 PINNED_MC_FAILURES = [
-    ("fig1-bs-sm", "coset-leader", 17914),
-    ("fig1-bs-sm", "weighted-ml", 17914),
+    ("fig1-bs-sm", "coset-leader", 17919),
+    ("fig1-bs-sm", "weighted-ml", 17919),
     ("fig1-bs-6fold", "coset-leader", 18533),
-    ("fig2-bs-216", "coset-leader", 16897),
+    ("fig1-shor-6fold", "coset-leader", 17591),
+    ("fig2-bs-216", "coset-leader", 16939),
 ]
 
 
@@ -453,6 +464,8 @@ def test_monte_carlo_failure_counts_are_pinned(name, decoder, failures):
     scheme = build_scheme(name, decoder=decoder)
     result = pse_monte_carlo(scheme, 2.0**-3, trials=20_000, seed=7, chunk_size=7_000)
     assert result.p_se * 20_000 == failures
+    exact = pse_exact(scheme, 2.0**-3).p_se
+    assert abs(failures - 20_000 * exact) <= 5 * math.sqrt(20_000 * exact * (1.0 - exact))
 
 
 def test_p_se_paths_build_no_coset_table(monkeypatch):
@@ -482,6 +495,12 @@ def test_weighted_ml_pm_zero_gives_zero():
 def test_monte_carlo_validates_trials():
     with pytest.raises(PreconditionError):
         pse_monte_carlo(build_scheme("fig1-bs-sm"), 0.1, trials=0)
+
+
+@pytest.mark.parametrize("name", ["fig1-bs-sm", "fig1-bs-6fold"])
+def test_monte_carlo_validates_seed(name):
+    with pytest.raises(PreconditionError, match="seed"):
+        pse_monte_carlo(build_scheme(name), 0.1, trials=100, seed=-1)
 
 
 @pytest.mark.parametrize("name", ["fig1-bs-sm", "fig1-bs-6fold"])
@@ -602,3 +621,114 @@ def test_low_pm_slope_of_bs_sm_curve():
 def test_unknown_scheme_name():
     with pytest.raises(PreconditionError):
         build_scheme("fig3-mystery")
+
+
+# ----------------------------------------------------------------------
+# the flip-count samplers against the per-bit iid oracle
+# ----------------------------------------------------------------------
+
+def _iid_failures(scheme: MeasurementScheme, p_m: float, trials: int, seed: int) -> int:
+    """Failures counted as Monte Carlo once drew them: one float per SM bit,
+    compared with its flip probability and packed into uint64 words, then
+    decoded by the same kernel as pse_monte_carlo."""
+    parts = []
+    for part in scheme.parts:
+        q = _flip_probabilities(part, p_m)
+        parts.append((q, _sm_decoder(part, q)))
+    failures = 0
+    for chunk_index, start in enumerate(range(0, trials, DEFAULT_CHUNK_SIZE)):
+        size = min(DEFAULT_CHUNK_SIZE, trials - start)
+        rng = _chunk_rng(seed, chunk_index)
+        failed = np.zeros(size, dtype=bool)
+        for q, decode in parts:
+            padded = np.zeros((size, 64), dtype=bool)
+            np.less(rng.random((size, len(q))), q, out=padded[:, :len(q)])
+            words = np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64)
+            failed |= decode(words)
+        failures += int(failed.sum())
+    return failures
+
+
+def _oracle_case(case: str) -> MeasurementScheme:
+    if case.startswith("fig1-bs-sm"):
+        return build_scheme("fig1-bs-sm", decoder=case.removeprefix("fig1-bs-sm/"))
+    if case == "hetero":
+        part = SMPart(sm_catalog("cw-12-2-8"), (2, 6) * 6, "weighted-ml")
+    elif case == "shor-z-22":
+        # the Shor code's Z part under a seeded random [22,6] SM code
+        sm = _random_part(22, 6, 20, "coset-leader").code
+        part = sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"), sm).parts[1]
+        assert len(set(part.weights)) == 3
+    else:
+        part = _random_35_bit_part()
+        assert [k for k, _ in part._sampler_blocks] == [0, 0, 0]  # one class, three blocks
+    return MeasurementScheme(case, (part,))
+
+
+@pytest.mark.parametrize(
+    "case", ["fig1-bs-sm/coset-leader", "fig1-bs-sm/weighted-ml", "hetero", "shor-z-22", "35-bit"]
+)
+def test_flip_count_sampler_agrees_with_iid_oracle(case):
+    scheme = _oracle_case(case)
+    trials, p_m = 1 << 16, 2.0**-4
+    new = pse_monte_carlo(scheme, p_m, trials, seed=41).p_se * trials
+    old = _iid_failures(scheme, p_m, trials, seed=42)
+    pooled = (new + old) / (2 * trials)
+    assert 0.0 < pooled < 1.0
+    assert abs(new - old) <= 5 * math.sqrt(2 * trials * pooled * (1.0 - pooled))
+
+
+def _merge_sparse_tails(observed: np.ndarray, expected: np.ndarray, least: float = 5.0):
+    """Fold end bins expecting fewer than `least` counts into their neighbours."""
+    observed, expected = list(observed), list(expected)
+    for end in (-1, 0):
+        while len(expected) > 1 and expected[end] < least:
+            spill_o, spill_e = observed.pop(end), expected.pop(end)
+            observed[end] += spill_o
+            expected[end] += spill_e
+    return np.array(observed), np.array(expected)
+
+
+def test_flip_counts_and_positions_of_a_class_split_over_two_blocks():
+    # 20 weight-4 bits interleaved with 4 weight-2 bits: the weight-4 class
+    # is drawn as two blocks of 10
+    code = BinaryLinearCode(24, ((1 << 24) - 1,), "repetition-24")
+    part = SMPart(code, (4, 4, 4, 4, 4, 2) * 4)
+    assert [(k, len(table)) for k, table in part._sampler_blocks] == [(0, 1 << 10)] * 2 + [(1, 16)]
+    q = _flip_probabilities(part, 2.0**-3)
+    size = 1 << 17
+    words = _sm_word_sampler(part, q)(np.random.default_rng(6), size)
+
+    mask = sum(1 << j for j, w in enumerate(part.weights) if w == 4)
+    counts = np.bincount(np.bitwise_count(words & np.uint64(mask)), minlength=21)
+    pmf = np.array([math.comb(20, c) * q[0] ** c * (1.0 - q[0]) ** (20 - c) for c in range(21)])
+    observed, expected = _merge_sparse_tails(counts, size * pmf)
+    assert np.all(np.abs(observed - expected) <= 5 * np.sqrt(expected * (1.0 - expected / size)))
+
+    for j, qj in enumerate(q):
+        hits = int(np.count_nonzero(words & np.uint64(1 << j)))
+        assert abs(hits - size * qj) <= 5 * math.sqrt(size * qj * (1.0 - qj))
+
+
+def _all_flip_schemes() -> list[MeasurementScheme]:
+    # weight-1 elements flip with probability p_m, so p_m = 1 flips every bit
+    return [
+        MeasurementScheme("cw-weight-1", (SMPart(sm_catalog("cw-12-2-8"), (1,) * 12),)),
+        MeasurementScheme("repetition-weight-1", (RepetitionPart((1, 2), 3),)),
+    ]
+
+
+@pytest.mark.parametrize("p_m", [0.0, 1.0])
+def test_monte_carlo_equals_exact_at_certain_flips(p_m):
+    schemes = [build_scheme("fig1-bs-sm", decoder=d) for d in DECODERS]
+    schemes += [build_scheme(name) for name in ("fig1-bs-6fold", "fig1-shor-6fold")]
+    for scheme in schemes + _all_flip_schemes():
+        exact = pse_exact(scheme, p_m).p_se
+        assert exact in (0.0, 1.0)
+        assert pse_monte_carlo(scheme, p_m, trials=5_000, seed=3).p_se == exact, scheme.name
+
+
+def test_all_flips_draw_the_all_ones_word():
+    part = _all_flip_schemes()[0].parts[0]
+    words = _sm_word_sampler(part, [1.0] * 12)(np.random.default_rng(0), 1000)
+    assert np.all(words == np.uint64((1 << 12) - 1))
