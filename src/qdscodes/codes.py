@@ -1,8 +1,9 @@
 """Stabilizer and subsystem codes over additive F4 codes.
 
 Minimum distances and purity are computed by exhaustive enumeration at
-desk scale (every code treated here has n <= 9; the configured caps are
-n <= 16, search weight <= 5).
+desk scale: one kernel forms the error vectors of each weight as XORs of
+packed per-position words in numpy blocks (caps: n <= MAX_N = 16, search
+weight <= MAX_SEARCH_WEIGHT = 5).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import f2
 from .errors import (
@@ -27,6 +30,10 @@ from .gf4 import F4Vector, f2_rank, pauli_string_parse, trace_inner_product
 MAX_N = 16
 MAX_SEARCH_WEIGHT = 5
 MAX_SPAN_EXPONENT = 22
+# vectors formed per numpy block of a weight search
+BLOCK_VECTORS = 1 << 12
+# 63-bit limbs keep packed words nonnegative as int64, which indexes numpy arrays
+_LIMB_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -187,45 +194,84 @@ def make_subsystem(
     return SubsystemCode(gauge, stabilizer)
 
 
-def errors_of_weight(n: int, weight: int) -> Iterator[F4Vector]:
-    """All F4 vectors of the given Pauli weight, support then symbols in
-    lexicographic order."""
-    if weight == 0:
-        yield F4Vector.zero(n)
-        return
-    for support in itertools.combinations(range(n), weight):
-        for values in itertools.product((1, 2, 3), repeat=weight):
-            x = z = 0
-            for coord, v in zip(support, values):
-                x |= (v & 1) << coord
-                z |= (v >> 1) << coord
-            yield F4Vector(n, x, z)
+def _word_table(n: int, rows: Sequence[F4Vector], excluded: AdditiveCode) -> np.ndarray:
+    """(n, 3, width) int64 table: entry [j, v - 1] is the packed word of
+    symbol v at position j.
+
+    Bits 0..m-1 of a word hold the syndrome against `rows`; the bits above
+    hold the parities against a basis of the vectors orthogonal to every
+    row of `excluded` (dot product on bit expansions), so an XOR of words
+    has all those bits 0 iff the vector lies in span(excluded).  A word is
+    split into `width` little-endian limbs of _LIMB_BITS bits.
+    """
+    checks = f2.null_space([r.bit_expansion() for r in excluded.rows], 2 * n)
+    # bit i of a word is the parity of the error's bit expansion with lines[i];
+    # a row's syndrome bit pairs the error's X part with the row's Z part
+    lines = [r.z | (r.x << n) for r in rows] + checks
+    unit = [sum(((line >> b) & 1) << i for i, line in enumerate(lines)) for b in range(2 * n)]
+    width = max(1, -(-len(lines) // _LIMB_BITS))
+    limb = (1 << _LIMB_BITS) - 1
+    return np.array(
+        [[[(word >> (_LIMB_BITS * i)) & limb for i in range(width)] for word in (x, z, x ^ z)]
+         for x, z in zip(unit[:n], unit[n:])],
+        dtype=np.int64,
+    ).reshape(n, 3, width)
 
 
-def min_weight_outside(excluded: AdditiveCode, extra_cost: Callable[[F4Vector], float]) -> int:
-    """min over e outside span(excluded) of weight(e) + extra_cost(e).
+def _weight_blocks(table: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(w, words) for w = 1..top: the XOR of table entries over every vector
+    of weight w, at most BLOCK_VECTORS vectors per block, as rows of a
+    (count, width) array."""
+    n, _, width = table.shape
+    for w in range(1, top + 1):
+        supports = itertools.combinations(range(n), w)
+        per_block = max(1, BLOCK_VECTORS // 3**w)
+        while chunk := list(itertools.islice(supports, per_block)):
+            picked = table[np.array(chunk, dtype=np.intp)]
+            words = picked[:, 0]
+            for i in range(1, w):
+                words = (words[:, :, None] ^ picked[:, i, None]).reshape(len(chunk), -1, width)
+            yield w, words.reshape(-1, width)
 
-    Enumerates e by increasing weight with the running minimum as cutoff,
-    and stops at the first e of zero extra cost.  The cheap extra cost is
-    computed first; span membership is tested only for an e that would
-    lower the running minimum.  A minimum that vectors beyond the search
+
+def min_weight_outside(
+    excluded: AdditiveCode,
+    rows: Sequence[F4Vector],
+    syndrome_costs: Callable[[np.ndarray], np.ndarray],
+) -> int:
+    """min over e outside span(excluded) of weight(e) + cost(syndrome of e
+    against rows).
+
+    `syndrome_costs` maps the array of all 2^m syndromes to their costs,
+    an unsigned integer array in which the dtype's maximum stands for
+    infinity; it is called once, after the length check.  Each vector is
+    the XOR of one packed word per nonzero position (`_word_table`:
+    syndrome bits, then span membership bits), so the vectors of each
+    weight are formed in numpy blocks of at most BLOCK_VECTORS words.
+    Weights are searched in increasing order with the running minimum as
+    cutoff, and the search stops at the first block holding a vector of
+    zero cost outside the span.  A minimum that vectors beyond the search
     weight could still undercut is refused, not returned.
     """
     n = excluded.n
     if n > MAX_N:
         raise CapacityError(f"n={n} exceeds the enumeration cap n<={MAX_N}")
     top = min(MAX_SEARCH_WEIGHT, n)
-    basis = excluded.basis()
+    m = len(rows)
+    costs = syndrome_costs(np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1)))
+    infinite = np.iinfo(costs.dtype).max
+    syndrome_mask = (1 << m) - 1
     best = math.inf
-    for w in range(1, top + 1):
+    for w, words in _weight_blocks(_word_table(n, rows, excluded), top):
         if w >= best:
             break
-        for e in errors_of_weight(n, w):
-            total = w + extra_cost(e)
-            if total < best and not basis.contains(e.bit_expansion()):
-                best = total
-                if total == w:
-                    return w
+        # both callers' rows lie in span(excluded): at most 2n <= 32 bits, one limb
+        words = words[:, 0]
+        outside = costs[(words & syndrome_mask)[words > syndrome_mask]]
+        if outside.size and (cost := int(outside.min())) < min(best - w, infinite):
+            best = w + cost
+            if cost == 0:
+                return w
     if best == math.inf or (top < n and best > top + 1):
         raise CapacityError(
             f"no minimum settled by vectors of weight <= {top} (search cap {MAX_SEARCH_WEIGHT})"
@@ -236,17 +282,11 @@ def min_weight_outside(excluded: AdditiveCode, extra_cost: Callable[[F4Vector], 
 def min_distance(code: StabilizerCode | SubsystemCode) -> int:
     """min weight of e with zero syndrome outside the stabilizer (outside
     the gauge group for subsystem codes)."""
-    rows = code.rows
-
-    def syndrome_cost(e: F4Vector) -> float:
-        # zero iff the syndrome is zero; stops at the first anticommuting row
-        for g in rows:
-            if trace_inner_product(g, e):
-                return math.inf
-        return 0
-
     excluded = code.gauge if isinstance(code, SubsystemCode) else code.code
-    return min_weight_outside(excluded, syndrome_cost)
+    # cost 0 at the zero syndrome, infinite (the uint8 maximum) elsewhere
+    return min_weight_outside(
+        excluded, code.rows, lambda s: np.where(s == 0, np.uint8(0), np.uint8(255))
+    )
 
 
 def is_impure(code: StabilizerCode | SubsystemCode, d: int) -> bool:
@@ -254,12 +294,8 @@ def is_impure(code: StabilizerCode | SubsystemCode, d: int) -> bool:
     additive = code.code if isinstance(code, StabilizerCode) else code.stabilizer
     if additive.dim <= MAX_SPAN_EXPONENT:
         return any(v.weight < d for v in additive.span() if v.weight > 0)
-    basis = additive.basis()
-    for w in range(1, d):
-        for e in errors_of_weight(additive.n, w):
-            if basis.contains(e.bit_expansion()):
-                return True
-    return False
+    table = _word_table(additive.n, (), additive)
+    return any(not words.any(axis=1).all() for _, words in _weight_blocks(table, d - 1))
 
 
 # ----------------------------------------------------------------------

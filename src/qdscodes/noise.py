@@ -176,6 +176,12 @@ class SMPart:
         self._codewords  # every codeword is listed, so codewords() caps the dimension
         if len(self.weights) != self.code.length:
             raise StructureError("one weight per measured element is required")
+        for j, w in enumerate(self.weights):
+            if w < 1:
+                raise StructureError(
+                    f"measured element {j} has weight {w}: an all-zero SM column measures "
+                    "the identity"
+                )
         if self.decoder not in DECODERS:
             raise PreconditionError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
 

@@ -18,6 +18,8 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codes import (
     AdditiveCode,
     StabilizerCode,
@@ -122,7 +124,16 @@ def qds_min_distance(qds: QDSCode) -> int:
     The dual characterization makes an explicit dual basis unnecessary.
     """
     excluded = qds.base.gauge if isinstance(qds.base, SubsystemCode) else qds.base.code
-    return min_weight_outside(excluded, lambda e: extended_syndrome(qds, e).weight)
+
+    def flips(syndromes: np.ndarray) -> np.ndarray:
+        # generator i flips iff syndrome bit i is set; redundant element j
+        # iff parity(s & a_column(j))
+        count = np.bitwise_count(syndromes).astype(np.min_scalar_type(qds.sm.length + 1))
+        for j in range(qds.l):
+            count += np.bitwise_count(syndromes & qds.sm.a_column(j)) & 1
+        return count
+
+    return min_weight_outside(excluded, qds.base.rows, flips)
 
 
 def qds_params(qds: QDSCode) -> QDSParams:

@@ -4,16 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdscodes.codes import (
+    MAX_SEARCH_WEIGHT,
+    MAX_SPAN_EXPONENT,
     AdditiveCode,
     StabilizerCode,
     SubsystemCode,
     catalog,
     catalog_names,
-    errors_of_weight,
     is_impure,
     make_stabilizer,
     make_subsystem,
@@ -23,6 +24,7 @@ from qdscodes.codes import (
     write_code_file,
 )
 from qdscodes.errors import (
+    CapacityError,
     CommutationError,
     CatalogError,
     ParseError,
@@ -30,8 +32,10 @@ from qdscodes.errors import (
     RankError,
     StructureError,
 )
+from qdscodes.f2 import Basis
 from qdscodes.gf4 import F4Vector, pauli_string_parse, syndrome, trace_inner_product
-from qdscodes.smcodes import parse_binary_code_text
+from qdscodes.qds import build_qds, extended_syndrome, qds_min_distance
+from qdscodes.smcodes import BinaryLinearCode, parse_binary_code_text
 
 STABILIZER_PARAMS = {
     # name -> (n, k, d, impure)
@@ -44,8 +48,24 @@ STABILIZER_PARAMS = {
 }
 
 
+def errors_of_weight(n: int, weight: int):
+    """All F4 vectors of the given Pauli weight, support then symbols in
+    lexicographic order."""
+    if weight == 0:
+        yield F4Vector.zero(n)
+        return
+    for support in itertools.combinations(range(n), weight):
+        for values in itertools.product((1, 2, 3), repeat=weight):
+            x = z = 0
+            for coord, v in zip(support, values):
+                x |= (v & 1) << coord
+                z |= (v >> 1) << coord
+            yield F4Vector(n, x, z)
+
+
 def brute_force_distance(code, max_weight=3):
-    """Direct enumeration oracle: no early exit, membership by span listing."""
+    """Direct enumeration oracle: no early exit, membership by span listing.
+    None when no vector of weight <= max_weight qualifies."""
     if isinstance(code, SubsystemCode):
         excluded = {v.symbols() for v in code.gauge.span()}
     else:
@@ -56,7 +76,7 @@ def brute_force_distance(code, max_weight=3):
             if all(trace_inner_product(g, e) == 0 for g in code.rows):
                 if e.symbols() not in excluded:
                     found.append(w)
-    return min(found)
+    return min(found, default=None)
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +257,98 @@ def test_is_impure_matches_direct_span_scan():
         code = catalog(name)
         direct = any(0 < v.weight < d for v in code.code.span())
         assert direct == impure == is_impure(code, d)
+
+
+# ----------------------------------------------------------------------
+# the packed-word distance kernel against brute force
+# ----------------------------------------------------------------------
+
+@st.composite
+def small_codes(draw):
+    """A random stabilizer or subsystem code on n <= 7 qubits with up to
+    `size` generators: seeded random vectors are kept while independent
+    (and, for stabilizer codes, commuting) until there are `size` of them."""
+    n = draw(st.integers(2, 7))
+    subsystem = draw(st.booleans())
+    size = n + draw(st.integers(-2, n - 1 if subsystem else 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, basis = [], Basis()
+    for x, z in rng.integers(0, 1 << n, size=(32 * n, 2)).tolist():
+        v = F4Vector(n, x, z)
+        commutes = all(trace_inner_product(v, r) == 0 for r in rows)
+        if len(rows) < size and (subsystem or commutes) and basis.add(v.bit_expansion()):
+            rows.append(v)
+    assume(rows)
+    return make_subsystem(rows) if subsystem else make_stabilizer(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=small_codes())
+def test_min_distance_matches_brute_force_on_random_codes(code):
+    expected = brute_force_distance(code, max_weight=code.n)
+    if expected is None:
+        with pytest.raises(CapacityError, match="no minimum settled"):
+            min_distance(code)
+    else:
+        assert min_distance(code) == expected
+
+
+def _direct_qds_totals(qds, max_weight):
+    """min over e outside the excluded span of weight(e) +
+    weight(extended_syndrome(e)), for each weight 1..max_weight."""
+    excluded = qds.base.gauge if isinstance(qds.base, SubsystemCode) else qds.base.code
+    members = {v.symbols() for v in excluded.span()}
+    return {
+        w: min((w + extended_syndrome(qds, e).weight for e in errors_of_weight(qds.n, w)
+                if e.symbols() not in members), default=None)
+        for w in range(1, max_weight + 1)
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(code=small_codes(), data=st.data())
+def test_qds_min_distance_matches_direct_enumeration_on_random_codes(code, data):
+    m = len(code.rows)
+    assume(m >= 1)
+    columns = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=4))
+    rows = [(1 << i) | sum(((col >> i) & 1) << (m + j) for j, col in enumerate(columns))
+            for i in range(m)]
+    qds = build_qds(code, BinaryLinearCode(m + len(columns), tuple(rows)))
+    totals = _direct_qds_totals(qds, code.n)
+    expected = min(t for t in totals.values() if t is not None)
+    top = min(MAX_SEARCH_WEIGHT, code.n)
+    searched = min((t for w, t in totals.items() if w <= top and t is not None), default=None)
+    if searched is None or (top < code.n and searched > top + 1):
+        with pytest.raises(CapacityError, match="no minimum settled"):
+            qds_min_distance(qds)
+    else:
+        assert qds_min_distance(qds) == expected
+
+
+def test_min_distance_refuses_a_code_without_logical_qubits():
+    bell = make_stabilizer([pauli_string_parse("XX"), pauli_string_parse("ZZ")])
+    assert bell.k == 0
+    with pytest.raises(CapacityError, match="no minimum settled by vectors of weight <= 2"):
+        min_distance(bell)
+
+
+def _low_weight_member(code, d):
+    """The reference for is_impure: a weight-ordered scan with basis tests."""
+    basis = code.code.basis()
+    return any(
+        basis.contains(e.bit_expansion()) for w in range(1, d) for e in errors_of_weight(code.n, w)
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_is_impure_above_the_span_cap_matches_basis_scan(d):
+    # XX chain: dim 24 > MAX_SPAN_EXPONENT on n = 25 > MAX_N, so the kernel's
+    # membership words answer; ZZ chain on 50 qubits: 70 membership bits, two limbs
+    x_chain = make_stabilizer(F4Vector(25, 3 << j, 0) for j in range(24))
+    z_chain = make_stabilizer(F4Vector(50, 0, 3 << j) for j in range(19, 49))
+    assert x_chain.m > MAX_SPAN_EXPONENT and 2 * z_chain.n - z_chain.m > 64
+    for code in (x_chain, z_chain):
+        assert is_impure(code, d) == _low_weight_member(code, d) == (d == 3)
 
 
 # ----------------------------------------------------------------------

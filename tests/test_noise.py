@@ -311,6 +311,13 @@ def test_sm_part_weight_count_mismatch():
         SMPart(code=sm_catalog("cw-12-2-8"), weights=(6,) * 11)
 
 
+def test_sm_scheme_refuses_a_column_that_measures_the_identity():
+    # [I_6 | 0]: the seventh measured element is the empty product of Z rows
+    sm_z = parse_binary_code_text("\n".join("0" * i + "1" + "0" * (6 - i) for i in range(6)))
+    with pytest.raises(StructureError, match="measured element 6 has weight 0"):
+        sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"), sm_z)
+
+
 @st.composite
 def systematic_parts(draw):
     """A random systematic [n, k] code, n <= 10, with element weights from {2, 4, 6}."""

@@ -189,6 +189,28 @@ def test_distance_searches_share_the_length_cap():
         min_distance(bs25)
     with pytest.raises(CapacityError, match=r"n=25 exceeds the enumeration cap n<=16"):
         qds_min_distance(identity_qds(bs25))
+    chain17 = make_stabilizer(F4Vector(17, 0, 3 << j) for j in range(16))
+    with pytest.raises(CapacityError, match=r"n=17 exceeds the enumeration cap n<=16"):
+        min_distance(chain17)
+    with pytest.raises(CapacityError, match=r"n=17 exceeds the enumeration cap n<=16"):
+        qds_min_distance(identity_qds(chain17))
+
+
+def test_qds_distance_with_an_sm_code_longer_than_64_bits():
+    # [70, 6]: 64 redundant columns name generators 0..4 in turn, never 5,
+    # so an error flipping only generator 5 costs one measurement flip
+    steane = catalog("steane")
+    rows = tuple((1 << i) | sum(1 << (6 + j) for j in range(64) if j % 5 == i) for i in range(6))
+    qds = build_qds(steane, BinaryLinearCode(70, rows))
+    members = {v.symbols() for v in steane.code.span()}
+    # the weight-3 logicals have total 3, so weights <= 3 settle the minimum
+    direct = min(
+        w + extended_syndrome(qds, e).weight
+        for w in (1, 2, 3)
+        for e in (F4Vector(7, x, z) for x in range(1 << 7) for z in range(1 << 7))
+        if (e.x | e.z).bit_count() == w and e.symbols() not in members
+    )
+    assert qds_min_distance(qds) == direct == 2
 
 
 # ----------------------------------------------------------------------
