@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from . import qds as qds_mod
 from . import smcodes as sm_mod
 from .errors import (
     AvailabilityError,
+    CapacityError,
     ConstructionFailureError,
     PreconditionError,
     QDSError,
@@ -31,6 +33,9 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_DEFECT = 4
 EXIT_MISSING_DATA = 5
+
+# points in a --pm-log2 range
+MAX_GRID_POINTS = 10000
 
 
 def _load_code(spec: str):
@@ -274,14 +279,17 @@ def _parse_pm_grid(spec: str) -> list[float]:
     end_s, _, step_s = rest.partition(":")
     start, end = float(start_s), float(end_s)
     step = abs(float(step_s)) if step_s else 0.5
+    if not all(map(math.isfinite, (start, end, step))):
+        raise QDSError(f"grid bounds and step must be finite, got {spec!r}")
     if step == 0:
         raise QDSError("step must be nonzero")
+    # the slack keeps an end point that the division lands just below
+    steps = abs(end - start) / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise CapacityError(f"grid {spec!r} exceeds the cap of {MAX_GRID_POINTS} points")
     if end < start:
         step = -step
-    count = int(round((end - start) / step)) + 1
-    if count < 1:
-        raise QDSError(f"empty grid from {spec!r}")
-    return [round(start + i * step, 12) for i in range(count)]
+    return [round(start + i * step, 12) for i in range(math.floor(steps) + 1)]
 
 
 def cmd_simulate(args) -> int:
@@ -289,9 +297,9 @@ def cmd_simulate(args) -> int:
         raise QDSError("--trials must be positive")
     if args.seed < 0:
         raise QDSError("--seed must be non-negative")
+    grid = _parse_pm_grid(args.pm_log2)
     scheme = noise_mod.build_scheme(args.scheme, args.data_dir, decoder=args.decoder)
     print(f"total_measurements: {scheme.total_measurements}")
-    grid = _parse_pm_grid(args.pm_log2)
     rows = noise_mod.sweep(
         scheme, grid, method=args.method, trials=args.trials, seed=args.seed
     )

@@ -2,15 +2,16 @@
 
 Minimum distances and purity are computed by exhaustive enumeration at
 desk scale: one kernel forms the error vectors of each weight as XORs of
-packed per-position words in numpy blocks (caps: n <= MAX_N = 16, search
-weight <= MAX_SEARCH_WEIGHT = 5).
+packed per-position words in numpy blocks and scores each block from its
+own span-membership and syndrome bits, so memory is per block (caps:
+n <= MAX_N = 16, search weight <= MAX_SEARCH_WEIGHT = 5).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +33,6 @@ MAX_SEARCH_WEIGHT = 5
 MAX_SPAN_EXPONENT = 22
 # vectors formed per numpy block of a weight search
 BLOCK_VECTORS = 1 << 12
-# 63-bit limbs keep packed words nonnegative as int64, which indexes numpy arrays
-_LIMB_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -194,34 +193,36 @@ def make_subsystem(
     return SubsystemCode(gauge, stabilizer)
 
 
-def _word_table(n: int, rows: Sequence[F4Vector], excluded: AdditiveCode) -> np.ndarray:
-    """(n, 3, width) int64 table: entry [j, v - 1] is the packed word of
-    symbol v at position j.
+def _word_table(rows: Sequence[F4Vector], excluded: AdditiveCode) -> tuple[np.ndarray, ...]:
+    """(table, membership mask, syndrome mask) of packed per-position words.
 
-    Bits 0..m-1 of a word hold the syndrome against `rows`; the bits above
-    hold the parities against a basis of the vectors orthogonal to every
-    row of `excluded` (dot product on bit expansions), so an XOR of words
-    has all those bits 0 iff the vector lies in span(excluded).  A word is
-    split into `width` little-endian limbs of _LIMB_BITS bits.
+    Entry [j, v - 1] of the (n, 3, width) table is the word of symbol v at
+    position j, as `width` little-endian uint64 limbs.  Its membership
+    field holds the parities against a basis of the vectors orthogonal to
+    every row of `excluded` (dot product on bit expansions), so an XOR of
+    words has that field 0 iff the vector lies in span(excluded); its
+    syndrome field holds the syndrome against `rows`.  Each mask is a
+    (width, 1) column that broadcasts over `_weight_blocks`' output.
     """
+    n = excluded.n
     checks = f2.null_space([r.bit_expansion() for r in excluded.rows], 2 * n)
     # bit i of a word is the parity of the error's bit expansion with lines[i];
     # a row's syndrome bit pairs the error's X part with the row's Z part
-    lines = [r.z | (r.x << n) for r in rows] + checks
+    lines = checks + [r.z | (r.x << n) for r in rows]
     unit = [sum(((line >> b) & 1) << i for i, line in enumerate(lines)) for b in range(2 * n)]
-    width = max(1, -(-len(lines) // _LIMB_BITS))
-    limb = (1 << _LIMB_BITS) - 1
-    return np.array(
-        [[[(word >> (_LIMB_BITS * i)) & limb for i in range(width)] for word in (x, z, x ^ z)]
-         for x, z in zip(unit[:n], unit[n:])],
-        dtype=np.int64,
-    ).reshape(n, 3, width)
+    member = (1 << len(checks)) - 1
+    words = [word for x, z in zip(unit[:n], unit[n:]) for word in (x, z, x ^ z)]
+    words += [member, ((1 << len(lines)) - 1) ^ member]
+    width = max(1, -(-len(lines) // 64))
+    packed = b"".join(word.to_bytes(8 * width, "little") for word in words)
+    limbs = np.frombuffer(packed, dtype="<u8").reshape(-1, width)
+    return limbs[:-2].reshape(n, 3, width), limbs[-2, :, None], limbs[-1, :, None]
 
 
 def _weight_blocks(table: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:
     """(w, words) for w = 1..top: the XOR of table entries over every vector
-    of weight w, at most BLOCK_VECTORS vectors per block, as rows of a
-    (count, width) array."""
+    of weight w, at most BLOCK_VECTORS vectors per block, as a (width,
+    count) array: one row per limb, one column per vector."""
     n, _, width = table.shape
     for w in range(1, top + 1):
         supports = itertools.combinations(range(n), w)
@@ -231,23 +232,20 @@ def _weight_blocks(table: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarra
             words = picked[:, 0]
             for i in range(1, w):
                 words = (words[:, :, None] ^ picked[:, i, None]).reshape(len(chunk), -1, width)
-            yield w, words.reshape(-1, width)
+            yield w, words.reshape(-1, width).T
 
 
 def min_weight_outside(
-    excluded: AdditiveCode,
-    rows: Sequence[F4Vector],
-    syndrome_costs: Callable[[np.ndarray], np.ndarray],
+    excluded: AdditiveCode, rows: Sequence[F4Vector], count_syndrome: bool
 ) -> int:
-    """min over e outside span(excluded) of weight(e) + cost(syndrome of e
-    against rows).
+    """min over e outside span(excluded) of weight(e) + the cost of e's
+    syndrome against rows: its weight if `count_syndrome`, else 0 for the
+    zero syndrome and infinite for any other.
 
-    `syndrome_costs` maps the array of all 2^m syndromes to their costs,
-    an unsigned integer array in which the dtype's maximum stands for
-    infinity; it is called once, after the length check.  Each vector is
-    the XOR of one packed word per nonzero position (`_word_table`:
-    syndrome bits, then span membership bits), so the vectors of each
-    weight are formed in numpy blocks of at most BLOCK_VECTORS words.
+    Each vector is the XOR of one packed word per nonzero position
+    (`_word_table`: span-membership bits, then syndrome bits), so the
+    vectors of each weight are formed in numpy blocks of at most
+    BLOCK_VECTORS words, and each block is scored from its own bits.
     Weights are searched in increasing order with the running minimum as
     cutoff, and the search stops at the first block holding a vector of
     zero cost outside the span.  A minimum that vectors beyond the search
@@ -257,18 +255,17 @@ def min_weight_outside(
     if n > MAX_N:
         raise CapacityError(f"n={n} exceeds the enumeration cap n<={MAX_N}")
     top = min(MAX_SEARCH_WEIGHT, n)
-    m = len(rows)
-    costs = syndrome_costs(np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1)))
-    infinite = np.iinfo(costs.dtype).max
-    syndrome_mask = (1 << m) - 1
+    table, member, syndrome = _word_table(rows, excluded)
     best = math.inf
-    for w, words in _weight_blocks(_word_table(n, rows, excluded), top):
+    for w, words in _weight_blocks(table, top):
         if w >= best:
             break
-        # both callers' rows lie in span(excluded): at most 2n <= 32 bits, one limb
-        words = words[:, 0]
-        outside = costs[(words & syndrome_mask)[words > syndrome_mask]]
-        if outside.size and (cost := int(outside.min())) < min(best - w, infinite):
+        outside = (words & member).any(axis=0)
+        costs = np.bitwise_count(words & syndrome).sum(axis=0)
+        if not count_syndrome:
+            outside &= costs == 0
+        costs = costs[outside]
+        if costs.size and (cost := int(costs.min())) < best - w:
             best = w + cost
             if cost == 0:
                 return w
@@ -283,10 +280,7 @@ def min_distance(code: StabilizerCode | SubsystemCode) -> int:
     """min weight of e with zero syndrome outside the stabilizer (outside
     the gauge group for subsystem codes)."""
     excluded = code.gauge if isinstance(code, SubsystemCode) else code.code
-    # cost 0 at the zero syndrome, infinite (the uint8 maximum) elsewhere
-    return min_weight_outside(
-        excluded, code.rows, lambda s: np.where(s == 0, np.uint8(0), np.uint8(255))
-    )
+    return min_weight_outside(excluded, code.rows, count_syndrome=False)
 
 
 def is_impure(code: StabilizerCode | SubsystemCode, d: int) -> bool:
@@ -294,8 +288,9 @@ def is_impure(code: StabilizerCode | SubsystemCode, d: int) -> bool:
     additive = code.code if isinstance(code, StabilizerCode) else code.stabilizer
     if additive.dim <= MAX_SPAN_EXPONENT:
         return any(v.weight < d for v in additive.span() if v.weight > 0)
-    table = _word_table(additive.n, (), additive)
-    return any(not words.any(axis=1).all() for _, words in _weight_blocks(table, d - 1))
+    # with no rows, a word is its membership field
+    table = _word_table((), additive)[0]
+    return any(not words.any(axis=0).all() for _, words in _weight_blocks(table, d - 1))
 
 
 # ----------------------------------------------------------------------

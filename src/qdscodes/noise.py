@@ -575,7 +575,6 @@ def sweep(
     method: str = "auto",
     trials: int = 10**6,
     seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[SweepRow]:
     """Evaluate p_se over a grid of log2(p_m) values, in grid order.
 
@@ -594,7 +593,7 @@ def sweep(
         if method == "exact":
             result = pse_exact(scheme, p_m)
         else:
-            result = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size)
+            result = pse_monte_carlo(scheme, p_m, trials, seed)
         log2_pse = math.log2(result.p_se) if result.p_se > 0 else -math.inf
         rows.append(
             SweepRow(

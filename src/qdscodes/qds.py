@@ -18,8 +18,6 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .codes import (
     AdditiveCode,
     StabilizerCode,
@@ -121,19 +119,11 @@ def qds_min_distance(qds: QDSCode) -> int:
     """min over e outside C (outside D for subsystem bases) of
     weight(e) + weight(extended_syndrome(e)).
 
-    The dual characterization makes an explicit dual basis unnecessary.
+    The dual characterization makes an explicit dual basis unnecessary:
+    the extended syndrome is e's syndrome against the measured elements.
     """
     excluded = qds.base.gauge if isinstance(qds.base, SubsystemCode) else qds.base.code
-
-    def flips(syndromes: np.ndarray) -> np.ndarray:
-        # generator i flips iff syndrome bit i is set; redundant element j
-        # iff parity(s & a_column(j))
-        count = np.bitwise_count(syndromes).astype(np.min_scalar_type(qds.sm.length + 1))
-        for j in range(qds.l):
-            count += np.bitwise_count(syndromes & qds.sm.a_column(j)) & 1
-        return count
-
-    return min_weight_outside(excluded, qds.base.rows, flips)
+    return min_weight_outside(excluded, qds.measured, count_syndrome=True)
 
 
 def qds_params(qds: QDSCode) -> QDSParams:

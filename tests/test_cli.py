@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes, and round trips."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qdscodes.cli import main
+from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, main
 from qdscodes.codes import catalog, read_code_file
 from qdscodes.qds import identity_qds, qds_min_distance
 
@@ -222,6 +224,40 @@ def test_simulate_range_to_file(capsys, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["-2", "-3", "-4"]
 
 
+@pytest.mark.parametrize(
+    "spec, count, last",
+    [("-1..-2.9:0.5", 4, "-2.5"), ("-2.9..-1:0.5", 4, "-1.4"), ("-1.5..-8:0.1", 66, "-8")],
+)
+def test_simulate_range_stops_at_its_end(capsys, spec, count, last):
+    code, out, _ = run(capsys, "simulate", "--scheme", "fig1-shor-6fold", f"--pm-log2={spec}",
+                       "--method", "exact")
+    assert code == 0
+    points = [line.split(",")[0] for line in out.strip().split("\n")[2:]]
+    assert len(points) == count
+    assert points[-1] == last
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("-1..-2:inf", "must be finite"),
+        ("-1..-inf:0.5", "must be finite"),
+        ("nan..-2:0.5", "must be finite"),
+        ("-2..-3:1e-300", f"cap of {MAX_GRID_POINTS} points"),
+        (f"0..{MAX_GRID_POINTS}:1", f"cap of {MAX_GRID_POINTS} points"),
+    ],
+)
+def test_simulate_refuses_a_bad_range_before_any_output(capsys, spec, message):
+    code, out, err = run(capsys, "simulate", "--scheme", "fig1-bs-sm", f"--pm-log2={spec}")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_grid_of_exactly_the_cap_is_accepted():
+    assert len(_parse_pm_grid(f"0..{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+
 def test_simulate_mc_deterministic(capsys):
     argv = ["simulate", "--scheme", "fig1-bs-6fold", "--pm-log2", "-3", "--method", "mc",
             "--trials", "20000", "--seed", "7"]
@@ -267,3 +303,23 @@ def test_simulate_shor_sm_with_offline_stand_in(capsys, shor_sm_data_dir):
 def test_simulate_unknown_scheme_exits_3(capsys):
     code, _, err = run(capsys, "simulate", "--scheme", "fig9", "--pm-log2", "-3")
     assert code == 3
+
+
+# ----------------------------------------------------------------------
+# README
+# ----------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_lines_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QDS_DATA_DIR", raising=False)
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("qdscodes ")]
+    assert len(lines) >= 10
+    for line in lines:
+        command, _, expected = line.partition("# -> ")
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        assert expected.strip() in out, line

@@ -1,11 +1,19 @@
 """QDS assembly, extended syndromes, distances, and the constructions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qdscodes.codes import catalog, make_stabilizer, make_subsystem, min_distance
+from qdscodes import codes
+from qdscodes.codes import (
+    SubsystemCode,
+    catalog,
+    make_stabilizer,
+    make_subsystem,
+    min_distance,
+)
 from qdscodes.errors import CapacityError, DimensionError, PreconditionError
 from qdscodes.gf4 import (
     BitVector,
@@ -196,21 +204,46 @@ def test_distance_searches_share_the_length_cap():
         qds_min_distance(identity_qds(chain17))
 
 
-def test_qds_distance_with_an_sm_code_longer_than_64_bits():
-    # [70, 6]: 64 redundant columns name generators 0..4 in turn, never 5,
-    # so an error flipping only generator 5 costs one measurement flip
-    steane = catalog("steane")
-    rows = tuple((1 << i) | sum(1 << (6 + j) for j in range(64) if j % 5 == i) for i in range(6))
-    qds = build_qds(steane, BinaryLinearCode(70, rows))
-    members = {v.symbols() for v in steane.code.span()}
-    # the weight-3 logicals have total 3, so weights <= 3 settle the minimum
-    direct = min(
-        w + extended_syndrome(qds, e).weight
+@pytest.mark.parametrize("name", ["steane", "bacon-shor"])
+def test_qds_distance_with_an_sm_code_longer_than_64_bits(name):
+    # [m + 64, m]: the first 56 redundant columns name generators 0..m-2 in
+    # turn and the last 8 name generator m-1, so behind the membership bits
+    # generator m-1's redundant bits lie wholly in the second uint64 limb; every
+    # nonzero syndrome costs at least 9 flips, so the weight-3 logicals (total 3)
+    # win.  bacon-shor's search excludes its gauge group.
+    base = catalog(name)
+    m = len(base.rows)
+    owner = [j % (m - 1) for j in range(56)] + [m - 1] * 8
+    rows = tuple((1 << i) | sum(1 << (m + j) for j in range(64) if owner[j] == i) for i in range(m))
+    qds = build_qds(base, BinaryLinearCode(m + 64, rows))
+    excluded = base.gauge if isinstance(base, SubsystemCode) else base.code
+    members = {v.symbols() for v in excluded.span()}
+    # weight-w errors total at least w, so weights <= 3 settle a minimum of 3
+    errors = (
+        F4Vector.from_symbols([dict(zip(support, values)).get(j, 0) for j in range(base.n)])
         for w in (1, 2, 3)
-        for e in (F4Vector(7, x, z) for x in range(1 << 7) for z in range(1 << 7))
-        if (e.x | e.z).bit_count() == w and e.symbols() not in members
+        for support in itertools.combinations(range(base.n), w)
+        for values in itertools.product((1, 2, 3), repeat=w)
     )
-    assert qds_min_distance(qds) == direct == 2
+    direct = min(
+        e.weight + extended_syndrome(qds, e).weight for e in errors if e.symbols() not in members
+    )
+    assert qds_min_distance(qds) == direct == 3
+
+
+def test_distance_searches_keep_no_per_syndrome_table(monkeypatch):
+    # an XX chain on 25 qubits has m = 24 syndrome bits and a weight-1 logical X;
+    # a table over all 2^24 syndromes would take tens of MB
+    monkeypatch.setattr(codes, "MAX_N", 25)
+    chain = make_stabilizer(F4Vector(25, 3 << j, 0) for j in range(24))
+    for search in (min_distance, lambda code: qds_min_distance(identity_qds(code))):
+        tracemalloc.start()
+        try:
+            assert search(chain) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 # ----------------------------------------------------------------------
