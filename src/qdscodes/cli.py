@@ -274,7 +274,10 @@ def cmd_bounds(args) -> int:
 
 def _parse_pm_grid(spec: str) -> list[float]:
     if ".." not in spec:
-        return [float(spec)]
+        value = float(spec)
+        if math.isnan(value):
+            raise QDSError(f"log2 p_m must be a number, got {spec!r}")
+        return [value]
     start_s, _, rest = spec.partition("..")
     end_s, _, step_s = rest.partition(":")
     start, end = float(start_s), float(end_s)
@@ -299,10 +302,10 @@ def cmd_simulate(args) -> int:
         raise QDSError("--seed must be non-negative")
     grid = _parse_pm_grid(args.pm_log2)
     scheme = noise_mod.build_scheme(args.scheme, args.data_dir, decoder=args.decoder)
-    print(f"total_measurements: {scheme.total_measurements}")
     rows = noise_mod.sweep(
         scheme, grid, method=args.method, trials=args.trials, seed=args.seed
     )
+    print(f"total_measurements: {scheme.total_measurements}")
     text = noise_mod.sweep_csv(rows)
     if args.out:
         Path(args.out).write_text(text)

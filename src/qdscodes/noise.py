@@ -26,6 +26,12 @@ part's weight classes are split into near-equal blocks of at most
 SAMPLER_BLOCK_BITS bits; per block a first uniform gives the flip count c
 by inverse CDF of Binomial(N, q), and a second picks one of the C(N, c)
 words with c flips from a table of the block's words sorted by popcount.
+When the part's costs are the unit costs (coset-leader, or weighted ML
+with one likelihood class) and it has at most 2^HARD_EXACT_BITS patterns,
+its decisions do not depend on p_m: the drawn block indices, concatenated,
+address a per-pattern failure table built once per part, and no word is
+assembled or decoded.  Otherwise the block words are ORed into a uint64
+word and decoded by the coset's unique-minimum test.
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
@@ -159,9 +165,11 @@ class SMPart:
     """A block of measured elements protected by one SM code.
 
     weights[j] is the Pauli weight of measured element j in systematic
-    order, so bit j flips with probability p_err(weights[j], p_m).  The
-    failing-pattern histogram of minimum-weight decoding does not depend
-    on p_m; it is built on first use and kept on this part.
+    order, so bit j flips with probability p_err(weights[j], p_m).  What
+    does not depend on p_m is built on first use and kept on this part:
+    the failing-pattern histogram of minimum-weight decoding (exact
+    evaluation), the sampler's per-block word tables, and the per-pattern
+    decisions of minimum-weight decoding (2^n bools, Monte Carlo).
     """
 
     code: BinaryLinearCode
@@ -203,10 +211,6 @@ class SMPart:
         return _failing_patterns(self, self._unit_costs)
 
     @cached_property
-    def _unit_runner_up(self) -> np.ndarray:
-        return _runner_up_by_syndrome(self, self._unit_costs)
-
-    @cached_property
     def _sampler_blocks(self) -> list[tuple[int, np.ndarray]]:
         """Each weight class split into near-equal blocks of at most
         SAMPLER_BLOCK_BITS bits, as (class index, table): the table holds
@@ -225,6 +229,13 @@ class SMPart:
                     table |= ((local >> np.uint64(i)) & np.uint64(1)) << position
                 blocks.append((k, table))
         return blocks
+
+    @cached_property
+    def _decisions(self) -> np.ndarray:
+        """Whether minimum-weight decoding fails on each pattern, indexed by
+        the concatenated _sampler_blocks table indices, block 0 least
+        significant."""
+        return _decision_table(self)
 
     def _costs(self, q: Sequence[float]) -> _Costs:
         """The cost the decoder minimizes at flip probabilities q.
@@ -432,13 +443,14 @@ def _repetition_sampler(part: RepetitionPart, p_m: float) -> Callable[..., np.nd
     return failures
 
 
-def _sm_word_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., np.ndarray]:
-    """Draw one chunk of received words, bit j flipped with probability q[j].
+def _block_index_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., Iterator[np.ndarray]]:
+    """Draw one chunk's index into each _sampler_blocks table, in block
+    order, bit j flipped with probability q[j].
 
     Per block of N bits of one class (q): the flip count c is the inverse
     CDF of Binomial(N, q) at a first uniform, and a second uniform v picks
     entry min(floor(v C(N, c)), C(N, c) - 1) among the table's words with
-    c flips.  The blocks cover disjoint bits, so their words are ORed.
+    c flips.
     """
     class_q = [q[j] for j in part._unit_costs.first]
     draws = []
@@ -449,29 +461,85 @@ def _sm_word_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., np.ndarr
         starts = (np.cumsum(runs) - runs).astype(np.intp)
         # the count is the number of F(0), ..., F(n - 1) at most u; u < 1,
         # so a CDF value of 1 never counts
-        draws.append((cdf[cdf < 1.0], runs, starts, table))
+        draws.append((cdf[cdf < 1.0], runs, starts))
+
+    # chunk-sized scratch arrays live as long as the sampler: a fresh one
+    # costs more in page faults than the arithmetic that fills it
+    scratch: list[np.ndarray] = []
+
+    def indices(rng, size: int) -> Iterator[np.ndarray]:
+        if not scratch or len(scratch[0]) < size:
+            scratch[:] = [np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)]
+        u, counts, run = (array[:size] for array in scratch)
+        for cdf, runs, starts in draws:
+            rng.random(size, out=u)
+            flips = np.zeros(size, dtype=np.uint8)
+            for value in cdf:
+                flips += u >= value
+            np.copyto(counts, flips)
+            runs.take(counts, out=run)
+            pick = rng.random(size, out=u)
+            pick *= run
+            run -= 1.0
+            np.minimum(pick, run, out=pick)
+            index = starts.take(counts)
+            np.copyto(counts, pick, casting="unsafe")  # truncates, as astype does
+            index += counts
+            yield index
+    return indices
+
+
+def _sm_word_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., np.ndarray]:
+    """Draw one chunk of received words: the blocks cover disjoint bits, so
+    their table words are ORed."""
+    indices = _block_index_sampler(part, q)
 
     def words(rng, size: int) -> np.ndarray:
         out = np.zeros(size, dtype=np.uint64)
-        for cdf, runs, starts, table in draws:
-            u = rng.random(size)
-            counts = np.zeros(size, dtype=np.uint8)
-            for value in cdf:
-                counts += u >= value
-            counts = counts.astype(np.intp)
-            run = runs.take(counts)
-            pick = rng.random(size) * run
-            np.minimum(pick, run - 1.0, out=pick)
-            out |= table.take(starts.take(counts) + pick.astype(np.intp))
+        for (_, table), index in zip(part._sampler_blocks, indices(rng, size)):
+            out |= table.take(index)
         return out
     return words
 
 
-def _syndromes(code: BinaryLinearCode, words: np.ndarray) -> np.ndarray:
-    synd = np.zeros(len(words), dtype=np.intp)
-    for j, h in enumerate(code.parity_checks):
-        synd |= (np.bitwise_count(words & np.uint64(h)) & 1).astype(np.intp) << j
-    return synd
+def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
+    """In systematic order w ^ C[w mod 2^k] is (0, s), s the syndrome of w."""
+    low = (words & np.uint64(len(part._codewords) - 1)).astype(np.intp)
+    return ((words ^ part._codewords.take(low)) >> np.uint64(part.code.dim)).astype(np.intp)
+
+
+def _decision_table(part: SMPart) -> np.ndarray:
+    """SMPart._decisions: a pattern fails iff its weight is not below its
+    coset's runner-up weight.
+
+    The blocks cover disjoint bits, so a pattern's syndrome is the XOR and
+    its weight the sum of its blocks' syndromes and weights.  The lowest
+    blocks that fit one tile are combined into every low index once; each
+    tile then adds the higher blocks' part for a run of high indices.
+    """
+    second = _runner_up_by_syndrome(part, part._unit_costs)
+    blocks = [(_syndromes(part, table), np.bitwise_count(table))
+              for _, table in part._sampler_blocks]
+    low_synd, low_weight = blocks.pop(0)
+    while blocks and len(low_synd) * len(blocks[0][0]) <= DEFAULT_CHUNK_SIZE:
+        synd, weight = blocks.pop(0)
+        low_synd = (synd[:, None] ^ low_synd).ravel()
+        low_weight = (weight[:, None] + low_weight).ravel()
+    high = math.prod(len(synd) for synd, _ in blocks)
+    failed = np.empty((high, len(low_synd)), dtype=bool)
+    rows = max(1, DEFAULT_CHUNK_SIZE // len(low_synd))
+    for start in range(0, high, rows):
+        index = np.arange(start, min(start + rows, high))
+        synd = np.zeros(len(index), dtype=np.intp)
+        weight = np.zeros(len(index), dtype=low_weight.dtype)
+        for block_synd, block_weight in blocks:
+            digit = index % len(block_synd)
+            index //= len(block_synd)
+            synd ^= block_synd.take(digit)
+            weight += block_weight.take(digit)
+        np.greater_equal(weight[:, None] + low_weight, second.take(synd[:, None] ^ low_synd),
+                         out=failed[start:start + rows])
+    return failed.ravel()
 
 
 def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -485,13 +553,10 @@ def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.n
     code = part.code
     costs = part._costs(q)
     if len(part._codewords) > code.redundancy and code.length <= HARD_EXACT_BITS:
-        if costs is part._unit_costs:
-            table = part._unit_runner_up
-        else:
-            table = _runner_up_by_syndrome(part, costs)
+        table = _runner_up_by_syndrome(part, costs)
 
         def runner_up(words):
-            return table[_syndromes(code, words)]
+            return table[_syndromes(part, words)]
     else:
         def runner_up(words):
             return _runner_up(words, part._codewords, costs)
@@ -502,8 +567,26 @@ def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.n
 
 
 def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw and decode one chunk of received words for the part."""
+    """Draw one chunk of failures for the part.
+
+    With unit costs and at most 2^HARD_EXACT_BITS patterns the decisions
+    do not change with p_m, so the drawn block indices address the part's
+    cached decision table; otherwise the words are assembled and decoded.
+    """
     q = _flip_probabilities(part, p_m)
+    if part.code.length <= HARD_EXACT_BITS and part._costs(q) is part._unit_costs:
+        indices, decisions = _block_index_sampler(part, q), part._decisions
+        # block i > 0 is shifted past the bits of blocks 0..i-1
+        shifts = np.cumsum([len(t).bit_length() - 1 for _, t in part._sampler_blocks])
+
+        def failed(rng, size: int) -> np.ndarray:
+            blocks = indices(rng, size)
+            key = next(blocks)
+            for shift, index in zip(shifts, blocks):
+                index <<= shift
+                key |= index
+            return decisions.take(key)
+        return failed
     draw, failed = _sm_word_sampler(part, q), _sm_decoder(part, q)
     return lambda rng, size: failed(draw(rng, size))
 
@@ -579,7 +662,9 @@ def sweep(
     """Evaluate p_se over a grid of log2(p_m) values, in grid order.
 
     method "auto" uses exact evaluation when every SM part enumerates at
-    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.
+    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.  A grid
+    point whose p_m lies outside [0, 1] raises PreconditionError before
+    any point is evaluated.
     """
     if not len(pm_log2_grid):
         raise PreconditionError("empty p_m grid")
@@ -587,9 +672,13 @@ def sweep(
         raise PreconditionError(f"method must be auto, exact, or mc, got {method!r}")
     if method == "auto":
         method = "exact" if exact_is_feasible(scheme) else "mc"
+    # 2.0**lp overflows from 1024 on
+    p_ms = [math.inf if lp >= 1024 else 2.0**lp for lp in pm_log2_grid]
+    for p_m in p_ms:
+        if not 0.0 <= p_m <= 1.0:
+            raise PreconditionError(f"p_m={p_m} outside [0, 1]")
     rows = []
-    for lp in pm_log2_grid:
-        p_m = 2.0**lp
+    for lp, p_m in zip(pm_log2_grid, p_ms):
         if method == "exact":
             result = pse_exact(scheme, p_m)
         else:

@@ -254,6 +254,34 @@ def test_simulate_refuses_a_bad_range_before_any_output(capsys, spec, message):
     assert message in err
 
 
+def test_simulate_refuses_a_single_nan_before_any_output(capsys):
+    code, out, err = run(capsys, "simulate", "--scheme", "fig1-bs-sm", "--pm-log2=nan",
+                         "--method", "exact")
+    assert code == 2
+    assert out == ""
+    assert "must be a number" in err
+
+
+@pytest.mark.parametrize(
+    "spec, p_m",
+    [("1", "2.0"), ("inf", "inf"), ("2000", "inf"), ("-1..1:0.5", "1.4142135623730951")],
+)
+def test_simulate_refuses_p_m_above_one_before_any_output(capsys, spec, p_m):
+    code, out, err = run(capsys, "simulate", "--scheme", "fig1-bs-sm", f"--pm-log2={spec}",
+                         "--method", "exact")
+    assert code == 3
+    assert out == ""
+    assert f"p_m={p_m} outside [0, 1]" in err
+
+
+@pytest.mark.parametrize("spec, row", [("-inf", "-inf,-inf,"), ("1e-17", "1e-17,")])
+def test_simulate_accepts_p_m_zero_and_one(capsys, spec, row):
+    code, out, _ = run(capsys, "simulate", "--scheme", "fig1-bs-sm", f"--pm-log2={spec}",
+                       "--method", "exact")
+    assert code == 0
+    assert out.strip().split("\n")[2].startswith(row)
+
+
 def test_grid_of_exactly_the_cap_is_accepted():
     assert len(_parse_pm_grid(f"0..{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 

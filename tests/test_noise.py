@@ -13,6 +13,7 @@ from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError,
 from qdscodes.codes import catalog
 from qdscodes.gf4 import BitVector
 from qdscodes.qds import measured_elements
+from qdscodes import noise
 from qdscodes.noise import (
     DECODERS,
     DEFAULT_CHUNK_SIZE,
@@ -22,8 +23,10 @@ from qdscodes.noise import (
     _chunk_rng,
     _flip_probabilities,
     _shor_z_order_for_total,
+    _runner_up,
     _sm_decoder,
     _sm_word_sampler,
+    _syndromes,
     build_scheme,
     exact_is_feasible,
     p_err,
@@ -369,8 +372,8 @@ def _high_rate_code(a_columns: list[int]) -> BinaryLinearCode:
     [0b01, 0b10, 0b10, 0b10, 0b11, 0b11, 0b11, 0b11],  # coset 01 holds exactly two
 ])
 def test_high_rate_code_exact_and_monte_carlo(decoder, a_columns):
-    # 256 codewords in 4 cosets: Monte Carlo looks the runner-up cost up
-    # by syndrome
+    # 256 codewords in 4 cosets: coset-leader Monte Carlo reads the decision
+    # table, weighted ML (three classes) looks the runner-up cost up by syndrome
     part = SMPart(_high_rate_code(a_columns), (2, 4, 6, 2, 4, 6, 2, 4, 6, 2), decoder)
     scheme = MeasurementScheme("high-rate", (part,))
     exact = pse_exact(scheme, 2.0**-3).p_se
@@ -520,8 +523,9 @@ def test_monte_carlo_validates_chunk_size(name, chunk_size):
 
 @pytest.mark.parametrize("decoder", DECODERS)
 def test_fig1_shor_sm_exact_and_monte_carlo_agree(shor_sm_data_dir, decoder):
-    # the [18,6] Z part has more codewords than syndrome bits, so Monte
-    # Carlo looks its runner-up costs up by syndrome
+    # the [18,6] Z part has more codewords than syndrome bits: coset-leader
+    # Monte Carlo reads its decision table, and weighted ML, whose elements
+    # fall in several likelihood classes, looks its runner-up costs up by syndrome
     scheme = build_scheme("fig1-shor-sm", data_dir=shor_sm_data_dir, decoder=decoder)
     trials = 10**5
     for log2_pm in (-2.0, -3.0, -4.0):
@@ -550,8 +554,88 @@ def test_monte_carlo_syndrome_table_above_20_bits(decoder):
     exact = pse_exact(scheme, 2.0**-3).p_se
     mc = pse_monte_carlo(scheme, 2.0**-3, trials, seed=13)
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
-    if decoder == "coset-leader":
-        assert "_unit_runner_up" in part.__dict__  # looked up, not scanned per word
+    # coset-leader decisions are read from the cached per-pattern table;
+    # weighted ML's three classes give costs that change with p_m
+    assert ("_decisions" in part.__dict__) == (decoder == "coset-leader")
+
+
+def _shor_z_part(sm: BinaryLinearCode) -> SMPart:
+    """The Shor code's Z part under the SM code sm."""
+    return sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"), sm).parts[1]
+
+
+@pytest.mark.parametrize("code", [
+    sm_catalog("cw-12-2-8"),
+    sm_catalog("cw-18-2-12"),
+    _random_part(16, 2, 16, "coset-leader").code,
+    _random_part(20, 6, 20, "coset-leader").code,
+    _random_35_bit_part().code,
+])
+def test_systematic_syndromes_match_the_parity_checks(code):
+    part = SMPart(code, (2,) * code.length)
+    words = np.random.default_rng(code.length).integers(
+        0, 1 << code.length, size=2000, dtype=np.uint64)
+    assert _syndromes(part, words).tolist() == [code.word_syndrome(int(w)) for w in words]
+
+
+def _table_cases() -> dict[str, SMPart]:
+    shor_z = _shor_z_part(_random_part(20, 6, 20, "coset-leader").code)
+    assert len(set(shor_z.weights)) > 1
+    return {
+        "cw-18-2-12": SMPart(sm_catalog("cw-18-2-12"), (6,) * 18),  # one class, two blocks
+        "shor-z-20-6": shor_z,
+        "random-16-2": _random_part(16, 2, 16, "coset-leader"),
+    }
+
+
+@pytest.mark.parametrize("case", ["cw-18-2-12", "shor-z-20-6", "random-16-2"])
+def test_decision_table_matches_per_word_decoding(case):
+    part = _table_cases()[case]
+    index = np.arange(1 << part.code.length, dtype=np.uint64)
+    words = np.zeros_like(index)
+    for _, table in part._sampler_blocks:
+        words |= table[index & np.uint64(len(table) - 1)]
+        index >>= np.uint64(len(table).bit_length() - 1)
+    assert np.bitwise_count(np.bitwise_or.reduce(words)) == part.code.length
+    costs = part._unit_costs
+    per_word = ~(costs(words) < _runner_up(words, part._codewords, costs))
+    assert np.array_equal(part._decisions, per_word)
+
+
+@pytest.mark.parametrize("scheme", [
+    build_scheme("fig1-bs-sm"),
+    build_scheme("fig2-bs-216", decoder="weighted-ml"),
+    MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],)),
+])
+def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
+    trials, chunk_size, seed, p_m = 50_000, 20_000, 5, 2.0**-3
+    expected = 0
+    for chunk_index, start in enumerate(range(0, trials, chunk_size)):
+        size = min(chunk_size, trials - start)
+        rng = _chunk_rng(seed, chunk_index)
+        failed = np.zeros(size, dtype=bool)
+        for part in scheme.parts:
+            q = _flip_probabilities(part, p_m)
+            failed |= _sm_decoder(part, q)(_sm_word_sampler(part, q)(rng, size))
+        expected += int(failed.sum())
+    got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
+    assert all("_decisions" in part.__dict__ for part in scheme.parts)
+    assert got == expected
+
+
+def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
+    built = []
+    original = noise._decision_table
+
+    def counting(part):
+        built.append(part)
+        return original(part)
+
+    monkeypatch.setattr(noise, "_decision_table", counting)
+    scheme = build_scheme("fig1-bs-sm")
+    rows = sweep(scheme, [-3.0, -4.0, -5.0], method="mc", trials=5_000, seed=2)
+    assert len(rows) == 3
+    assert built == list(scheme.parts)
 
 
 # ----------------------------------------------------------------------
@@ -564,6 +648,21 @@ def test_sweep_single_point():
     assert rows[0].log2_pse == pytest.approx(-1.105477, abs=0.01)
     assert rows[0].total_measurements == 144
     assert rows[0].method == "exact"
+
+
+@pytest.mark.parametrize("bad, p_m", [(1.0, "2.0"), (2000.0, "inf"), (math.nan, "nan")])
+def test_sweep_checks_every_point_before_evaluating_any(monkeypatch, bad, p_m):
+    evaluated = []
+    monkeypatch.setattr(noise, "pse_exact", lambda *args: evaluated.append(args))
+    with pytest.raises(PreconditionError, match=rf"p_m={p_m} outside \[0, 1\]"):
+        sweep(build_scheme("fig1-shor-6fold"), [-4.0, bad], method="exact")
+    assert evaluated == []
+
+
+def test_sweep_accepts_a_log2_p_m_that_rounds_to_one():
+    assert 2.0**1e-17 == 1.0
+    rows = sweep(build_scheme("fig1-shor-6fold"), [1e-17, -math.inf], method="exact")
+    assert [r.log2_pm for r in rows] == [1e-17, -math.inf]
 
 
 def test_sweep_auto_picks_exact_for_small_schemes():
@@ -678,8 +777,10 @@ def _oracle_case(case: str) -> MeasurementScheme:
 def test_flip_count_sampler_agrees_with_iid_oracle(case):
     scheme = _oracle_case(case)
     trials, p_m = 1 << 16, 2.0**-4
-    new = pse_monte_carlo(scheme, p_m, trials, seed=41).p_se * trials
     old = _iid_failures(scheme, p_m, trials, seed=42)
+    # the oracle decodes each word; it never builds the decision table
+    assert not any("_decisions" in part.__dict__ for part in scheme.parts)
+    new = pse_monte_carlo(scheme, p_m, trials, seed=41).p_se * trials
     pooled = (new + old) / (2 * trials)
     assert 0.0 < pooled < 1.0
     assert abs(new - old) <= 5 * math.sqrt(2 * trials * pooled * (1.0 - pooled))
