@@ -273,6 +273,9 @@ def cmd_bounds(args) -> int:
 
 
 def _parse_pm_grid(spec: str) -> list[float]:
+    if not isinstance(spec, str):
+        # argparse reads the value of --pm-log2=-- as the end of options and passes []
+        raise QDSError("--pm-log2 needs a value, such as --pm-log2=-2..-8:0.5")
     if ".." not in spec:
         value = float(spec)
         if math.isnan(value):

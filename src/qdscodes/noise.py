@@ -14,10 +14,11 @@ type); the scheme fails when any part fails, and a part fails when its
 decoder returns the wrong word or declares a tie.
 
 Exact evaluation never forms 1 - success.  An SM part's failing error
-patterns are counted once, by walking its cosets by syndrome, and kept as
-a histogram over per-class flip counts; a repetition bit fails with a
-sum of binomial terms.  The unit failure probabilities f_i combine as
-p_se = -expm1(sum log1p(-f_i)), so a tiny p_se keeps its precision.
+patterns are counted once, in one pass that keeps each coset's lowest two
+costs and lowest-cost word, and kept as a histogram over per-class flip
+counts; a repetition bit fails with a sum of binomial terms.  The unit
+failure probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so
+a tiny p_se keeps its precision.
 
 Monte Carlo draws flip counts, not one float per flip.  Each bit of a
 repetition part takes one uniform u and fails iff u >= F(t - 1), the
@@ -304,50 +305,44 @@ def _coset_bases(code: BinaryLinearCode) -> Iterator[np.ndarray]:
         yield syndromes << np.uint64(code.dim)
 
 
-def _coset_tiles(base: np.ndarray, codewords: np.ndarray) -> Iterator[np.ndarray]:
-    """base ^ C in blocks of shape (rows, len(base)), each of at most
-    DEFAULT_CHUNK_SIZE words or a single row.  rows is a power of two, so
-    with 2^k codewords every block has a power-of-two row count."""
-    rows = 1 << max(0, (DEFAULT_CHUNK_SIZE // len(base)).bit_length() - 1)
-    for start in range(0, len(codewords), rows):
-        yield base ^ codewords[start:start + rows, None]
-
-
-def _lowest_two(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
-    """Merge two (lowest, second-lowest) pairs, counted with multiplicity."""
-    (low_a, second_a), (low_b, second_b) = a, b
+def _lowest_two(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]):
+    """Merge two (lowest, second-lowest, word of lowest) triples, counted
+    with multiplicity; on a tie either word is kept, as neither is unique."""
+    (low_a, second_a, word_a), (low_b, second_b, word_b) = a, b
     return (
         np.minimum(low_a, low_b),
         np.minimum(np.minimum(second_a, second_b), np.maximum(low_a, low_b)),
+        np.where(low_b < low_a, word_b, word_a),
     )
 
 
-def _runner_up(base: np.ndarray, codewords: np.ndarray, costs: _Costs) -> np.ndarray:
-    """The second-smallest cost, counted with multiplicity, over each coset
-    base ^ C.
+def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs):
+    """(lowest, runner_up, lowest_word) over each coset base ^ C, costs
+    counted with multiplicity.
 
     A word is the unique minimum-cost member of its coset, the condition
-    under which both decoders return it as the error pattern, iff its cost
-    is below this.  Each block is reduced by merging its halves until one
-    row is left, so a block costs O(log rows) array operations.
+    under which both decoders return it as the error pattern, iff it is
+    lowest_word and lowest < runner_up.  Blocks of at most
+    DEFAULT_CHUNK_SIZE words (or one row) have a power-of-two row count, so
+    each is reduced by merging its halves, in O(log rows) array operations.
     """
     ceiling = np.full(len(base), costs.ceiling, dtype=costs.table.dtype)
-    pair = (ceiling, ceiling)
-    for members in _coset_tiles(base, codewords):
+    minima = (ceiling, ceiling, base)
+    rows = 1 << max(0, (DEFAULT_CHUNK_SIZE // len(base)).bit_length() - 1)
+    for start in range(0, len(codewords), rows):
+        members = base ^ codewords[start:start + rows, None]
         cost = costs(members)
-        block = (cost, np.full_like(cost, costs.ceiling))
+        block = (cost, np.full_like(cost, costs.ceiling), members)
         while len(block[0]) > 1:
             half = len(block[0]) // 2
-            block = _lowest_two(
-                (block[0][:half], block[1][:half]), (block[0][half:], block[1][half:])
-            )
-        pair = _lowest_two(pair, (block[0][0], block[1][0]))
-    return pair[1]
+            block = _lowest_two(tuple(x[:half] for x in block), tuple(x[half:] for x in block))
+        minima = _lowest_two(minima, tuple(x[0] for x in block))
+    return minima
 
 
 def _runner_up_by_syndrome(part: SMPart, costs: _Costs) -> np.ndarray:
     return np.concatenate(
-        [_runner_up(base, part._codewords, costs) for base in _coset_bases(part.code)]
+        [_coset_minima(base, part._codewords, costs)[1] for base in _coset_bases(part.code)]
     )
 
 
@@ -355,8 +350,8 @@ def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
     """Per cost key, the number of patterns the decoder fails on.
 
     A pattern is decoded to zero iff it is the unique minimum-cost member
-    of its coset, so each coset holds at most one success; the failures
-    are all patterns minus the successes.
+    of its coset, so each coset holds at most one success, binned here by
+    its key; the failures are all patterns minus the successes.
     """
     code = part.code
     if code.length > HARD_EXACT_BITS:
@@ -368,10 +363,8 @@ def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
     )
     success = np.zeros_like(totals)
     for base in _coset_bases(code):
-        second = _runner_up(base, part._codewords, costs)
-        for members in _coset_tiles(base, part._codewords):
-            keys = costs.key(members)
-            success += np.bincount(keys[costs.table.take(keys) < second], minlength=len(totals))
+        low, second, word = _coset_minima(base, part._codewords, costs)
+        success += np.bincount(costs.key(word[low < second]), minlength=len(totals))
     return totals - success
 
 
@@ -395,7 +388,8 @@ def _failure_probabilities(part: Part, p_m: float) -> list[float]:
     """Failure probability of each independently decoded unit of the part:
     the SM part itself, or each bit of a repetition part."""
     if isinstance(part, RepetitionPart):
-        return [_majority_bit_failure(p_err(w, p_m), part.fold) for w in part.weights]
+        per_weight = {w: _majority_bit_failure(p_err(w, p_m), part.fold) for w in set(part.weights)}
+        return [per_weight[w] for w in part.weights]
     return [_sm_failure_exact(part, p_m)]
 
 
@@ -403,9 +397,12 @@ def pse_exact(scheme: MeasurementScheme, p_m: float) -> SimResult:
     """Exact p_se = 1 - prod(1 - f) over the independently decoded units.
 
     Taken as -expm1(sum log1p(-f)), so a small p_se keeps full relative
-    precision instead of cancelling in 1 - prod(success).
+    precision instead of cancelling in 1 - prod(success).  A part object
+    listed twice (equal X and Z parts) is evaluated once, counted twice.
     """
-    failures = [f for part in scheme.parts for f in _failure_probabilities(part, p_m)]
+    distinct = {id(part): part for part in scheme.parts}
+    per_part = {key: _failure_probabilities(part, p_m) for key, part in distinct.items()}
+    failures = [f for part in scheme.parts for f in per_part[id(part)]]
     if any(f >= 1.0 for f in failures):
         p_se = 1.0
     else:
@@ -559,7 +556,7 @@ def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.n
             return table[_syndromes(part, words)]
     else:
         def runner_up(words):
-            return _runner_up(words, part._codewords, costs)
+            return _coset_minima(words, part._codewords, costs)[1]
 
     def failed(words: np.ndarray) -> np.ndarray:
         return ~(costs(words) < runner_up(words))
@@ -767,13 +764,12 @@ def sm_scheme(
 
     The Z generator order matters: permuting the rows changes which
     stabilizer products are measured and hence the measurement total.
+    Equal parts are one object, so what a part caches is built once.
     """
     x_rows, z_rows = split_rows_by_type(code.rows)
-    parts = (
-        _sm_part(x_rows, sm_x, decoder),
-        _sm_part(_apply_order(z_rows, z_order), sm_z, decoder),
-    )
-    return MeasurementScheme(name or "sm-scheme", parts)
+    x = _sm_part(x_rows, sm_x, decoder)
+    z = _sm_part(_apply_order(z_rows, z_order), sm_z, decoder)
+    return MeasurementScheme(name or "sm-scheme", (x, x if z == x else z))
 
 
 def _shor_z_order_for_total(

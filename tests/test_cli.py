@@ -262,6 +262,14 @@ def test_simulate_refuses_a_single_nan_before_any_output(capsys):
     assert "must be a number" in err
 
 
+def test_simulate_refuses_an_empty_pm_log2_before_any_output(capsys):
+    code, out, err = run(capsys, "simulate", "--scheme", "fig1-bs-sm", "--pm-log2=--",
+                         "--method", "exact")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --pm-log2 needs a value")
+
+
 @pytest.mark.parametrize(
     "spec, p_m",
     [("1", "2.0"), ("inf", "inf"), ("2000", "inf"), ("-1..1:0.5", "1.4142135623730951")],

@@ -21,9 +21,10 @@ from qdscodes.noise import (
     RepetitionPart,
     SMPart,
     _chunk_rng,
+    _coset_minima,
+    _failing_patterns,
     _flip_probabilities,
     _shor_z_order_for_total,
-    _runner_up,
     _sm_decoder,
     _sm_word_sampler,
     _syndromes,
@@ -383,6 +384,93 @@ def test_high_rate_code_exact_and_monte_carlo(decoder, a_columns):
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
 
 
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_both_patterns_of_a_tied_coset_minimum_fail(decoder):
+    # coset 01 holds exactly two weight-1 patterns, bits 0 and 8.  They are
+    # the only weight-2 elements, so they alone have count vector (1, 0),
+    # and at this p_m they tie as the coset's minimum under both decoders.
+    code = _high_rate_code([0b01, 0b10, 0b10, 0b10, 0b11, 0b11, 0b11, 0b11])
+    part = SMPart(code, (2, 4, 4, 4, 4, 4, 4, 4, 2, 4), decoder)
+    costs = part._costs(_flip_probabilities(part, 2.0**-6))
+    assert (costs is part._unit_costs) == (decoder == "coset-leader")
+    (key,) = costs.key(np.array([1 << 0], dtype=np.uint64))
+    assert key == costs.key(np.array([1 << 8], dtype=np.uint64))[0]
+    assert _failing_patterns(part, costs)[key] == 2
+
+
+# failing-pattern histograms of minimum-weight decoding under Bacon-Shor
+# weights (every element of weight 6), by flip count
+UNIT_FAILURES = {
+    "cw-12-2-8": [0, 0, 0, 0, 207, 792, 924, 792, 495, 220, 66, 12, 1],
+    "cw-17-2-11": [0, 0, 0, 0, 0, 0, 1846, 11198, 24310, 24310, 19448, 12376, 6188, 2380, 680,
+                   136, 17, 1],
+    "cw-18-2-12": [0, 0, 0, 0, 0, 0, 2769, 18324, 43758, 48620, 43758, 31824, 18564, 8568, 3060,
+                   816, 153, 18, 1],
+}
+
+
+@pytest.mark.parametrize("name", UNIT_FAILURES)
+def test_unit_failure_histograms_are_pinned(name):
+    code = sm_catalog(name)
+    assert SMPart(code, (6,) * code.length)._unit_failures.tolist() == UNIT_FAILURES[name]
+
+
+def test_three_class_unit_failure_histogram_is_pinned():
+    part = _shor_z_part(_random_part(20, 6, 20, "coset-leader").code)
+    costs = part._unit_costs
+    assert [part.weights[j] for j in costs.first] == [2, 6, 4]
+    assert costs.sizes == [9, 5, 6]
+    vectors = np.array(costs.count_vectors())
+    failing = part._unit_failures
+
+    def by(counts):
+        return [int(failing[counts == c].sum()) for c in range(counts.max() + 1)]
+    assert by(vectors[:, 0]) == [1655, 16568, 70408, 169512, 257338, 257997, 172032, 73728,
+                                 18432, 2048]
+    assert by(vectors[:, 1]) == [30151, 159515, 325898, 327546, 163840, 32768]
+    assert by(vectors[:, 2]) == [15050, 94506, 242777, 326975, 245722, 98304, 16384]
+    assert by(vectors.sum(axis=1)) == [0, 0, 6, 140, 1793, 11751, 37944, 77488, 125970, 167960,
+                                       184756, 167960, 125970, 77520, 38760, 15504, 4845, 1140,
+                                       190, 20, 1]
+
+
+@pytest.mark.parametrize("name", ["fig1-bs-sm", "fig2-bs-204", "fig2-bs-216"])
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_sm_scheme_shares_equal_parts(name, decoder):
+    x, z = build_scheme(name, decoder=decoder).parts
+    assert x is z
+
+
+def test_sm_scheme_keeps_unequal_parts_apart():
+    scheme = sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"),
+                       _random_part(20, 6, 20, "coset-leader").code)
+    x, z = scheme.parts
+    assert x is not z and x != z
+
+
+def test_pse_exact_evaluates_each_distinct_part_once_per_point(monkeypatch):
+    calls = []
+    original = noise._failure_probabilities
+
+    def counting(part, p_m):
+        calls.append((id(part), p_m))
+        return original(part, p_m)
+
+    monkeypatch.setattr(noise, "_failure_probabilities", counting)
+    shared = build_scheme("fig2-bs-216")
+    unequal = sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"),
+                        _random_part(20, 6, 20, "coset-leader").code)
+    for scheme in (shared, unequal):
+        calls.clear()
+        sweep(scheme, [-3.0, -4.0], method="exact")
+        distinct = list(dict.fromkeys(id(part) for part in scheme.parts))
+        assert calls == [(key, p_m) for p_m in (2.0**-3, 2.0**-4) for key in distinct]
+    # the shared part counts once per unit: as two equal part objects would
+    x = shared.parts[0]
+    apart = MeasurementScheme("apart", (x, SMPart(x.code, x.weights, x.decoder)))
+    assert pse_exact(apart, 2.0**-4) == pse_exact(shared, 2.0**-4)
+
+
 def _dim2_exact_failure(rows: tuple[int, int], q: float) -> float:
     """Weighted-ML failure of a dimension-2 code under one flip probability.
 
@@ -598,7 +686,7 @@ def test_decision_table_matches_per_word_decoding(case):
         index >>= np.uint64(len(table).bit_length() - 1)
     assert np.bitwise_count(np.bitwise_or.reduce(words)) == part.code.length
     costs = part._unit_costs
-    per_word = ~(costs(words) < _runner_up(words, part._codewords, costs))
+    per_word = ~(costs(words) < _coset_minima(words, part._codewords, costs)[1])
     assert np.array_equal(part._decisions, per_word)
 
 
@@ -635,7 +723,8 @@ def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
     scheme = build_scheme("fig1-bs-sm")
     rows = sweep(scheme, [-3.0, -4.0, -5.0], method="mc", trials=5_000, seed=2)
     assert len(rows) == 3
-    assert built == list(scheme.parts)
+    # the X and Z parts are one object, so one build serves both
+    assert [id(part) for part in built] == list(dict.fromkeys(id(part) for part in scheme.parts))
 
 
 # ----------------------------------------------------------------------
