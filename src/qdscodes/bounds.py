@@ -124,14 +124,16 @@ def _max_k(n: int, check) -> int:
 
 def region_table(n_range: tuple[int, int]) -> list[RegionRow]:
     """Rows (n, singleton_k, hamming_k, impure_k, conjecture_k) for the
-    integer envelopes plotted against length n."""
+    integer envelopes plotted against length n; 0 reads "no k >= 1"."""
     lo, hi = n_range
+    if lo < 1 or hi < lo:
+        raise PreconditionError(f"need 1 <= n1 <= n2, got n1={lo}, n2={hi}")
     rows = []
     for n in range(lo, hi + 1):
         rows.append(
             RegionRow(
                 n=n,
-                singleton_k=n - 4,
+                singleton_k=max(n - 4, 0),
                 hamming_k=_max_k(n, quantum_hamming),
                 impure_k=_max_k(n, impure_bound),
                 conjecture_k=_max_k(n, conjectured_bound),

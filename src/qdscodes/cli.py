@@ -1,6 +1,10 @@
 """Command-line interface.
 
-Subcommands: catalog, check, construct, search-impure, bounds, simulate.
+Subcommands: catalog, check, construct, search-impure, bounds, simulate,
+each declared once in ``COMMANDS`` (help line, handler, arguments). A call
+that names its command builds only that command's parser, since a shell
+user pays for every parser built on every run; help, a missing or unknown
+command, and a leading ``--`` go through the full tree of ``build_parser``.
 Exit codes: 0 success, 2 input error, 3 violated precondition, 4 internal
 defect (a search the theory guarantees cannot fail found nothing), 5
 missing external data (import-only SM code matrices, resolved from
@@ -318,75 +322,92 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_JSON = (("--json",), {"action": "store_true"})
+_DATA_DIR = (("--data-dir",), {"default": None})
+
+# name -> (help in the command list, handler, add_argument declarations)
+COMMANDS = {
+    "catalog": ("list bundled codes or show one", cmd_catalog, (
+        (("action",), {"choices": ("list", "show")}),
+        (("name",), {"nargs": "?", "help": "code name (for show)"}),
+        _JSON,
+        _DATA_DIR,
+    )),
+    "check": ("verify a code and report its QDS parameters", cmd_check, (
+        (("--code",), {"required": True, "help": "catalog name or code file"}),
+        (("--sm",), {"default": None, "help": "SM code name or file (default: identity)"}),
+        (("--subsystem",), {"action": "store_true",
+                            "help": "require the input to be a subsystem code"}),
+        _JSON,
+        _DATA_DIR,
+    )),
+    "construct": (
+        "attach the single-parity-measurement SM code to a distance-3 code", cmd_construct, (
+            (("--code",), {"required": True}),
+            (("--out-sm",), {"default": None, "help": "write the parity SM generator here"}),
+            _JSON,
+        )),
+    "search-impure": (
+        "find zero-redundancy QDS generators for an impure distance-3 code", cmd_search_impure, (
+            (("--code",), {"required": True}),
+            (("--out",), {"default": None, "help": "write the found generator rows here"}),
+            _JSON,
+        )),
+    "bounds": ("bound checks, region tables, parameter families", cmd_bounds, (
+        (("--check",), {"nargs": "+", "metavar": "N", "default": None,
+                        "help": "n k [d l]: evaluate all bound verdicts"}),
+        (("--table",), {"default": None, "metavar": "N1..N2",
+                        "help": "emit the region table as CSV"}),
+        (("--families",), {"default": None, "metavar": "A_MAX",
+                           "help": "enumerate pure-only parameter families"}),
+        _JSON,
+    )),
+    "simulate": ("sweep p_se over a p_m grid", cmd_simulate, (
+        (("--scheme",), {"required": True,
+                         "help": ", ".join(noise_mod.FIG1_SCHEMES + noise_mod.FIG2_SCHEMES)}),
+        (("--pm-log2",), {"required": True,
+                          "help": "a..b:step or a single value; write --pm-log2=-2..-8:0.5 "
+                                  "so the leading minus is not read as a flag"}),
+        (("--method",), {"choices": ("exact", "mc", "auto"), "default": "auto"}),
+        (("--trials",), {"type": int, "default": 10**6}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--decoder",), {"choices": noise_mod.DECODERS, "default": noise_mod.COSET_LEADER}),
+        (("--out",), {"default": None}),
+        _DATA_DIR,
+    )),
+}
+
+
+def _declare(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add command `name`'s arguments and its `command`/`func` defaults to `parser`."""
+    _, func, arguments = COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(command=name, func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full command tree, for help, a missing or unknown command, and a leading '--'."""
     parser = argparse.ArgumentParser(
         prog="qdscodes",
         description="Quantum data-syndrome codes: construction, verification, bounds, simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_catalog = sub.add_parser("catalog", help="list bundled codes or show one")
-    p_catalog.add_argument("action", choices=("list", "show"))
-    p_catalog.add_argument("name", nargs="?", help="code name (for show)")
-    p_catalog.add_argument("--json", action="store_true")
-    p_catalog.add_argument("--data-dir", default=None)
-    p_catalog.set_defaults(func=cmd_catalog)
-
-    p_check = sub.add_parser("check", help="verify a code and report its QDS parameters")
-    p_check.add_argument("--code", required=True, help="catalog name or code file")
-    p_check.add_argument("--sm", default=None, help="SM code name or file (default: identity)")
-    p_check.add_argument("--subsystem", action="store_true",
-                         help="require the input to be a subsystem code")
-    p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--data-dir", default=None)
-    p_check.set_defaults(func=cmd_check)
-
-    p_construct = sub.add_parser(
-        "construct", help="attach the single-parity-measurement SM code to a distance-3 code"
-    )
-    p_construct.add_argument("--code", required=True)
-    p_construct.add_argument("--out-sm", default=None, help="write the parity SM generator here")
-    p_construct.add_argument("--json", action="store_true")
-    p_construct.set_defaults(func=cmd_construct)
-
-    p_search = sub.add_parser(
-        "search-impure", help="find zero-redundancy QDS generators for an impure distance-3 code"
-    )
-    p_search.add_argument("--code", required=True)
-    p_search.add_argument("--out", default=None, help="write the found generator rows here")
-    p_search.add_argument("--json", action="store_true")
-    p_search.set_defaults(func=cmd_search_impure)
-
-    p_bounds = sub.add_parser("bounds", help="bound checks, region tables, parameter families")
-    p_bounds.add_argument("--check", nargs="+", metavar="N", default=None,
-                          help="n k [d l]: evaluate all bound verdicts")
-    p_bounds.add_argument("--table", default=None, metavar="N1..N2",
-                          help="emit the region table as CSV")
-    p_bounds.add_argument("--families", default=None, metavar="A_MAX",
-                          help="enumerate pure-only parameter families")
-    p_bounds.add_argument("--json", action="store_true")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_sim = sub.add_parser("simulate", help="sweep p_se over a p_m grid")
-    p_sim.add_argument("--scheme", required=True,
-                       help=", ".join(noise_mod.FIG1_SCHEMES + noise_mod.FIG2_SCHEMES))
-    p_sim.add_argument("--pm-log2", required=True,
-                       help="a..b:step or a single value; write --pm-log2=-2..-8:0.5 "
-                            "so the leading minus is not read as a flag")
-    p_sim.add_argument("--method", choices=("exact", "mc", "auto"), default="auto")
-    p_sim.add_argument("--trials", type=int, default=10**6)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--decoder", choices=noise_mod.DECODERS, default=noise_mod.COSET_LEADER)
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--data-dir", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:
+        parser = _declare(argparse.ArgumentParser(prog=f"qdscodes {argv[0]}"), argv[0])
+        args = parser.parse_args(argv[1:])
+    else:
+        parser = build_parser()
+        args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show requires a code name")
     try:

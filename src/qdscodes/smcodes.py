@@ -42,6 +42,8 @@ from .gf4 import BitVector
 
 MAX_TABLE_LENGTH = 25
 MAX_CODEWORD_DIM = 20
+# m of a generated identity-<m>, parity-<m> or repetition-<m>, whose rows are built as m lists
+MAX_GENERATED_SIZE = 64
 
 DATA_DIR_ENV = "QDS_DATA_DIR"
 
@@ -409,6 +411,8 @@ def sm_catalog(name: str, directory: str | Path | None = None) -> BinaryLinearCo
         size = int(arg)
         if size < 1:
             raise CatalogError(f"size in {name!r} must be positive")
+        if size > MAX_GENERATED_SIZE:
+            raise CapacityError(f"size in {name!r} exceeds the cap of {MAX_GENERATED_SIZE}")
         return {"parity": _parity, "repetition": _repetition, "identity": _identity}[kind](size)
     raise CatalogError(f"unknown SM code {name!r}; known: {', '.join(sm_catalog_names())}")
 

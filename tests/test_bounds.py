@@ -126,6 +126,19 @@ def test_region_table_envelopes():
         assert r.singleton_k >= r.hamming_k >= r.impure_k >= r.conjecture_k
 
 
+def test_region_table_reads_zero_where_no_k_fits():
+    rows = region_table((1, 5))
+    assert [(r.n, r.singleton_k, r.hamming_k, r.impure_k) for r in rows] == [
+        (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (4, 0, 0, 0), (5, 1, 1, 0)
+    ]
+
+
+@pytest.mark.parametrize("n_range", [(26, 19), (0, 0), (0, 5), (-3, 2), (2, 1)])
+def test_region_table_refuses_an_empty_or_non_positive_range(n_range):
+    with pytest.raises(PreconditionError, match="1 <= n1 <= n2"):
+        region_table(n_range)
+
+
 def test_code_params_validation():
     with pytest.raises(PreconditionError):
         CodeParams(5, 5)

@@ -1,14 +1,19 @@
 """Command-line interface: outputs, exit codes, and round trips."""
 
+import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, main
+from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
 from qdscodes.qds import identity_qds, qds_min_distance
+from qdscodes.smcodes import MAX_GENERATED_SIZE
 
 
 def run(capsys, *argv):
@@ -78,6 +83,14 @@ def test_check_bacon_shor_json(capsys):
     report = json.loads(out)
     assert (report["r"], report["m"], report["base_distance"]) == (4, 4, 3)
     assert report["measured_weights"] == [6, 6, 6, 6]
+
+
+def test_check_refuses_a_generated_sm_code_above_the_cap(capsys):
+    code, out, err = run(capsys, "check", "--code", "shor", "--sm",
+                         f"identity-{MAX_GENERATED_SIZE + 1}")
+    assert code == 2
+    assert out == ""
+    assert f"cap of {MAX_GENERATED_SIZE}" in err
 
 
 def test_check_subsystem_flag_rejects_stabilizer(capsys):
@@ -182,6 +195,14 @@ def test_bounds_table(capsys):
     assert lines[0] == "n,singleton_k,hamming_k,impure_k,conjecture_k"
     assert lines[1] == "19,15,13,13,12"
     assert lines[-1] == "26,22,19,19,18"
+
+
+@pytest.mark.parametrize("spec", ["26..19", "0..0", "0..4", "-2..3"])
+def test_bounds_table_refuses_an_empty_or_non_positive_range(capsys, spec):
+    code, out, err = run(capsys, "bounds", f"--table={spec}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: need 1 <= n1 <= n2")
 
 
 @pytest.mark.parametrize("values", [["5"], ["9", "1", "3", "0", "7"]])
@@ -359,3 +380,147 @@ def test_readme_cli_lines_run(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *shlex.split(command)[1:])
         assert code == 0, (line, err)
         assert expected.strip() in out, line
+
+
+# ----------------------------------------------------------------------
+# parser contract
+# ----------------------------------------------------------------------
+
+COMMANDS = ("catalog", "check", "construct", "search-impure", "bounds", "simulate")
+OPTIONS = {
+    "catalog": ("{list,show}", "name", "--json", "--data-dir"),
+    "check": ("--code", "--sm", "--subsystem", "--json", "--data-dir"),
+    "construct": ("--code", "--out-sm", "--json"),
+    "search-impure": ("--code", "--out", "--json"),
+    "bounds": ("--check", "--table", "--families", "--json"),
+    "simulate": ("--scheme", "--pm-log2", "--method", "--trials", "--seed", "--decoder",
+                 "--out", "--data-dir"),
+}
+
+
+def exits(capsys, *argv):
+    """Exit code, stdout and stderr of an argv that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_lists_the_commands_in_order(capsys, columns, flag):
+    code, out, _ = exits(capsys, flag)
+    assert code == 0
+    assert out.startswith("usage: qdscodes [-h] {" + ",".join(COMMANDS) + "} ...\n")
+    listed = [out.index(f"\n    {name} ") for name in COMMANDS]
+    assert listed == sorted(listed)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_names_every_option(capsys, columns, command):
+    code, out, _ = exits(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: qdscodes {command} [-h]")
+    for option in OPTIONS[command]:
+        assert option in out, option
+    # the help text is the one the full command tree gives the same command
+    tree = build_parser()
+    sub = next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
+    assert out == sub.choices[command].format_help()
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], ["chek", "--code", "shor"], ["CHECK"]])
+def test_unknown_command_exits_2(capsys, columns, argv):
+    code, out, err = exits(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: qdscodes [-h] {")
+    assert f"invalid choice: '{argv[0]}'" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--json"], ["-x"]])
+def test_no_command_exits_2(capsys, columns, argv):
+    code, _, err = exits(capsys, *argv)
+    assert code == 2
+    assert err.endswith("qdscodes: error: the following arguments are required: command\n")
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [(["check"], "--code"), (["construct", "--json"], "--code"), (["search-impure"], "--code"),
+     (["simulate", "--scheme", "fig1-bs-sm"], "--pm-log2"), (["catalog"], "action")],
+)
+def test_missing_required_argument_exits_2_and_names_it(capsys, columns, argv, missing):
+    code, out, err = exits(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: qdscodes {argv[0]} [-h]")
+    assert err.endswith(
+        f"qdscodes {argv[0]}: error: the following arguments are required: {missing}\n"
+    )
+
+
+def test_main_reads_sys_argv_when_argv_is_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qdscodes", "check", "--code", "example-6-1-3-prime"])
+    assert main() == 0
+    assert "[[6,1,3:0]] QDS: yes" in capsys.readouterr().out
+
+
+def test_a_leading_double_dash_goes_to_the_full_command_tree(capsys, columns):
+    # argparse hands the '--' itself to the subcommand choice, so no command runs
+    code, out, err = exits(capsys, "--", "check", "--code", "example-6-1-3-prime")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: qdscodes [-h] {")
+    assert "invalid choice: '--'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog", "show"], "catalog show requires a code name"),
+        (["check", "--code", "shor", "--extra"], "unrecognized arguments: --extra"),
+        (["catalog", "list", "extra", "more"], "unrecognized arguments: more"),
+    ],
+)
+def test_command_errors_print_the_command_usage(capsys, columns, argv, message):
+    code, out, err = exits(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: qdscodes {argv[0]} [-h]")
+    assert err.endswith(f"qdscodes {argv[0]}: error: {message}\n")
+
+
+def test_a_command_declares_only_its_own_arguments(capsys, monkeypatch):
+    declared = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *flags, **kwargs):
+        declared.extend(flags)
+        return add_argument(self, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["check", "--code", "example-6-1-3-prime"]) == 0
+    capsys.readouterr()
+    assert "--pm-log2" not in declared
+    assert sorted(declared) == sorted(("-h", "--help") + OPTIONS["check"])
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, needle",
+    [(["--help"], 0, "usage: qdscodes"),
+     (["check", "--code", "example-6-1-3-prime"], 0, "[[6,1,3:0]] QDS: yes"),
+     (["frobnicate"], 2, "invalid choice: 'frobnicate'")],
+)
+def test_shell_entry_point(argv, exit_code, needle):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "qdscodes.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert done.returncode == exit_code, done.stderr
+    assert needle in done.stdout + done.stderr

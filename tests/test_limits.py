@@ -22,6 +22,7 @@ def test_limits_table_matches_the_constants():
     assert {(module, name) for module, name, _ in rows} >= {
         ("codes", "MAX_N"),
         ("smcodes", "MAX_CODEWORD_DIM"),
+        ("smcodes", "MAX_GENERATED_SIZE"),
         ("noise", "HARD_EXACT_BITS"),
     }
     for module, name, value in rows:

@@ -19,6 +19,7 @@ from qdscodes.errors import (
 )
 from qdscodes.gf4 import BitVector
 from qdscodes.smcodes import (
+    MAX_GENERATED_SIZE,
     BinaryLinearCode,
     coset_leader_decode,
     majority_decode,
@@ -124,6 +125,13 @@ def test_catalog_parameters(name, length, dim, dist, weights):
     assert code.minimum_distance() == dist
     if weights is not None:
         assert sorted(w.bit_count() for w in code.codewords() if w) == weights
+
+
+@pytest.mark.parametrize("kind, extra", [("identity", 0), ("parity", 1), ("repetition", 0)])
+def test_generated_sizes_stop_at_the_cap(kind, extra):
+    assert sm_catalog(f"{kind}-{MAX_GENERATED_SIZE}").length == MAX_GENERATED_SIZE + extra
+    with pytest.raises(CapacityError, match=f"cap of {MAX_GENERATED_SIZE}"):
+        sm_catalog(f"{kind}-{MAX_GENERATED_SIZE + 1}")
 
 
 def test_catalog_unknown_and_import_only():
