@@ -124,7 +124,11 @@ def _max_k(n: int, check) -> int:
 
 def region_table(n_range: tuple[int, int]) -> list[RegionRow]:
     """Rows (n, singleton_k, hamming_k, impure_k, conjecture_k) for the
-    integer envelopes plotted against length n; 0 reads "no k >= 1"."""
+    integer envelopes plotted against length n; 0 reads "no k >= 1".
+
+    The conjecture strengthens the proven impure bound, so conjecture_k is
+    the largest k that both `impure_bound` and `conjectured_bound` admit
+    (the bare formula alone admits k = 1 at n = 2)."""
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise PreconditionError(f"need 1 <= n1 <= n2, got n1={lo}, n2={hi}")
@@ -136,7 +140,7 @@ def region_table(n_range: tuple[int, int]) -> list[RegionRow]:
                 singleton_k=max(n - 4, 0),
                 hamming_k=_max_k(n, quantum_hamming),
                 impure_k=_max_k(n, impure_bound),
-                conjecture_k=_max_k(n, conjectured_bound),
+                conjecture_k=_max_k(n, lambda n, k: impure_bound(n, k) and conjectured_bound(n, k)),
             )
         )
     return rows

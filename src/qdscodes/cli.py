@@ -5,6 +5,8 @@ each declared once in ``COMMANDS`` (help line, handler, arguments). A call
 that names its command builds only that command's parser, since a shell
 user pays for every parser built on every run; help, a missing or unknown
 command, and a leading ``--`` go through the full tree of ``build_parser``.
+For the same reason each handler imports the modules it calls, so
+``bounds`` runs without numpy and only ``simulate`` loads ``noise``.
 Exit codes: 0 success, 2 input error, 3 violated precondition, 4 internal
 defect (a search the theory guarantees cannot fail found nothing), 5
 missing external data (import-only SM code matrices, resolved from
@@ -19,11 +21,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import codes as codes_mod
-from . import noise as noise_mod
-from . import qds as qds_mod
-from . import smcodes as sm_mod
 from .errors import (
     AvailabilityError,
     CapacityError,
@@ -43,6 +40,8 @@ MAX_GRID_POINTS = 10000
 
 
 def _load_code(spec: str):
+    from . import codes as codes_mod
+
     if spec in codes_mod.catalog_names():
         return codes_mod.catalog(spec)
     path = Path(spec)
@@ -52,6 +51,8 @@ def _load_code(spec: str):
 
 
 def _load_sm(spec: str, data_dir: str | None):
+    from . import smcodes as sm_mod
+
     path = Path(spec)
     if path.exists() and path.is_file():
         return sm_mod.read_binary_code_file(path)
@@ -59,6 +60,8 @@ def _load_sm(spec: str, data_dir: str | None):
 
 
 def _code_summary(name: str, code) -> dict:
+    from . import codes as codes_mod
+
     if isinstance(code, codes_mod.SubsystemCode):
         return {
             "name": name,
@@ -86,6 +89,8 @@ def _print_json(payload) -> None:
 
 
 def cmd_catalog(args) -> int:
+    from . import codes as codes_mod, smcodes as sm_mod
+
     if args.action == "list":
         quantum = [_code_summary(n, codes_mod.catalog(n)) for n in codes_mod.catalog_names()]
         sm = []
@@ -134,6 +139,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import codes as codes_mod, qds as qds_mod, smcodes as sm_mod
+
     code = _load_code(args.code)
     if args.subsystem and not isinstance(code, codes_mod.SubsystemCode):
         raise QDSError(f"{args.code!r} is not a subsystem code")
@@ -169,6 +176,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import qds as qds_mod, smcodes as sm_mod
+
     code = _load_code(args.code)
     qds = qds_mod.augment_parity(code)
     params = qds_mod.qds_params(qds)
@@ -195,6 +204,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search_impure(args) -> int:
+    from . import codes as codes_mod, qds as qds_mod
+
     code = _load_code(args.code)
     if isinstance(code, codes_mod.SubsystemCode):
         raise QDSError("search-impure operates on stabilizer codes")
@@ -236,6 +247,8 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     given = [x for x in (args.check, args.table, args.families) if x is not None]
     if len(given) != 1:
         raise QDSError("choose exactly one of --check, --table, --families")
@@ -303,6 +316,8 @@ def _parse_pm_grid(spec: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    from . import noise as noise_mod
+
     if args.trials < 1:
         raise QDSError("--trials must be positive")
     if args.seed < 0:
@@ -325,7 +340,29 @@ def cmd_simulate(args) -> int:
 _JSON = (("--json",), {"action": "store_true"})
 _DATA_DIR = (("--data-dir",), {"default": None})
 
-# name -> (help in the command list, handler, add_argument declarations)
+
+def _simulate_arguments():
+    """simulate's declarations, which name noise's schemes and decoders; they
+    are built only with simulate's parser, so no other command imports noise."""
+    from . import noise as noise_mod
+
+    return (
+        (("--scheme",), {"required": True,
+                         "help": ", ".join(noise_mod.FIG1_SCHEMES + noise_mod.FIG2_SCHEMES)}),
+        (("--pm-log2",), {"required": True,
+                          "help": "a..b:step or a single value; write --pm-log2=-2..-8:0.5 "
+                                  "so the leading minus is not read as a flag"}),
+        (("--method",), {"choices": ("exact", "mc", "auto"), "default": "auto"}),
+        (("--trials",), {"type": int, "default": 10**6}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--decoder",), {"choices": noise_mod.DECODERS, "default": noise_mod.COSET_LEADER}),
+        (("--out",), {"default": None}),
+        _DATA_DIR,
+    )
+
+
+# name -> (help in the command list, handler, add_argument declarations or a
+# function returning them)
 COMMANDS = {
     "catalog": ("list bundled codes or show one", cmd_catalog, (
         (("action",), {"choices": ("list", "show")}),
@@ -362,25 +399,15 @@ COMMANDS = {
                            "help": "enumerate pure-only parameter families"}),
         _JSON,
     )),
-    "simulate": ("sweep p_se over a p_m grid", cmd_simulate, (
-        (("--scheme",), {"required": True,
-                         "help": ", ".join(noise_mod.FIG1_SCHEMES + noise_mod.FIG2_SCHEMES)}),
-        (("--pm-log2",), {"required": True,
-                          "help": "a..b:step or a single value; write --pm-log2=-2..-8:0.5 "
-                                  "so the leading minus is not read as a flag"}),
-        (("--method",), {"choices": ("exact", "mc", "auto"), "default": "auto"}),
-        (("--trials",), {"type": int, "default": 10**6}),
-        (("--seed",), {"type": int, "default": 0}),
-        (("--decoder",), {"choices": noise_mod.DECODERS, "default": noise_mod.COSET_LEADER}),
-        (("--out",), {"default": None}),
-        _DATA_DIR,
-    )),
+    "simulate": ("sweep p_se over a p_m grid", cmd_simulate, _simulate_arguments),
 }
 
 
 def _declare(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Add command `name`'s arguments and its `command`/`func` defaults to `parser`."""
     _, func, arguments = COMMANDS[name]
+    if callable(arguments):
+        arguments = arguments()
     for flags, kwargs in arguments:
         parser.add_argument(*flags, **kwargs)
     parser.set_defaults(command=name, func=func)

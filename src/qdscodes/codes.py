@@ -209,14 +209,20 @@ def _word_table(rows: Sequence[F4Vector], excluded: AdditiveCode) -> tuple[np.nd
     # bit i of a word is the parity of the error's bit expansion with lines[i];
     # a row's syndrome bit pairs the error's X part with the row's Z part
     lines = checks + [r.z | (r.x << n) for r in rows]
-    unit = [sum(((line >> b) & 1) << i for i, line in enumerate(lines)) for b in range(2 * n)]
-    member = (1 << len(checks)) - 1
-    words = [word for x, z in zip(unit[:n], unit[n:]) for word in (x, z, x ^ z)]
-    words += [member, ((1 << len(lines)) - 1) ^ member]
     width = max(1, -(-len(lines) // 64))
-    packed = b"".join(word.to_bytes(8 * width, "little") for word in words)
-    limbs = np.frombuffer(packed, dtype="<u8").reshape(-1, width)
-    return limbs[:-2].reshape(n, 3, width), limbs[-2, :, None], limbs[-1, :, None]
+    # bits[i, b] is bit b of lines[i]; row b of its transpose, padded to
+    # 64 * width bits, is the word of bit b of the expansion, and two more
+    # rows are the membership and syndrome masks
+    size = -(-2 * n // 8)
+    raw = np.frombuffer(b"".join(line.to_bytes(size, "little") for line in lines), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(lines), size), axis=1, bitorder="little")
+    padded = np.zeros((2 * n + 2, 64 * width), np.uint8)
+    padded[: 2 * n, : len(lines)] = bits[:, : 2 * n].T
+    padded[2 * n, : len(checks)] = 1
+    padded[2 * n + 1, len(checks) : len(lines)] = 1
+    unit = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    x, z = unit[:n], unit[n : 2 * n]
+    return np.stack((x, z, x ^ z), axis=1), unit[-2, :, None], unit[-1, :, None]
 
 
 def _weight_blocks(table: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:

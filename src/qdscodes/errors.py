@@ -32,6 +32,9 @@ class StructureError(QDSError, ValueError):
 class CatalogError(QDSError, KeyError):
     """Unknown catalog entry."""
 
+    # KeyError's __str__ quotes its argument, which suits a key, not a message
+    __str__ = Exception.__str__
+
 
 class CapacityError(QDSError, ValueError):
     """An enumeration exceeds the configured size limits."""

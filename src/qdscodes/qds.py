@@ -15,7 +15,7 @@ small instances.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .codes import (
@@ -234,16 +234,45 @@ def _even_weight_strings(m: int) -> Iterable[int]:
         yield from sorted(masks, key=lambda a: bit_reversed(a, m))
 
 
+def _completions(
+    base: StabilizerCode, pivots: Sequence[F4Vector]
+) -> Iterator[tuple[F4Vector, list[F4Vector]]]:
+    """(g1, rows) such that g1 and the rows form a basis of the stabilizer.
+
+    First each pivot with the input rows that complete it.  Should all of
+    those fail, each pivot again with every other completion, up to adding
+    g1 to rows (the even strings do that).  At most 4 single-symbol errors
+    anticommute with g1 and each rules out m of the 2^(m-1) even strings,
+    so only m <= 5 gets that far, where a pivot has 839 other completions.
+    """
+    completions = []
+    for g1 in pivots:
+        tracker = Basis([g1.bit_expansion()])
+        completions.append([row for row in base.rows if tracker.add(row.bit_expansion())])
+        yield g1, completions[-1]
+    for g1, rows in zip(pivots, completions):
+        # sums[mask] is the sum of the rows that mask names
+        sums = [F4Vector.zero(base.n)]
+        for row in rows:
+            sums += [total + row for total in sums]
+        given = tuple(1 << i for i in range(len(rows)))
+        for masks in itertools.combinations(range(1, len(sums)), len(rows)):
+            tracker = Basis()
+            if masks != given and all(tracker.add(mask) for mask in masks):
+                yield g1, [sums[mask] for mask in masks]
+
+
 def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     """Find generators making an impure [[n,k,3]] code an [[n,k,3:0]] QDS code.
 
     For each weight-<=2 stabilizer element g1 (minimal weight first), a row
-    basis starting with g1 is formed, g1's row is replaced by the product
-    of all rows, and g1 is added to the row subsets named by even-weight
-    strings until every single-symbol error keeps an extended syndrome of
-    weight >= 2 (>= 3 on the odd-parity side) unless it lies in the
-    stabilizer itself.  The accepted row set is re-verified as a distance-3
-    zero-redundancy QDS code before it is returned.
+    basis starting with g1 is formed (`_completions`: the input rows first,
+    any completion after), g1's row is replaced by the product of all rows,
+    and g1 is added to the row subsets named by even-weight strings until
+    every single-symbol error keeps an extended syndrome of weight >= 2
+    (>= 3 on the odd-parity side) unless it lies in the stabilizer itself.
+    The accepted row set is re-verified as a distance-3 zero-redundancy
+    QDS code before it is returned; `pivots_tried` counts the bases formed.
     """
     d = min_distance(base)
     if d != 3:
@@ -255,13 +284,8 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     stab_basis = base.code.basis()
     pivots = _low_weight_span_elements(base.code)
     strings_examined = 0
-    for pivot_index, g1 in enumerate(pivots, start=1):
-        # complete g1 to a basis of the span using the original rows
-        basis_rows = [g1]
-        tracker = Basis([g1.bit_expansion()])
-        for row in base.rows:
-            if tracker.add(row.bit_expansion()):
-                basis_rows.append(row)
+    for bases_tried, (g1, completion) in enumerate(_completions(base, pivots), start=1):
+        basis_rows = [g1] + completion
         if len(basis_rows) != m:
             continue  # cannot happen for independent inputs; defensive
         total = basis_rows[0]
@@ -292,7 +316,7 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
                 tuple(candidate),
                 pivot=g1,
                 modifier=BitVector(m, a),
-                pivots_tried=pivot_index,
+                pivots_tried=bases_tried,
                 strings_examined=strings_examined,
             )
     raise ConstructionFailureError(

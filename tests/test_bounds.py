@@ -128,9 +128,11 @@ def test_region_table_envelopes():
 
 def test_region_table_reads_zero_where_no_k_fits():
     rows = region_table((1, 5))
-    assert [(r.n, r.singleton_k, r.hamming_k, r.impure_k) for r in rows] == [
-        (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (4, 0, 0, 0), (5, 1, 1, 0)
+    assert [(r.n, r.singleton_k, r.hamming_k, r.impure_k, r.conjecture_k) for r in rows] == [
+        (1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (3, 0, 0, 0, 0), (4, 0, 0, 0, 0), (5, 1, 1, 0, 0)
     ]
+    # the bare conjectured formula admits k = 1 at n = 2; the column also needs the impure bound
+    assert conjectured_bound(2, 1) and not impure_bound(2, 1)
 
 
 @pytest.mark.parametrize("n_range", [(26, 19), (0, 0), (0, 5), (-3, 2), (2, 1)])

@@ -52,6 +52,19 @@ def test_catalog_show_unknown_exits_2(capsys):
     assert "mystery-code" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["catalog", "show", "nosuch"], "error: unknown SM code 'nosuch'; known: cw-12-2-8, "),
+     (["check", "--code", "shor", "--sm", "identity-0"],
+      "error: size in 'identity-0' must be positive\n")],
+)
+def test_catalog_errors_print_their_message_unquoted(capsys, argv, message):
+    # CatalogError is a KeyError, whose str() would wrap the message in quotes
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(message)
+
+
 # ----------------------------------------------------------------------
 # check
 # ----------------------------------------------------------------------
@@ -510,6 +523,14 @@ def test_a_command_declares_only_its_own_arguments(capsys, monkeypatch):
     assert sorted(declared) == sorted(("-h", "--help") + OPTIONS["check"])
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, needle",
     [(["--help"], 0, "usage: qdscodes"),
@@ -517,10 +538,77 @@ def test_a_command_declares_only_its_own_arguments(capsys, monkeypatch):
      (["frobnicate"], 2, "invalid choice: 'frobnicate'")],
 )
 def test_shell_entry_point(argv, exit_code, needle):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-m", "qdscodes.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "qdscodes.cli", *argv], env=src_env(),
                           capture_output=True, text=True, timeout=60, check=False)
     assert done.returncode == exit_code, done.stderr
     assert needle in done.stdout + done.stderr
+
+
+# ----------------------------------------------------------------------
+# start-up: a command imports only the modules it runs
+# ----------------------------------------------------------------------
+
+def fresh_interpreter(source: str, *argv: str) -> tuple[int, str, set[str]]:
+    """Exit code, stdout and loaded module names of a new interpreter that
+    runs `source` (which sets `status`) with this checkout's src."""
+    source += "\nprint(*sys.modules, file=sys.stderr)\nsys.exit(status)"
+    done = subprocess.run([sys.executable, "-c", source, *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60, check=False)
+    return done.returncode, done.stdout, set(done.stderr.splitlines()[-1].split())
+
+
+RUN_CLI = "import sys\nfrom qdscodes.cli import main\nstatus = main(sys.argv[1:])"
+
+
+def package_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name == "numpy" or name.startswith("qdscodes.")}
+
+
+def test_importing_the_cli_loads_no_command_module():
+    code, _, loaded = fresh_interpreter("import sys\nimport qdscodes.cli\nstatus = 0")
+    assert code == 0
+    assert package_modules(loaded) == {"qdscodes.cli", "qdscodes.errors"}
+
+
+def test_readme_bounds_lines_run_without_numpy(capsys):
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("qdscodes bounds ")]
+    assert len(lines) == 3
+    for line in lines:
+        argv = shlex.split(line.partition("# -> ")[0])[1:]
+        expected = run(capsys, *argv)
+        code, out, loaded = fresh_interpreter(RUN_CLI, *argv)
+        assert (code, out) == expected[:2] and expected[0] == 0, line
+        assert package_modules(loaded) == {"qdscodes.cli", "qdscodes.errors", "qdscodes.bounds"}
+
+
+def test_check_loads_neither_noise_nor_bounds():
+    code, out, loaded = fresh_interpreter(RUN_CLI, "check", "--code", "example-6-1-3-prime")
+    assert code == 0 and "[[6,1,3:0]] QDS: yes" in out
+    assert "numpy" in loaded
+    assert not {"qdscodes.noise", "qdscodes.bounds"} & loaded
+
+
+def test_package_names_load_on_first_use():
+    source = (
+        "import sys, importlib\n"
+        "import qdscodes\n"
+        "lazy = not {'numpy', 'qdscodes.codes'} & set(sys.modules)\n"
+        "from qdscodes import *\n"
+        "wrong = [name for name in qdscodes.__all__ if globals()[name] is not getattr(\n"
+        "    importlib.import_module('qdscodes.' + qdscodes._SUBMODULE[name]), name)]\n"
+        "listed = set(qdscodes.__all__) <= set(dir(qdscodes))\n"
+        "print(lazy, wrong, listed, len(qdscodes.__all__))\n"
+        "status = 0"
+    )
+    code, out, _ = fresh_interpreter(source)
+    assert (code, out) == (0, "True [] True 59\n")
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    import qdscodes
+
+    with pytest.raises(AttributeError, match="'qdscodes' has no attribute 'no_such_name'"):
+        qdscodes.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from qdscodes import no_such_name", {})

@@ -21,6 +21,7 @@ from qdscodes.codes import (
     min_distance,
     parse_code_text,
     read_code_file,
+    _word_table,
     write_code_file,
 )
 from qdscodes.errors import (
@@ -32,7 +33,7 @@ from qdscodes.errors import (
     RankError,
     StructureError,
 )
-from qdscodes.f2 import Basis
+from qdscodes.f2 import Basis, null_space
 from qdscodes.gf4 import F4Vector, pauli_string_parse, syndrome, trace_inner_product
 from qdscodes.qds import build_qds, extended_syndrome, qds_min_distance
 from qdscodes.smcodes import BinaryLinearCode, parse_binary_code_text
@@ -323,6 +324,58 @@ def test_qds_min_distance_matches_direct_enumeration_on_random_codes(code, data)
             qds_min_distance(qds)
     else:
         assert qds_min_distance(qds) == expected
+
+
+def word_table_by_bits(rows, excluded):
+    """The reference for `_word_table`: each word assembled bit by bit from
+    the lines, as Python integers, then packed into uint64 limbs."""
+    n = excluded.n
+    checks = null_space([r.bit_expansion() for r in excluded.rows], 2 * n)
+    lines = checks + [r.z | (r.x << n) for r in rows]
+    unit = [sum(((line >> b) & 1) << i for i, line in enumerate(lines)) for b in range(2 * n)]
+    member = (1 << len(checks)) - 1
+    words = [word for x, z in zip(unit[:n], unit[n:]) for word in (x, z, x ^ z)]
+    words += [member, ((1 << len(lines)) - 1) ^ member]
+    width = max(1, -(-len(lines) // 64))
+    packed = b"".join(word.to_bytes(8 * width, "little") for word in words)
+    limbs = np.frombuffer(packed, dtype="<u8").reshape(-1, width)
+    return limbs[:-2].reshape(n, 3, width), limbs[-2, :, None], limbs[-1, :, None]
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert (g.dtype, g.shape) == (e.dtype, e.shape)
+        assert np.array_equal(g, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), dim=st.integers(0, 80), size=st.integers(0, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_word_table_matches_bitwise_assembly(n, dim, size, seed):
+    # up to 2n - dim + size = 104 lines, so words take one or two limbs
+    rng = np.random.default_rng(seed)
+    excluded, basis = [], Basis()
+    for x, z in rng.integers(0, 1 << n, size=(dim, 2)).tolist():
+        v = F4Vector(n, x, z)
+        if basis.add(v.bit_expansion()):
+            excluded.append(v)
+    rows = [F4Vector(n, x, z) for x, z in rng.integers(0, 1 << n, size=(size, 2)).tolist()]
+    code = AdditiveCode(n, tuple(excluded))
+    assert_same_arrays(_word_table(rows, code), word_table_by_bits(rows, code))
+
+
+def test_word_table_matches_bitwise_assembly_on_the_catalog_and_a_wide_chain():
+    for name in catalog_names():
+        code = catalog(name)
+        excluded = code.gauge if isinstance(code, SubsystemCode) else code.code
+        assert_same_arrays(_word_table(code.rows, excluded),
+                           word_table_by_bits(code.rows, excluded))
+    # is_impure's membership-only words on 50 qubits: 70 bits in two limbs
+    z_chain = make_stabilizer(F4Vector(50, 0, 3 << j) for j in range(19, 49))
+    table = _word_table((), z_chain.code)
+    assert table[0].shape == (50, 3, 2)
+    assert_same_arrays(table, word_table_by_bits((), z_chain.code))
 
 
 def test_min_distance_refuses_a_code_without_logical_qubits():

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qdscodes import codes
+from qdscodes.bounds import impure_bound, qds_hamming_d3
 from qdscodes.codes import (
     SubsystemCode,
     catalog,
@@ -15,6 +18,7 @@ from qdscodes.codes import (
     min_distance,
 )
 from qdscodes.errors import CapacityError, DimensionError, PreconditionError
+from qdscodes.f2 import Basis
 from qdscodes.gf4 import (
     BitVector,
     F4Vector,
@@ -337,6 +341,58 @@ def test_search_output_preserves_span_and_rank():
     for row in result.rows:
         assert base.code.member(row)
     assert make_stabilizer(result.rows).m == base.m
+
+
+def test_search_tries_other_completions_when_the_input_rows_fail():
+    # an impure [[6,1,3]] code whose one pivot, IZIIIZ, completed by the input
+    # rows, fails under all 16 even strings; another completion succeeds
+    rows = [pauli_string_parse(s) for s in ("IZIIIZ", "ZXXXIY", "YYIZXX", "XZYZII", "XYIXZY")]
+    base = make_stabilizer(rows)
+    result = impure_zero_redundancy(base)
+    assert str(result.pivot) == "IZIIIZ"
+    assert result.pivots_tried > 1 and result.strings_examined > 16
+    assert str(qds_params(identity_qds(make_stabilizer(result.rows)))) == "[[6,1,3:0]]"
+    assert all(base.code.member(row) for row in result.rows)
+
+
+# (n, k) where random codes with a ZZ row reach d = 3 within a few hundred draws
+IMPURE_PARAMS = [(6, 1), (7, 1), (8, 1), (9, 1), (9, 2), (10, 1), (10, 2),
+                 (11, 1), (11, 2), (11, 3), (12, 1), (12, 2), (12, 3)]
+
+
+def random_impure_code(n, k, seed, draws=3000):
+    """A random [[n,k,3]] code with a ZZ generator (so impure), or None: seeded
+    random commuting, independent rows are added to ZZ until there are n - k,
+    and the first draw whose distance is 3 is kept."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        i, j = rng.choice(n, 2, replace=False).tolist()
+        rows = [F4Vector(n, 0, (1 << i) | (1 << j))]
+        basis = Basis([rows[0].bit_expansion()])
+        while len(rows) < n - k:
+            v = F4Vector(n, *rng.integers(0, 1 << n, size=2).tolist())
+            if all(trace_inner_product(v, r) == 0 for r in rows) and basis.add(v.bit_expansion()):
+                rows.append(v)
+        code = make_stabilizer(rows)
+        if min_distance(code) == 3:
+            return code
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=st.sampled_from(IMPURE_PARAMS), seed=st.integers(0, 2**32 - 1))
+@example(params=(6, 1), seed=5)  # the input rows fail there; see the test above
+def test_impure_construction_on_random_codes(params, seed):
+    n, k = params
+    base = random_impure_code(n, k, seed)
+    assume(base is not None)
+    assert codes.is_impure(base, 3)
+    result = impure_zero_redundancy(base)
+    found = make_stabilizer(result.rows)
+    assert str(qds_params(identity_qds(found))) == f"[[{n},{k},3:0]]"
+    assert all(base.code.member(row) for row in result.rows)
+    assert found.m == base.m
+    assert impure_bound(n, k) and qds_hamming_d3(n, k)
 
 
 # ----------------------------------------------------------------------

@@ -135,8 +135,10 @@ def test_generated_sizes_stop_at_the_cap(kind, extra):
 
 
 def test_catalog_unknown_and_import_only():
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError) as info:
         sm_catalog("cw-13-3-7")
+    assert isinstance(info.value, KeyError)
+    assert str(info.value).startswith("unknown SM code 'cw-13-3-7'; known: ")
     with pytest.raises(AvailabilityError, match="grassl-18-6-8"):
         sm_catalog("grassl-18-6-8", directory=None)
 
