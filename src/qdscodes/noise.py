@@ -16,9 +16,12 @@ decoder returns the wrong word or declares a tie.
 Exact evaluation never forms 1 - success.  An SM part's failing error
 patterns are counted once, in one pass that keeps each coset's lowest two
 costs and lowest-cost word, and kept as a histogram over per-class flip
-counts; a repetition bit fails with a sum of binomial terms.  The unit
-failure probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so
-a tiny p_se keeps its precision.
+counts; a repetition bit fails with a sum of binomial terms.  A grid of
+p_m values is priced in one table per part: one row of per-class pattern
+probabilities per point, built TILE_WORDS entries at a time, each row
+summed against the histogram by one fsum.  The unit failure probabilities
+f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny p_se keeps its
+precision.
 
 Monte Carlo draws flip counts, not one float per flip.  Each bit of a
 repetition part takes one uniform u and fails iff u >= F(t - 1), the
@@ -65,7 +68,8 @@ from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
 
 HARD_EXACT_BITS = 25  # longest SM part whose 2^n patterns any p_se path enumerates
 MAX_SM_LENGTH = 64  # received words are packed into uint64
-DEFAULT_CHUNK_SIZE = 1 << 16
+DEFAULT_CHUNK_SIZE = 1 << 16  # Monte Carlo trials per chunk, each chunk its own RNG stream
+TILE_WORDS = 1 << 14  # entries per working array of the coset walks and the exact table
 SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
 
 COSET_LEADER = "coset-leader"
@@ -155,9 +159,12 @@ class _Costs:
         return [counts[::-1] for counts in itertools.product(*ranges)]
 
     def outer(self, per_class: Sequence[np.ndarray]) -> np.ndarray:
-        """prod_k per_class[k][c_k] for every count vector, in key order."""
+        """prod_k per_class[k][..., c_k] for every count vector, in key order
+        along the last axis; leading axes broadcast."""
         return functools.reduce(
-            lambda acc, v: np.multiply.outer(v, acc).ravel(), per_class[1:], per_class[0]
+            lambda acc, v: (v[..., :, None] * acc[..., None, :]).reshape(*v.shape[:-1], -1),
+            per_class[1:],
+            per_class[0],
         )
 
 
@@ -294,45 +301,47 @@ def _majority_bit_failure(q: float, fold: int) -> float:
 
 
 def _coset_bases(code: BinaryLinearCode) -> Iterator[np.ndarray]:
-    """The words (0, s) for every syndrome s, DEFAULT_CHUNK_SIZE at a time.
+    """The words (0, s) for every syndrome s, TILE_WORDS at a time.
 
     In systematic order (0, s) has syndrome s, so the cosets (0, s) ^ C
     partition F2^n and come out in syndrome order.
     """
     cosets = 1 << code.redundancy
-    for start in range(0, cosets, DEFAULT_CHUNK_SIZE):
-        syndromes = np.arange(start, min(start + DEFAULT_CHUNK_SIZE, cosets), dtype=np.uint64)
+    for start in range(0, cosets, TILE_WORDS):
+        syndromes = np.arange(start, min(start + TILE_WORDS, cosets), dtype=np.uint64)
         yield syndromes << np.uint64(code.dim)
 
 
 def _lowest_two(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]):
-    """Merge two (lowest, second-lowest, word of lowest) triples, counted
+    """Merge two (lowest, second-lowest[, word of lowest]) tuples, counted
     with multiplicity; on a tie either word is kept, as neither is unique."""
-    (low_a, second_a, word_a), (low_b, second_b, word_b) = a, b
-    return (
+    (low_a, second_a, *word_a), (low_b, second_b, *word_b) = a, b
+    merged = (
         np.minimum(low_a, low_b),
         np.minimum(np.minimum(second_a, second_b), np.maximum(low_a, low_b)),
-        np.where(low_b < low_a, word_b, word_a),
     )
+    if word_a:
+        merged += (np.where(low_b < low_a, word_b[0], word_a[0]),)
+    return merged
 
 
-def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs):
+def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs, word: bool = True):
     """(lowest, runner_up, lowest_word) over each coset base ^ C, costs
-    counted with multiplicity.
+    counted with multiplicity; without word, (lowest, runner_up).
 
     A word is the unique minimum-cost member of its coset, the condition
     under which both decoders return it as the error pattern, iff it is
-    lowest_word and lowest < runner_up.  Blocks of at most
-    DEFAULT_CHUNK_SIZE words (or one row) have a power-of-two row count, so
-    each is reduced by merging its halves, in O(log rows) array operations.
+    lowest_word and lowest < runner_up.  Blocks of at most TILE_WORDS words
+    (or one row) have a power-of-two row count, so each is reduced by
+    merging its halves, in O(log rows) array operations.
     """
     ceiling = np.full(len(base), costs.ceiling, dtype=costs.table.dtype)
-    minima = (ceiling, ceiling, base)
-    rows = 1 << max(0, (DEFAULT_CHUNK_SIZE // len(base)).bit_length() - 1)
+    minima = (ceiling, ceiling, base) if word else (ceiling, ceiling)
+    rows = 1 << max(0, (TILE_WORDS // len(base)).bit_length() - 1)
     for start in range(0, len(codewords), rows):
         members = base ^ codewords[start:start + rows, None]
         cost = costs(members)
-        block = (cost, np.full_like(cost, costs.ceiling), members)
+        block = (cost, np.full_like(cost, costs.ceiling), members)[:len(minima)]
         while len(block[0]) > 1:
             half = len(block[0]) // 2
             block = _lowest_two(tuple(x[:half] for x in block), tuple(x[half:] for x in block))
@@ -341,9 +350,8 @@ def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs):
 
 
 def _runner_up_by_syndrome(part: SMPart, costs: _Costs) -> np.ndarray:
-    return np.concatenate(
-        [_coset_minima(base, part._codewords, costs)[1] for base in _coset_bases(part.code)]
-    )
+    return np.concatenate([_coset_minima(base, part._codewords, costs, word=False)[1]
+                           for base in _coset_bases(part.code)])
 
 
 def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
@@ -368,46 +376,97 @@ def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
     return totals - success
 
 
-def _pattern_probabilities(q: float, n: int) -> np.ndarray:
-    """q^c (1 - q)^(n - c): one given pattern of c flips among n bits."""
+def _pattern_probabilities(q: float | np.ndarray, n: int) -> np.ndarray:
+    """q^c (1 - q)^(n - c): one given pattern of c flips among n bits, along
+    the last axis; q is a float or a column of them."""
     flips = np.arange(n + 1)
     return q**flips * (1.0 - q) ** (n - flips)
 
 
-def _sm_failure_exact(part: SMPart, p_m: float) -> float:
-    """Failure probability: the sum over count vectors c of
-    failing[c] * prod_k q_k^c_k (1 - q_k)^(N_k - c_k)."""
-    q = _flip_probabilities(part, p_m)
-    costs = part._costs(q)
-    failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
-    probs = costs.outer([_pattern_probabilities(q[j], n) for j, n in zip(costs.first, costs.sizes)])
-    return min(1.0, math.fsum((failing * probs)[failing > 0].tolist()))
+def _failure_sums(
+    failing: np.ndarray, costs: _Costs, class_q: Sequence[Sequence[float]]
+) -> list[float]:
+    """For each row of per-class flip probabilities, the sum over count
+    vectors c of failing[c] * prod_k q_k^c_k (1 - q_k)^(N_k - c_k).
+
+    The (points x count vectors) table is built TILE_WORDS entries at a
+    time, and each row is summed by one fsum over the nonzero counts.  A
+    row holds the products one point alone would form, in the same order,
+    so its sum does not depend on the other points.
+    """
+    nonzero = failing > 0
+    counts = failing[nonzero]
+    q = np.array(class_q, dtype=float)
+    rows = max(1, TILE_WORDS // len(failing))
+    sums = []
+    for start in range(0, len(q), rows):
+        tile = q[start:start + rows]
+        probs = costs.outer([_pattern_probabilities(tile[:, k, None], n)
+                             for k, n in enumerate(costs.sizes)])
+        sums += [min(1.0, math.fsum(row)) for row in (probs[:, nonzero] * counts).tolist()]
+    return sums
 
 
-def _failure_probabilities(part: Part, p_m: float) -> list[float]:
-    """Failure probability of each independently decoded unit of the part:
-    the SM part itself, or each bit of a repetition part."""
-    if isinstance(part, RepetitionPart):
+def _sm_failures_exact(part: SMPart, p_ms: Sequence[float]) -> list[float]:
+    """Failure probability at each p_m.
+
+    Points at which the decoder's costs are the unit costs share the
+    part's cached histogram and are priced in one table; any other point
+    (weighted ML with several likelihood classes) recounts its own.
+    """
+    failures = [0.0] * len(p_ms)
+    unit: dict[int, list[float]] = {}
+    for i, p_m in enumerate(p_ms):
+        q = _flip_probabilities(part, p_m)
+        costs = part._costs(q)
+        class_q = [q[j] for j in costs.first]
+        if costs is part._unit_costs:
+            unit[i] = class_q
+        else:
+            (failures[i],) = _failure_sums(_failing_patterns(part, costs), costs, [class_q])
+    if unit:
+        sums = _failure_sums(part._unit_failures, part._unit_costs, list(unit.values()))
+        for i, f in zip(unit, sums):
+            failures[i] = f
+    return failures
+
+
+def _failure_probabilities(part: Part, p_ms: Sequence[float]) -> list[list[float]]:
+    """At each p_m, the failure probability of each independently decoded
+    unit of the part: the SM part itself, or each bit of a repetition part."""
+    if isinstance(part, SMPart):
+        return [[f] for f in _sm_failures_exact(part, p_ms)]
+    per_point = []
+    for p_m in p_ms:
         per_weight = {w: _majority_bit_failure(p_err(w, p_m), part.fold) for w in set(part.weights)}
-        return [per_weight[w] for w in part.weights]
-    return [_sm_failure_exact(part, p_m)]
+        per_point.append([per_weight[w] for w in part.weights])
+    return per_point
 
 
-def pse_exact(scheme: MeasurementScheme, p_m: float) -> SimResult:
+def pse_exact(
+    scheme: MeasurementScheme, p_m: float | Sequence[float]
+) -> SimResult | list[SimResult]:
     """Exact p_se = 1 - prod(1 - f) over the independently decoded units.
 
     Taken as -expm1(sum log1p(-f)), so a small p_se keeps full relative
-    precision instead of cancelling in 1 - prod(success).  A part object
-    listed twice (equal X and Z parts) is evaluated once, counted twice.
+    precision instead of cancelling in 1 - prod(success).  A float p_m
+    gives one result; a sequence gives one per point, in order, and each
+    part is evaluated once over the whole grid.  A part object listed
+    twice (equal X and Z parts) is evaluated once, counted twice.
     """
+    scalar = np.ndim(p_m) == 0
+    p_ms = [p_m] if scalar else list(p_m)
     distinct = {id(part): part for part in scheme.parts}
-    per_part = {key: _failure_probabilities(part, p_m) for key, part in distinct.items()}
-    failures = [f for part in scheme.parts for f in per_part[id(part)]]
-    if any(f >= 1.0 for f in failures):
-        p_se = 1.0
-    else:
-        p_se = max(0.0, -math.expm1(math.fsum(math.log1p(-f) for f in failures)))
-    return SimResult(p_se=p_se, stderr=0.0, trials=0, method="exact")
+    per_part = {key: _failure_probabilities(part, p_ms) for key, part in distinct.items()}
+    results = []
+    for i in range(len(p_ms)):
+        failures = [f for part in scheme.parts for f in per_part[id(part)][i]]
+        if any(f >= 1.0 for f in failures):
+            p_se = 1.0
+        else:
+            p_se = max(0.0, -math.expm1(math.fsum(math.log1p(-f) for f in failures)))
+        results.append(SimResult(p_se=p_se, stderr=0.0, trials=0, method="exact"))
+    return results[0] if scalar else results
 
 
 # ----------------------------------------------------------------------
@@ -518,13 +577,13 @@ def _decision_table(part: SMPart) -> np.ndarray:
     blocks = [(_syndromes(part, table), np.bitwise_count(table))
               for _, table in part._sampler_blocks]
     low_synd, low_weight = blocks.pop(0)
-    while blocks and len(low_synd) * len(blocks[0][0]) <= DEFAULT_CHUNK_SIZE:
+    while blocks and len(low_synd) * len(blocks[0][0]) <= TILE_WORDS:
         synd, weight = blocks.pop(0)
         low_synd = (synd[:, None] ^ low_synd).ravel()
         low_weight = (weight[:, None] + low_weight).ravel()
     high = math.prod(len(synd) for synd, _ in blocks)
     failed = np.empty((high, len(low_synd)), dtype=bool)
-    rows = max(1, DEFAULT_CHUNK_SIZE // len(low_synd))
+    rows = max(1, TILE_WORDS // len(low_synd))
     for start in range(0, high, rows):
         index = np.arange(start, min(start + rows, high))
         synd = np.zeros(len(index), dtype=np.intp)
@@ -556,7 +615,7 @@ def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.n
             return table[_syndromes(part, words)]
     else:
         def runner_up(words):
-            return _coset_minima(words, part._codewords, costs)[1]
+            return _coset_minima(words, part._codewords, costs, word=False)[1]
 
     def failed(words: np.ndarray) -> np.ndarray:
         return ~(costs(words) < runner_up(words))
@@ -659,9 +718,10 @@ def sweep(
     """Evaluate p_se over a grid of log2(p_m) values, in grid order.
 
     method "auto" uses exact evaluation when every SM part enumerates at
-    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.  A grid
-    point whose p_m lies outside [0, 1] raises PreconditionError before
-    any point is evaluated.
+    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.  Exact
+    evaluation takes the whole grid in one pse_exact call; Monte Carlo
+    runs one pse_monte_carlo call per point.  A grid point whose p_m lies
+    outside [0, 1] raises PreconditionError before any point is evaluated.
     """
     if not len(pm_log2_grid):
         raise PreconditionError("empty p_m grid")
@@ -674,12 +734,12 @@ def sweep(
     for p_m in p_ms:
         if not 0.0 <= p_m <= 1.0:
             raise PreconditionError(f"p_m={p_m} outside [0, 1]")
+    if method == "exact":
+        results = pse_exact(scheme, p_ms)
+    else:
+        results = [pse_monte_carlo(scheme, p_m, trials, seed) for p_m in p_ms]
     rows = []
-    for lp, p_m in zip(pm_log2_grid, p_ms):
-        if method == "exact":
-            result = pse_exact(scheme, p_m)
-        else:
-            result = pse_monte_carlo(scheme, p_m, trials, seed)
+    for lp, result in zip(pm_log2_grid, results):
         log2_pse = math.log2(result.p_se) if result.p_se > 0 else -math.inf
         rows.append(
             SweepRow(

@@ -448,27 +448,126 @@ def test_sm_scheme_keeps_unequal_parts_apart():
     assert x is not z and x != z
 
 
-def test_pse_exact_evaluates_each_distinct_part_once_per_point(monkeypatch):
-    calls = []
-    original = noise._failure_probabilities
+def test_pse_exact_evaluates_each_distinct_part_once_per_sweep(monkeypatch):
+    calls, tables = [], []
+    original, original_sums = noise._failure_probabilities, noise._failure_sums
 
-    def counting(part, p_m):
-        calls.append((id(part), p_m))
-        return original(part, p_m)
+    def counting(part, p_ms):
+        calls.append((id(part), tuple(p_ms)))
+        return original(part, p_ms)
+
+    def counting_sums(failing, costs, class_q):
+        tables.append(len(class_q))
+        return original_sums(failing, costs, class_q)
 
     monkeypatch.setattr(noise, "_failure_probabilities", counting)
+    monkeypatch.setattr(noise, "_failure_sums", counting_sums)
     shared = build_scheme("fig2-bs-216")
     unequal = sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"),
                         _random_part(20, 6, 20, "coset-leader").code)
     for scheme in (shared, unequal):
         calls.clear()
+        tables.clear()
         sweep(scheme, [-3.0, -4.0], method="exact")
         distinct = list(dict.fromkeys(id(part) for part in scheme.parts))
-        assert calls == [(key, p_m) for p_m in (2.0**-3, 2.0**-4) for key in distinct]
+        assert calls == [(key, (2.0**-3, 2.0**-4)) for key in distinct]
+        # one probability table per part prices both unit-cost points
+        assert tables == [2] * len(distinct)
     # the shared part counts once per unit: as two equal part objects would
     x = shared.parts[0]
     apart = MeasurementScheme("apart", (x, SMPart(x.code, x.weights, x.decoder)))
     assert pse_exact(apart, 2.0**-4) == pse_exact(shared, 2.0**-4)
+
+
+def test_sweep_calls_pse_exact_once_with_the_whole_grid(monkeypatch):
+    # bench/tracing.py times exact evaluation by wrapping noise.pse_exact
+    calls = []
+    original = noise.pse_exact
+
+    def counting(scheme, p_m):
+        calls.append(list(p_m))
+        return original(scheme, p_m)
+
+    monkeypatch.setattr(noise, "pse_exact", counting)
+    grid = [-2.0, -3.0, -4.0]
+    rows = sweep(build_scheme("fig1-bs-sm"), grid, method="exact")
+    assert calls == [[2.0**lp for lp in grid]]
+    assert len(rows) == 3
+
+
+def _per_point_sm_failure(part: SMPart, p_m: float) -> float:
+    """Reference: one point alone, priced by one outer product of per-class
+    pattern probabilities and one fsum."""
+    q = _flip_probabilities(part, p_m)
+    costs = part._costs(q)
+    failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
+    per_class = []
+    for j, n in zip(costs.first, costs.sizes):
+        flips = np.arange(n + 1)
+        per_class.append(q[j]**flips * (1.0 - q[j]) ** (n - flips))
+    probs = per_class[0]
+    for v in per_class[1:]:
+        probs = np.multiply.outer(v, probs).ravel()
+    return min(1.0, math.fsum((failing * probs)[failing > 0].tolist()))
+
+
+def _per_point_pse(scheme: MeasurementScheme, p_m: float) -> float:
+    failures = []
+    for part in scheme.parts:
+        if isinstance(part, RepetitionPart):
+            failures += [noise._majority_bit_failure(p_err(w, p_m), part.fold)
+                         for w in part.weights]
+        else:
+            failures.append(_per_point_sm_failure(part, p_m))
+    if any(f >= 1.0 for f in failures):
+        return 1.0
+    return max(0.0, -math.expm1(math.fsum(math.log1p(-f) for f in failures)))
+
+
+# log2 p_m = -1e-17 rounds p_m to 1.0, as 0 does; -inf is p_m = 0
+EDGE_LOG2_PM = [-math.inf, 0.0, -1e-17, -60.0]
+CURVE_LOG2_PM = [round(-1.5 - 0.1 * i, 12) for i in range(66)] + EDGE_LOG2_PM
+
+
+def _assert_grid_matches_per_point(scheme: MeasurementScheme, grid: list[float]):
+    p_ms = [2.0**lp for lp in grid]
+    results = pse_exact(scheme, p_ms)
+    assert [r.p_se for r in results] == [_per_point_pse(scheme, p_m) for p_m in p_ms]
+    assert all(r.method == "exact" and r.trials == 0 for r in results)
+
+
+@pytest.mark.parametrize("name, decoder", [
+    ("fig1-bs-sm", "coset-leader"), ("fig1-bs-sm", "weighted-ml"),
+    ("fig1-shor-6fold", "coset-leader"), ("fig1-bs-6fold", "coset-leader"),
+    ("fig2-bs-204", "coset-leader"), ("fig2-bs-204", "weighted-ml"),
+    ("fig2-bs-216", "coset-leader"), ("fig2-bs-216", "weighted-ml"),
+])
+def test_grid_evaluation_equals_the_per_point_formula(name, decoder):
+    _assert_grid_matches_per_point(build_scheme(name, decoder=decoder), CURVE_LOG2_PM)
+
+
+@pytest.mark.parametrize("decoder, grid", [
+    # 420 count vectors: a tile holds 39 points, so 400 points take 11 tiles
+    ("coset-leader", [-1.0 - 0.05 * i for i in range(396)] + EDGE_LOG2_PM),
+    # three likelihood classes: weighted ML recounts at each point
+    ("weighted-ml", [-1.5, -3.0, -5.0] + EDGE_LOG2_PM),
+])
+def test_grid_evaluation_of_a_three_class_part(decoder, grid):
+    z = _shor_z_part(_random_part(20, 6, 20, "coset-leader").code)
+    part = SMPart(z.code, z.weights, decoder)
+    assert len(part._unit_costs.count_vectors()) == 420
+    unit = part._costs(_flip_probabilities(part, 2.0**-3)) is part._unit_costs
+    assert unit == (decoder == "coset-leader")
+    _assert_grid_matches_per_point(MeasurementScheme("three-class", (part,)), grid)
+
+
+def test_pse_exact_returns_one_result_per_grid_point():
+    scheme = build_scheme("fig1-bs-sm")
+    single = pse_exact(scheme, 2.0**-4)
+    assert single == pse_exact(scheme, np.float64(2.0**-4))
+    assert pse_exact(scheme, (2.0**-4,)) == [single]
+    assert pse_exact(scheme, [2.0**-3, 2.0**-4])[1] == single
+    assert pse_exact(scheme, []) == []
 
 
 def _dim2_exact_failure(rows: tuple[int, int], q: float) -> float:
