@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
+
+MAX_FAMILY_EXPONENT = 200  # largest a_max pure_only_families enumerates
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,8 @@ def pure_only_families(a_max: int) -> list[tuple[int, int]]:
     """
     if a_max < 2:
         raise PreconditionError(f"need a_max >= 2, got {a_max}")
+    if a_max > MAX_FAMILY_EXPONENT:
+        raise CapacityError(f"a_max={a_max} exceeds the family cap {MAX_FAMILY_EXPONENT}")
     out: set[tuple[int, int]] = set()
     for a in range(2, a_max + 1):
         f_a = (4**a - 1) // 3

@@ -13,29 +13,31 @@ scheme is split into independently decoded parts (one per generator
 type); the scheme fails when any part fails, and a part fails when its
 decoder returns the wrong word or declares a tie.
 
-Exact evaluation never forms 1 - success.  An SM part's failing error
-patterns are counted once, in one pass that keeps each coset's lowest two
-costs and lowest-cost word, and kept as a histogram over per-class flip
-counts; a repetition bit fails with a sum of binomial terms.  A grid of
-p_m values is priced in one table per part: one row of per-class pattern
-probabilities per point, built TILE_WORDS entries at a time, each row
-summed against the histogram by one fsum.  The unit failure probabilities
-f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny p_se keeps its
-precision.
+Exact evaluation never forms 1 - success.  Bits of one weight flip alike,
+so an SM part prices each p_m point per weight class (SMPart._pricing).
+The failing patterns of each cost rule are counted once, in one pass that
+keeps each coset's lowest two costs and lowest-cost word, as a histogram
+over per-class flip counts; a repetition bit fails with a sum of binomial
+terms.  The points of one rule are priced in one table: a row of
+per-class pattern probabilities per point, TILE_WORDS entries at a time,
+each row summed against the histogram by one fsum.  The unit failure
+probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny
+p_se keeps its precision.
 
 Monte Carlo draws flip counts, not one float per flip.  Each bit of a
 repetition part takes one uniform u and fails iff u >= F(t - 1), the
 Binomial(fold, q) lower-tail CDF at the majority threshold t.  An SM
-part's weight classes are split into near-equal blocks of at most
-SAMPLER_BLOCK_BITS bits; per block a first uniform gives the flip count c
-by inverse CDF of Binomial(N, q), and a second picks one of the C(N, c)
-words with c flips from a table of the block's words sorted by popcount.
-When the part's costs are the unit costs (coset-leader, or weighted ML
-with one likelihood class) and it has at most 2^HARD_EXACT_BITS patterns,
-its decisions do not depend on p_m: the drawn block indices, concatenated,
-address a per-pattern failure table built once per part, and no word is
-assembled or decoded.  Otherwise the block words are ORed into a uint64
-word and decoded by the coset's unique-minimum test.
+part's weight classes, each with q = p_err(w, p_m), are split into
+near-equal blocks of at most SAMPLER_BLOCK_BITS bits; per block a first
+uniform gives the flip count c by inverse CDF of Binomial(N, q), and a
+second picks one of the C(N, c) words with c flips from a table of the
+block's words sorted by popcount.  When the part's costs are the unit
+costs (coset-leader, or weighted ML with one likelihood class) and it has
+at most 2^HARD_EXACT_BITS patterns, its decisions do not depend on p_m:
+the drawn block indices, concatenated, address a per-pattern failure
+table built once per part, and no word is assembled or decoded.
+Otherwise the block words are ORed into a uint64 word and decoded by the
+coset's unique-minimum test.
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
@@ -245,20 +247,25 @@ class SMPart:
         significant."""
         return _decision_table(self)
 
-    def _costs(self, q: Sequence[float]) -> _Costs:
-        """The cost the decoder minimizes at flip probabilities q.
+    def _pricing(self, p_m: float) -> tuple[_Costs, list[float]]:
+        """The cost rule the decoder minimizes at p_m, and the flip
+        probability of each of its classes.
 
-        Weighted ML with one likelihood class and 0 < lambda < inf makes
-        every comparison that minimum-weight decoding makes, so it shares
-        the unit costs (and their cached histogram).  Otherwise its costs
-        are summed as weighted_ml_decode sums them, in the same class
-        order, so exact ties are decided identically.
+        p_err runs once per weight, and the likelihood classes are found
+        among the distinct weights, in first-seen order.  Weighted ML with
+        one likelihood class and 0 < lambda < inf makes every comparison
+        minimum-weight decoding makes, so it shares the unit costs (and
+        their cached histogram); otherwise its costs are summed as
+        weighted_ml_decode sums them, so exact ties are decided identically.
         """
+        q = {w: p_err(w, p_m) for w in dict.fromkeys(self.weights)}
+        costs = self._unit_costs
         if self.decoder == WEIGHTED_ML:
-            lams, labels = likelihood_classes(q)
+            lams, labels = likelihood_classes(list(q.values()))
             if not (len(lams) == 1 and 0.0 < lams[0] < math.inf):
-                return _Costs(labels, lams)
-        return self._unit_costs
+                label = dict(zip(q, labels))
+                costs = _Costs([label[w] for w in self.weights], lams)
+        return costs, [q[self.weights[j]] for j in costs.first]
 
 
 Part = RepetitionPart | SMPart
@@ -286,11 +293,6 @@ class SimResult:
 # ----------------------------------------------------------------------
 # exact evaluation
 # ----------------------------------------------------------------------
-
-def _flip_probabilities(part: SMPart, p_m: float) -> list[float]:
-    per_weight = {w: p_err(w, p_m) for w in set(part.weights)}
-    return [per_weight[w] for w in part.weights]
-
 
 def _majority_bit_failure(q: float, fold: int) -> float:
     """P[majority wrong or tied] for one bit under iid flips q."""
@@ -410,23 +412,18 @@ def _failure_sums(
 def _sm_failures_exact(part: SMPart, p_ms: Sequence[float]) -> list[float]:
     """Failure probability at each p_m.
 
-    Points at which the decoder's costs are the unit costs share the
-    part's cached histogram and are priced in one table; any other point
-    (weighted ML with several likelihood classes) recounts its own.
+    Points are grouped by the cost rule their decoder minimizes, and each
+    rule's failing-pattern histogram prices its points in one table.  Only
+    the unit costs keep their histogram on the part.
     """
-    failures = [0.0] * len(p_ms)
-    unit: dict[int, list[float]] = {}
+    rules: dict[_Costs, list[tuple[int, list[float]]]] = {}
     for i, p_m in enumerate(p_ms):
-        q = _flip_probabilities(part, p_m)
-        costs = part._costs(q)
-        class_q = [q[j] for j in costs.first]
-        if costs is part._unit_costs:
-            unit[i] = class_q
-        else:
-            (failures[i],) = _failure_sums(_failing_patterns(part, costs), costs, [class_q])
-    if unit:
-        sums = _failure_sums(part._unit_failures, part._unit_costs, list(unit.values()))
-        for i, f in zip(unit, sums):
+        costs, class_q = part._pricing(p_m)
+        rules.setdefault(costs, []).append((i, class_q))
+    failures = [0.0] * len(p_ms)
+    for costs, points in rules.items():
+        failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
+        for (i, _), f in zip(points, _failure_sums(failing, costs, [q for _, q in points])):
             failures[i] = f
     return failures
 
@@ -499,16 +496,16 @@ def _repetition_sampler(part: RepetitionPart, p_m: float) -> Callable[..., np.nd
     return failures
 
 
-def _block_index_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., Iterator[np.ndarray]]:
+def _block_index_sampler(part: SMPart, p_m: float) -> Callable[..., Iterator[np.ndarray]]:
     """Draw one chunk's index into each _sampler_blocks table, in block
-    order, bit j flipped with probability q[j].
+    order, a bit of weight w flipped with probability p_err(w, p_m).
 
-    Per block of N bits of one class (q): the flip count c is the inverse
-    CDF of Binomial(N, q) at a first uniform, and a second uniform v picks
-    entry min(floor(v C(N, c)), C(N, c) - 1) among the table's words with
-    c flips.
+    Per block of N bits of one weight class (q): the flip count c is the
+    inverse CDF of Binomial(N, q) at a first uniform, and a second uniform
+    v picks entry min(floor(v C(N, c)), C(N, c) - 1) among the table's
+    words with c flips.
     """
-    class_q = [q[j] for j in part._unit_costs.first]
+    class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
     draws = []
     for k, table in part._sampler_blocks:
         n = len(table).bit_length() - 1
@@ -545,10 +542,10 @@ def _block_index_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., Iter
     return indices
 
 
-def _sm_word_sampler(part: SMPart, q: Sequence[float]) -> Callable[..., np.ndarray]:
+def _sm_word_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
     """Draw one chunk of received words: the blocks cover disjoint bits, so
     their table words are ORed."""
-    indices = _block_index_sampler(part, q)
+    indices = _block_index_sampler(part, p_m)
 
     def words(rng, size: int) -> np.ndarray:
         out = np.zeros(size, dtype=np.uint64)
@@ -598,8 +595,9 @@ def _decision_table(part: SMPart) -> np.ndarray:
     return failed.ravel()
 
 
-def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Which received words the part's decoder fails on, at flip probabilities q.
+def _sm_decoder(part: SMPart, costs: _Costs) -> Callable[[np.ndarray], np.ndarray]:
+    """Which received words the part's decoder fails on under the cost rule
+    costs (SMPart._pricing).
 
     A word succeeds iff it is the unique minimum-cost member of its coset.
     With few codewords the coset is scanned per word; with more codewords
@@ -607,7 +605,6 @@ def _sm_decoder(part: SMPart, q: Sequence[float]) -> Callable[[np.ndarray], np.n
     coset's runner-up cost is computed once and looked up by syndrome.
     """
     code = part.code
-    costs = part._costs(q)
     if len(part._codewords) > code.redundancy and code.length <= HARD_EXACT_BITS:
         table = _runner_up_by_syndrome(part, costs)
 
@@ -629,9 +626,9 @@ def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
     do not change with p_m, so the drawn block indices address the part's
     cached decision table; otherwise the words are assembled and decoded.
     """
-    q = _flip_probabilities(part, p_m)
-    if part.code.length <= HARD_EXACT_BITS and part._costs(q) is part._unit_costs:
-        indices, decisions = _block_index_sampler(part, q), part._decisions
+    costs, _ = part._pricing(p_m)
+    if part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs:
+        indices, decisions = _block_index_sampler(part, p_m), part._decisions
         # block i > 0 is shifted past the bits of blocks 0..i-1
         shifts = np.cumsum([len(t).bit_length() - 1 for _, t in part._sampler_blocks])
 
@@ -643,7 +640,7 @@ def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
                 key |= index
             return decisions.take(key)
         return failed
-    draw, failed = _sm_word_sampler(part, q), _sm_decoder(part, q)
+    draw, failed = _sm_word_sampler(part, p_m), _sm_decoder(part, costs)
     return lambda rng, size: failed(draw(rng, size))
 
 

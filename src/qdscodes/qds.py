@@ -22,7 +22,6 @@ from .codes import (
     AdditiveCode,
     StabilizerCode,
     SubsystemCode,
-    is_impure,
     make_stabilizer,
     min_distance,
     min_weight_outside,
@@ -277,12 +276,12 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     d = min_distance(base)
     if d != 3:
         raise PreconditionError(f"construction needs a distance-3 code, got d={d}")
-    if not is_impure(base, d):
+    pivots = _low_weight_span_elements(base.code)
+    if not pivots:
         raise PreconditionError("code is pure: no stabilizer element of weight < 3")
     m, n = base.m, base.n
     errors = single_symbol_errors(n)
     stab_basis = base.code.basis()
-    pivots = _low_weight_span_elements(base.code)
     strings_examined = 0
     for bases_tried, (g1, completion) in enumerate(_completions(base, pivots), start=1):
         basis_rows = [g1] + completion

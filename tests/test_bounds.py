@@ -3,6 +3,7 @@
 import pytest
 
 from qdscodes.bounds import (
+    MAX_FAMILY_EXPONENT,
     CodeParams,
     ceil_log2,
     conjectured_bound,
@@ -13,7 +14,7 @@ from qdscodes.bounds import (
     quantum_hamming,
     region_table,
 )
-from qdscodes.errors import PreconditionError
+from qdscodes.errors import CapacityError, PreconditionError
 
 
 def test_ceil_log2():
@@ -95,6 +96,15 @@ def test_pure_only_families_small():
     assert fams == sorted(set(fams))
     with pytest.raises(PreconditionError):
         pure_only_families(1)
+
+
+def test_pure_only_families_stop_at_the_cap():
+    fams = pure_only_families(MAX_FAMILY_EXPONENT)
+    assert len(fams) == 25_877
+    f_cap = (4**MAX_FAMILY_EXPONENT - 1) // 3
+    assert fams[-1][0] == 8 * f_cap
+    with pytest.raises(CapacityError, match="family cap"):
+        pure_only_families(MAX_FAMILY_EXPONENT + 1)
 
 
 def test_pure_only_family_members():

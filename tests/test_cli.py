@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qdscodes.bounds import MAX_FAMILY_EXPONENT
 from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
 from qdscodes.qds import identity_qds, qds_min_distance
@@ -199,6 +200,16 @@ def test_bounds_families(capsys):
     code, out, _ = run(capsys, "bounds", "--families", "3")
     assert code == 0
     assert "[[5,1,3]]" in out and "[[21,15,3]]" in out
+
+
+def test_bounds_families_at_and_past_the_cap(capsys):
+    code, out, _ = run(capsys, "bounds", "--families", str(MAX_FAMILY_EXPONENT))
+    assert code == 0
+    assert len(out.splitlines()) == 25_877
+    code, out, err = run(capsys, "bounds", "--families", str(MAX_FAMILY_EXPONENT + 1))
+    assert code == 2
+    assert out == ""
+    assert "exceeds the family cap" in err
 
 
 def test_bounds_table(capsys):

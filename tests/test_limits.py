@@ -20,6 +20,7 @@ def limits_rows() -> list[tuple[str, str, int]]:
 def test_limits_table_matches_the_constants():
     rows = limits_rows()
     assert {(module, name) for module, name, _ in rows} >= {
+        ("bounds", "MAX_FAMILY_EXPONENT"),
         ("codes", "MAX_N"),
         ("smcodes", "MAX_CODEWORD_DIM"),
         ("smcodes", "MAX_GENERATED_SIZE"),

@@ -23,7 +23,6 @@ from qdscodes.noise import (
     _chunk_rng,
     _coset_minima,
     _failing_patterns,
-    _flip_probabilities,
     _shor_z_order_for_total,
     _sm_decoder,
     _sm_word_sampler,
@@ -42,6 +41,7 @@ from qdscodes.noise import (
 from qdscodes.smcodes import (
     BinaryLinearCode,
     coset_leader_decode,
+    likelihood_classes,
     parse_binary_code_text,
     sm_catalog,
     weighted_ml_decode,
@@ -391,7 +391,7 @@ def test_both_patterns_of_a_tied_coset_minimum_fail(decoder):
     # and at this p_m they tie as the coset's minimum under both decoders.
     code = _high_rate_code([0b01, 0b10, 0b10, 0b10, 0b11, 0b11, 0b11, 0b11])
     part = SMPart(code, (2, 4, 4, 4, 4, 4, 4, 4, 2, 4), decoder)
-    costs = part._costs(_flip_probabilities(part, 2.0**-6))
+    costs, _ = part._pricing(2.0**-6)
     assert (costs is part._unit_costs) == (decoder == "coset-leader")
     (key,) = costs.key(np.array([1 << 0], dtype=np.uint64))
     assert key == costs.key(np.array([1 << 8], dtype=np.uint64))[0]
@@ -498,13 +498,12 @@ def test_sweep_calls_pse_exact_once_with_the_whole_grid(monkeypatch):
 def _per_point_sm_failure(part: SMPart, p_m: float) -> float:
     """Reference: one point alone, priced by one outer product of per-class
     pattern probabilities and one fsum."""
-    q = _flip_probabilities(part, p_m)
-    costs = part._costs(q)
+    costs, class_q = part._pricing(p_m)
     failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
     per_class = []
-    for j, n in zip(costs.first, costs.sizes):
+    for q, n in zip(class_q, costs.sizes):
         flips = np.arange(n + 1)
-        per_class.append(q[j]**flips * (1.0 - q[j]) ** (n - flips))
+        per_class.append(q**flips * (1.0 - q) ** (n - flips))
     probs = per_class[0]
     for v in per_class[1:]:
         probs = np.multiply.outer(v, probs).ravel()
@@ -556,9 +555,63 @@ def test_grid_evaluation_of_a_three_class_part(decoder, grid):
     z = _shor_z_part(_random_part(20, 6, 20, "coset-leader").code)
     part = SMPart(z.code, z.weights, decoder)
     assert len(part._unit_costs.count_vectors()) == 420
-    unit = part._costs(_flip_probabilities(part, 2.0**-3)) is part._unit_costs
+    unit = part._pricing(2.0**-3)[0] is part._unit_costs
     assert unit == (decoder == "coset-leader")
     _assert_grid_matches_per_point(MeasurementScheme("three-class", (part,)), grid)
+
+
+def _class_masks(labels) -> list[int]:
+    """Positions grouped by equal label, classes in first-seen order."""
+    masks: dict = {}
+    for j, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << j
+    return list(masks.values())
+
+
+@pytest.mark.parametrize("p_m", [0.0, 2.0**-1074, 2.0**-60, 2.0**-3, 0.5, 1.0])
+def test_pricing_matches_per_position_likelihood_classes(p_m):
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n = int(rng.integers(2, 13))
+        weights = tuple(int(w) for w in rng.integers(1, 8, size=n))
+        code = BinaryLinearCode(n, ((1 << n) - 1,))
+        q = [p_err(w, p_m) for w in weights]
+        lams, labels = likelihood_classes(q)
+        for decoder in DECODERS:
+            part = SMPart(code, weights, decoder)
+            costs, class_q = part._pricing(p_m)
+            shared = decoder == "coset-leader" or (len(lams) == 1 and 0.0 < lams[0] < math.inf)
+            assert (costs is part._unit_costs) == shared
+            if not shared:
+                assert costs.lams.tolist() == lams.tolist()
+                assert [int(mask) for mask in costs.masks] == _class_masks(labels)
+            assert class_q == [q[j] for j in costs.first]
+            for mask, class_p in zip(costs.masks, class_q):
+                assert {q[j] for j in range(n) if int(mask) >> j & 1} == {class_p}
+            if p_m == 1.0:
+                # odd weights flip for certain, even weights never
+                assert class_q == [float(weights[j] % 2) for j in costs.first]
+
+
+def test_likelihood_classes_sees_one_value_per_distinct_weight(monkeypatch):
+    # the decoder's classes are found among the weights, not the positions
+    sizes = []
+    original = noise.likelihood_classes
+
+    def counting(flip_probs):
+        sizes.append(len(flip_probs))
+        return original(flip_probs)
+
+    monkeypatch.setattr(noise, "likelihood_classes", counting)
+    z = _shor_z_part(_random_part(20, 6, 20, "coset-leader").code)
+    three_class = MeasurementScheme("three-class", (SMPart(z.code, z.weights, "weighted-ml"),))
+    grid = [round(-1.5 - 0.1 * i, 12) for i in range(66)]
+    for scheme in (build_scheme("fig2-bs-216", decoder="weighted-ml"), three_class):
+        sizes.clear()
+        sweep(scheme, grid, method="exact")
+        (part,) = set(scheme.parts)
+        assert len(sizes) == len(grid)
+        assert max(sizes) <= len(set(part.weights)) < part.code.length
 
 
 def test_pse_exact_returns_one_result_per_grid_point():
@@ -802,8 +855,8 @@ def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
         rng = _chunk_rng(seed, chunk_index)
         failed = np.zeros(size, dtype=bool)
         for part in scheme.parts:
-            q = _flip_probabilities(part, p_m)
-            failed |= _sm_decoder(part, q)(_sm_word_sampler(part, q)(rng, size))
+            costs, _ = part._pricing(p_m)
+            failed |= _sm_decoder(part, costs)(_sm_word_sampler(part, p_m)(rng, size))
         expected += int(failed.sum())
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
     assert all("_decisions" in part.__dict__ for part in scheme.parts)
@@ -927,8 +980,8 @@ def _iid_failures(scheme: MeasurementScheme, p_m: float, trials: int, seed: int)
     decoded by the same kernel as pse_monte_carlo."""
     parts = []
     for part in scheme.parts:
-        q = _flip_probabilities(part, p_m)
-        parts.append((q, _sm_decoder(part, q)))
+        q = [p_err(w, p_m) for w in part.weights]
+        parts.append((q, _sm_decoder(part, part._pricing(p_m)[0])))
     failures = 0
     for chunk_index, start in enumerate(range(0, trials, DEFAULT_CHUNK_SIZE)):
         size = min(DEFAULT_CHUNK_SIZE, trials - start)
@@ -991,9 +1044,9 @@ def test_flip_counts_and_positions_of_a_class_split_over_two_blocks():
     code = BinaryLinearCode(24, ((1 << 24) - 1,), "repetition-24")
     part = SMPart(code, (4, 4, 4, 4, 4, 2) * 4)
     assert [(k, len(table)) for k, table in part._sampler_blocks] == [(0, 1 << 10)] * 2 + [(1, 16)]
-    q = _flip_probabilities(part, 2.0**-3)
+    q = [p_err(w, 2.0**-3) for w in part.weights]
     size = 1 << 17
-    words = _sm_word_sampler(part, q)(np.random.default_rng(6), size)
+    words = _sm_word_sampler(part, 2.0**-3)(np.random.default_rng(6), size)
 
     mask = sum(1 << j for j, w in enumerate(part.weights) if w == 4)
     counts = np.bincount(np.bitwise_count(words & np.uint64(mask)), minlength=21)
@@ -1026,5 +1079,6 @@ def test_monte_carlo_equals_exact_at_certain_flips(p_m):
 
 def test_all_flips_draw_the_all_ones_word():
     part = _all_flip_schemes()[0].parts[0]
-    words = _sm_word_sampler(part, [1.0] * 12)(np.random.default_rng(0), 1000)
+    assert p_err(1, 1.0) == 1.0
+    words = _sm_word_sampler(part, 1.0)(np.random.default_rng(0), 1000)
     assert np.all(words == np.uint64((1 << 12) - 1))
