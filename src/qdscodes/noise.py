@@ -45,7 +45,13 @@ numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
 i.e. PCG64 seeded through numpy's documented SeedSequence hash.  Within
 a chunk the parts draw in scheme order: a repetition part one array of
 uniforms per syndrome bit, an SM part a count array then a position
-array per block, blocks in class order.
+array per block, blocks in class order.  The arrays do not depend on
+p_m, so every point of a sweep reads the same chunk streams, and a grid
+call draws them once.  It walks each chunk in tiles of at most
+TILE_WORDS trials; a float64 takes one 64-bit draw, so a tile's slice of
+array a is drawn from the chunk's start state moved by PCG64.advance to
+draw a * size + (tile offset), and every point counts its failures from
+the tile.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from .codes import StabilizerCode, SubsystemCode, catalog
 from .errors import CapacityError, PreconditionError, StructureError
 from .gf4 import F4Vector
 from .qds import measured_elements
-from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
+from .smcodes import BinaryLinearCode, likelihood_classes, pattern_cost, sm_catalog
 
 HARD_EXACT_BITS = 25  # longest SM part whose 2^n patterns any p_se path enumerates
 MAX_SM_LENGTH = 64  # received words are packed into uint64
@@ -90,6 +96,12 @@ def p_err(w: int, p_m: float) -> float:
     )
 
 
+def _check_p_ms(p_ms: Sequence[float]) -> None:
+    for p_m in p_ms:
+        if not 0.0 <= p_m <= 1.0:
+            raise PreconditionError(f"p_m={p_m} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class RepetitionPart:
     """Each syndrome bit protected by its own fold-times repetition code,
@@ -111,7 +123,7 @@ class _Costs:
     A word's key reads its count vector (c_0, c_1, ...) as a mixed-radix
     number with class 0 least significant, so keys index the cost table
     and histograms over count vectors.  Without lams the cost is the flip
-    count (minimum-weight decoding); with lams it is sum_k c_k lams[k].
+    count (minimum-weight decoding); with lams it is smcodes.pattern_cost.
     """
 
     def __init__(self, labels: Sequence, lams: np.ndarray | None = None):
@@ -133,12 +145,8 @@ class _Costs:
             self.table = np.array([sum(counts) for counts in vectors], dtype=np.uint8)
             self.ceiling = np.iinfo(np.uint8).max
         else:
-            # the sum weighted_ml_decode forms, zero counts skipped so an
-            # infinite lambda (p = 0 or 1) never makes 0 * inf
-            self.table = np.array(
-                [sum(c * lam for c, lam in zip(counts, lams) if c) for counts in vectors],
-                dtype=float,
-            )
+            # the cost weighted_ml_decode forms, so ties are decided alike
+            self.table = np.array([pattern_cost(c, self.sizes, lams) for c in vectors], dtype=float)
             self.ceiling = math.inf
 
     def key(self, words: np.ndarray) -> np.ndarray:
@@ -474,8 +482,19 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
 
 
-def _repetition_sampler(part: RepetitionPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw one chunk of majority failures for the part.
+Reader = Callable[[np.ndarray], np.ndarray]  # a part's uniform arrays (rows) -> per-trial result
+
+
+def _draws(part: Part) -> int:
+    """Uniform arrays a chunk draws for the part: one per repetition bit, or
+    a count and a position array per SM sampler block."""
+    if isinstance(part, RepetitionPart):
+        return len(part.weights)
+    return 2 * len(part._sampler_blocks)
+
+
+def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
+    """Majority failures read from one uniform array per syndrome bit.
 
     Bit i's flip count c ~ Binomial(fold, q_i) reaches the threshold
     t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
@@ -488,22 +507,39 @@ def _repetition_sampler(part: RepetitionPart, p_m: float) -> Callable[..., np.nd
 
     thresholds = [lower_tail(p_err(w, p_m)) for w in part.weights]
 
-    def failures(rng, size: int) -> np.ndarray:
-        failed = np.zeros(size, dtype=bool)
-        for threshold in thresholds:
-            failed |= rng.random(size) >= threshold
-        return failed
-    return failures
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        out = np.zeros(uniforms.shape[-1], dtype=bool)
+        for u, threshold in zip(uniforms, thresholds):
+            out |= u >= threshold
+        return out
+    return failed
 
 
-def _block_index_sampler(part: SMPart, p_m: float) -> Callable[..., Iterator[np.ndarray]]:
-    """Draw one chunk's index into each _sampler_blocks table, in block
-    order, a bit of weight w flipped with probability p_err(w, p_m).
+def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
+    """work[name] cut to size, allocated only when missing or too short.
+
+    Readers run one tile at a time and share these arrays: a fresh
+    tile-sized array per block and point would be mapped and unmapped by
+    the allocator, a page fault per page each time.
+    """
+    array = work.get(name)
+    if array is None or len(array) < size:
+        array = work[name] = np.empty(size, dtype=dtype)
+    return array[:size]
+
+
+def _block_indices(
+    part: SMPart, p_m: float, work: dict[str, np.ndarray]
+) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """Each block's index into its _sampler_blocks table, in block order,
+    read from the block's count and position uniforms, a bit of weight w
+    flipped with probability p_err(w, p_m).
 
     Per block of N bits of one weight class (q): the flip count c is the
-    inverse CDF of Binomial(N, q) at a first uniform, and a second uniform
-    v picks entry min(floor(v C(N, c)), C(N, c) - 1) among the table's
-    words with c flips.
+    inverse CDF of Binomial(N, q) at the count uniform u, and the position
+    uniform v picks entry min(floor(v C(N, c)), C(N, c) - 1) among the
+    table's words with c flips.  Each index is a working array that the
+    next one overwrites.
     """
     class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
     draws = []
@@ -516,43 +552,46 @@ def _block_index_sampler(part: SMPart, p_m: float) -> Callable[..., Iterator[np.
         # so a CDF value of 1 never counts
         draws.append((cdf[cdf < 1.0], runs, starts))
 
-    # chunk-sized scratch arrays live as long as the sampler: a fresh one
-    # costs more in page faults than the arithmetic that fills it
-    scratch: list[np.ndarray] = []
-
-    def indices(rng, size: int) -> Iterator[np.ndarray]:
-        if not scratch or len(scratch[0]) < size:
-            scratch[:] = [np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)]
-        u, counts, run = (array[:size] for array in scratch)
-        for cdf, runs, starts in draws:
-            rng.random(size, out=u)
-            flips = np.zeros(size, dtype=np.uint8)
+    def indices(uniforms: np.ndarray) -> Iterator[np.ndarray]:
+        size = uniforms.shape[-1]
+        flips, reached = _working(work, "flips", size, np.uint8), _working(work, "reached", size, bool)
+        counts, index = _working(work, "counts", size, np.intp), _working(work, "index", size, np.intp)
+        run, pick = _working(work, "run", size), _working(work, "pick", size)
+        for (cdf, runs, starts), u, v in zip(draws, uniforms[0::2], uniforms[1::2]):
+            flips.fill(0)
             for value in cdf:
-                flips += u >= value
+                np.greater_equal(u, value, out=reached)
+                flips += reached.view(np.uint8)
             np.copyto(counts, flips)
-            runs.take(counts, out=run)
-            pick = rng.random(size, out=u)
-            pick *= run
+            # counts are at most N; with out=, mode "raise" would buffer a copy
+            runs.take(counts, out=run, mode="clip")
+            np.multiply(v, run, out=pick)
             run -= 1.0
             np.minimum(pick, run, out=pick)
-            index = starts.take(counts)
+            starts.take(counts, out=index, mode="clip")
             np.copyto(counts, pick, casting="unsafe")  # truncates, as astype does
             index += counts
             yield index
     return indices
 
 
-def _sm_word_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw one chunk of received words: the blocks cover disjoint bits, so
-    their table words are ORed."""
-    indices = _block_index_sampler(part, p_m)
+def _sm_words(part: SMPart, p_m: float, work: dict[str, np.ndarray]) -> Reader:
+    """Received words read from the part's uniforms: the blocks cover
+    disjoint bits, so their table words are ORed."""
+    indices = _block_indices(part, p_m, work)
 
-    def words(rng, size: int) -> np.ndarray:
-        out = np.zeros(size, dtype=np.uint64)
-        for (_, table), index in zip(part._sampler_blocks, indices(rng, size)):
+    def words(uniforms: np.ndarray) -> np.ndarray:
+        out = np.zeros(uniforms.shape[-1], dtype=np.uint64)
+        for (_, table), index in zip(part._sampler_blocks, indices(uniforms)):
             out |= table.take(index)
         return out
     return words
+
+
+def _sm_word_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
+    """Draw one chunk of received words, the part's uniform arrays in order."""
+    words = _sm_words(part, p_m, {})
+    return lambda rng, size: words(rng.random((_draws(part), size)))
 
 
 def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
@@ -595,17 +634,25 @@ def _decision_table(part: SMPart) -> np.ndarray:
     return failed.ravel()
 
 
-def _sm_decoder(part: SMPart, costs: _Costs) -> Callable[[np.ndarray], np.ndarray]:
+def _syndrome_table_pays(code: BinaryLinearCode, trials: float) -> bool:
+    """Whether decoding trials words through a per-syndrome runner-up table
+    beats scanning each word's coset: the table walks all 2^n patterns once,
+    the scan 2^k codewords per word, so it pays from 2^(n - k) words on."""
+    return code.length <= HARD_EXACT_BITS and trials >= 1 << code.redundancy
+
+
+def _sm_decoder(
+    part: SMPart, costs: _Costs, trials: float = math.inf
+) -> Callable[[np.ndarray], np.ndarray]:
     """Which received words the part's decoder fails on under the cost rule
-    costs (SMPart._pricing).
+    costs (SMPart._pricing), for a run that decodes trials words.
 
     A word succeeds iff it is the unique minimum-cost member of its coset.
-    With few codewords the coset is scanned per word; with more codewords
-    than syndrome bits, and at most 2^HARD_EXACT_BITS patterns, each
-    coset's runner-up cost is computed once and looked up by syndrome.
+    When _syndrome_table_pays, each coset's runner-up cost is computed once
+    and looked up by syndrome; otherwise each word's coset is scanned.
+    Both give the same decisions.
     """
-    code = part.code
-    if len(part._codewords) > code.redundancy and code.length <= HARD_EXACT_BITS:
+    if _syndrome_table_pays(part.code, trials):
         table = _runner_up_by_syndrome(part, costs)
 
         def runner_up(words):
@@ -619,66 +666,124 @@ def _sm_decoder(part: SMPart, costs: _Costs) -> Callable[[np.ndarray], np.ndarra
     return failed
 
 
-def _sm_failure_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw one chunk of failures for the part.
+def _sm_failures(part: SMPart, p_m: float, trials: int, work: dict[str, np.ndarray]) -> Reader:
+    """The part's failures at p_m, read from its uniforms.
 
     With unit costs and at most 2^HARD_EXACT_BITS patterns the decisions
-    do not change with p_m, so the drawn block indices address the part's
-    cached decision table; otherwise the words are assembled and decoded.
+    do not change with p_m, so the block indices address the part's cached
+    decision table; otherwise the words are assembled and decoded.
     """
     costs, _ = part._pricing(p_m)
     if part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs:
-        indices, decisions = _block_index_sampler(part, p_m), part._decisions
-        # block i > 0 is shifted past the bits of blocks 0..i-1
-        shifts = np.cumsum([len(t).bit_length() - 1 for _, t in part._sampler_blocks])
+        indices, decisions = _block_indices(part, p_m, work), part._decisions
+        # block i is shifted past the bits of blocks 0..i-1
+        bits = [len(table).bit_length() - 1 for _, table in part._sampler_blocks]
+        shifts = [0, *itertools.accumulate(bits[:-1])]
 
-        def failed(rng, size: int) -> np.ndarray:
-            blocks = indices(rng, size)
-            key = next(blocks)
-            for shift, index in zip(shifts, blocks):
+        def failed(uniforms: np.ndarray) -> np.ndarray:
+            key = _working(work, "key", uniforms.shape[-1], np.intp)
+            key.fill(0)
+            for shift, index in zip(shifts, indices(uniforms)):
                 index <<= shift
                 key |= index
             return decisions.take(key)
         return failed
-    draw, failed = _sm_word_sampler(part, p_m), _sm_decoder(part, costs)
-    return lambda rng, size: failed(draw(rng, size))
+    words, decode = _sm_words(part, p_m, work), _sm_decoder(part, costs, trials)
+    return lambda uniforms: decode(words(uniforms))
+
+
+def _keeps_table(scheme: MeasurementScheme, p_m: float, trials: int) -> bool:
+    """Whether some part's decoder at p_m keeps a per-syndrome table of its
+    own (_sm_decoder), one that no other point shares."""
+    return any(
+        isinstance(part, SMPart)
+        and part._pricing(p_m)[0] is not part._unit_costs
+        and _syndrome_table_pays(part.code, trials)
+        for part in scheme.parts
+    )
+
+
+def _count_failures(
+    scheme: MeasurementScheme, p_ms: Sequence[float], trials: int, seed: int, chunk_size: int
+) -> list[int]:
+    """Failed trials at each p_m, every point reading the same draws.
+
+    Chunk c's stream holds the parts' uniform arrays back to back, each
+    size long, so entry t of array a is draw a * size + t.  The chunk is
+    walked in tiles of at most TILE_WORDS trials: each array's slice is
+    drawn from the chunk's start state advanced to it, and every point
+    counts its failures from the tile.
+    """
+    distinct = {id(part): part for part in scheme.parts}  # equal X and Z parts share a reader
+    readers, work = [], {}
+    for p_m in p_ms:
+        read = {key: _repetition_failures(part, p_m) if isinstance(part, RepetitionPart)
+                else _sm_failures(part, p_m, trials, work) for key, part in distinct.items()}
+        readers.append([read[id(part)] for part in scheme.parts])
+    ends = list(itertools.accumulate(_draws(part) for part in scheme.parts))
+    spans = list(zip([0] + ends[:-1], ends))
+    uniforms = np.empty((ends[-1] if ends else 0, min(TILE_WORDS, chunk_size, trials)))
+    failures = [0] * len(p_ms)
+    for chunk_index, start in enumerate(range(0, trials, chunk_size)):
+        size = min(chunk_size, trials - start)
+        rng = _chunk_rng(seed, chunk_index)
+        state = rng.bit_generator.state
+        for offset in range(0, size, uniforms.shape[1]):
+            tile = uniforms[:, :min(uniforms.shape[1], size - offset)]
+            for a, row in enumerate(tile):
+                rng.bit_generator.state = state
+                rng.bit_generator.advance(a * size + offset)
+                rng.random(out=row)
+            for i, point in enumerate(readers):
+                failed = np.zeros(tile.shape[1], dtype=bool)
+                for (lo, hi), read in zip(spans, point):
+                    failed |= read(tile[lo:hi])
+                failures[i] += int(np.count_nonzero(failed))
+    return failures
 
 
 def pse_monte_carlo(
     scheme: MeasurementScheme,
-    p_m: float,
+    p_m: float | Sequence[float],
     trials: int,
     seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> SimResult:
-    """Sampled p_se; deterministic for fixed (seed, trials, chunk_size)."""
+) -> SimResult | list[SimResult]:
+    """Sampled p_se; deterministic for fixed (seed, trials, chunk_size).
+
+    A float p_m gives one result; a sequence gives one per point, in order,
+    each equal to the float call at that point.  The points read the same
+    draws, so one pass over the chunks counts them all.  A point whose
+    decoder keeps a per-syndrome table of its own takes a pass alone, so
+    one such table is alive at a time.  Every p_m is checked before any
+    draw.
+    """
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     if chunk_size < 1:
         raise PreconditionError(f"chunk_size must be >= 1, got {chunk_size}")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
-    samplers = [
-        _repetition_sampler(part, p_m)
-        if isinstance(part, RepetitionPart)
-        else _sm_failure_sampler(part, p_m)
-        for part in scheme.parts
-    ]
-    failures = 0
-    done = 0
-    for chunk_index in itertools.count():
-        if done >= trials:
-            break
-        size = min(chunk_size, trials - done)
-        rng = _chunk_rng(seed, chunk_index)
-        failed = np.zeros(size, dtype=bool)
-        for sample in samplers:
-            failed |= sample(rng, size)
-        failures += int(np.sum(failed))
-        done += size
-    p_hat = failures / trials
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return SimResult(p_se=p_hat, stderr=stderr, trials=trials, method="monte-carlo", seed=seed)
+    scalar = np.ndim(p_m) == 0
+    p_ms = [p_m] if scalar else list(p_m)
+    _check_p_ms(p_ms)
+    passes: list[list[int]] = [[]]
+    for i, p in enumerate(p_ms):
+        if _keeps_table(scheme, p, trials):
+            passes.append([i])
+        else:
+            passes[0].append(i)
+    failures = {}
+    for points in filter(None, passes):
+        counts = _count_failures(scheme, [p_ms[i] for i in points], trials, seed, chunk_size)
+        failures.update(zip(points, counts))
+    results = []
+    for i in range(len(p_ms)):
+        p_hat = failures[i] / trials
+        stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+        results.append(SimResult(p_se=p_hat, stderr=stderr, trials=trials,
+                                 method="monte-carlo", seed=seed))
+    return results[0] if scalar else results
 
 
 # ----------------------------------------------------------------------
@@ -715,10 +820,10 @@ def sweep(
     """Evaluate p_se over a grid of log2(p_m) values, in grid order.
 
     method "auto" uses exact evaluation when every SM part enumerates at
-    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.  Exact
-    evaluation takes the whole grid in one pse_exact call; Monte Carlo
-    runs one pse_monte_carlo call per point.  A grid point whose p_m lies
-    outside [0, 1] raises PreconditionError before any point is evaluated.
+    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.  Either
+    method takes the whole grid in one call (pse_exact, pse_monte_carlo).
+    A grid point whose p_m lies outside [0, 1] raises PreconditionError
+    before any point is evaluated.
     """
     if not len(pm_log2_grid):
         raise PreconditionError("empty p_m grid")
@@ -728,13 +833,11 @@ def sweep(
         method = "exact" if exact_is_feasible(scheme) else "mc"
     # 2.0**lp overflows from 1024 on
     p_ms = [math.inf if lp >= 1024 else 2.0**lp for lp in pm_log2_grid]
-    for p_m in p_ms:
-        if not 0.0 <= p_m <= 1.0:
-            raise PreconditionError(f"p_m={p_m} outside [0, 1]")
+    _check_p_ms(p_ms)
     if method == "exact":
         results = pse_exact(scheme, p_ms)
     else:
-        results = [pse_monte_carlo(scheme, p_m, trials, seed) for p_m in p_ms]
+        results = pse_monte_carlo(scheme, p_ms, trials, seed)
     rows = []
     for lp, result in zip(pm_log2_grid, results):
         log2_pse = math.log2(result.p_se) if result.p_se > 0 else -math.inf

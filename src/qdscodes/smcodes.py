@@ -284,6 +284,25 @@ def likelihood_classes(flip_probs: Sequence[float]) -> tuple[np.ndarray, list[in
     return np.array(lam), classes
 
 
+def pattern_cost(counts: Sequence[int], sizes: Sequence[int], lam: Sequence[float]) -> float:
+    """Weighted-ML cost of an error pattern with counts[k] flips among the
+    sizes[k] positions of likelihood class k (weight lam[k]).
+
+    A pattern of probability zero, one that flips a bit that never flips
+    (lam = +inf) or leaves a certain flip unflipped (lam = -inf), costs
+    +inf.  Any other pattern costs sum counts[k] * lam[k] over the finite
+    classes, zero counts skipped: the certain flips it shares with every
+    other such pattern add nothing, so -inf never meets +inf.
+    """
+    cost = 0.0
+    for c, n, l in zip(counts, sizes, lam):
+        if (l == math.inf and c) or (l == -math.inf and c < n):
+            return math.inf
+        if c and math.isfinite(l):
+            cost += c * l
+    return cost
+
+
 def weighted_ml_decode(
     code: BinaryLinearCode, received: BitVector, flip_probs: Sequence[float]
 ) -> DecodeOutcome:
@@ -298,6 +317,7 @@ def weighted_ml_decode(
         raise DimensionError("flip_probs length does not match the code length")
     lam, classes = likelihood_classes(flip_probs)
     nclass = len(lam)
+    sizes = [classes.count(k) for k in range(nclass)]
 
     def counts_of(word: int) -> tuple[int, ...]:
         out = [0] * nclass
@@ -306,17 +326,13 @@ def weighted_ml_decode(
                 out[classes[i]] += 1
         return tuple(out)
 
-    def cost_of(counts: tuple[int, ...]) -> float:
-        # skip zero counts so infinite weights (p = 0 or 1) never make 0*inf
-        return sum(c * l for c, l in zip(counts, lam) if c)
-
     best_cost = None
     best_counts = None
     best_word = None
     tied = False
     for c in sorted(code.codewords(), key=lambda w: f2.bit_reversed(w, code.length)):
         counts = counts_of(received.bits ^ c)
-        cost = cost_of(counts)
+        cost = pattern_cost(counts, sizes, lam)
         if best_cost is None or cost < best_cost:
             best_cost, best_counts, best_word, tied = cost, counts, c, False
         elif counts == best_counts or cost == best_cost:

@@ -17,12 +17,15 @@ from qdscodes import noise
 from qdscodes.noise import (
     DECODERS,
     DEFAULT_CHUNK_SIZE,
+    TILE_WORDS,
     MeasurementScheme,
     RepetitionPart,
     SMPart,
     _chunk_rng,
     _coset_minima,
+    _draws,
     _failing_patterns,
+    _repetition_failures,
     _shor_z_order_for_total,
     _sm_decoder,
     _sm_word_sampler,
@@ -877,6 +880,161 @@ def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
     assert len(rows) == 3
     # the X and Z parts are one object, so one build serves both
     assert [id(part) for part in built] == list(dict.fromkeys(id(part) for part in scheme.parts))
+
+
+def _three_class_part() -> SMPart:
+    """Weighted ML on the Shor code's Z part under a seeded random [20,6]
+    SM code: three element weights, so three likelihood classes, and
+    2^14 cosets."""
+    shor_z = _table_cases()["shor-z-20-6"]
+    part = SMPart(shor_z.code, shor_z.weights, "weighted-ml")
+    assert len(likelihood_classes([p_err(w, 2.0**-3) for w in part.weights])[0]) == 3
+    return part
+
+
+def _grid_cases() -> dict[str, MeasurementScheme]:
+    cases = {f"{name}/{decoder}": build_scheme(name, decoder=decoder) for name, decoder in [
+        ("fig1-bs-sm", "coset-leader"), ("fig1-bs-sm", "weighted-ml"),
+        ("fig1-shor-6fold", "coset-leader"), ("fig1-bs-6fold", "coset-leader"),
+        ("fig2-bs-216", "coset-leader")]}
+    cases["35-bit"] = MeasurementScheme("35-bit", (_random_35_bit_part(),))
+    cases["three-class"] = MeasurementScheme("three-class", (_three_class_part(),))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_grid_cases()))
+def test_monte_carlo_grid_equals_per_point_calls(case):
+    scheme = _grid_cases()[case]
+    # 2^14 trials reach the three-class part's 2^14 cosets, so its points
+    # decode through per-syndrome tables
+    grid, trials = [2.0**-3, 2.0**-4, 0.0, 2.0**-2, 1.0], 1 << 14
+    got = pse_monte_carlo(scheme, grid, trials, seed=19, chunk_size=10_000)
+    assert isinstance(got, list)
+    assert got == [pse_monte_carlo(scheme, p_m, trials, seed=19, chunk_size=10_000)
+                   for p_m in grid]
+    # nothing flips at p_m = 0; at p_m = 1 the odd weights flip for certain
+    if exact_is_feasible(scheme):
+        assert [got[2].p_se, got[4].p_se] == [pse_exact(scheme, p).p_se for p in (0.0, 1.0)]
+    else:
+        (part,) = scheme.parts
+        assert set(part.weights) == {4} and got[2].p_se == got[4].p_se == 0.0
+
+
+def _whole_chunk_failures(
+    scheme: MeasurementScheme, p_m: float, trials: int, seed: int, chunk_size: int
+) -> int:
+    """Failures counted from each chunk's stream drawn whole, part after
+    part, as one array per repetition bit and received words per SM part."""
+    failures = 0
+    for chunk_index, start in enumerate(range(0, trials, chunk_size)):
+        size = min(chunk_size, trials - start)
+        rng = _chunk_rng(seed, chunk_index)
+        failed = np.zeros(size, dtype=bool)
+        for part in scheme.parts:
+            if isinstance(part, RepetitionPart):
+                failed |= _repetition_failures(part, p_m)(rng.random((_draws(part), size)))
+            else:
+                costs, _ = part._pricing(p_m)
+                failed |= _sm_decoder(part, costs)(_sm_word_sampler(part, p_m)(rng, size))
+        failures += int(failed.sum())
+    return failures
+
+
+@pytest.mark.parametrize("trials", [TILE_WORDS - 1, TILE_WORDS, TILE_WORDS + 1])
+@pytest.mark.parametrize("chunk_size", [TILE_WORDS // 3 + 1, TILE_WORDS + 5, DEFAULT_CHUNK_SIZE])
+def test_monte_carlo_tiles_read_each_chunk_stream_in_order(trials, chunk_size):
+    schemes = [build_scheme("fig1-shor-6fold"), build_scheme("fig2-bs-216")]
+    for scheme in schemes:
+        got = pse_monte_carlo(scheme, [2.0**-3, 2.0**-5], trials, seed=3, chunk_size=chunk_size)
+        for p_m, result in zip([2.0**-3, 2.0**-5], got):
+            assert result.p_se * trials == _whole_chunk_failures(scheme, p_m, trials, 3, chunk_size)
+
+
+def test_monte_carlo_sweep_calls_pse_monte_carlo_once(monkeypatch):
+    calls = []
+    original = noise.pse_monte_carlo
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "pse_monte_carlo", counting)
+    rows = sweep(build_scheme("fig1-bs-6fold"), [-3.0, -4.0, -5.0], method="mc", trials=2_000)
+    assert len(rows) == 3 and len(calls) == 1
+    assert list(calls[0][1]) == [2.0**-3, 2.0**-4, 2.0**-5]
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf])
+def test_monte_carlo_checks_every_p_m_before_any_draw(monkeypatch, bad):
+    drawn = []
+    monkeypatch.setattr(noise, "_chunk_rng", lambda *args: drawn.append(args))
+    for name in ("fig1-bs-sm", "fig1-bs-6fold"):
+        with pytest.raises(PreconditionError, match=r"outside \[0, 1\]"):
+            pse_monte_carlo(build_scheme(name), [2.0**-3, bad], trials=100)
+    assert drawn == []
+
+
+def test_monte_carlo_float_p_m_gives_one_result():
+    result = pse_monte_carlo(build_scheme("fig1-bs-6fold"), 2.0**-3, trials=1_000, seed=4)
+    assert isinstance(result, noise.SimResult)
+    assert [result] == pse_monte_carlo(build_scheme("fig1-bs-6fold"), [2.0**-3], 1_000, seed=4)
+
+
+def test_per_syndrome_table_is_built_only_when_it_pays(monkeypatch):
+    part = _three_class_part()
+    scheme = MeasurementScheme("three-class", (part,))
+    cosets = 1 << part.code.redundancy
+    costs, _ = part._pricing(2.0**-3)
+    assert costs is not part._unit_costs
+    words = _sm_word_sampler(part, 2.0**-3)(np.random.default_rng(8), 5_000)
+    scanned = _sm_decoder(part, costs, trials=cosets - 1)(words)
+    looked_up = _sm_decoder(part, costs, trials=cosets)(words)
+    assert 0 < scanned.sum() < len(words)
+    assert np.array_equal(scanned, looked_up)
+
+    built, passes = [], []
+    runner_up, count_failures = noise._runner_up_by_syndrome, noise._count_failures
+    monkeypatch.setattr(noise, "_runner_up_by_syndrome",
+                        lambda *args: built.append(args) or runner_up(*args))
+    monkeypatch.setattr(noise, "_count_failures",
+                        lambda scheme, p_ms, *args: passes.append(p_ms)
+                        or count_failures(scheme, p_ms, *args))
+    grid = [2.0**-3, 2.0**-4]
+    below = pse_monte_carlo(scheme, grid, cosets - 1, seed=6)
+    assert built == [] and passes == [grid]
+    at = pse_monte_carlo(scheme, grid, cosets, seed=6)
+    # one table per point, and one point per pass, so one table is alive at a time
+    assert len(built) == len(grid) and passes[1:] == [[p_m] for p_m in grid]
+    assert all(0.0 < r.p_se < 1.0 for r in below + at)
+
+
+def _certain_codeword_code() -> BinaryLinearCode:
+    """[6, 2] code whose codeword 0b000011 lies on bits 0 and 1 only."""
+    return BinaryLinearCode(6, (0b111101, 0b111110), "certain-codeword")
+
+
+def _likelihood_failure(part: SMPart, p_m: float) -> float:
+    """p_se from pattern probabilities alone: a word succeeds iff it is the
+    strictly most likely member of its coset."""
+    n = part.code.length
+    q = [p_err(w, p_m) for w in part.weights]
+    prob = [math.prod(q[j] if (word >> j) & 1 else 1.0 - q[j] for j in range(n))
+            for word in range(1 << n)]
+    codewords = [c for c in part.code.codewords() if c]
+    return math.fsum(prob[word] for word in range(1 << n)
+                     if not all(prob[word] > prob[word ^ c] for c in codewords))
+
+
+@pytest.mark.parametrize("code", [sm_catalog("cw-12-2-8"), _certain_codeword_code()],
+                         ids=lambda code: code.name)
+def test_weighted_ml_at_certain_flips_with_odd_and_even_weights(code):
+    # at p_m = 1 odd weights flip for certain (lambda = -inf) and even
+    # weights never (lambda = +inf); no pattern cost may be nan
+    part = SMPart(code, (1, 2) * (code.length // 2), "weighted-ml")
+    scheme = MeasurementScheme(code.name, (part,))
+    assert _likelihood_failure(part, 1.0) == 0.0
+    assert pse_exact(scheme, 1.0).p_se == 0.0
+    assert pse_monte_carlo(scheme, 1.0, trials=1_000, seed=3).p_se == 0.0
 
 
 # ----------------------------------------------------------------------

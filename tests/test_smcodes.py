@@ -22,8 +22,10 @@ from qdscodes.smcodes import (
     MAX_GENERATED_SIZE,
     BinaryLinearCode,
     coset_leader_decode,
+    likelihood_classes,
     majority_decode,
     parse_binary_code_text,
+    pattern_cost,
     read_binary_code_file,
     sm_catalog,
     systematize,
@@ -294,6 +296,26 @@ def test_weighted_ml_prefers_flipping_unreliable_bits():
     # same way (7 flips remain worse than 1), and the likelihoods differ
     out2 = weighted_ml_decode(cw, received, [0.01] * 12)
     assert out2.message.to_tuple() == (1, 0)
+
+
+def test_weighted_ml_certain_flips_make_no_false_tie():
+    # codeword 0b000011 lies on the two certain flips: the received word
+    # 0b000011 is explained only by flipping both, every other coset member
+    # leaves a certain flip unflipped and has probability zero
+    code = BinaryLinearCode(6, (0b111101, 0b111110))
+    probs = [1.0, 1.0, 0.1, 0.1, 0.1, 0.1]
+    out = weighted_ml_decode(code, BitVector(6, 0b000011), probs)
+    assert out.success and out.message.bits == 0
+    assert pattern_cost((1, 4), (2, 4), likelihood_classes(probs)[0]) == math.inf
+
+
+def test_pattern_cost_of_impossible_patterns_is_infinite():
+    lam = [math.inf, -math.inf, 2.0]
+    sizes = (3, 2, 4)
+    assert pattern_cost((0, 2, 1), sizes, lam) == 2.0
+    assert pattern_cost((1, 2, 1), sizes, lam) == math.inf  # flips a never-flip bit
+    assert pattern_cost((0, 1, 1), sizes, lam) == math.inf  # misses a certain flip
+    assert pattern_cost((0, 2, 0), sizes, lam) == 0.0
 
 
 def test_weighted_ml_hamming_minimization_with_uniform_probs():
