@@ -47,11 +47,23 @@ a chunk the parts draw in scheme order: a repetition part one array of
 uniforms per syndrome bit, an SM part a count array then a position
 array per block, blocks in class order.  The arrays do not depend on
 p_m, so every point of a sweep reads the same chunk streams, and a grid
-call draws them once.  It walks each chunk in tiles of at most
+call draws them once per pass: one pass serves every point whose tables
+fit PASS_BYTES.  A pass walks each chunk in tiles of at most
 TILE_WORDS trials; a float64 takes one 64-bit draw, so a tile's slice of
 array a is drawn from the chunk's start state moved by PCG64.advance to
-draw a * size + (tile offset), and every point counts its failures from
-the tile.
+draw a * size + (tile offset).
+
+Each tile is judged once for a group of up to MASK_POINTS points: every
+part turns it into one integer mask per trial, bit i set when the trial
+fails at point i, and the scheme fails where any part does.  A count
+uniform is placed once among the CDF values of all the group's points,
+by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
+reads its count at that position.  A table-judged part keeps a verdict
+per count vector (SMPart._verdicts): every pattern with those counts
+decodes, every one fails, or it depends on the positions.  A table over
+the blocks' joint positions, at most JOINT_TABLE_ENTRIES of them, gives
+each trial's fail bits and mixed bits for all points at once, and only
+the mixed trials read the per-pattern table.
 """
 
 from __future__ import annotations
@@ -62,7 +74,7 @@ import io
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -79,10 +91,16 @@ MAX_SM_LENGTH = 64  # received words are packed into uint64
 DEFAULT_CHUNK_SIZE = 1 << 16  # Monte Carlo trials per chunk, each chunk its own RNG stream
 TILE_WORDS = 1 << 14  # entries per working array of the coset walks and the exact table
 SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
+MASK_POINTS = 64  # grid points judged together by Monte Carlo, one bit each of a uint64 mask
+GUIDE_BUCKETS = 1 << 12  # guide-table buckets that place a uniform among merged thresholds
+JOINT_TABLE_ENTRIES = 1 << 16  # joint positions of a multi-block part's point-mask tables
+PASS_BYTES = 1 << 25  # point-judging tables one Monte Carlo pass over the chunks builds
 
 COSET_LEADER = "coset-leader"
 WEIGHTED_ML = "weighted-ml"
 DECODERS = (COSET_LEADER, WEIGHTED_ML)
+
+_MIXED, _FAILS = 1, 2  # SMPart._verdicts: 0 when every pattern of a count vector decodes
 
 
 def p_err(w: int, p_m: float) -> float:
@@ -139,22 +157,29 @@ class _Costs:
         self.masks = [np.uint64(m) for m in masks]
         self.sizes = [m.bit_count() for m in masks]
         self.lams = lams
+        # small integers: comparisons run on uint8, and MAX_SM_LENGTH < 255
+        self.ceiling = np.iinfo(np.uint8).max if lams is None else math.inf
+        # keys are summed in the narrowest type that holds them
+        vectors = math.prod(size + 1 for size in self.sizes)
+        self.key_type = np.uint16 if vectors <= 1 << 16 else np.intp
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Each count vector's cost, in key order.  Built on first use: a
+        rule priced only to see whether it is the unit one (_keeps_table)
+        builds none."""
         vectors = self.count_vectors()
-        if lams is None:
-            # small integers: comparisons run on uint8, and MAX_SM_LENGTH < 255
-            self.table = np.array([sum(counts) for counts in vectors], dtype=np.uint8)
-            self.ceiling = np.iinfo(np.uint8).max
-        else:
-            # the cost weighted_ml_decode forms, so ties are decided alike
-            self.table = np.array([pattern_cost(c, self.sizes, lams) for c in vectors], dtype=float)
-            self.ceiling = math.inf
+        if self.lams is None:
+            return np.array([sum(counts) for counts in vectors], dtype=np.uint8)
+        # the cost weighted_ml_decode forms, so ties are decided alike
+        return np.array([pattern_cost(c, self.sizes, self.lams) for c in vectors], dtype=float)
 
     def key(self, words: np.ndarray) -> np.ndarray:
         key = None
         stride = 1
         for mask, size in zip(self.masks, self.sizes):
             counts = np.bitwise_count(words & mask)
-            key = counts if key is None else key + counts * np.intp(stride)
+            key = counts if key is None else key + counts * self.key_type(stride)
             stride *= size + 1
         return key
 
@@ -186,8 +211,10 @@ class SMPart:
     order, so bit j flips with probability p_err(weights[j], p_m).  What
     does not depend on p_m is built on first use and kept on this part:
     the failing-pattern histogram of minimum-weight decoding (exact
-    evaluation), the sampler's per-block word tables, and the per-pattern
-    decisions of minimum-weight decoding (2^n bools, Monte Carlo).
+    evaluation), the sampler's per-block word tables, the per-pattern
+    decisions of minimum-weight decoding (2^n bools, Monte Carlo), and
+    their verdict per flip-count vector of the blocks (prod (N_j + 1)
+    bytes, Monte Carlo).
     """
 
     code: BinaryLinearCode
@@ -254,6 +281,23 @@ class SMPart:
         the concatenated _sampler_blocks table indices, block 0 least
         significant."""
         return _decision_table(self)
+
+    @cached_property
+    def _verdicts(self) -> np.ndarray:
+        """Per flip-count vector over the sampler blocks (digit j in 0..N_j,
+        block 0 least significant, as in _decisions): 0 when every pattern
+        with those counts decodes, _FAILS when every one fails, _MIXED when
+        it depends on where the flips are.  Reduced from _decisions over each
+        block's popcount runs by bool reductions, the longest block first, so
+        it takes prod (N_j + 1) <= 2^n bytes and copies no int of _decisions."""
+        bits = [len(table).bit_length() - 1 for _, table in self._sampler_blocks]
+        some = every = self._decisions.reshape([1 << n for n in reversed(bits)])
+        for j in sorted(range(len(bits)), key=lambda j: -bits[j]):
+            starts = [0, *itertools.accumulate(math.comb(bits[j], c) for c in range(bits[j]))]
+            axis = len(bits) - 1 - j  # block 0 is the last axis
+            some = np.logical_or.reduceat(some, starts, axis=axis)
+            every = np.logical_and.reduceat(every, starts, axis=axis)
+        return (some.view(np.uint8) + every.view(np.uint8)).ravel()
 
     def _pricing(self, p_m: float) -> tuple[_Costs, list[float]]:
         """The cost rule the decoder minimizes at p_m, and the flip
@@ -493,6 +537,13 @@ def _draws(part: Part) -> int:
     return 2 * len(part._sampler_blocks)
 
 
+def _majority_lower_tail(q: float, fold: int) -> float:
+    """P[fewer than (fold + 1) // 2 of fold flips]: a repetition bit whose
+    inverse-CDF uniform lies below this decodes correctly."""
+    return math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c)
+                     for c in range((fold + 1) // 2))
+
+
 def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
     """Majority failures read from one uniform array per syndrome bit.
 
@@ -500,12 +551,7 @@ def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
     t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
     uniform u satisfies u >= F(t - 1), so one uniform per bit decides it.
     """
-    fold, t = part.fold, (part.fold + 1) // 2
-
-    def lower_tail(q: float) -> float:
-        return math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c) for c in range(t))
-
-    thresholds = [lower_tail(p_err(w, p_m)) for w in part.weights]
+    thresholds = [_majority_lower_tail(p_err(w, p_m), part.fold) for w in part.weights]
 
     def failed(uniforms: np.ndarray) -> np.ndarray:
         out = np.zeros(uniforms.shape[-1], dtype=bool)
@@ -516,82 +562,234 @@ def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
 
 
 def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
-    """work[name] cut to size, allocated only when missing or too short.
+    """work[name] cut to size, allocated only when missing, too short or of
+    another dtype (the passes of one pse_monte_carlo call share work, each
+    with its own mask dtype).
 
     Readers run one tile at a time and share these arrays: a fresh
     tile-sized array per block and point would be mapped and unmapped by
     the allocator, a page fault per page each time.
     """
     array = work.get(name)
-    if array is None or len(array) < size:
+    if array is None or len(array) < size or array.dtype != dtype:
         array = work[name] = np.empty(size, dtype=dtype)
-    return array[:size]
+    return array if len(array) == size else array[:size]
 
 
-def _block_indices(
-    part: SMPart, p_m: float, work: dict[str, np.ndarray]
-) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-    """Each block's index into its _sampler_blocks table, in block order,
-    read from the block's count and position uniforms, a bit of weight w
-    flipped with probability p_err(w, p_m).
+class _Positions:
+    """Where uniforms fall among the thresholds of a group of points.
 
-    Per block of N bits of one weight class (q): the flip count c is the
-    inverse CDF of Binomial(N, q) at the count uniform u, and the position
-    uniform v picks entry min(floor(v C(N, c)), C(N, c) - 1) among the
-    table's words with c flips.  Each index is a working array that the
-    next one overwrites.
+    Point i's count at a uniform u is the number of its sorted thresholds
+    at most u, here a sampler block's inverse-CDF flip count.  The
+    thresholds below 1 of all points (u < 1, so no other ever counts) are
+    merged, sorted and distinct; u's position m is the number of merged
+    values at most u, and counts[i, m] is point i's count at every u of
+    position m, so one position serves every point.
+
+    Positions are found by indexed search (Chen and Asau 1974; Devroye
+    1986, III.2.4): guide[b] is the position of b / GUIDE_BUCKETS, which is
+    the position of every u in bucket b = floor(u GUIDE_BUCKETS) unless a
+    merged value lies inside the bucket, where guide[b] holds -1 - position;
+    only those uniforms are searched.  The tables take
+    8 GUIDE_BUCKETS + 8 m + points (m + 1) bytes for m merged values (a
+    count is at most SAMPLER_BLOCK_BITS, one byte).
     """
-    class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
-    draws = []
+
+    def __init__(self, thresholds: Sequence[np.ndarray]):
+        # at most MASK_POINTS * SAMPLER_BLOCK_BITS values; np.unique would
+        # import numpy.ma, 0.6 MB of code
+        merged = {t for t in np.concatenate(thresholds).tolist() if t < 1.0}
+        self.merged = np.array(sorted(merged), dtype=float)
+        # T <= b / B iff b >= ceil(T B), which is exact as B is a power of
+        # two, so position m fills buckets ceil(T_m B) to ceil(T_(m+1) B) - 1;
+        # a T with T B not an integer lies inside bucket ceil(T B) - 1
+        scaled = self.merged * GUIDE_BUCKETS
+        ceil = np.ceil(scaled).astype(np.intp)
+        edges = np.concatenate(([0], ceil, [GUIDE_BUCKETS]))
+        self.guide = np.repeat(np.arange(len(ceil) + 1), edges[1:] - edges[:-1])
+        inside = ceil[ceil != scaled] - 1
+        self.guide[inside] = -1 - self.guide[inside]
+        floors = np.concatenate(([-math.inf], self.merged))
+        self.counts = np.array([np.searchsorted(t, floors, side="right") for t in thresholds],
+                               dtype=np.uint8)
+
+    @property
+    def nbytes(self) -> int:
+        return self.merged.nbytes + self.guide.nbytes + self.counts.nbytes
+
+    def locate(self, u: np.ndarray, out: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
+        """The position of each uniform in u, written to the intp array out."""
+        np.multiply(u, GUIDE_BUCKETS, out=out, casting="unsafe")  # the bucket, as u >= 0
+        # out[j] is read before it is written; with out=, mode "raise" would buffer a copy
+        self.guide.take(out, out=out, mode="clip")
+        fix = np.flatnonzero(np.less(out, 0, out=_working(work, "straddles", len(u), bool)))
+        out[fix] = np.searchsorted(self.merged, u[fix], side="right")
+        return out
+
+
+def _mask_dtype(points: int) -> np.dtype:
+    """The narrowest unsigned integer with a bit per point (at most MASK_POINTS)."""
+    return next(dtype for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))
+                if points <= 8 * dtype.itemsize)
+
+
+def _point_bits(flags: dict[int, np.ndarray], size: int, dtype: np.dtype) -> np.ndarray:
+    """size masks whose bit i is flags[i] (points of one group)."""
+    masks = np.zeros(size, dtype=dtype)
+    for i, flag in flags.items():
+        masks |= flag.astype(dtype) << dtype.type(i)
+    return masks
+
+
+Judge = tuple[Reader, int]  # a part's tile rows -> per-trial point masks, and the bytes it holds
+
+
+def _repetition_reader(part: RepetitionPart, p_ms: Sequence[float], work: dict[str, np.ndarray],
+                       dtype: np.dtype) -> Judge:
+    """Point masks of a repetition part over a group of points: bit i of a
+    trial's mask is set iff the trial fails at p_ms[i].
+
+    A bit fails iff its uniform reaches its weight's majority threshold
+    (_repetition_failures), so per weight the largest uniform of its bits
+    is compared once with each point's threshold.
+    """
+    classes: dict[int, list[int]] = {}
+    for j, w in enumerate(part.weights):
+        classes.setdefault(w, []).append(j)
+    thresholds = [(rows, [_majority_lower_tail(p_err(w, p_m), part.fold) for p_m in p_ms])
+                  for w, rows in classes.items()]
+    bits = [dtype.type(1 << i) for i in range(len(p_ms))]
+
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        size = uniforms.shape[-1]
+        out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
+        flag = _working(work, "flag", size, bool)
+        out.fill(0)
+        for rows, points in thresholds:
+            top = uniforms[rows[0]]
+            for j in rows[1:]:
+                top = np.maximum(top, uniforms[j], out=_working(work, "top", size))
+            for bit, threshold in zip(bits, points):
+                np.greater_equal(top, threshold, out=flag)
+                out |= np.multiply(flag.view(np.uint8), bit, out=hit)
+        return out
+    return failed, 0
+
+
+@dataclass(frozen=True)
+class _CountBlock:
+    """A sampler block read for a group of points: its word table, the
+    number (runs[c]) and first index (starts[c]) of its words with c
+    flips, and where its count uniforms fall among each point's
+    Binomial(N, q) CDF values F(0), ..., F(N - 1)."""
+
+    table: np.ndarray
+    runs: np.ndarray
+    starts: np.ndarray
+    positions: _Positions
+    at_positions: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def index(self, i: int, pos: np.ndarray, v: np.ndarray, out: np.ndarray,
+              work: dict[str, np.ndarray]) -> np.ndarray:
+        """Point i's table indices at count positions pos and position
+        uniforms v, written to the intp array out, which may be pos."""
+        if i not in self.at_positions:  # point i's run and start at each position
+            counts = self.positions.counts[i]
+            self.at_positions[i] = self.runs.take(counts), self.starts.take(counts)
+        runs, starts = self.at_positions[i]
+        # indices are in range; with out=, mode "raise" would buffer a copy
+        run = runs.take(pos, out=_working(work, "run", len(pos)), mode="clip")
+        # each entry of pos is read before out's entry is written
+        return _table_index(v, run, starts.take(pos, out=out, mode="clip"), out, work)
+
+
+@functools.cache
+def _block_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The number (runs[c]) and first index (starts[c]) of the words with c
+    flips in an n-bit sampler block's table; shared, so read-only."""
+    runs = np.array([math.comb(n, c) for c in range(n + 1)], dtype=float)
+    starts = (np.cumsum(runs) - runs).astype(np.intp)
+    runs.flags.writeable = starts.flags.writeable = False
+    return runs, starts
+
+
+def _block_cdf(runs: np.ndarray, q: float) -> np.ndarray:
+    """F(0), ..., F(N - 1) of Binomial(N, q), N = len(runs) - 1."""
+    return np.cumsum(runs * _pattern_probabilities(q, len(runs) - 1))[:-1]
+
+
+def _count_blocks(part: SMPart, p_ms: Sequence[float]) -> list[_CountBlock]:
+    class_q = [[p_err(part.weights[j], p_m) for j in part._unit_costs.first] for p_m in p_ms]
+    shared: dict[tuple[int, int], _Positions] = {}  # blocks of one class and length share CDFs
+    blocks = []
     for k, table in part._sampler_blocks:
         n = len(table).bit_length() - 1
-        runs = np.array([math.comb(n, c) for c in range(n + 1)], dtype=float)
-        cdf = np.cumsum(runs * _pattern_probabilities(class_q[k], n))[:-1]
-        starts = (np.cumsum(runs) - runs).astype(np.intp)
-        # the count is the number of F(0), ..., F(n - 1) at most u; u < 1,
-        # so a CDF value of 1 never counts
-        draws.append((cdf[cdf < 1.0], runs, starts))
-
-    def indices(uniforms: np.ndarray) -> Iterator[np.ndarray]:
-        size = uniforms.shape[-1]
-        flips, reached = _working(work, "flips", size, np.uint8), _working(work, "reached", size, bool)
-        counts, index = _working(work, "counts", size, np.intp), _working(work, "index", size, np.intp)
-        run, pick = _working(work, "run", size), _working(work, "pick", size)
-        for (cdf, runs, starts), u, v in zip(draws, uniforms[0::2], uniforms[1::2]):
-            flips.fill(0)
-            for value in cdf:
-                np.greater_equal(u, value, out=reached)
-                flips += reached.view(np.uint8)
-            np.copyto(counts, flips)
-            # counts are at most N; with out=, mode "raise" would buffer a copy
-            runs.take(counts, out=run, mode="clip")
-            np.multiply(v, run, out=pick)
-            run -= 1.0
-            np.minimum(pick, run, out=pick)
-            starts.take(counts, out=index, mode="clip")
-            np.copyto(counts, pick, casting="unsafe")  # truncates, as astype does
-            index += counts
-            yield index
-    return indices
+        runs, starts = _block_runs(n)
+        if (k, n) not in shared:
+            shared[k, n] = _Positions([_block_cdf(runs, q[k]) for q in class_q])
+        blocks.append(_CountBlock(table, runs, starts, shared[k, n]))
+    return blocks
 
 
-def _sm_words(part: SMPart, p_m: float, work: dict[str, np.ndarray]) -> Reader:
-    """Received words read from the part's uniforms: the blocks cover
-    disjoint bits, so their table words are ORed."""
-    indices = _block_indices(part, p_m, work)
+def _locate(blocks: list[_CountBlock], uniforms: np.ndarray, work: dict[str, np.ndarray]):
+    """Each block's count positions, read from its count uniforms; block j's
+    is working array pos<j>."""
+    size = uniforms.shape[-1]
+    return [block.positions.locate(u, _working(work, f"pos{j}", size, np.intp), work)
+            for j, (block, u) in enumerate(zip(blocks, uniforms[0::2]))]
 
-    def words(uniforms: np.ndarray) -> np.ndarray:
-        out = np.zeros(uniforms.shape[-1], dtype=np.uint64)
-        for (_, table), index in zip(part._sampler_blocks, indices(uniforms)):
-            out |= table.take(index)
-        return out
+
+def _table_index(v: np.ndarray, run, start, out: np.ndarray, work: dict[str, np.ndarray]):
+    """start + min(floor(v run), run - 1), written to the intp array out
+    (which may be start): the table entry a position uniform v picks among
+    the run words with c flips from index start.  run and start are
+    numbers or per-trial arrays, and an array run is decremented in place."""
+    pick = np.multiply(v, run, out=_working(work, "pick", len(v)))
+    run = np.subtract(run, 1.0, out=run if isinstance(run, np.ndarray) else None)
+    np.minimum(pick, run, out=pick)
+    # truncated in place (each entry is read before it is written), as
+    # astype does: pick >= 0, so that is the floor
+    floor = pick.view(np.intp)
+    np.copyto(floor, pick, casting="unsafe")
+    return np.add(floor, start, out=out)
+
+
+def _words(blocks: list[_CountBlock], i: int, uniforms: np.ndarray,
+           positions: list[np.ndarray] | None, work: dict[str, np.ndarray]) -> np.ndarray:
+    """Point i's received words: per block, the table word its count and
+    position uniform pick; the blocks cover disjoint bits, so they are ORed.
+    Without positions (_locate), each block is located just before it is
+    read, so one position array is live."""
+    size = uniforms.shape[-1]
+    words, index = _working(work, "words", size, np.uint64), _working(work, "index", size, np.intp)
+    for j, (block, u, v) in enumerate(zip(blocks, uniforms[0::2], uniforms[1::2])):
+        pos = positions[j] if positions is not None else block.positions.locate(u, index, work)
+        block.index(i, pos, v, index, work)
+        # each word overwrites the index it is read at; with out=, mode
+        # "raise" would buffer a copy
+        word = block.table.take(index, out=index.view(np.uint64) if j else words, mode="clip")
+        if j:
+            words |= word
     return words
 
 
 def _sm_word_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw one chunk of received words, the part's uniform arrays in order."""
-    words = _sm_words(part, p_m, {})
-    return lambda rng, size: words(rng.random((_draws(part), size)))
+    """Draw one chunk of received words, the part's uniform arrays in order.
+
+    A block's flip count is the number of its CDF values at most the count
+    uniform, each value compared with every uniform: no _Positions, so the
+    sampler checks the readers' count lookup."""
+    class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        uniforms, words = rng.random((_draws(part), size)), np.zeros(size, dtype=np.uint64)
+        for (k, table), u, v in zip(part._sampler_blocks, uniforms[0::2], uniforms[1::2]):
+            runs, starts = _block_runs(len(table).bit_length() - 1)
+            counts = np.count_nonzero(_block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
+            start = starts.take(counts)
+            words |= table.take(_table_index(v, runs.take(counts), start, start, {}))
+        return words
+    return sample
 
 
 def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
@@ -666,30 +864,127 @@ def _sm_decoder(
     return failed
 
 
-def _sm_failures(part: SMPart, p_m: float, trials: int, work: dict[str, np.ndarray]) -> Reader:
-    """The part's failures at p_m, read from its uniforms.
+def _judged_by_table(part: SMPart, costs: _Costs) -> bool:
+    """Whether the part's decisions under the cost rule costs
+    (SMPart._pricing) are its cached _decisions: unit costs, which do not
+    depend on p_m, and at most 2^HARD_EXACT_BITS patterns."""
+    return part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs
 
-    With unit costs and at most 2^HARD_EXACT_BITS patterns the decisions
-    do not change with p_m, so the block indices address the part's cached
-    decision table; otherwise the words are assembled and decoded.
+
+def _joint(digits: Sequence[np.ndarray]) -> np.ndarray:
+    """digits[0][i_0] + digits[1][i_1] + ... for every index vector, flattened
+    with i_0 fastest."""
+    return functools.reduce(lambda acc, d: (d[:, None] + acc).ravel(), digits[1:], digits[0])
+
+
+def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], trials: int,
+               work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
+    """Point masks of an SM part over a group of points: bit i of a trial's
+    mask is set iff the trial fails at p_ms[i], whose decoder minimizes
+    costs[i].
+
+    Each block's count uniforms are placed once among every point's CDF
+    values (_Positions).  A point judged by the table (_judged_by_table)
+    looks up, by the blocks' joint position, whether the part's _verdicts
+    say that the trial's count vector fails, or that it is mixed: some
+    patterns with those counts fail and some decode.  One table of point
+    masks per verdict holds every point's bit, at most JOINT_TABLE_ENTRIES
+    positions (_group_width); a part whose joint positions exceed that even
+    for one point keeps no table and treats every trial as mixed.
+
+    A mixed count c of a one-block part is decided by the position uniform
+    alone, at decisions[starts[c] + min(floor(v C(N, c)), C(N, c) - 1)],
+    read once per tile for every trial whatever the points; on a part of
+    several blocks each point decides only the trials mixed at its counts.
+    Any other point assembles its words and decodes them (_sm_decoder).
     """
-    costs, _ = part._pricing(p_m)
-    if part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs:
-        indices, decisions = _block_indices(part, p_m, work), part._decisions
-        # block i is shifted past the bits of blocks 0..i-1
-        bits = [len(table).bit_length() - 1 for _, table in part._sampler_blocks]
-        shifts = [0, *itertools.accumulate(bits[:-1])]
+    blocks = _count_blocks(part, p_ms)
+    bits = [len(block.runs) - 1 for block in blocks]
+    shifts = [0, *itertools.accumulate(bits[:-1])]  # block j's place in a _decisions index
+    sizes = [block.positions.counts.shape[1] for block in blocks]
+    on_table = [i for i, rule in enumerate(costs) if _judged_by_table(part, rule)]
+    decoders = {i: _sm_decoder(part, rule, trials)
+                for i, rule in enumerate(costs) if i not in on_table}
+    fails = mixed = None
+    mixed_counts: list[tuple[int, np.ndarray]] = []
+    if on_table and math.prod(sizes) <= JOINT_TABLE_ENTRIES:
+        strides = [math.prod(n + 1 for n in bits[:j]) for j in range(len(bits))]  # _verdicts digits
+        verdict = {i: part._verdicts.take(_joint([block.positions.counts[i].astype(np.intp) * stride
+                                                  for block, stride in zip(blocks, strides)]))
+                   for i in on_table}
+        size = math.prod(sizes)
+        fails = _point_bits({i: v == _FAILS for i, v in verdict.items()}, size, dtype)
+        if len(blocks) == 1:
+            counts = blocks[0].positions.counts
+            for c in np.flatnonzero(part._verdicts == _MIXED):
+                masks = _point_bits({i: counts[i] == c for i in on_table}, size, dtype)
+                if masks.any():
+                    mixed_counts.append((int(c), masks))
+        else:
+            mixed = _point_bits({i: v == _MIXED for i, v in verdict.items()}, size, dtype)
+    everyone = dtype.type(sum(1 << i for i in on_table))
 
-        def failed(uniforms: np.ndarray) -> np.ndarray:
-            key = _working(work, "key", uniforms.shape[-1], np.intp)
-            key.fill(0)
-            for shift, index in zip(shifts, indices(uniforms)):
-                index <<= shift
-                key |= index
-            return decisions.take(key)
-        return failed
-    words, decode = _sm_words(part, p_m, work), _sm_decoder(part, costs, trials)
-    return lambda uniforms: decode(words(uniforms))
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        size = uniforms.shape[-1]
+        out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
+        # a lone decoded point locates each block as it reads it, so one
+        # position array is live
+        positions = _locate(blocks, uniforms, work) if on_table or len(decoders) > 1 else None
+        v = uniforms[1::2]
+        if not on_table:
+            out.fill(0)
+        elif len(blocks) == 1 and fails is not None:
+            fails.take(positions[0], out=out, mode="clip")
+            block = blocks[0]
+            for c, masks in mixed_counts:
+                index = _table_index(v[0], block.runs[c], block.starts[c],
+                                     _working(work, "index", size, np.intp), work)
+                decided = part._decisions.take(index, out=_working(work, "decided", size, bool),
+                                               mode="clip")
+                masks.take(positions[0], out=hit, mode="clip")
+                out |= np.multiply(hit, decided, out=hit)
+        else:
+            if fails is None:  # every table point decides every trial
+                out.fill(0)
+                hit.fill(everyone)
+            else:
+                joint = _working(work, "joint", size, np.intp)
+                np.copyto(joint, positions[-1])
+                for pos, width in zip(positions[-2::-1], sizes[-2::-1]):
+                    joint *= width
+                    joint += pos
+                fails.take(joint, out=out, mode="clip")
+                mixed.take(joint, out=hit, mode="clip")
+            _decide_mixed(part, blocks, shifts, on_table, positions, v, out, hit, work)
+        for i, decode in decoders.items():
+            decoded = decode(_words(blocks, i, uniforms, positions, work))
+            out |= np.multiply(decoded.view(np.uint8), dtype.type(1 << i), out=hit)
+        return out
+    shared = {id(block.positions): block.positions for block in blocks}
+    held = sum(positions.nbytes for positions in shared.values())
+    held += sum(table.nbytes for table in (fails, mixed) if table is not None)
+    return failed, held + sum(masks.nbytes for _, masks in mixed_counts)
+
+
+def _decide_mixed(part: SMPart, blocks: list[_CountBlock], shifts: list[int], on_table: list[int],
+                  positions: list[np.ndarray], v: np.ndarray, out: np.ndarray, mixed: np.ndarray,
+                  work: dict[str, np.ndarray]):
+    """Set each table point's failure bits among the trials whose counts are
+    mixed at it (its bit of mixed), decoded through _decisions."""
+    flag = _working(work, "flag", len(mixed), bool)
+    for i in on_table:
+        bit = out.dtype.type(1 << i)
+        mixed_here = np.bitwise_and(mixed, bit, out=_working(work, "mixed", len(mixed), mixed.dtype))
+        rows = np.flatnonzero(np.not_equal(mixed_here, 0, out=flag))
+        key = _working(work, "key", len(rows), np.intp)
+        key.fill(0)
+        for block, shift, pos, u in zip(blocks, shifts, positions, v):
+            at = pos.take(rows)
+            index = block.index(i, at, u.take(rows), at, work)
+            key |= np.left_shift(index, shift, out=index)
+        failing = part._decisions.take(key, out=_working(work, "decided", len(rows), bool),
+                                       mode="clip")
+        out[rows[failing]] |= bit
 
 
 def _keeps_table(scheme: MeasurementScheme, p_m: float, trials: int) -> bool:
@@ -703,27 +998,72 @@ def _keeps_table(scheme: MeasurementScheme, p_m: float, trials: int) -> bool:
     )
 
 
+def _group_width(parts: Iterable[SMPart], points: int) -> int:
+    """How many points are judged together: at most MASK_POINTS, and few
+    enough that each table-judged part of several blocks, whose N_j-bit
+    blocks take at most width N_j + 1 positions each, has at most
+    JOINT_TABLE_ENTRIES joint positions (unless one point alone exceeds it)."""
+    width = min(MASK_POINTS, points)
+    for part in parts:
+        bits = [len(table).bit_length() - 1 for _, table in part._sampler_blocks]
+        while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
+            width -= 1
+    return width
+
+
 def _count_failures(
-    scheme: MeasurementScheme, p_ms: Sequence[float], trials: int, seed: int, chunk_size: int
+    scheme: MeasurementScheme, p_ms: Sequence[float], trials: int, seed: int, chunk_size: int,
+    work: dict[str, np.ndarray],
 ) -> list[int]:
     """Failed trials at each p_m, every point reading the same draws.
+
+    Points are judged in groups of _group_width: each part reads a tile
+    into one mask per trial, bit i for the group's point i
+    (_repetition_reader, _sm_reader), the scheme fails where any part
+    does, and each point counts its bit.  Groups share a pass over the
+    chunks (_judge_chunks) while their tables hold less than PASS_BYTES.
+    """
+    distinct = {id(part): part for part in scheme.parts}  # equal X and Z parts share a reader
+    rules = {key: [part._pricing(p_m)[0] for p_m in p_ms]
+             for key, part in distinct.items() if isinstance(part, SMPart)}
+    width = _group_width([distinct[key] for key, costs in rules.items()
+                          if any(_judged_by_table(distinct[key], c) for c in costs)], len(p_ms))
+    dtype = _mask_dtype(width)
+    failures = [0] * len(p_ms)
+
+    def judges(points: range) -> tuple[list[Reader], int]:
+        group = [p_ms[i] for i in points]
+        made = {key: _sm_reader(part, group, rules[key][points.start:points.stop], trials, work,
+                                dtype) if key in rules
+                else _repetition_reader(part, group, work, dtype) for key, part in distinct.items()}
+        return [made[id(part)][0] for part in scheme.parts], sum(held for _, held in made.values())
+
+    groups = [range(lo, min(lo + width, len(p_ms))) for lo in range(0, len(p_ms), width)]
+    while groups:
+        passing, held = [], 0
+        while groups and held < PASS_BYTES:
+            points = groups.pop(0)
+            readers, nbytes = judges(points)
+            passing.append((points, readers))
+            held += nbytes
+        _judge_chunks(scheme, passing, failures, trials, seed, chunk_size, work, dtype)
+    return failures
+
+
+def _judge_chunks(scheme: MeasurementScheme, passing: list[tuple[range, list[Reader]]],
+                  failures: list[int], trials: int, seed: int, chunk_size: int,
+                  work: dict[str, np.ndarray], dtype: np.dtype):
+    """Add each group's failed trials to failures, in one pass over the chunks.
 
     Chunk c's stream holds the parts' uniform arrays back to back, each
     size long, so entry t of array a is draw a * size + t.  The chunk is
     walked in tiles of at most TILE_WORDS trials: each array's slice is
-    drawn from the chunk's start state advanced to it, and every point
-    counts its failures from the tile.
+    drawn from the chunk's start state advanced to it, and every group
+    judges the tile.
     """
-    distinct = {id(part): part for part in scheme.parts}  # equal X and Z parts share a reader
-    readers, work = [], {}
-    for p_m in p_ms:
-        read = {key: _repetition_failures(part, p_m) if isinstance(part, RepetitionPart)
-                else _sm_failures(part, p_m, trials, work) for key, part in distinct.items()}
-        readers.append([read[id(part)] for part in scheme.parts])
     ends = list(itertools.accumulate(_draws(part) for part in scheme.parts))
     spans = list(zip([0] + ends[:-1], ends))
     uniforms = np.empty((ends[-1] if ends else 0, min(TILE_WORDS, chunk_size, trials)))
-    failures = [0] * len(p_ms)
     for chunk_index, start in enumerate(range(0, trials, chunk_size)):
         size = min(chunk_size, trials - start)
         rng = _chunk_rng(seed, chunk_index)
@@ -734,12 +1074,15 @@ def _count_failures(
                 rng.bit_generator.state = state
                 rng.bit_generator.advance(a * size + offset)
                 rng.random(out=row)
-            for i, point in enumerate(readers):
-                failed = np.zeros(tile.shape[1], dtype=bool)
-                for (lo, hi), read in zip(spans, point):
+            for points, readers in passing:
+                failed = _working(work, "failed", tile.shape[1], dtype)
+                failed.fill(0)
+                for (lo, hi), read in zip(spans, readers):
                     failed |= read(tile[lo:hi])
-                failures[i] += int(np.count_nonzero(failed))
-    return failures
+                bit = _working(work, "bit", tile.shape[1], dtype)
+                for i, point in enumerate(points):
+                    np.bitwise_and(failed, dtype.type(1 << i), out=bit)
+                    failures[point] += int(np.count_nonzero(bit))
 
 
 def pse_monte_carlo(
@@ -753,7 +1096,8 @@ def pse_monte_carlo(
 
     A float p_m gives one result; a sequence gives one per point, in order,
     each equal to the float call at that point.  The points read the same
-    draws, so one pass over the chunks counts them all.  A point whose
+    draws, so one pass over the chunks counts them all, or as many as fit
+    PASS_BYTES of tables (_count_failures).  A point whose
     decoder keeps a per-syndrome table of its own takes a pass alone, so
     one such table is alive at a time.  Every p_m is checked before any
     draw.
@@ -773,9 +1117,9 @@ def pse_monte_carlo(
             passes.append([i])
         else:
             passes[0].append(i)
-    failures = {}
+    failures, work = {}, {}  # the passes share their working arrays
     for points in filter(None, passes):
-        counts = _count_failures(scheme, [p_ms[i] for i in points], trials, seed, chunk_size)
+        counts = _count_failures(scheme, [p_ms[i] for i in points], trials, seed, chunk_size, work)
         failures.update(zip(points, counts))
     results = []
     for i in range(len(p_ms)):

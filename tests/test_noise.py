@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError, StructureError
@@ -17,6 +18,7 @@ from qdscodes import noise
 from qdscodes.noise import (
     DECODERS,
     DEFAULT_CHUNK_SIZE,
+    GUIDE_BUCKETS,
     TILE_WORDS,
     MeasurementScheme,
     RepetitionPart,
@@ -25,6 +27,7 @@ from qdscodes.noise import (
     _coset_minima,
     _draws,
     _failing_patterns,
+    _Positions,
     _repetition_failures,
     _shor_z_order_for_total,
     _sm_decoder,
@@ -943,11 +946,126 @@ def _whole_chunk_failures(
 @pytest.mark.parametrize("trials", [TILE_WORDS - 1, TILE_WORDS, TILE_WORDS + 1])
 @pytest.mark.parametrize("chunk_size", [TILE_WORDS // 3 + 1, TILE_WORDS + 5, DEFAULT_CHUNK_SIZE])
 def test_monte_carlo_tiles_read_each_chunk_stream_in_order(trials, chunk_size):
-    schemes = [build_scheme("fig1-shor-6fold"), build_scheme("fig2-bs-216")]
+    schemes = [build_scheme("fig1-shor-6fold"), build_scheme("fig2-bs-216"),
+               build_scheme("fig1-bs-sm")]
     for scheme in schemes:
         got = pse_monte_carlo(scheme, [2.0**-3, 2.0**-5], trials, seed=3, chunk_size=chunk_size)
         for p_m, result in zip([2.0**-3, 2.0**-5], got):
             assert result.p_se * trials == _whole_chunk_failures(scheme, p_m, trials, 3, chunk_size)
+
+
+WIDE_GRIDS = {
+    "66": [2.0 ** (-1.5 - 0.1 * i) for i in range(66)],
+    "100": [2.0 ** (-1.0 - 0.1 * i) for i in range(100)],
+}
+
+
+@pytest.mark.parametrize("grid", list(WIDE_GRIDS))
+@pytest.mark.parametrize("name", ["fig1-bs-sm", "fig2-bs-204", "fig1-shor-6fold"])
+def test_monte_carlo_wide_grid_equals_per_point_calls(monkeypatch, name, grid):
+    # more points than one 64-bit mask holds: the points are judged in groups
+    # that all read one draw of each chunk
+    scheme, p_ms, trials, chunk_size = build_scheme(name), WIDE_GRIDS[grid], 3_000, 1_250
+    drawn = []
+    chunk_rng = noise._chunk_rng
+    monkeypatch.setattr(noise, "_chunk_rng", lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
+    got = pse_monte_carlo(scheme, p_ms, trials, seed=29, chunk_size=chunk_size)
+    assert drawn == [0, 1, 2]
+    assert got == [pse_monte_carlo(scheme, p_m, trials, seed=29, chunk_size=chunk_size)
+                   for p_m in p_ms]
+
+
+@pytest.mark.parametrize("name", ["fig1-bs-sm", "fig2-bs-204", "fig1-shor-6fold"])
+def test_monte_carlo_groups_taking_their_own_passes_count_alike(monkeypatch, name):
+    # with no room for tables every group takes its own pass over the chunks;
+    # with no room for a joint table an SM part judges one point per group and
+    # decides every trial through its decisions, while a repetition part
+    # keeps all the points in one group
+    scheme, p_ms = build_scheme(name), WIDE_GRIDS["66"][::5]
+    expected = pse_monte_carlo(scheme, p_ms, 5_000, seed=31)
+    monkeypatch.setattr(noise, "PASS_BYTES", 1)
+    monkeypatch.setattr(noise, "JOINT_TABLE_ENTRIES", 1)
+    drawn = []
+    chunk_rng = noise._chunk_rng
+    monkeypatch.setattr(noise, "_chunk_rng", lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
+    assert pse_monte_carlo(scheme, p_ms, 5_000, seed=31) == expected
+    assert len(drawn) == (1 if name == "fig1-shor-6fold" else len(p_ms))
+
+
+def _bucket_edges(*ks: int) -> list[float]:
+    return [k / GUIDE_BUCKETS for k in ks]
+
+
+def _cdf_sets():
+    value = st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, GUIDE_BUCKETS).map(lambda k: k / GUIDE_BUCKETS),  # bucket edges
+        st.floats(1.0 - 1e-12, 1.0),  # a cluster just below 1
+    )
+    return st.lists(st.lists(value, max_size=16).map(sorted), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cdfs=_cdf_sets(), seed=st.integers(0, 2**32 - 1))
+@example(cdfs=[_bucket_edges(0, 1, 2, 4095), _bucket_edges(1, 7)], seed=0)
+@example(cdfs=[[0.25, 0.5, 0.75], [0.25, 0.5, 0.75], [0.5]], seed=1)  # duplicates across points
+@example(cdfs=[[1 - 1e-12, 1 - 5e-13, 1 - 1e-16], [1 - 2e-12, 1 - 1e-16]], seed=2)
+@example(cdfs=[[0.3, 1.0, 1.0], [1.0], []], seed=3)  # values of 1 never count
+@example(cdfs=[[0.0, 0.0, 0.1], [0.0]], seed=4)  # certain flips
+def test_guide_table_positions_give_every_points_inverse_cdf_count(cdfs, seed):
+    thresholds = [np.array(cdf, dtype=float) for cdf in cdfs]
+    positions = _Positions(thresholds)
+    values = np.concatenate(thresholds + [np.array(_bucket_edges(0, 1, 2047, 4095))])
+    near = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+    u = np.concatenate([near, np.random.default_rng(seed).random(5_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    located = positions.locate(u, np.empty(len(u), dtype=np.intp), {})
+    for i, t in enumerate(thresholds):
+        brute = np.count_nonzero(t[:, None] <= u, axis=0)
+        assert np.array_equal(positions.counts[i].take(located), brute)
+
+
+def _verdict_cases() -> dict[str, SMPart]:
+    code = sm_catalog("cw-12-2-8")
+    return {
+        "cw-12-2-8": SMPart(code, (6,) * 12),  # one block
+        "cw-17-2-11": SMPart(sm_catalog("cw-17-2-11"), (6,) * 17),  # two blocks
+        "cw-18-2-12": SMPart(sm_catalog("cw-18-2-12"), (6,) * 18),
+        "two-class": SMPart(code, (2, 4) * 6),  # one block per class
+    }
+
+
+@pytest.mark.parametrize("case", list(_verdict_cases()))
+def test_verdicts_say_whether_none_all_or_some_patterns_of_a_count_vector_fail(case):
+    part = _verdict_cases()[case]
+    index = np.arange(1 << part.code.length)
+    key, stride = np.zeros_like(index), 1
+    for _, table in part._sampler_blocks:
+        bits = len(table).bit_length() - 1
+        key += np.bitwise_count(table[index & (len(table) - 1)]).astype(np.intp) * stride
+        index >>= bits
+        stride *= bits + 1
+    fails = np.bincount(key, weights=part._decisions, minlength=stride)
+    totals = np.bincount(key, minlength=stride)
+    expected = np.where(fails == 0, 0, np.where(fails == totals, 2, 1))
+    assert len(part._verdicts) == stride
+    assert np.array_equal(part._verdicts, expected)
+    if case == "cw-12-2-8":
+        # counts 0-3 always decode, 4 depends on the positions, 5-12 always fail
+        assert part._verdicts.tolist() == [0] * 4 + [1] + [2] * 8
+
+
+def test_verdicts_reduce_the_decisions_without_an_int_copy():
+    part = _random_part(22, 6, seed=22, decoder="coset-leader")
+    assert len(part._sampler_blocks) > 1
+    part._decisions  # 2^22 bools, built before measuring
+    tracemalloc.start()
+    try:
+        part._verdicts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 22
 
 
 def test_monte_carlo_sweep_calls_pse_monte_carlo_once(monkeypatch):
