@@ -47,11 +47,11 @@ a chunk the parts draw in scheme order: a repetition part one array of
 uniforms per syndrome bit, an SM part a count array then a position
 array per block, blocks in class order.  The arrays do not depend on
 p_m, so every point of a sweep reads the same chunk streams, and a grid
-call draws them once per pass: one pass serves every point whose tables
-fit PASS_BYTES.  A pass walks each chunk in tiles of at most
-TILE_WORDS trials; a float64 takes one 64-bit draw, so a tile's slice of
-array a is drawn from the chunk's start state moved by PCG64.advance to
-draw a * size + (tile offset).
+call draws them once per pass: one pass serves every point whose tables,
+decoders' per-syndrome tables included, fit PASS_BYTES.  A pass walks
+each chunk in tiles of at most TILE_WORDS trials; a float64 takes one
+64-bit draw, so a tile's slice of array a is drawn from the chunk's start
+state moved by PCG64.advance to draw a * size + (tile offset).
 
 Each tile is judged once for a group of up to MASK_POINTS points: every
 part turns it into one integer mask per trial, bit i set when the trial
@@ -165,9 +165,7 @@ class _Costs:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Each count vector's cost, in key order.  Built on first use: a
-        rule priced only to see whether it is the unit one (_keeps_table)
-        builds none."""
+        """Each count vector's cost, in key order, built on first use."""
         vectors = self.count_vectors()
         if self.lams is None:
             return np.array([sum(counts) for counts in vectors], dtype=np.uint8)
@@ -346,12 +344,13 @@ class SimResult:
 # exact evaluation
 # ----------------------------------------------------------------------
 
-def _majority_bit_failure(q: float, fold: int) -> float:
-    """P[majority wrong or tied] for one bit under iid flips q."""
-    return math.fsum(
-        math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c)
-        for c in range((fold + 1) // 2, fold + 1)
-    )
+def _majority_bit_failure(q: float, fold: int, counts: range | None = None) -> float:
+    """P[Binomial(fold, q) in counts] by one fsum; by default counts are
+    (fold + 1) // 2 ... fold, a wrong or tied majority for one bit under iid
+    flips q."""
+    if counts is None:
+        counts = range((fold + 1) // 2, fold + 1)
+    return math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c) for c in counts)
 
 
 def _coset_bases(code: BinaryLinearCode) -> Iterator[np.ndarray]:
@@ -537,13 +536,6 @@ def _draws(part: Part) -> int:
     return 2 * len(part._sampler_blocks)
 
 
-def _majority_lower_tail(q: float, fold: int) -> float:
-    """P[fewer than (fold + 1) // 2 of fold flips]: a repetition bit whose
-    inverse-CDF uniform lies below this decodes correctly."""
-    return math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c)
-                     for c in range((fold + 1) // 2))
-
-
 def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
     """Majority failures read from one uniform array per syndrome bit.
 
@@ -551,7 +543,8 @@ def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
     t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
     uniform u satisfies u >= F(t - 1), so one uniform per bit decides it.
     """
-    thresholds = [_majority_lower_tail(p_err(w, p_m), part.fold) for w in part.weights]
+    decoded = range((part.fold + 1) // 2)
+    thresholds = [_majority_bit_failure(p_err(w, p_m), part.fold, decoded) for w in part.weights]
 
     def failed(uniforms: np.ndarray) -> np.ndarray:
         out = np.zeros(uniforms.shape[-1], dtype=bool)
@@ -563,8 +556,7 @@ def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
 
 def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
     """work[name] cut to size, allocated only when missing, too short or of
-    another dtype (the passes of one pse_monte_carlo call share work, each
-    with its own mask dtype).
+    another dtype.
 
     Readers run one tile at a time and share these arrays: a fresh
     tile-sized array per block and point would be mapped and unmapped by
@@ -656,7 +648,8 @@ def _repetition_reader(part: RepetitionPart, p_ms: Sequence[float], work: dict[s
     classes: dict[int, list[int]] = {}
     for j, w in enumerate(part.weights):
         classes.setdefault(w, []).append(j)
-    thresholds = [(rows, [_majority_lower_tail(p_err(w, p_m), part.fold) for p_m in p_ms])
+    decoded = range((part.fold + 1) // 2)  # a bit decodes iff its uniform is below F(t - 1)
+    thresholds = [(rows, [_majority_bit_failure(p_err(w, p_m), part.fold, decoded) for p_m in p_ms])
                   for w, rows in classes.items()]
     bits = [dtype.type(1 << i) for i in range(len(p_ms))]
 
@@ -832,11 +825,13 @@ def _decision_table(part: SMPart) -> np.ndarray:
     return failed.ravel()
 
 
-def _syndrome_table_pays(code: BinaryLinearCode, trials: float) -> bool:
-    """Whether decoding trials words through a per-syndrome runner-up table
-    beats scanning each word's coset: the table walks all 2^n patterns once,
-    the scan 2^k codewords per word, so it pays from 2^(n - k) words on."""
-    return code.length <= HARD_EXACT_BITS and trials >= 1 << code.redundancy
+def _syndrome_table_bytes(code: BinaryLinearCode, trials: float) -> int:
+    """Bytes of the per-syndrome runner-up table (float costs) that
+    _sm_decoder keeps for a run decoding trials words, or 0 when it scans
+    each word's coset: the table walks all 2^n patterns once, the scan 2^k
+    codewords per word, so the table pays from 2^(n - k) words on."""
+    pays = code.length <= HARD_EXACT_BITS and trials >= 1 << code.redundancy
+    return 8 << code.redundancy if pays else 0
 
 
 def _sm_decoder(
@@ -846,11 +841,11 @@ def _sm_decoder(
     costs (SMPart._pricing), for a run that decodes trials words.
 
     A word succeeds iff it is the unique minimum-cost member of its coset.
-    When _syndrome_table_pays, each coset's runner-up cost is computed once
-    and looked up by syndrome; otherwise each word's coset is scanned.
-    Both give the same decisions.
+    When that pays (_syndrome_table_bytes), each coset's runner-up cost is
+    computed once and looked up by syndrome; otherwise each word's coset is
+    scanned.  Both give the same decisions.
     """
-    if _syndrome_table_pays(part.code, trials):
+    if _syndrome_table_bytes(part.code, trials):
         table = _runner_up_by_syndrome(part, costs)
 
         def runner_up(words):
@@ -896,7 +891,8 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     alone, at decisions[starts[c] + min(floor(v C(N, c)), C(N, c) - 1)],
     read once per tile for every trial whatever the points; on a part of
     several blocks each point decides only the trials mixed at its counts.
-    Any other point assembles its words and decodes them (_sm_decoder).
+    Any other point assembles its words and decodes them (_sm_decoder); the
+    bytes reported count its per-syndrome table, if it keeps one.
     """
     blocks = _count_blocks(part, p_ms)
     bits = [len(block.runs) - 1 for block in blocks]
@@ -963,7 +959,8 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     shared = {id(block.positions): block.positions for block in blocks}
     held = sum(positions.nbytes for positions in shared.values())
     held += sum(table.nbytes for table in (fails, mixed) if table is not None)
-    return failed, held + sum(masks.nbytes for _, masks in mixed_counts)
+    held += sum(masks.nbytes for _, masks in mixed_counts)
+    return failed, held + len(decoders) * _syndrome_table_bytes(part.code, trials)
 
 
 def _decide_mixed(part: SMPart, blocks: list[_CountBlock], shifts: list[int], on_table: list[int],
@@ -987,33 +984,25 @@ def _decide_mixed(part: SMPart, blocks: list[_CountBlock], shifts: list[int], on
         out[rows[failing]] |= bit
 
 
-def _keeps_table(scheme: MeasurementScheme, p_m: float, trials: int) -> bool:
-    """Whether some part's decoder at p_m keeps a per-syndrome table of its
-    own (_sm_decoder), one that no other point shares."""
-    return any(
-        isinstance(part, SMPart)
-        and part._pricing(p_m)[0] is not part._unit_costs
-        and _syndrome_table_pays(part.code, trials)
-        for part in scheme.parts
-    )
-
-
-def _group_width(parts: Iterable[SMPart], points: int) -> int:
+def _group_width(judged: Iterable[SMPart], decoded: Iterable[SMPart], points: int,
+                 trials: int) -> int:
     """How many points are judged together: at most MASK_POINTS, and few
     enough that each table-judged part of several blocks, whose N_j-bit
     blocks take at most width N_j + 1 positions each, has at most
-    JOINT_TABLE_ENTRIES joint positions (unless one point alone exceeds it)."""
+    JOINT_TABLE_ENTRIES joint positions, and that the per-syndrome tables of
+    the parts that decode words (_syndrome_table_bytes), one per point, fit
+    PASS_BYTES (unless one point alone exceeds either)."""
     width = min(MASK_POINTS, points)
-    for part in parts:
+    for part in judged:
         bits = [len(table).bit_length() - 1 for _, table in part._sampler_blocks]
         while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
             width -= 1
-    return width
+    per_point = sum(_syndrome_table_bytes(part.code, trials) for part in decoded)
+    return max(1, min(width, PASS_BYTES // per_point)) if per_point else width
 
 
 def _count_failures(
     scheme: MeasurementScheme, p_ms: Sequence[float], trials: int, seed: int, chunk_size: int,
-    work: dict[str, np.ndarray],
 ) -> list[int]:
     """Failed trials at each p_m, every point reading the same draws.
 
@@ -1021,15 +1010,20 @@ def _count_failures(
     into one mask per trial, bit i for the group's point i
     (_repetition_reader, _sm_reader), the scheme fails where any part
     does, and each point counts its bit.  Groups share a pass over the
-    chunks (_judge_chunks) while their tables hold less than PASS_BYTES.
+    chunks (_judge_chunks) while their tables, decoders' per-syndrome tables
+    included, hold less than PASS_BYTES, so a pass holds at most PASS_BYTES
+    plus one group's tables.
     """
     distinct = {id(part): part for part in scheme.parts}  # equal X and Z parts share a reader
     rules = {key: [part._pricing(p_m)[0] for p_m in p_ms]
              for key, part in distinct.items() if isinstance(part, SMPart)}
-    width = _group_width([distinct[key] for key, costs in rules.items()
-                          if any(_judged_by_table(distinct[key], c) for c in costs)], len(p_ms))
+    on_table = {key: [_judged_by_table(distinct[key], c) for c in costs]
+                for key, costs in rules.items()}
+    width = _group_width([distinct[key] for key, on in on_table.items() if any(on)],
+                         [distinct[key] for key, on in on_table.items() if not all(on)],
+                         len(p_ms), trials)
     dtype = _mask_dtype(width)
-    failures = [0] * len(p_ms)
+    failures, work = [0] * len(p_ms), {}  # the groups share their working arrays
 
     def judges(points: range) -> tuple[list[Reader], int]:
         group = [p_ms[i] for i in points]
@@ -1097,10 +1091,8 @@ def pse_monte_carlo(
     A float p_m gives one result; a sequence gives one per point, in order,
     each equal to the float call at that point.  The points read the same
     draws, so one pass over the chunks counts them all, or as many as fit
-    PASS_BYTES of tables (_count_failures).  A point whose
-    decoder keeps a per-syndrome table of its own takes a pass alone, so
-    one such table is alive at a time.  Every p_m is checked before any
-    draw.
+    PASS_BYTES of tables, decoders' per-syndrome tables included
+    (_count_failures).  Every p_m is checked before any draw.
     """
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
@@ -1111,19 +1103,9 @@ def pse_monte_carlo(
     scalar = np.ndim(p_m) == 0
     p_ms = [p_m] if scalar else list(p_m)
     _check_p_ms(p_ms)
-    passes: list[list[int]] = [[]]
-    for i, p in enumerate(p_ms):
-        if _keeps_table(scheme, p, trials):
-            passes.append([i])
-        else:
-            passes[0].append(i)
-    failures, work = {}, {}  # the passes share their working arrays
-    for points in filter(None, passes):
-        counts = _count_failures(scheme, [p_ms[i] for i in points], trials, seed, chunk_size, work)
-        failures.update(zip(points, counts))
     results = []
-    for i in range(len(p_ms)):
-        p_hat = failures[i] / trials
+    for failures in _count_failures(scheme, p_ms, trials, seed, chunk_size):
+        p_hat = failures / trials
         stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
         results.append(SimResult(p_se=p_hat, stderr=stderr, trials=trials,
                                  method="monte-carlo", seed=seed))

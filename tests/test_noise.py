@@ -1121,9 +1121,93 @@ def test_per_syndrome_table_is_built_only_when_it_pays(monkeypatch):
     below = pse_monte_carlo(scheme, grid, cosets - 1, seed=6)
     assert built == [] and passes == [grid]
     at = pse_monte_carlo(scheme, grid, cosets, seed=6)
-    # one table per point, and one point per pass, so one table is alive at a time
-    assert len(built) == len(grid) and passes[1:] == [[p_m] for p_m in grid]
+    # one table per point, and the whole grid counted in one call
+    assert len(built) == len(grid) and passes[1:] == [grid]
     assert all(0.0 < r.p_se < 1.0 for r in below + at)
+
+
+def _recorded_passes(monkeypatch) -> tuple[list[list[range]], list[list[int]]]:
+    """Record each pass over the chunks: its groups of points, and the bytes
+    of the per-syndrome tables built for it (_count_failures builds a pass's
+    readers just before the pass runs)."""
+    passes, tables, pending = [], [], []
+    runner_up, judge_chunks = noise._runner_up_by_syndrome, noise._judge_chunks
+
+    def building(part, costs):
+        table = runner_up(part, costs)
+        pending.append(table.nbytes)
+        return table
+
+    def judging(scheme, passing, *args):
+        passes.append([points for points, _ in passing])
+        tables.append(pending[:])
+        pending.clear()
+        return judge_chunks(scheme, passing, *args)
+
+    monkeypatch.setattr(noise, "_runner_up_by_syndrome", building)
+    monkeypatch.setattr(noise, "_judge_chunks", judging)
+    return passes, tables
+
+
+def test_per_syndrome_tables_share_one_draw_of_each_chunk(monkeypatch):
+    scheme = MeasurementScheme("three-class", (_three_class_part(),))
+    p_ms, trials, chunk_size = WIDE_GRIDS["66"][::5], 1 << 14, 5_000
+    drawn = []
+    chunk_rng = noise._chunk_rng
+    monkeypatch.setattr(noise, "_chunk_rng", lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
+    got = pse_monte_carlo(scheme, p_ms, trials, seed=37, chunk_size=chunk_size)
+    assert drawn == [0, 1, 2, 3]
+    assert got == [pse_monte_carlo(scheme, p_m, trials, seed=37, chunk_size=chunk_size)
+                   for p_m in p_ms]
+
+
+def test_per_syndrome_tables_with_no_room_take_a_pass_each(monkeypatch):
+    scheme = MeasurementScheme("three-class", (_three_class_part(),))
+    p_ms, trials = WIDE_GRIDS["66"][::15], 1 << 14
+    expected = pse_monte_carlo(scheme, p_ms, trials, seed=41)
+    monkeypatch.setattr(noise, "PASS_BYTES", 1)
+    passes, tables = _recorded_passes(monkeypatch)
+    assert pse_monte_carlo(scheme, p_ms, trials, seed=41) == expected
+    assert passes == [[range(i, i + 1)] for i in range(len(p_ms))]
+    assert tables == [[8 << scheme.parts[0].code.redundancy]] * len(p_ms)
+
+
+def test_a_pass_holds_at_most_pass_bytes_of_decoder_tables_plus_one_group(monkeypatch):
+    part = _three_class_part()
+    scheme = MeasurementScheme("three-class", (part,))
+    p_ms, trials = WIDE_GRIDS["66"][::5], 1 << 14
+    expected = pse_monte_carlo(scheme, p_ms, trials, seed=43)
+    table = noise._syndrome_table_bytes(part.code, trials)
+    assert table == 8 << part.code.redundancy
+    # room for three tables per group; a group's other tables (about 100 KB
+    # of count positions) leave room to start a second group in a pass
+    budget = 39 * table // 10
+    monkeypatch.setattr(noise, "PASS_BYTES", budget)
+    passes, tables = _recorded_passes(monkeypatch)
+    assert pse_monte_carlo(scheme, p_ms, trials, seed=43) == expected
+    groups = [points for pass_groups in passes for points in pass_groups]
+    assert [len(points) for points in groups] == [3, 3, 3, 3, 2]
+    assert len(passes) > 1 and any(len(pass_groups) > 1 for pass_groups in passes)
+    assert all(size == table for held in tables for size in held)
+    for groups, held in zip(passes, tables):
+        assert len(held) == sum(len(points) for points in groups)
+        assert sum(held) <= budget + max(len(points) for points in groups) * table
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_fig1_shor_sm_monte_carlo_sweep_equals_per_point_calls(shor_sm_data_dir, decoder):
+    scheme = build_scheme("fig1-shor-sm", data_dir=shor_sm_data_dir, decoder=decoder)
+    grid, trials = [-2.0, -3.0, -4.5, -6.0], 1 << 12
+    (z_part,) = {id(part): part for part in scheme.parts[1:]}.values()
+    # 2^12 trials reach the [18,6] Z part's 2^12 cosets: under weighted ML
+    # its points decode words through per-syndrome tables
+    assert noise._syndrome_table_bytes(z_part.code, trials) > 0
+    decoded = [z_part._pricing(2.0**lp)[0] is not z_part._unit_costs for lp in grid]
+    assert all(decoded) == (decoder == "weighted-ml")
+    rows = sweep(scheme, grid, method="mc", trials=trials, seed=47)
+    expected = [pse_monte_carlo(scheme, 2.0**lp, trials, seed=47) for lp in grid]
+    assert [(row.log2_pse, row.stderr) for row in rows] == [
+        (math.log2(r.p_se) if r.p_se > 0 else -math.inf, r.stderr) for r in expected]
 
 
 def _certain_codeword_code() -> BinaryLinearCode:
