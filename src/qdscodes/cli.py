@@ -348,7 +348,7 @@ def _simulate_arguments():
 
     return (
         (("--scheme",), {"required": True,
-                         "help": ", ".join(noise_mod.FIG1_SCHEMES + noise_mod.FIG2_SCHEMES)}),
+                         "help": ", ".join(noise_mod.SCHEMES)}),
         (("--pm-log2",), {"required": True,
                           "help": "a..b:step or a single value; write --pm-log2=-2..-8:0.5 "
                                   "so the leading minus is not read as a flag"}),

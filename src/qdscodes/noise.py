@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import StabilizerCode, SubsystemCode, catalog
+from .codes import StabilizerCode, SubsystemCode, catalog, make_stabilizer
 from .errors import CapacityError, PreconditionError, StructureError
 from .gf4 import F4Vector
 from .qds import measured_elements
@@ -460,30 +460,26 @@ def _failure_sums(
     return sums
 
 
-def _sm_failures_exact(part: SMPart, p_ms: Sequence[float]) -> list[float]:
-    """Failure probability at each p_m.
-
-    Points are grouped by the cost rule their decoder minimizes, and each
-    rule's failing-pattern histogram prices its points in one table.  Only
-    the unit costs keep their histogram on the part.
-    """
-    rules: dict[_Costs, list[tuple[int, list[float]]]] = {}
-    for i, p_m in enumerate(p_ms):
-        costs, class_q = part._pricing(p_m)
-        rules.setdefault(costs, []).append((i, class_q))
-    failures = [0.0] * len(p_ms)
-    for costs, points in rules.items():
-        failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
-        for (i, _), f in zip(points, _failure_sums(failing, costs, [q for _, q in points])):
-            failures[i] = f
-    return failures
-
-
 def _failure_probabilities(part: Part, p_ms: Sequence[float]) -> list[list[float]]:
     """At each p_m, the failure probability of each independently decoded
-    unit of the part: the SM part itself, or each bit of a repetition part."""
+    unit of the part: the SM part itself, or each bit of a repetition part.
+
+    An SM part's points are grouped by the cost rule their decoder
+    minimizes, and each rule's failing-pattern histogram prices its points
+    in one table.  Only the unit costs keep their histogram on the part.
+    """
     if isinstance(part, SMPart):
-        return [[f] for f in _sm_failures_exact(part, p_ms)]
+        rules: dict[_Costs, list[tuple[int, list[float]]]] = {}
+        for i, p_m in enumerate(p_ms):
+            costs, class_q = part._pricing(p_m)
+            rules.setdefault(costs, []).append((i, class_q))
+        failures = [[0.0] for _ in p_ms]
+        for costs, points in rules.items():
+            failing = (part._unit_failures if costs is part._unit_costs
+                       else _failing_patterns(part, costs))
+            for (i, _), f in zip(points, _failure_sums(failing, costs, [q for _, q in points])):
+                failures[i] = [f]
+        return failures
     per_point = []
     for p_m in p_ms:
         per_weight = {w: _majority_bit_failure(p_err(w, p_m), part.fold) for w in set(part.weights)}
@@ -992,7 +988,7 @@ def _group_width(judged: Iterable[SMPart], decoded: Iterable[SMPart], points: in
     JOINT_TABLE_ENTRIES joint positions, and that the per-syndrome tables of
     the parts that decode words (_syndrome_table_bytes), one per point, fit
     PASS_BYTES (unless one point alone exceeds either)."""
-    width = min(MASK_POINTS, points)
+    width = max(1, min(MASK_POINTS, points))
     for part in judged:
         bits = [len(table).bit_length() - 1 for _, table in part._sampler_blocks]
         while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
@@ -1216,14 +1212,6 @@ def split_rows_by_type(rows: Sequence[F4Vector]) -> tuple[list[F4Vector], list[F
     return x_rows, z_rows
 
 
-def _apply_order(rows: Sequence[F4Vector], order: Sequence[int] | None) -> list[F4Vector]:
-    if order is None:
-        return list(rows)
-    if sorted(order) != list(range(len(rows))):
-        raise PreconditionError(f"generator order must permute range({len(rows)})")
-    return [rows[i] for i in order]
-
-
 def repetition_scheme(
     code: StabilizerCode | SubsystemCode, fold: int, name: str = ""
 ) -> MeasurementScheme:
@@ -1243,18 +1231,19 @@ def sm_scheme(
     sm_x: BinaryLinearCode,
     sm_z: BinaryLinearCode,
     decoder: str = COSET_LEADER,
-    z_order: Sequence[int] | None = None,
     name: str = "",
 ) -> MeasurementScheme:
     """Protect the X-type and Z-type syndromes with separate SM codes.
 
-    The Z generator order matters: permuting the rows changes which
-    stabilizer products are measured and hence the measurement total.
+    The generators are measured in the code's row order: permuting the
+    Z rows changes which stabilizer products are measured and hence the
+    measurement total, so a caller that needs a given total reorders the
+    rows first (build_scheme does, from _shor_z_order_for_total).
     Equal parts are one object, so what a part caches is built once.
     """
     x_rows, z_rows = split_rows_by_type(code.rows)
     x = _sm_part(x_rows, sm_x, decoder)
-    z = _sm_part(_apply_order(z_rows, z_order), sm_z, decoder)
+    z = _sm_part(z_rows, sm_z, decoder)
     return MeasurementScheme(name or "sm-scheme", (x, x if z == x else z))
 
 
@@ -1272,17 +1261,18 @@ def _shor_z_order_for_total(
     )
 
 
-FIG1_SCHEMES = ("fig1-shor-6fold", "fig1-shor-sm", "fig1-bs-6fold", "fig1-bs-sm")
-FIG2_SCHEMES = ("fig2-shor-204", "fig2-shor-216", "fig2-bs-204", "fig2-bs-216")
-
-# documented Z-measurement totals for the two generator permutations used
-# with the imported [25,6,11] SM code
-FIG2_SHOR_Z_TOTALS = {"fig2-shor-204": 102, "fig2-shor-216": 108}
-FIG2_X_CODES = {
-    "fig2-shor-204": "cw-17-2-11",
-    "fig2-shor-216": "cw-18-2-12",
-    "fig2-bs-204": "cw-17-2-11",
-    "fig2-bs-216": "cw-18-2-12",
+# name -> (base code, fold) for a repetition scheme, or (base code, X SM code,
+# Z SM code[, Z-measurement total]) for an SM scheme; a total makes build_scheme
+# measure the Z generators in the first order that reaches it
+SCHEMES: dict[str, tuple] = {
+    "fig1-shor-6fold": ("shor", 6),
+    "fig1-shor-sm": ("shor", "cw-12-2-8", "grassl-18-6-8"),
+    "fig1-bs-6fold": ("bacon-shor", 6),
+    "fig1-bs-sm": ("bacon-shor", "cw-12-2-8", "cw-12-2-8"),
+    "fig2-shor-204": ("shor", "cw-17-2-11", "grassl-25-6-11", 102),
+    "fig2-shor-216": ("shor", "cw-18-2-12", "grassl-25-6-11", 108),
+    "fig2-bs-204": ("bacon-shor", "cw-17-2-11", "cw-17-2-11"),
+    "fig2-bs-216": ("bacon-shor", "cw-18-2-12", "cw-18-2-12"),
 }
 
 
@@ -1291,43 +1281,22 @@ def build_scheme(
     data_dir: str | Path | None = None,
     decoder: str = COSET_LEADER,
 ) -> MeasurementScheme:
-    """Construct one of the named figure schemes.
+    """Construct one of the named figure schemes (SCHEMES).
 
     Schemes whose SM codes are import-only raise AvailabilityError naming
     the required file when the data directory does not provide it.
     """
-    if name == "fig1-shor-6fold":
-        return repetition_scheme(catalog("shor"), 6, name)
-    if name == "fig1-bs-6fold":
-        return repetition_scheme(catalog("bacon-shor"), 6, name)
-    if name == "fig1-shor-sm":
-        return sm_scheme(
-            catalog("shor"),
-            sm_catalog("cw-12-2-8"),
-            sm_catalog("grassl-18-6-8", data_dir),
-            decoder,
-            name=name,
-        )
-    if name == "fig1-bs-sm":
-        return sm_scheme(
-            catalog("bacon-shor"),
-            sm_catalog("cw-12-2-8"),
-            sm_catalog("cw-12-2-8"),
-            decoder,
-            name=name,
-        )
-    if name in ("fig2-bs-204", "fig2-bs-216"):
-        cw = sm_catalog(FIG2_X_CODES[name])
-        return sm_scheme(catalog("bacon-shor"), cw, cw, decoder, name=name)
-    if name in ("fig2-shor-204", "fig2-shor-216"):
-        shor = catalog("shor")
-        sm_z = sm_catalog("grassl-25-6-11", data_dir)
-        _, z_rows = split_rows_by_type(shor.rows)
-        z_order = _shor_z_order_for_total(sm_z, z_rows, FIG2_SHOR_Z_TOTALS[name])
-        return sm_scheme(
-            shor, sm_catalog(FIG2_X_CODES[name]), sm_z, decoder, z_order=z_order, name=name
-        )
-    raise PreconditionError(
-        f"unknown scheme {name!r}; known: {', '.join(FIG1_SCHEMES + FIG2_SCHEMES)}"
-    )
-
+    if name not in SCHEMES:
+        raise PreconditionError(f"unknown scheme {name!r}; known: {', '.join(SCHEMES)}")
+    base, *spec = SCHEMES[name]
+    code = catalog(base)
+    if len(spec) == 1:
+        return repetition_scheme(code, spec[0], name)
+    x_name, z_name, *total = spec
+    sm_x = sm_catalog(x_name)
+    sm_z = sm_x if z_name == x_name else sm_catalog(z_name, data_dir)
+    if total:
+        x_rows, z_rows = split_rows_by_type(code.rows)
+        order = _shor_z_order_for_total(sm_z, z_rows, *total)
+        code = make_stabilizer(x_rows + [z_rows[i] for i in order])
+    return sm_scheme(code, sm_x, sm_z, decoder, name=name)

@@ -285,8 +285,6 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     strings_examined = 0
     for bases_tried, (g1, completion) in enumerate(_completions(base, pivots), start=1):
         basis_rows = [g1] + completion
-        if len(basis_rows) != m:
-            continue  # cannot happen for independent inputs; defensive
         total = basis_rows[0]
         for row in basis_rows[1:]:
             total = total + row

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError,
 from qdscodes.codes import catalog
 from qdscodes.gf4 import BitVector
 from qdscodes.qds import measured_elements
-from qdscodes import noise
+from qdscodes import cli, noise
 from qdscodes.noise import (
     DECODERS,
     DEFAULT_CHUNK_SIZE,
@@ -126,6 +128,43 @@ def test_shor_z_order_search_with_offline_stand_in(golay_18_6_8):
     assert z_total(_shor_z_order_for_total(golay_18_6_8, z_rows, 76)) == 76
     with pytest.raises(StructureError):
         _shor_z_order_for_total(golay_18_6_8, z_rows, 74)
+
+
+FIGURE_SCHEMES = ["fig1-shor-6fold", "fig1-shor-sm", "fig1-bs-6fold", "fig1-bs-sm",
+                  "fig2-shor-204", "fig2-shor-216", "fig2-bs-204", "fig2-bs-216"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_unknown_scheme_lists_the_figure_schemes_in_order(capsys):
+    assert list(noise.SCHEMES) == FIGURE_SCHEMES
+    with pytest.raises(PreconditionError) as raised:
+        build_scheme("fig9")
+    assert str(raised.value) == f"unknown scheme 'fig9'; known: {', '.join(FIGURE_SCHEMES)}"
+    assert cli.main(["simulate", "--scheme", "fig9", "--pm-log2=-3"]) == 3
+    assert capsys.readouterr().err.strip() == f"error: {raised.value}"
+
+
+def test_readme_names_every_scheme_in_order():
+    sentence = README.read_text().split("\nSimulation schemes: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", sentence) == list(noise.SCHEMES)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_a_listed_z_total_orders_the_shor_z_rows(monkeypatch, shor_sm_data_dir, golay_18_6_8,
+                                                 decoder):
+    monkeypatch.setitem(noise.SCHEMES, "fig2-shor-204",
+                        ("shor", "cw-12-2-8", "grassl-18-6-8", 76))
+    x, z = build_scheme("fig2-shor-204", data_dir=shor_sm_data_dir, decoder=decoder).parts
+    _, z_rows = split_rows_by_type(catalog("shor").rows)
+    order = _shor_z_order_for_total(golay_18_6_8, z_rows, 76)
+    ordered = measured_elements([z_rows[i] for i in order], golay_18_6_8)
+    assert z.weights == tuple(v.weight for v in ordered)
+    assert z.code.rows == golay_18_6_8.rows and z.decoder == decoder
+    assert z.total_measurements == 76
+    # the catalog order totals 72, so the rows were reordered
+    fig1_x, fig1_z = build_scheme("fig1-shor-sm", data_dir=shor_sm_data_dir, decoder=decoder).parts
+    assert fig1_z.total_measurements == 72
+    assert x == fig1_x and x.code == sm_catalog("cw-12-2-8")
 
 
 def test_fig2_x_part_totals_from_catalog():
@@ -1089,6 +1128,22 @@ def test_monte_carlo_checks_every_p_m_before_any_draw(monkeypatch, bad):
     for name in ("fig1-bs-sm", "fig1-bs-6fold"):
         with pytest.raises(PreconditionError, match=r"outside \[0, 1\]"):
             pse_monte_carlo(build_scheme(name), [2.0**-3, bad], trials=100)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_an_empty_grid_gives_no_results_and_draws_nothing(monkeypatch, shor_sm_data_dir,
+                                                          decoder):
+    drawn = []
+    monkeypatch.setattr(noise, "_chunk_rng", lambda *args: drawn.append(args))
+    for name in noise.SCHEMES:
+        if name.startswith("fig2-shor"):  # needs the import-only [25,6,11] code
+            continue
+        scheme = build_scheme(name, data_dir=shor_sm_data_dir, decoder=decoder)
+        assert pse_monte_carlo(scheme, [], trials=100) == []
+        assert pse_exact(scheme, []) == []
+        with pytest.raises(PreconditionError, match="empty p_m grid"):
+            sweep(scheme, [], method="mc", trials=100)
     assert drawn == []
 
 
