@@ -42,6 +42,11 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _at_most_power_of_two(x: int, e: int) -> bool:
+    """x <= 2^e for integers, without building 2^e (2^e < 1 for e < 0)."""
+    return x <= 0 or (e >= 0 and (x - 1).bit_length() <= e)
+
+
 def qds_hamming(params: CodeParams) -> bool:
     """Hamming bound for QDS codes with d = 2t + 1:
 
@@ -56,7 +61,7 @@ def qds_hamming(params: CodeParams) -> bool:
     total = 0
     for i in range(t + 1):
         total += comb(n, i) * 3**i * sum(comb(measured, j) for j in range(t - i + 1))
-    return total <= 2**m
+    return _at_most_power_of_two(total, m)
 
 
 def qds_hamming_d3(n: int, k: int) -> bool:
@@ -66,17 +71,17 @@ def qds_hamming_d3(n: int, k: int) -> bool:
 
 def quantum_hamming(n: int, k: int) -> bool:
     """n - k >= ceil(log2(3n + 1)), i.e. 2^(n-k) >= 3n + 1."""
-    return 2 ** (n - k) >= 3 * n + 1
+    return _at_most_power_of_two(3 * n + 1, n - k)
 
 
 def impure_bound(n: int, k: int) -> bool:
     """log2(4n - k + 1) <= n - k for impure distance-3 stabilizer codes."""
-    return 4 * n - k + 1 <= 2 ** (n - k)
+    return _at_most_power_of_two(4 * n - k + 1, n - k)
 
 
 def conjectured_bound(n: int, k: int) -> bool:
     """log2(3(n-2) + 1) <= (n-1) - k, the conjectured impure-code bound."""
-    return 3 * (n - 2) + 1 <= 2 ** ((n - 1) - k)
+    return _at_most_power_of_two(3 * (n - 2) + 1, (n - 1) - k)
 
 
 def _family_params(n: int) -> tuple[int, int]:

@@ -34,10 +34,10 @@ second picks one of the C(N, c) words with c flips from a table of the
 block's words sorted by popcount.  When the part's costs are the unit
 costs (coset-leader, or weighted ML with one likelihood class) and it has
 at most 2^HARD_EXACT_BITS patterns, its decisions do not depend on p_m:
-the drawn block indices, concatenated, address a per-pattern failure
-table built once per part, and no word is assembled or decoded.
-Otherwise the block words are ORed into a uint64 word and decoded by the
-coset's unique-minimum test.
+a per-pattern failure table, built once per part from the cosets'
+unique minima (the walk exact evaluation bins), is read at the drawn
+pattern, and no word is decoded.  Otherwise the block words are ORed
+into a uint64 word and decoded by the coset's unique-minimum test.
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
@@ -59,7 +59,7 @@ fails at point i, and the scheme fails where any part does.  A count
 uniform is placed once among the CDF values of all the group's points,
 by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
 reads its count at that position.  A table-judged part keeps a verdict
-per count vector (SMPart._verdicts): every pattern with those counts
+per count vector (SMPart._mc_tables): every pattern with those counts
 decodes, every one fails, or it depends on the positions.  A table over
 the blocks' joint positions, at most JOINT_TABLE_ENTRIES of them, gives
 each trial's fail bits and mixed bits for all points at once, and only
@@ -100,7 +100,7 @@ COSET_LEADER = "coset-leader"
 WEIGHTED_ML = "weighted-ml"
 DECODERS = (COSET_LEADER, WEIGHTED_ML)
 
-_MIXED, _FAILS = 1, 2  # SMPart._verdicts: 0 when every pattern of a count vector decodes
+_MIXED, _FAILS = 1, 2  # SMPart._mc_tables verdicts: 0 when every pattern of a count vector decodes
 
 
 def p_err(w: int, p_m: float) -> float:
@@ -141,7 +141,8 @@ class _Costs:
     A word's key reads its count vector (c_0, c_1, ...) as a mixed-radix
     number with class 0 least significant, so keys index the cost table
     and histograms over count vectors.  Without lams the cost is the flip
-    count (minimum-weight decoding); with lams it is smcodes.pattern_cost.
+    count (minimum-weight decoding), a popcount with no table; with lams it
+    is smcodes.pattern_cost.
     """
 
     def __init__(self, labels: Sequence, lams: np.ndarray | None = None):
@@ -158,6 +159,7 @@ class _Costs:
         self.sizes = [m.bit_count() for m in masks]
         self.lams = lams
         # small integers: comparisons run on uint8, and MAX_SM_LENGTH < 255
+        self.dtype = np.dtype(np.uint8 if lams is None else float)
         self.ceiling = np.iinfo(np.uint8).max if lams is None else math.inf
         # keys are summed in the narrowest type that holds them
         vectors = math.prod(size + 1 for size in self.sizes)
@@ -165,12 +167,10 @@ class _Costs:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Each count vector's cost, in key order, built on first use."""
-        vectors = self.count_vectors()
-        if self.lams is None:
-            return np.array([sum(counts) for counts in vectors], dtype=np.uint8)
-        # the cost weighted_ml_decode forms, so ties are decided alike
-        return np.array([pattern_cost(c, self.sizes, self.lams) for c in vectors], dtype=float)
+        """Each count vector's cost under lams, in key order, built on first
+        use: the cost weighted_ml_decode forms, so ties are decided alike."""
+        return np.array([pattern_cost(c, self.sizes, self.lams) for c in self.count_vectors()],
+                        dtype=self.dtype)
 
     def key(self, words: np.ndarray) -> np.ndarray:
         key = None
@@ -191,7 +191,8 @@ class _Costs:
         ranges = (range(size + 1) for size in reversed(self.sizes))
         return [counts[::-1] for counts in itertools.product(*ranges)]
 
-    def outer(self, per_class: Sequence[np.ndarray]) -> np.ndarray:
+    @staticmethod
+    def outer(per_class: Sequence[np.ndarray]) -> np.ndarray:
         """prod_k per_class[k][..., c_k] for every count vector, in key order
         along the last axis; leading axes broadcast."""
         return functools.reduce(
@@ -209,10 +210,11 @@ class SMPart:
     order, so bit j flips with probability p_err(weights[j], p_m).  What
     does not depend on p_m is built on first use and kept on this part:
     the failing-pattern histogram of minimum-weight decoding (exact
-    evaluation), the sampler's per-block word tables, the per-pattern
-    decisions of minimum-weight decoding (2^n bools, Monte Carlo), and
+    evaluation), the sampler's per-block word tables, and Monte Carlo's
+    decisions of minimum-weight decoding per pattern (2^n bools) with
     their verdict per flip-count vector of the blocks (prod (N_j + 1)
-    bytes, Monte Carlo).
+    bytes).  Both minimum-weight tables are read from the cosets' unique
+    minima (_unique_minima).
     """
 
     code: BinaryLinearCode
@@ -274,28 +276,28 @@ class SMPart:
         return blocks
 
     @cached_property
-    def _decisions(self) -> np.ndarray:
-        """Whether minimum-weight decoding fails on each pattern, indexed by
-        the concatenated _sampler_blocks table indices, block 0 least
-        significant."""
-        return _decision_table(self)
-
-    @cached_property
-    def _verdicts(self) -> np.ndarray:
-        """Per flip-count vector over the sampler blocks (digit j in 0..N_j,
-        block 0 least significant, as in _decisions): 0 when every pattern
-        with those counts decodes, _FAILS when every one fails, _MIXED when
-        it depends on where the flips are.  Reduced from _decisions over each
-        block's popcount runs by bool reductions, the longest block first, so
-        it takes prod (N_j + 1) <= 2^n bytes and copies no int of _decisions."""
+    def _mc_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Monte Carlo's tables of minimum-weight decoding, from one walk of
+        the unique coset minima, the only patterns it decodes: decisions[w],
+        whether it fails on pattern w, and verdicts per flip-count vector of
+        the sampler blocks (digit j in 0..N_j, block 0 least significant),
+        0 when every pattern with those counts decodes, _FAILS when every
+        one fails, _MIXED when it depends on where the flips are."""
+        minima = _unique_minima(self, self._unit_costs)  # checks the length cap first
+        masks = [table[-1] for _, table in self._sampler_blocks]  # last word: all the block's bits
         bits = [len(table).bit_length() - 1 for _, table in self._sampler_blocks]
-        some = every = self._decisions.reshape([1 << n for n in reversed(bits)])
-        for j in sorted(range(len(bits)), key=lambda j: -bits[j]):
-            starts = [0, *itertools.accumulate(math.comb(bits[j], c) for c in range(bits[j]))]
-            axis = len(bits) - 1 - j  # block 0 is the last axis
-            some = np.logical_or.reduceat(some, starts, axis=axis)
-            every = np.logical_and.reduceat(every, starts, axis=axis)
-        return (some.view(np.uint8) + every.view(np.uint8)).ravel()
+        strides = [math.prod(n + 1 for n in bits[:j]) for j in range(len(bits))]
+        totals = _Costs.outer([_block_runs(n)[0] for n in bits])  # patterns per count vector
+        key_type = np.uint16 if len(totals) <= 1 << 16 else np.intp  # as in _Costs
+        decisions = np.ones(1 << self.code.length, dtype=bool)
+        decoded = np.zeros(len(totals), dtype=np.intp)
+        for words in minima:
+            decisions[words.view(np.intp)] = False  # words < 2^HARD_EXACT_BITS
+            key = sum(np.bitwise_count(words & mask) * key_type(stride)
+                      for mask, stride in zip(masks, strides))
+            decoded += np.bincount(key, minlength=len(totals))
+        verdicts = np.where(decoded == 0, _FAILS, np.where(decoded == totals, 0, _MIXED))
+        return decisions, verdicts.astype(np.uint8)
 
     def _pricing(self, p_m: float) -> tuple[_Costs, list[float]]:
         """The cost rule the decoder minimizes at p_m, and the flip
@@ -388,7 +390,7 @@ def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs, word: 
     (or one row) have a power-of-two row count, so each is reduced by
     merging its halves, in O(log rows) array operations.
     """
-    ceiling = np.full(len(base), costs.ceiling, dtype=costs.table.dtype)
+    ceiling = np.full(len(base), costs.ceiling, dtype=costs.dtype)
     minima = (ceiling, ceiling, base) if word else (ceiling, ceiling)
     rows = 1 << max(0, (TILE_WORDS // len(base)).bit_length() - 1)
     for start in range(0, len(codewords), rows):
@@ -407,25 +409,29 @@ def _runner_up_by_syndrome(part: SMPart, costs: _Costs) -> np.ndarray:
                            for base in _coset_bases(part.code)])
 
 
-def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
-    """Per cost key, the number of patterns the decoder fails on.
-
-    A pattern is decoded to zero iff it is the unique minimum-cost member
-    of its coset, so each coset holds at most one success, binned here by
-    its key; the failures are all patterns minus the successes.
-    """
+def _unique_minima(part: SMPart, costs: _Costs) -> Iterator[np.ndarray]:
+    """Each coset's unique minimum-cost member, where it has one, a tile of
+    cosets at a time: the only patterns either decoder decodes to zero.
+    The length cap is checked before the walk starts."""
     code = part.code
     if code.length > HARD_EXACT_BITS:
         raise CapacityError(
             f"exact enumeration over 2^{code.length} patterns exceeds the 2^{HARD_EXACT_BITS} cap"
         )
-    totals = costs.outer(
-        [np.array([math.comb(n, c) for c in range(n + 1)], dtype=np.int64) for n in costs.sizes]
-    )
+    tiles = (_coset_minima(base, part._codewords, costs) for base in _coset_bases(code))
+    return (word[low < second] for low, second, word in tiles)
+
+
+def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
+    """Per cost key, the number of patterns the decoder fails on: all
+    patterns minus the unique minima (_unique_minima), each coset's one
+    possible success, binned by key a tile at a time."""
+    minima = _unique_minima(part, costs)
+    totals = costs.outer([np.array([math.comb(n, c) for c in range(n + 1)], dtype=np.int64)
+                          for n in costs.sizes])
     success = np.zeros_like(totals)
-    for base in _coset_bases(code):
-        low, second, word = _coset_minima(base, part._codewords, costs)
-        success += np.bincount(costs.key(word[low < second]), minlength=len(totals))
+    for words in minima:
+        success += np.bincount(costs.key(words), minlength=len(totals))
     return totals - success
 
 
@@ -787,40 +793,6 @@ def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
     return ((words ^ part._codewords.take(low)) >> np.uint64(part.code.dim)).astype(np.intp)
 
 
-def _decision_table(part: SMPart) -> np.ndarray:
-    """SMPart._decisions: a pattern fails iff its weight is not below its
-    coset's runner-up weight.
-
-    The blocks cover disjoint bits, so a pattern's syndrome is the XOR and
-    its weight the sum of its blocks' syndromes and weights.  The lowest
-    blocks that fit one tile are combined into every low index once; each
-    tile then adds the higher blocks' part for a run of high indices.
-    """
-    second = _runner_up_by_syndrome(part, part._unit_costs)
-    blocks = [(_syndromes(part, table), np.bitwise_count(table))
-              for _, table in part._sampler_blocks]
-    low_synd, low_weight = blocks.pop(0)
-    while blocks and len(low_synd) * len(blocks[0][0]) <= TILE_WORDS:
-        synd, weight = blocks.pop(0)
-        low_synd = (synd[:, None] ^ low_synd).ravel()
-        low_weight = (weight[:, None] + low_weight).ravel()
-    high = math.prod(len(synd) for synd, _ in blocks)
-    failed = np.empty((high, len(low_synd)), dtype=bool)
-    rows = max(1, TILE_WORDS // len(low_synd))
-    for start in range(0, high, rows):
-        index = np.arange(start, min(start + rows, high))
-        synd = np.zeros(len(index), dtype=np.intp)
-        weight = np.zeros(len(index), dtype=low_weight.dtype)
-        for block_synd, block_weight in blocks:
-            digit = index % len(block_synd)
-            index //= len(block_synd)
-            synd ^= block_synd.take(digit)
-            weight += block_weight.take(digit)
-        np.greater_equal(weight[:, None] + low_weight, second.take(synd[:, None] ^ low_synd),
-                         out=failed[start:start + rows])
-    return failed.ravel()
-
-
 def _syndrome_table_bytes(code: BinaryLinearCode, trials: float) -> int:
     """Bytes of the per-syndrome runner-up table (float costs) that
     _sm_decoder keeps for a run decoding trials words, or 0 when it scans
@@ -857,15 +829,9 @@ def _sm_decoder(
 
 def _judged_by_table(part: SMPart, costs: _Costs) -> bool:
     """Whether the part's decisions under the cost rule costs
-    (SMPart._pricing) are its cached _decisions: unit costs, which do not
-    depend on p_m, and at most 2^HARD_EXACT_BITS patterns."""
+    (SMPart._pricing) are read from its cached _mc_tables: unit costs, which
+    do not depend on p_m, and at most 2^HARD_EXACT_BITS patterns."""
     return part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs
-
-
-def _joint(digits: Sequence[np.ndarray]) -> np.ndarray:
-    """digits[0][i_0] + digits[1][i_1] + ... for every index vector, flattened
-    with i_0 fastest."""
-    return functools.reduce(lambda acc, d: (d[:, None] + acc).ravel(), digits[1:], digits[0])
 
 
 def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], trials: int,
@@ -876,42 +842,45 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
 
     Each block's count uniforms are placed once among every point's CDF
     values (_Positions).  A point judged by the table (_judged_by_table)
-    looks up, by the blocks' joint position, whether the part's _verdicts
-    say that the trial's count vector fails, or that it is mixed: some
-    patterns with those counts fail and some decode.  One table of point
-    masks per verdict holds every point's bit, at most JOINT_TABLE_ENTRIES
-    positions (_group_width); a part whose joint positions exceed that even
-    for one point keeps no table and treats every trial as mixed.
+    looks up, by the blocks' joint position, whether the part's verdicts
+    (SMPart._mc_tables) say that the trial's count vector fails, or that it
+    is mixed: some patterns with those counts fail and some decode.  One
+    table of point masks per verdict holds every point's bit, at most
+    JOINT_TABLE_ENTRIES positions (_group_width); a part whose joint
+    positions exceed that even for one point keeps no table and treats
+    every trial as mixed.
 
     A mixed count c of a one-block part is decided by the position uniform
-    alone, at decisions[starts[c] + min(floor(v C(N, c)), C(N, c) - 1)],
-    read once per tile for every trial whatever the points; on a part of
-    several blocks each point decides only the trials mixed at its counts.
-    Any other point assembles its words and decodes them (_sm_decoder); the
+    alone: the decisions of the block's C(N, c) words with c flips are taken
+    once, and entry min(floor(v C(N, c)), C(N, c) - 1) is read once per tile
+    for every trial whatever the points; on a part of several blocks each
+    point decides only the trials mixed at its counts, at their words.  Any
+    other point assembles its words and decodes them (_sm_decoder); the
     bytes reported count its per-syndrome table, if it keeps one.
     """
     blocks = _count_blocks(part, p_ms)
-    bits = [len(block.runs) - 1 for block in blocks]
-    shifts = [0, *itertools.accumulate(bits[:-1])]  # block j's place in a _decisions index
     sizes = [block.positions.counts.shape[1] for block in blocks]
     on_table = [i for i, rule in enumerate(costs) if _judged_by_table(part, rule)]
     decoders = {i: _sm_decoder(part, rule, trials)
                 for i, rule in enumerate(costs) if i not in on_table}
+    decisions, verdicts = part._mc_tables if on_table else (None, None)
     fails = mixed = None
-    mixed_counts: list[tuple[int, np.ndarray]] = []
+    # per mixed count of a one-block part: C(N, c), point masks, decisions of the words
+    mixed_counts: list[tuple[float, np.ndarray, np.ndarray]] = []
     if on_table and math.prod(sizes) <= JOINT_TABLE_ENTRIES:
-        strides = [math.prod(n + 1 for n in bits[:j]) for j in range(len(bits))]  # _verdicts digits
-        verdict = {i: part._verdicts.take(_joint([block.positions.counts[i].astype(np.intp) * stride
-                                                  for block, stride in zip(blocks, strides)]))
-                   for i in on_table}
+        # each joint position's count vector, block 0 fastest, as in the verdicts
+        by_counts = verdicts.reshape([len(block.runs) for block in reversed(blocks)])
+        verdict = {i: by_counts[np.ix_(*[block.positions.counts[i] for block in reversed(blocks)])]
+                   .ravel() for i in on_table}
         size = math.prod(sizes)
         fails = _point_bits({i: v == _FAILS for i, v in verdict.items()}, size, dtype)
         if len(blocks) == 1:
-            counts = blocks[0].positions.counts
-            for c in np.flatnonzero(part._verdicts == _MIXED):
+            block, counts = blocks[0], blocks[0].positions.counts
+            for c in np.flatnonzero(verdicts == _MIXED):
                 masks = _point_bits({i: counts[i] == c for i in on_table}, size, dtype)
                 if masks.any():
-                    mixed_counts.append((int(c), masks))
+                    words = block.table[block.starts[c]:block.starts[c] + int(block.runs[c])]
+                    mixed_counts.append((block.runs[c], masks, decisions.take(words)))
         else:
             mixed = _point_bits({i: v == _MIXED for i, v in verdict.items()}, size, dtype)
     everyone = dtype.type(sum(1 << i for i in on_table))
@@ -927,12 +896,10 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
             out.fill(0)
         elif len(blocks) == 1 and fails is not None:
             fails.take(positions[0], out=out, mode="clip")
-            block = blocks[0]
-            for c, masks in mixed_counts:
-                index = _table_index(v[0], block.runs[c], block.starts[c],
-                                     _working(work, "index", size, np.intp), work)
-                decided = part._decisions.take(index, out=_working(work, "decided", size, bool),
-                                               mode="clip")
+            for run, masks, at_count in mixed_counts:
+                index = _table_index(v[0], run, 0, _working(work, "index", size, np.intp), work)
+                decided = at_count.take(index, out=_working(work, "decided", size, bool),
+                                        mode="clip")
                 masks.take(positions[0], out=hit, mode="clip")
                 out |= np.multiply(hit, decided, out=hit)
         else:
@@ -947,7 +914,7 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
                     joint += pos
                 fails.take(joint, out=out, mode="clip")
                 mixed.take(joint, out=hit, mode="clip")
-            _decide_mixed(part, blocks, shifts, on_table, positions, v, out, hit, work)
+            _decide_mixed(decisions, blocks, on_table, positions, v, out, hit, work)
         for i, decode in decoders.items():
             decoded = decode(_words(blocks, i, uniforms, positions, work))
             out |= np.multiply(decoded.view(np.uint8), dtype.type(1 << i), out=hit)
@@ -955,28 +922,30 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     shared = {id(block.positions): block.positions for block in blocks}
     held = sum(positions.nbytes for positions in shared.values())
     held += sum(table.nbytes for table in (fails, mixed) if table is not None)
-    held += sum(masks.nbytes for _, masks in mixed_counts)
+    held += sum(masks.nbytes + at_count.nbytes for _, masks, at_count in mixed_counts)
     return failed, held + len(decoders) * _syndrome_table_bytes(part.code, trials)
 
 
-def _decide_mixed(part: SMPart, blocks: list[_CountBlock], shifts: list[int], on_table: list[int],
+def _decide_mixed(decisions: np.ndarray, blocks: list[_CountBlock], on_table: list[int],
                   positions: list[np.ndarray], v: np.ndarray, out: np.ndarray, mixed: np.ndarray,
                   work: dict[str, np.ndarray]):
     """Set each table point's failure bits among the trials whose counts are
-    mixed at it (its bit of mixed), decoded through _decisions."""
+    mixed at it (its bit of mixed), read from the decisions at their words."""
     flag = _working(work, "flag", len(mixed), bool)
     for i in on_table:
         bit = out.dtype.type(1 << i)
         mixed_here = np.bitwise_and(mixed, bit, out=_working(work, "mixed", len(mixed), mixed.dtype))
         rows = np.flatnonzero(np.not_equal(mixed_here, 0, out=flag))
-        key = _working(work, "key", len(rows), np.intp)
-        key.fill(0)
-        for block, shift, pos, u in zip(blocks, shifts, positions, v):
+        words = _working(work, "picked", len(rows), np.uint64)
+        words.fill(0)
+        for block, pos, u in zip(blocks, positions, v):
             at = pos.take(rows)
             index = block.index(i, at, u.take(rows), at, work)
-            key |= np.left_shift(index, shift, out=index)
-        failing = part._decisions.take(key, out=_working(work, "decided", len(rows), bool),
-                                       mode="clip")
+            # each word overwrites the index it is read at, as in _words
+            words |= block.table.take(index, out=index.view(np.uint64), mode="clip")
+        # words < 2^HARD_EXACT_BITS, so their intp view is the same index
+        failing = decisions.take(words.view(np.intp),
+                                 out=_working(work, "decided", len(rows), bool), mode="clip")
         out[rows[failing]] |= bit
 
 

@@ -1,5 +1,7 @@
 """Exact-arithmetic bound checkers and parameter families."""
 
+import tracemalloc
+
 import pytest
 
 from qdscodes.bounds import (
@@ -36,6 +38,28 @@ def test_qds_hamming_d3_reduction():
     for n in range(3, 40):
         for k in range(1, n):
             assert qds_hamming_d3(n, k) == (4 * n - k + 1 <= 2 ** (n - k))
+
+
+def test_bound_verdicts_equal_their_power_forms():
+    for n in range(-3, 120):
+        for k in range(-5, 4 * n + 8):
+            assert quantum_hamming(n, k) == (2 ** (n - k) >= 3 * n + 1)
+            assert impure_bound(n, k) == (4 * n - k + 1 <= 2 ** (n - k))
+            assert conjectured_bound(n, k) == (3 * (n - 2) + 1 <= 2 ** ((n - 1) - k))
+
+
+def test_bound_verdicts_do_not_build_two_to_the_redundancy():
+    # 2^(10^7 - 1) alone would take 1.25 MB
+    n = 10**7
+    tracemalloc.start()
+    try:
+        verdicts = [quantum_hamming(n, 1), impure_bound(n, 1), conjectured_bound(n, 1),
+                    qds_hamming(CodeParams(n, 1))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [True] * 4
+    assert peak < 64 * 1024
 
 
 def test_qds_hamming_d3_verdicts():

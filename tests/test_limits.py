@@ -1,6 +1,8 @@
-"""README's *Limits* table names each capacity constant with its value."""
+"""README's *Limits* table names each capacity constant with its value, and
+every qdscodes name README gives exists."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,3 +30,27 @@ def test_limits_table_matches_the_constants():
     }
     for module, name, value in rows:
         assert getattr(importlib.import_module(f"qdscodes.{module}"), name) == value, name
+
+
+NAME = re.compile(r"`(\w+)\.(\w+)`")
+
+
+def test_readme_names_resolve():
+    """Every `module.name` or `Class.name` that README gives for a qdscodes
+    module or export names an attribute (or dataclass field) that exists."""
+    import qdscodes
+
+    modules = {info.name for info in pkgutil.iter_modules(qdscodes.__path__)}
+    checked, missing = set(), []
+    for owner_name, name in NAME.findall(README.read_text()):
+        if owner_name in modules:
+            owner = importlib.import_module(f"qdscodes.{owner_name}")
+        elif owner_name in qdscodes.__all__:
+            owner = getattr(qdscodes, owner_name)
+        else:
+            continue  # numpy, math and other libraries
+        checked.add((owner_name, name))
+        if not (hasattr(owner, name) or name in getattr(owner, "__dataclass_fields__", {})):
+            missing.append(f"{owner_name}.{name}")
+    assert {("noise", "_unique_minima"), ("SMPart", "_mc_tables")} <= checked
+    assert not missing

@@ -841,7 +841,7 @@ def test_monte_carlo_syndrome_table_above_20_bits(decoder):
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
     # coset-leader decisions are read from the cached per-pattern table;
     # weighted ML's three classes give costs that change with p_m
-    assert ("_decisions" in part.__dict__) == (decoder == "coset-leader")
+    assert ("_mc_tables" in part.__dict__) == (decoder == "coset-leader")
 
 
 def _shor_z_part(sm: BinaryLinearCode) -> SMPart:
@@ -884,13 +884,23 @@ def test_decision_table_matches_per_word_decoding(case):
     assert np.bitwise_count(np.bitwise_or.reduce(words)) == part.code.length
     costs = part._unit_costs
     per_word = ~(costs(words) < _coset_minima(words, part._codewords, costs)[1])
-    assert np.array_equal(part._decisions, per_word)
+    assert np.array_equal(part._mc_tables[0].take(words), per_word)
+
+
+def _straddled_part() -> SMPart:
+    """A seeded random [20,6] part whose weight-4 class is split into two
+    blocks around the weight-2 class at positions 5 and 15."""
+    code = _random_part(20, 6, 20, "coset-leader").code
+    part = SMPart(code, tuple(2 if j in (5, 15) else 4 for j in range(20)))
+    assert [(k, len(table)) for k, table in part._sampler_blocks] == [(0, 512), (0, 512), (1, 4)]
+    return part
 
 
 @pytest.mark.parametrize("scheme", [
     build_scheme("fig1-bs-sm"),
     build_scheme("fig2-bs-216", decoder="weighted-ml"),
     MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],)),
+    MeasurementScheme("straddled-20-6", (_straddled_part(),)),
 ])
 def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
     trials, chunk_size, seed, p_m = 50_000, 20_000, 5, 2.0**-3
@@ -904,19 +914,19 @@ def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
             failed |= _sm_decoder(part, costs)(_sm_word_sampler(part, p_m)(rng, size))
         expected += int(failed.sum())
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
-    assert all("_decisions" in part.__dict__ for part in scheme.parts)
+    assert all("_mc_tables" in part.__dict__ for part in scheme.parts)
     assert got == expected
 
 
 def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
     built = []
-    original = noise._decision_table
+    original = noise._unique_minima
 
-    def counting(part):
+    def counting(part, costs):
         built.append(part)
-        return original(part)
+        return original(part, costs)
 
-    monkeypatch.setattr(noise, "_decision_table", counting)
+    monkeypatch.setattr(noise, "_unique_minima", counting)
     scheme = build_scheme("fig1-bs-sm")
     rows = sweep(scheme, [-3.0, -4.0, -5.0], method="mc", trials=5_000, seed=2)
     assert len(rows) == 3
@@ -1078,33 +1088,45 @@ def _verdict_cases() -> dict[str, SMPart]:
 def test_verdicts_say_whether_none_all_or_some_patterns_of_a_count_vector_fail(case):
     part = _verdict_cases()[case]
     index = np.arange(1 << part.code.length)
-    key, stride = np.zeros_like(index), 1
+    words, key, stride = np.zeros(len(index), dtype=np.uint64), np.zeros_like(index), 1
     for _, table in part._sampler_blocks:
         bits = len(table).bit_length() - 1
-        key += np.bitwise_count(table[index & (len(table) - 1)]).astype(np.intp) * stride
+        block_words = table[index & (len(table) - 1)]
+        words |= block_words
+        key += np.bitwise_count(block_words).astype(np.intp) * stride
         index >>= bits
         stride *= bits + 1
-    fails = np.bincount(key, weights=part._decisions, minlength=stride)
+    decisions, verdicts = part._mc_tables
+    fails = np.bincount(key, weights=decisions.take(words), minlength=stride)
     totals = np.bincount(key, minlength=stride)
     expected = np.where(fails == 0, 0, np.where(fails == totals, 2, 1))
-    assert len(part._verdicts) == stride
-    assert np.array_equal(part._verdicts, expected)
+    assert len(verdicts) == stride
+    assert np.array_equal(verdicts, expected)
     if case == "cw-12-2-8":
         # counts 0-3 always decode, 4 depends on the positions, 5-12 always fail
-        assert part._verdicts.tolist() == [0] * 4 + [1] + [2] * 8
+        assert verdicts.tolist() == [0] * 4 + [1] + [2] * 8
 
 
-def test_verdicts_reduce_the_decisions_without_an_int_copy():
+def test_monte_carlo_tables_build_within_their_decisions_and_a_half():
     part = _random_part(22, 6, seed=22, decoder="coset-leader")
     assert len(part._sampler_blocks) > 1
-    part._decisions  # 2^22 bools, built before measuring
     tracemalloc.start()
     try:
-        part._verdicts
+        part._mc_tables  # 2^22 bools of decisions, and the verdicts, in one pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1 << 22
+    assert peak <= (1 << 22) + (1 << 21)
+
+
+def test_unit_costs_build_no_cost_table():
+    # minimum-weight costs are popcounts; a per-count-vector table costs a
+    # Python loop over every count vector
+    part = SMPart(sm_catalog("cw-12-2-8"), (2, 4) * 6)
+    part._unit_failures
+    assert "table" not in part._unit_costs.__dict__
+    part._mc_tables
+    assert "table" not in part._unit_costs.__dict__
 
 
 def test_monte_carlo_sweep_calls_pse_monte_carlo_once(monkeypatch):
@@ -1435,7 +1457,7 @@ def test_flip_count_sampler_agrees_with_iid_oracle(case):
     trials, p_m = 1 << 16, 2.0**-4
     old = _iid_failures(scheme, p_m, trials, seed=42)
     # the oracle decodes each word; it never builds the decision table
-    assert not any("_decisions" in part.__dict__ for part in scheme.parts)
+    assert not any("_mc_tables" in part.__dict__ for part in scheme.parts)
     new = pse_monte_carlo(scheme, p_m, trials, seed=41).p_se * trials
     pooled = (new + old) / (2 * trials)
     assert 0.0 < pooled < 1.0
