@@ -15,10 +15,14 @@ decoder returns the wrong word or declares a tie.
 
 Exact evaluation never forms 1 - success.  Bits of one weight flip alike,
 so an SM part prices each p_m point per weight class (SMPart._pricing).
-The failing patterns of each cost rule are counted once, in one pass that
-keeps each coset's lowest two costs and lowest-cost word, as a histogram
-over per-class flip counts; a repetition bit fails with a sum of binomial
-terms.  The points of one rule are priced in one table: a row of
+The failing patterns of each cost rule are counted once, as a histogram
+over per-class flip counts, in whichever domain is smaller: the 2^n
+patterns, in one pass that keeps each coset's lowest two costs and
+lowest-cost word, or the flip-count vectors of the part's cells (the
+positions sharing one generator column and one class), each against its
+2^k codeword images; either fits 2^HARD_EXACT_BITS entries.  A
+repetition bit fails with a sum of binomial terms.  The points of one
+rule are priced in one table: a row of
 per-class pattern probabilities per point, TILE_WORDS entries at a time,
 each row summed against the histogram by one fsum.  The unit failure
 probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny
@@ -84,9 +88,9 @@ from .codes import StabilizerCode, SubsystemCode, catalog, make_stabilizer
 from .errors import CapacityError, PreconditionError, StructureError
 from .gf4 import F4Vector
 from .qds import measured_elements
-from .smcodes import BinaryLinearCode, likelihood_classes, pattern_cost, sm_catalog
+from .smcodes import BinaryLinearCode, likelihood_classes, sm_catalog
 
-HARD_EXACT_BITS = 25  # longest SM part whose 2^n patterns any p_se path enumerates
+HARD_EXACT_BITS = 25  # exact p_se enumerates at most 2^25 patterns or cell pairs
 MAX_SM_LENGTH = 64  # received words are packed into uint64
 DEFAULT_CHUNK_SIZE = 1 << 16  # Monte Carlo trials per chunk, each chunk its own RNG stream
 TILE_WORDS = 1 << 14  # entries per working array of the coset walks and the exact table
@@ -157,28 +161,37 @@ class _Costs:
             masks[index[label]] |= 1 << j
         self.masks = [np.uint64(m) for m in masks]
         self.sizes = [m.bit_count() for m in masks]
+        self.strides = [math.prod(n + 1 for n in self.sizes[:k]) for k in range(len(masks))]
+        self.vectors = math.prod(n + 1 for n in self.sizes)
         self.lams = lams
         # small integers: comparisons run on uint8, and MAX_SM_LENGTH < 255
         self.dtype = np.dtype(np.uint8 if lams is None else float)
         self.ceiling = np.iinfo(np.uint8).max if lams is None else math.inf
         # keys are summed in the narrowest type that holds them
-        vectors = math.prod(size + 1 for size in self.sizes)
-        self.key_type = np.uint16 if vectors <= 1 << 16 else np.intp
+        self.key_type = np.uint16 if self.vectors <= 1 << 16 else np.intp
 
     @cached_property
     def table(self) -> np.ndarray:
         """Each count vector's cost under lams, in key order, built on first
-        use: the cost weighted_ml_decode forms, so ties are decided alike."""
-        return np.array([pattern_cost(c, self.sizes, self.lams) for c in self.count_vectors()],
-                        dtype=self.dtype)
+        use: smcodes.pattern_cost, which weighted_ml_decode forms, so ties
+        are decided alike.  The finite classes are summed left to right as
+        that loop sums them (a zero count adds +-0.0, which moves no sum),
+        and a vector the +-inf rules price at +inf is masked."""
+        cost = np.zeros(self.vectors)
+        never = np.zeros(self.vectors, dtype=bool)
+        for counts, n, lam in zip(self.count_vectors().T, self.sizes, self.lams.tolist()):
+            if math.isfinite(lam):
+                cost += counts * lam
+            else:
+                never |= counts > 0 if lam > 0 else counts < n
+        cost[never] = math.inf
+        return cost
 
     def key(self, words: np.ndarray) -> np.ndarray:
         key = None
-        stride = 1
-        for mask, size in zip(self.masks, self.sizes):
+        for mask, stride in zip(self.masks, self.strides):
             counts = np.bitwise_count(words & mask)
             key = counts if key is None else key + counts * self.key_type(stride)
-            stride *= size + 1
         return key
 
     def __call__(self, words: np.ndarray) -> np.ndarray:
@@ -186,10 +199,13 @@ class _Costs:
             return np.bitwise_count(words)
         return self.table.take(self.key(words))
 
-    def count_vectors(self) -> list[tuple[int, ...]]:
-        """Every per-class count vector, in key order."""
-        ranges = (range(size + 1) for size in reversed(self.sizes))
-        return [counts[::-1] for counts in itertools.product(*ranges)]
+    def count_vectors(self) -> np.ndarray:
+        """Every per-class count vector, one row per key, in key order
+        (uint8: a class holds at most MAX_SM_LENGTH bits)."""
+        keys, vectors = np.arange(self.vectors), np.empty((len(self.sizes), self.vectors), np.uint8)
+        for row, n in zip(vectors, self.sizes):
+            keys, row[:] = np.divmod(keys, n + 1)
+        return vectors.T
 
     @staticmethod
     def outer(per_class: Sequence[np.ndarray]) -> np.ndarray:
@@ -202,6 +218,14 @@ class _Costs:
         )
 
 
+@functools.cache
+def _binomials(n: int) -> np.ndarray:
+    """C(n, c) for c = 0..n, exact in int64 (C(64, 32) < 2^61); read-only."""
+    row = np.array([math.comb(n, c) for c in range(n + 1)], dtype=np.int64)
+    row.flags.writeable = False
+    return row
+
+
 @dataclass(frozen=True)
 class SMPart:
     """A block of measured elements protected by one SM code.
@@ -210,11 +234,11 @@ class SMPart:
     order, so bit j flips with probability p_err(weights[j], p_m).  What
     does not depend on p_m is built on first use and kept on this part:
     the failing-pattern histogram of minimum-weight decoding (exact
-    evaluation), the sampler's per-block word tables, and Monte Carlo's
+    evaluation, counted over cells or cosets, whichever is smaller:
+    _exact_domain), the sampler's per-block word tables, and Monte Carlo's
     decisions of minimum-weight decoding per pattern (2^n bools) with
     their verdict per flip-count vector of the blocks (prod (N_j + 1)
-    bytes).  Both minimum-weight tables are read from the cosets' unique
-    minima (_unique_minima).
+    bytes), read from the cosets' unique minima (_unique_minima).
     """
 
     code: BinaryLinearCode
@@ -422,16 +446,94 @@ def _unique_minima(part: SMPart, costs: _Costs) -> Iterator[np.ndarray]:
     return (word[low < second] for low, second, word in tiles)
 
 
+Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # each cell's size, class and column
+
+
+def _cells(part: SMPart, costs: _Costs) -> Cells:
+    """The part's cells under the cost rule costs, the positions sharing one
+    class and one generator column: each cell's size, class and column (bit
+    i set iff systematic row i covers the cell).  A codeword flips a cell
+    wholly or not at all, so whether a pattern decodes to zero depends only
+    on its flip count in each cell."""
+    cells = [(int(mask), k, 0) for k, mask in enumerate(costs.masks)]  # (positions, class, column)
+    for i, row in enumerate(part.code.systematic_rows):
+        cells = [(half, k, column | bit) for mask, k, column in cells
+                 for half, bit in ((mask & row, 1 << i), (mask & ~row, 0)) if half]
+    positions, classes, columns = zip(*cells)
+    return np.array([m.bit_count() for m in positions]), np.array(classes), np.array(columns)
+
+
+def _exact_domain(part: SMPart, costs: _Costs) -> tuple[int, Cells | None]:
+    """How many entries exact evaluation enumerates for the part under the
+    cost rule costs, and the cells when it enumerates them: the smaller of
+    the V 2^k pairs of cell count vector and codeword (V = prod (n_cell + 1))
+    and the 2^n patterns of the coset walk, the walk on a tie."""
+    cells = _cells(part, costs)
+    pairs = math.prod((cells[0] + 1).tolist()) << part.code.dim
+    return (pairs, cells) if pairs < 1 << part.code.length else (1 << part.code.length, None)
+
+
+def _boxes(radices: Sequence[int], limit: int) -> Iterator[tuple[slice, ...]]:
+    """Boxes of at most limit mixed-radix vectors (or one) that tile all of
+    them: one slice per digit, the leading digits whole as far as they fit."""
+    slices, inner = [], 1
+    for radix in radices:
+        width = max(1, min(radix, limit // inner))
+        slices.append([slice(lo, min(lo + width, radix)) for lo in range(0, radix, width)])
+        inner *= width
+    return itertools.product(*slices)
+
+
+def _cell_successes(part: SMPart, costs: _Costs, cells: Cells
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(cost key, number of patterns) of the cell count vectors that decode
+    to zero, at most TILE_WORDS pairs of count vector and codeword at a time.
+
+    Codeword m maps count e_j to n_j - e_j on every cell j it flips, so the
+    key of each image is a sum of per-cell terms and the number of patterns
+    the counts stand for, prod C(n_j, e_j), a product; both are laid out
+    over a box of count vectors one cell at a time.  The counts decode iff
+    their cost is below the ceiling and every image's, the unique-minimum
+    test of _coset_minima.
+    """
+    sizes, classes, columns = cells
+    codewords, counts = np.arange(1 << part.code.dim), np.arange(sizes.max() + 1)
+    flipped = np.bitwise_count(columns[:, None] & codewords)[:, :, None] & 1
+    # terms[j, m, e]: the class key of e flips in cell j, after codeword m
+    terms = np.where(flipped, (sizes[:, None] - counts)[:, None], counts)
+    terms *= np.array(costs.strides)[classes, None, None]
+    binomials = [_binomials(n) for n in sizes.tolist()]
+    table = costs.table if costs.lams is not None else functools.reduce(  # flip counts by key
+        np.add.outer, [np.arange(n + 1) for n in costs.sizes[::-1]]).ravel()
+    for box in _boxes([len(b) for b in binomials], max(1, TILE_WORDS >> part.code.dim)):
+        keys, patterns = terms[0, :, box[0]], binomials[0][box[0]]
+        for j in range(1, len(box)):
+            keys = (terms[j, :, box[j], None] + keys[:, None]).reshape(len(codewords), -1)
+            patterns = (binomials[j][box[j], None] * patterns).ravel()
+        cost = table.take(keys)
+        decodes = cost[0] < cost[1:].min(axis=0, initial=costs.ceiling)
+        yield keys[0, decodes], patterns[decodes]
+
+
 def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
     """Per cost key, the number of patterns the decoder fails on: all
-    patterns minus the unique minima (_unique_minima), each coset's one
-    possible success, binned by key a tile at a time."""
-    minima = _unique_minima(part, costs)
-    totals = costs.outer([np.array([math.comb(n, c) for c in range(n + 1)], dtype=np.int64)
-                          for n in costs.sizes])
+    patterns minus those that decode to zero, counted over the smaller
+    domain (_exact_domain), which must fit 2^HARD_EXACT_BITS entries, and
+    binned a tile at a time in int64: the unique minima of the coset walk
+    (_unique_minima), or the cell count vectors that decode
+    (_cell_successes), each with its number of patterns."""
+    entries, cells = _exact_domain(part, costs)
+    if entries > 1 << HARD_EXACT_BITS:
+        raise CapacityError(f"exact enumeration over {entries} patterns or cell pairs exceeds "
+                            f"the 2^{HARD_EXACT_BITS} cap")
+    totals = costs.outer([_binomials(n) for n in costs.sizes])
     success = np.zeros_like(totals)
-    for words in minima:
-        success += np.bincount(costs.key(words), minlength=len(totals))
+    if cells is None:
+        for words in _unique_minima(part, costs):
+            success += np.bincount(costs.key(words), minlength=len(totals))
+    else:
+        for keys, patterns in _cell_successes(part, costs, cells):
+            np.add.at(success, keys, patterns)
     return totals - success
 
 
@@ -538,24 +640,6 @@ def _draws(part: Part) -> int:
     return 2 * len(part._sampler_blocks)
 
 
-def _repetition_failures(part: RepetitionPart, p_m: float) -> Reader:
-    """Majority failures read from one uniform array per syndrome bit.
-
-    Bit i's flip count c ~ Binomial(fold, q_i) reaches the threshold
-    t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
-    uniform u satisfies u >= F(t - 1), so one uniform per bit decides it.
-    """
-    decoded = range((part.fold + 1) // 2)
-    thresholds = [_majority_bit_failure(p_err(w, p_m), part.fold, decoded) for w in part.weights]
-
-    def failed(uniforms: np.ndarray) -> np.ndarray:
-        out = np.zeros(uniforms.shape[-1], dtype=bool)
-        for u, threshold in zip(uniforms, thresholds):
-            out |= u >= threshold
-        return out
-    return failed
-
-
 def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
     """work[name] cut to size, allocated only when missing, too short or of
     another dtype.
@@ -643,9 +727,10 @@ def _repetition_reader(part: RepetitionPart, p_ms: Sequence[float], work: dict[s
     """Point masks of a repetition part over a group of points: bit i of a
     trial's mask is set iff the trial fails at p_ms[i].
 
-    A bit fails iff its uniform reaches its weight's majority threshold
-    (_repetition_failures), so per weight the largest uniform of its bits
-    is compared once with each point's threshold.
+    Bit i's flip count c ~ Binomial(fold, q_i) reaches the threshold
+    t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
+    uniform u satisfies u >= F(t - 1), so per weight the largest uniform of
+    its bits is compared once with each point's threshold.
     """
     classes: dict[int, list[int]] = {}
     for j, w in enumerate(part.weights):
@@ -702,7 +787,7 @@ class _CountBlock:
 def _block_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The number (runs[c]) and first index (starts[c]) of the words with c
     flips in an n-bit sampler block's table; shared, so read-only."""
-    runs = np.array([math.comb(n, c) for c in range(n + 1)], dtype=float)
+    runs = _binomials(n).astype(float)
     starts = (np.cumsum(runs) - runs).astype(np.intp)
     runs.flags.writeable = starts.flags.writeable = False
     return runs, starts
@@ -766,25 +851,6 @@ def _words(blocks: list[_CountBlock], i: int, uniforms: np.ndarray,
         if j:
             words |= word
     return words
-
-
-def _sm_word_sampler(part: SMPart, p_m: float) -> Callable[..., np.ndarray]:
-    """Draw one chunk of received words, the part's uniform arrays in order.
-
-    A block's flip count is the number of its CDF values at most the count
-    uniform, each value compared with every uniform: no _Positions, so the
-    sampler checks the readers' count lookup."""
-    class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        uniforms, words = rng.random((_draws(part), size)), np.zeros(size, dtype=np.uint64)
-        for (k, table), u, v in zip(part._sampler_blocks, uniforms[0::2], uniforms[1::2]):
-            runs, starts = _block_runs(len(table).bit_length() - 1)
-            counts = np.count_nonzero(_block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
-            start = starts.take(counts)
-            words |= table.take(_table_index(v, runs.take(counts), start, start, {}))
-        return words
-    return sample
 
 
 def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
@@ -1096,9 +1162,11 @@ CSV_HEADER = ("log2_pm", "log2_pse", "stderr", "trials", "total_measurements", "
 
 
 def exact_is_feasible(scheme: MeasurementScheme) -> bool:
-    return all(
-        isinstance(p, RepetitionPart) or p.code.length <= HARD_EXACT_BITS for p in scheme.parts
-    )
+    """Whether every SM part's exact domain (_exact_domain) fits
+    2^HARD_EXACT_BITS entries; weight classes are the finest classes any
+    cost rule has."""
+    return all(isinstance(p, RepetitionPart)
+               or _exact_domain(p, p._unit_costs)[0] <= 1 << HARD_EXACT_BITS for p in scheme.parts)
 
 
 def sweep(
@@ -1111,7 +1179,8 @@ def sweep(
     """Evaluate p_se over a grid of log2(p_m) values, in grid order.
 
     method "auto" uses exact evaluation when every SM part enumerates at
-    most 2^HARD_EXACT_BITS patterns and Monte Carlo otherwise.  Either
+    most 2^HARD_EXACT_BITS patterns or cell pairs (exact_is_feasible) and
+    Monte Carlo otherwise.  Either
     method takes the whole grid in one call (pse_exact, pse_monte_carlo).
     A grid point whose p_m lies outside [0, 1] raises PreconditionError
     before any point is evaluated.

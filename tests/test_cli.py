@@ -555,6 +555,13 @@ def test_shell_entry_point(argv, exit_code, needle):
     assert needle in done.stdout + done.stderr
 
 
+def test_the_package_runs_as_a_module():
+    done = subprocess.run([sys.executable, "-m", "qdscodes", "bounds", "--check", "22", "15"],
+                          env=src_env(), capture_output=True, text=True, timeout=60, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "qds_hamming: True" in done.stdout.splitlines()
+
+
 # ----------------------------------------------------------------------
 # start-up: a command imports only the modules it runs
 # ----------------------------------------------------------------------

@@ -30,10 +30,8 @@ from qdscodes.noise import (
     _draws,
     _failing_patterns,
     _Positions,
-    _repetition_failures,
     _shor_z_order_for_total,
     _sm_decoder,
-    _sm_word_sampler,
     _syndromes,
     build_scheme,
     exact_is_feasible,
@@ -51,6 +49,7 @@ from qdscodes.smcodes import (
     coset_leader_decode,
     likelihood_classes,
     parse_binary_code_text,
+    pattern_cost,
     sm_catalog,
     weighted_ml_decode,
 )
@@ -673,7 +672,9 @@ def _dim2_exact_failure(rows: tuple[int, int], q: float) -> float:
 
     With one likelihood class the zero word is decoded iff |e & c| < |c|/2
     for each nonzero codeword c.  The codewords r1, r2, r1 ^ r2 cover three
-    column blocks, so the success mass is a triple sum over per-block flips.
+    column blocks, so the failure mass is a triple sum over per-block
+    flips, summed over the failing counts themselves: 1 - (success mass)
+    would cancel at small q.
     """
     r1, r2 = rows
     a, b, c = (r1 & ~r2).bit_count(), (r1 & r2).bit_count(), (r2 & ~r1).bit_count()
@@ -682,12 +683,11 @@ def _dim2_exact_failure(rows: tuple[int, int], q: float) -> float:
         return [math.comb(size, x) * q**x * (1.0 - q) ** (size - x) for x in range(size + 1)]
 
     pa, pb, pc = binom(a), binom(b), binom(c)
-    ok = math.fsum(
+    return math.fsum(
         pa[x] * pb[y] * pc[z]
         for x in range(a + 1) for y in range(b + 1) for z in range(c + 1)
-        if 2 * (x + y) < a + b and 2 * (y + z) < b + c and 2 * (x + z) < a + c
+        if not (2 * (x + y) < a + b and 2 * (y + z) < b + c and 2 * (x + z) < a + c)
     )
-    return 1.0 - ok
 
 
 def _random_35_bit_part() -> SMPart:
@@ -704,8 +704,21 @@ def test_weighted_ml_monte_carlo_on_a_35_bit_code():
     scheme = MeasurementScheme(part.code.name, (part,))
     trials = 1 << 16
     exact = _dim2_exact_failure((r1, r2), p_err(4, 2.0**-4))
+    assert pse_exact(scheme, 2.0**-4).p_se == pytest.approx(exact, rel=1e-13, abs=0.0)
     mc = pse_monte_carlo(scheme, 2.0**-4, trials, seed=11)
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+@pytest.mark.parametrize("log2_pm", [-3.0, -8.0, -30.0])
+def test_exact_p_se_of_a_35_bit_code_from_its_cells(log2_pm):
+    # 2^35 patterns are beyond the walk; 5,760 cell count vectors are not
+    part = _random_35_bit_part()
+    assert noise._exact_domain(part, part._unit_costs)[1] is not None
+    scheme = MeasurementScheme(part.code.name, (part,))
+    expected = _dim2_exact_failure(part.code.rows, p_err(4, 2.0**log2_pm))
+    assert pse_exact(scheme, 2.0**log2_pm).p_se == pytest.approx(expected, rel=1e-13, abs=0.0)
+    (row,) = sweep(scheme, [log2_pm], method="auto")
+    assert (row.method, row.trials) == ("exact", 0)
 
 
 def test_sm_part_longer_than_a_packed_word_is_refused():
@@ -724,6 +737,41 @@ def test_sm_part_of_too_high_dimension_is_refused():
 # ----------------------------------------------------------------------
 # Monte Carlo behaviour
 # ----------------------------------------------------------------------
+
+def _repetition_failures(part: RepetitionPart, p_m: float):
+    """Majority failures read from one uniform array per syndrome bit, one
+    point at a time: bit i fails iff its uniform u >= F(t - 1), the
+    Binomial(fold, q_i) lower tail below the majority threshold t."""
+    decoded = range((part.fold + 1) // 2)
+    thresholds = [noise._majority_bit_failure(p_err(w, p_m), part.fold, decoded)
+                  for w in part.weights]
+
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        out = np.zeros(uniforms.shape[-1], dtype=bool)
+        for u, threshold in zip(uniforms, thresholds):
+            out |= u >= threshold
+        return out
+    return failed
+
+
+def _sm_word_sampler(part: SMPart, p_m: float):
+    """Draw one chunk of received words, the part's uniform arrays in order.
+
+    A block's flip count is the number of its CDF values at most the count
+    uniform, each value compared with every uniform: no _Positions, so the
+    sampler checks the readers' count lookup."""
+    class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        uniforms, words = rng.random((_draws(part), size)), np.zeros(size, dtype=np.uint64)
+        for (k, table), u, v in zip(part._sampler_blocks, uniforms[0::2], uniforms[1::2]):
+            runs, starts = noise._block_runs(len(table).bit_length() - 1)
+            counts = np.count_nonzero(noise._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
+            start = starts.take(counts)
+            words |= table.take(noise._table_index(v, runs.take(counts), start, start, {}))
+        return words
+    return sample
+
 
 def test_monte_carlo_matches_exact_on_fig1_schemes():
     for name in ("fig1-shor-6fold", "fig1-bs-6fold", "fig1-bs-sm"):
@@ -847,6 +895,117 @@ def test_monte_carlo_syndrome_table_above_20_bits(decoder):
 def _shor_z_part(sm: BinaryLinearCode) -> SMPart:
     """The Shor code's Z part under the SM code sm."""
     return sm_scheme(catalog("shor"), sm_catalog("cw-12-2-8"), sm).parts[1]
+
+
+def _cell_pairs(part: SMPart, found) -> int:
+    """Cell count vectors times codewords: what the cell domain enumerates."""
+    return math.prod((found[0] + 1).tolist()) << part.code.dim
+
+
+# (n, k, several weight classes) of the seeded parts whose cell counts are
+# checked against the coset walk
+CELL_CASES = [(20, 1, False), (20, 1, True), (20, 2, False), (20, 2, True), (20, 3, False),
+              (16, 3, True), (9, 3, True)]
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("n, k, several", CELL_CASES)
+def test_cell_domain_counts_the_failures_the_coset_walk_counts(n, k, several, decoder):
+    part = _random_part(n, k, seed=100 * n + 10 * k + several, decoder=decoder)
+    if not several:
+        part = SMPart(part.code, (4,) * n, decoder)
+    assert (len(set(part.weights)) > 1) == several
+    for p_m in (0.0, 2.0**-3, 1.0):
+        costs, _ = part._pricing(p_m)
+        found = noise._cells(part, costs)
+        assert found[0].sum() == n
+        walked = np.zeros(costs.vectors, dtype=np.int64)
+        for words in noise._unique_minima(part, costs):
+            np.add.at(walked, costs.key(words), 1)
+        counted = np.zeros_like(walked)
+        for keys, patterns in noise._cell_successes(part, costs, found):
+            np.add.at(counted, keys, patterns)
+        assert counted.tolist() == walked.tolist()
+        failing = _failing_patterns(part, costs)
+        assert failing.dtype == np.int64
+        patterns = [np.array([math.comb(size, c) for c in range(size + 1)]) for size in costs.sizes]
+        assert (failing + walked).tolist() == costs.outer(patterns).tolist()
+    if (n, k, several) == (20, 2, True):  # count vectors in several tiles
+        assert _cell_pairs(part, noise._cells(part, part._unit_costs)) > 4 * TILE_WORDS
+
+
+def test_exact_enumerates_the_smaller_domain():
+    for name, pairs in (("cw-12-2-8", 125 * 4), ("cw-17-2-11", 294 * 4), ("cw-18-2-12", 343 * 4)):
+        code = sm_catalog(name)
+        part = SMPart(code, (6,) * code.length)
+        entries, found = noise._exact_domain(part, part._unit_costs)
+        assert found is not None and entries == pairs < 1 << code.length
+    # the imported [20, 6] of the Shor Z part has 3 classes and up to 64 columns
+    part = _shor_z_part(_random_part(20, 6, 20, "coset-leader").code)
+    entries, found = noise._exact_domain(part, part._unit_costs)
+    assert found is None and entries == 1 << 20
+    assert _cell_pairs(part, noise._cells(part, part._unit_costs)) > 1 << 23
+
+
+def test_exact_p_se_of_a_64_bit_dimension_2_code():
+    rng = np.random.default_rng(64)
+    rows = tuple(int(hi) << 32 | int(lo) for hi, lo in rng.integers(1, 1 << 32, size=(2, 2)))
+    part = SMPart(BinaryLinearCode(64, rows, "random-64-2"), (2,) * 64)
+    scheme = MeasurementScheme(part.code.name, (part,))
+    assert exact_is_feasible(scheme)
+    # failing patterns per flip count, in integers, from the four column blocks
+    r1, r2 = rows
+    a, b, c = (r1 & ~r2).bit_count(), (r1 & r2).bit_count(), (r2 & ~r1).bit_count()
+    failing = [0] * 65
+    for x, y, z, u in itertools.product(range(a + 1), range(b + 1), range(c + 1),
+                                        range(64 - a - b - c + 1)):
+        if not (2 * (x + y) < a + b and 2 * (y + z) < b + c and 2 * (x + z) < a + c):
+            failing[x + y + z + u] += (math.comb(a, x) * math.comb(b, y) * math.comb(c, z)
+                                       * math.comb(64 - a - b - c, u))
+    assert part._unit_failures.tolist() == failing
+    for log2_pm in (-3.0, -12.0):
+        expected = _dim2_exact_failure(rows, p_err(2, 2.0**log2_pm))
+        assert pse_exact(scheme, 2.0**log2_pm).p_se == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_exact_refuses_a_part_whose_domains_both_exceed_the_cap():
+    scheme = MeasurementScheme("r26", (_random_part(26, 6, 26, "coset-leader"),))
+    assert not exact_is_feasible(scheme)
+    with pytest.raises(CapacityError, match="cap"):
+        pse_exact(scheme, 2.0**-3)
+
+
+def test_choosing_the_exact_domain_of_a_dimension_20_part_stays_small():
+    # 2^20 codewords: the cell domain must be sized without laying codewords
+    # over cells, and the walk, which this part takes, runs in tiles
+    part = SMPart(BinaryLinearCode(20, tuple(1 << i for i in range(20)), "identity-20"), (4,) * 20)
+    scheme = MeasurementScheme(part.code.name, (part,))
+    tracemalloc.start()
+    try:
+        assert exact_is_feasible(scheme)
+        assert noise._exact_domain(part, part._unit_costs) == (1 << 20, None)
+        feasible_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        expected = -math.expm1(20 * math.log1p(-p_err(4, 2.0**-3)))  # any flip fails
+        assert pse_exact(scheme, 2.0**-3).p_se == pytest.approx(expected)
+        exact_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible_peak < 1 << 20 and exact_peak < 4 << 20
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cost_table_is_pattern_cost_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [int(n) for n in rng.integers(1, 6, size=5)]
+    lams = rng.normal(scale=4.0, size=5)
+    # lambda = 0 at p = 1/2, +inf at p = 0, -inf at p = 1, negative above 1/2
+    lams[rng.choice(5, size=3, replace=False)] = rng.permutation([0.0, math.inf, -math.inf])
+    costs = noise._Costs([k for k, n in enumerate(sizes) for _ in range(n)], lams)
+    assert costs.sizes == sizes
+    expected = [pattern_cost(c, sizes, lams.tolist()) for c in costs.count_vectors().tolist()]
+    assert costs.table.tobytes() == np.array(expected).tobytes()
+    assert np.isinf(costs.table).any() and np.isfinite(costs.table).any()
 
 
 @pytest.mark.parametrize("code", [
