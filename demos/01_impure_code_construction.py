@@ -17,9 +17,7 @@ from qdscodes import (
     identity_qds,
     impure_zero_redundancy,
     is_impure,
-    make_stabilizer,
     min_distance,
-    qds_min_distance,
     syndrome,
 )
 from qdscodes.qds import single_symbol_errors
@@ -37,7 +35,7 @@ for e in single_symbol_errors(6):
         print(f"  error {e} -> syndrome {s}")
 
 print(f"\nas a zero-redundancy QDS code this reaches distance "
-      f"{qds_min_distance(identity_qds(code))} (needs 3)")
+      f"{identity_qds(code).distance} (needs 3)")
 
 result = impure_zero_redundancy(code)
 print(f"\nsearch: pivot {result.pivot}, even-weight string {result.modifier}, "
@@ -46,9 +44,9 @@ print("new generators:")
 for row in result.rows:
     print(f"  {row}")
 
-found = make_stabilizer(result.rows)
-print(f"\nre-verified: distance {min_distance(found)} base code, "
-      f"QDS distance {qds_min_distance(identity_qds(found))} with zero redundancy")
+found = result.qds.base
+print(f"\nverified: distance {min_distance(found)} base code, "
+      f"QDS distance {result.qds.distance} with zero redundancy")
 
 prime = catalog("example-6-1-3-prime")
 print(f"matches the reference generator choice: {found.rows == prime.rows}")

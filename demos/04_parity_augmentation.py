@@ -24,10 +24,10 @@ for name in ("five-qubit", "steane", "shor", "example-6-1-3", "8-3-3", "bacon-sh
 # the perfect five-qubit code is the canonical customer: with no spare
 # syndromes it cannot be a zero-redundancy QDS code, but one extra
 # measurement suffices
-from qdscodes import identity_qds, qds_min_distance
+from qdscodes import identity_qds
 
 five = catalog("five-qubit")
 print(f"\nfive-qubit without augmentation: QDS distance "
-      f"{qds_min_distance(identity_qds(five))} (< 3, perfect codes have no room)")
+      f"{identity_qds(five).distance} (< 3, perfect codes have no room)")
 print(f"five-qubit with the parity bit:  QDS distance "
-      f"{qds_min_distance(augment_parity(five))}")
+      f"{augment_parity(five).distance}")

@@ -100,8 +100,9 @@ def cmd_catalog(args) -> int:
                 {"name": name, "length": code.length, "dim": code.dim,
                  "d": code.minimum_distance()}
             )
-        sm.append({"name": "parity-<m> / repetition-<l> / identity-<m>"})
-        sm.append({"name": "grassl-18-6-8 / grassl-25-6-11", "import": "QDS_DATA_DIR"})
+        sm.append({"name": " / ".join(sm_mod.GENERATED_NAMES)})
+        sm.append({"name": " / ".join(sorted(sm_mod.IMPORTED_PARAMS)),
+                   "import": sm_mod.DATA_DIR_ENV})
         if args.json:
             _print_json({"quantum": quantum, "sm": sm})
             return EXIT_OK
@@ -148,7 +149,7 @@ def cmd_check(args) -> int:
     sm = _load_sm(args.sm, args.data_dir) if args.sm else sm_mod.sm_catalog(f"identity-{m}")
     qds = qds_mod.build_qds(code, sm)
     base_d = codes_mod.min_distance(code)
-    qds_d = qds_mod.qds_min_distance(qds)
+    qds_d = qds.distance
     r = code.r if isinstance(code, codes_mod.SubsystemCode) else 0
     report = {
         "n": code.n,
@@ -210,8 +211,7 @@ def cmd_search_impure(args) -> int:
     if isinstance(code, codes_mod.SubsystemCode):
         raise QDSError("search-impure operates on stabilizer codes")
     result = qds_mod.impure_zero_redundancy(code)
-    verified = codes_mod.make_stabilizer(result.rows)
-    params = qds_mod.qds_params(qds_mod.identity_qds(verified))
+    params = qds_mod.qds_params(result.qds)
     report = {
         "params": str(params),
         "pivot": str(result.pivot),
@@ -222,7 +222,7 @@ def cmd_search_impure(args) -> int:
     }
     if args.out:
         codes_mod.write_code_file(
-            verified, args.out, comment=f"zero-redundancy generators found for {args.code}"
+            result.qds.base, args.out, comment=f"zero-redundancy generators found for {args.code}"
         )
         report["file"] = args.out
     if args.json:

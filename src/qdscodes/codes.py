@@ -326,42 +326,21 @@ _SHOR = (
 _GOTTESMAN_8_3_3 = ("XXXXXXXX", "ZZZZZZZZ", "IXIXYZYZ", "IXZYIXZY", "IYXZXZIY")
 
 
-def _bacon_shor_gauge_rows() -> list[F4Vector]:
-    """The twelve weight-2 gauge generators of the 3x3 Bacon-Shor code:
-    XX on horizontal neighbours, ZZ on vertical neighbours."""
-    def idx(r, c):
-        return 3 * r + c
+def bacon_shor(m: int) -> SubsystemCode:
+    """The m x m Bacon-Shor code, qubit m*r + c at row r, column c.
 
-    rows = []
-    for r in range(3):
-        for c in range(2):
-            x = (1 << idx(r, c)) | (1 << idx(r, c + 1))
-            rows.append(F4Vector(9, x, 0))
-    for c in range(3):
-        for r in range(2):
-            z = (1 << idx(r, c)) | (1 << idx(r + 1, c))
-            rows.append(F4Vector(9, 0, z))
-    return rows
-
-
-def _bacon_shor_stabilizer_rows() -> list[F4Vector]:
-    """Canonical weight-6 presentation: X on adjacent column pairs (products
-    of the horizontal XX gauges), Z on adjacent row pairs."""
-    def idx(r, c):
-        return 3 * r + c
-
-    rows = []
-    for c in range(2):
-        x = 0
-        for r in range(3):
-            x |= (1 << idx(r, c)) | (1 << idx(r, c + 1))
-        rows.append(F4Vector(9, x, 0))
-    for r in range(2):
-        z = 0
-        for c in range(3):
-            z |= (1 << idx(r, c)) | (1 << idx(r + 1, c))
-        rows.append(F4Vector(9, 0, z))
-    return rows
+    Gauge generators: XX on horizontal neighbours, then ZZ on vertical
+    neighbours.  Stabilizer presentation, weight 2m: X on adjacent column
+    pairs (products of the XX gauges), then Z on adjacent row pairs.
+    """
+    n = m * m
+    row = (1 << m) - 1  # the qubits of row 0
+    column = sum(1 << (m * r) for r in range(m))  # the qubits of column 0
+    gauge = [F4Vector(n, 3 << (m * r + c), 0) for r in range(m) for c in range(m - 1)]
+    gauge += [F4Vector(n, 0, (1 | 1 << m) << (m * r + c)) for c in range(m) for r in range(m - 1)]
+    stabilizer = [F4Vector(n, (column | column << 1) << c, 0) for c in range(m - 1)]
+    stabilizer += [F4Vector(n, 0, (row | row << m) << (m * r)) for r in range(m - 1)]
+    return make_subsystem(gauge, stabilizer)
 
 
 def _stab(strings: Sequence[str]) -> StabilizerCode:
@@ -375,9 +354,7 @@ _CATALOG = {
     "steane": lambda: _stab(_STEANE),
     "shor": lambda: _stab(_SHOR),
     "8-3-3": lambda: _stab(_GOTTESMAN_8_3_3),
-    "bacon-shor": lambda: make_subsystem(
-        _bacon_shor_gauge_rows(), _bacon_shor_stabilizer_rows()
-    ),
+    "bacon-shor": lambda: bacon_shor(3),
 }
 
 

@@ -39,6 +39,10 @@ PAULI_OF_VALUE = "IXZY"
 VALUE_OF_PAULI = {p: v for v, p in enumerate(PAULI_OF_VALUE)}
 
 
+# The scalar field operations.  The library computes on packed vectors, so
+# f4_add, f4_conj and f4_trace have no caller in it; they stay as the
+# field's definition, which test_gf4 checks the packed sum, conjugate and
+# trace inner product against.
 def f4_add(a: int, b: int) -> int:
     return a ^ b
 
@@ -65,16 +69,6 @@ class BitVector:
     def __post_init__(self):
         if self.bits >> self.n:
             raise DimensionError(f"bits 0x{self.bits:x} exceed length {self.n}")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        seq = tuple(bits)
-        packed = 0
-        for i, b in enumerate(seq):
-            if b not in (0, 1):
-                raise ParseError(f"bit value {b!r} is not 0/1")
-            packed |= b << i
-        return cls(len(seq), packed)
 
     @classmethod
     def zero(cls, n: int) -> "BitVector":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .codes import (
     AdditiveCode,
@@ -79,10 +80,16 @@ class QDSCode:
     def weights(self) -> tuple[int, ...]:
         return tuple(v.weight for v in self.measured)
 
+    @cached_property
+    def distance(self) -> int:
+        """The QDS distance, searched once per code (qds_min_distance)."""
+        return qds_min_distance(self)
+
 
 def measured_elements(rows: Sequence[F4Vector], sm: BinaryLinearCode) -> tuple[F4Vector, ...]:
     """The stabilizer rows followed by the SM code's redundant products
-    b_j = sum_i a_{i,j} g_i, in systematic measurement order."""
+    b_j = sum_i a_{i,j} g_i, in systematic measurement order: sums of the
+    rows, so every measured element lies in the stabilizer span."""
     if sm.dim != len(rows):
         raise DimensionError(
             f"SM code dimension {sm.dim} != number of measured generators {len(rows)}"
@@ -99,12 +106,7 @@ def measured_elements(rows: Sequence[F4Vector], sm: BinaryLinearCode) -> tuple[F
 
 
 def build_qds(base: StabilizerCode | SubsystemCode, sm: BinaryLinearCode) -> QDSCode:
-    measured = measured_elements(base.rows, sm)
-    stab_basis = Basis(r.bit_expansion() for r in base.rows)
-    for b in measured:
-        if not stab_basis.contains(b.bit_expansion()):
-            raise StructureError(f"measured element {b} is not a stabilizer element")
-    return QDSCode(base, sm, measured)
+    return QDSCode(base, sm, measured_elements(base.rows, sm))
 
 
 def extended_syndrome(qds: QDSCode, e: F4Vector) -> BitVector:
@@ -128,7 +130,7 @@ def qds_min_distance(qds: QDSCode) -> int:
 def qds_params(qds: QDSCode) -> QDSParams:
     base = qds.base
     r = base.r if isinstance(base, SubsystemCode) else 0
-    return QDSParams(base.n, base.k, r, qds_min_distance(qds), qds.l)
+    return QDSParams(base.n, base.k, r, qds.distance, qds.l)
 
 
 def identity_qds(base: StabilizerCode | SubsystemCode) -> QDSCode:
@@ -147,7 +149,7 @@ def augment_parity(base: StabilizerCode | SubsystemCode) -> QDSCode:
     if d != 3:
         raise PreconditionError(f"parity augmentation needs a distance-3 base, got d={d}")
     qds = build_qds(base, sm_catalog(f"parity-{len(base.rows)}"))
-    if qds_min_distance(qds) < 3:
+    if qds.distance < 3:
         raise StructureError("parity augmentation failed to preserve distance 3")
     return qds
 
@@ -212,11 +214,15 @@ PIVOT_WEIGHT = 2
 
 @dataclass(frozen=True)
 class ImpureSearchResult:
-    rows: tuple[F4Vector, ...]
+    qds: QDSCode  # the zero-redundancy QDS code found, its distance searched once
     pivot: F4Vector
     modifier: BitVector
     pivots_tried: int
     strings_examined: int
+
+    @property
+    def rows(self) -> tuple[F4Vector, ...]:
+        return self.qds.base.rows
 
 
 def _low_weight_span_elements(code: AdditiveCode) -> list[F4Vector]:
@@ -270,8 +276,9 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     and g1 is added to the row subsets named by even-weight strings until
     every single-symbol error keeps an extended syndrome of weight >= 2
     (>= 3 on the odd-parity side) unless it lies in the stabilizer itself.
-    The accepted row set is re-verified as a distance-3 zero-redundancy
-    QDS code before it is returned; `pivots_tried` counts the bases formed.
+    The accepted row set is verified as a distance-3 zero-redundancy QDS
+    code, which is returned; `pivots_tried` counts the bases formed.  Every
+    row found is a sum of stabilizer rows, so the span stays that of base.
     """
     d = min_distance(base)
     if d != 3:
@@ -304,13 +311,11 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
             candidate = [
                 row + g1 if (a >> i) & 1 else row for i, row in enumerate(new_rows)
             ]
-            result = make_stabilizer(candidate)
-            if qds_min_distance(identity_qds(result)) != 3:
+            qds = identity_qds(make_stabilizer(candidate))
+            if qds.distance != 3:
                 continue
-            if not all(stab_basis.contains(row.bit_expansion()) for row in candidate):
-                raise StructureError("row operations changed the stabilizer span")
             return ImpureSearchResult(
-                tuple(candidate),
+                qds,
                 pivot=g1,
                 modifier=BitVector(m, a),
                 pivots_tried=bases_tried,

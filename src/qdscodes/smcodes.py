@@ -115,7 +115,9 @@ class BinaryLinearCode:
 
     @property
     def column_permutation(self) -> tuple[int, ...]:
-        """Systematic position -> original column."""
+        """Systematic position -> original column.  Encoding and decoding
+        work in systematic order, so this is how a caller maps their words
+        back to the generator's columns."""
         return self._systematic[1]
 
     def a_column(self, j: int) -> int:
@@ -374,6 +376,14 @@ def _identity(m: int) -> BinaryLinearCode:
     )
 
 
+# family -> (builder of the code <family>-<size>, the size's symbol in the family's name)
+GENERATED_FAMILIES = {
+    "parity": (_parity, "m"),
+    "repetition": (_repetition, "l"),
+    "identity": (_identity, "m"),
+}
+GENERATED_NAMES = tuple(f"{family}-<{size}>" for family, (_, size) in GENERATED_FAMILIES.items())
+
 # name -> support-block sizes of the bundled Cordaro-Wagner [n, 2] codes
 CORDARO_WAGNER_BLOCKS = {
     "cw-12-2-8": (4, 4, 4),
@@ -381,7 +391,7 @@ CORDARO_WAGNER_BLOCKS = {
     "cw-18-2-12": (6, 6, 6),
 }
 
-_IMPORTED_PARAMS = {
+IMPORTED_PARAMS = {
     # name -> (length, dim, declared minimum distance)
     "grassl-18-6-8": (18, 6, 8),
     "grassl-25-6-11": (25, 6, 11),
@@ -396,7 +406,7 @@ def data_dir(override: str | Path | None = None) -> Path | None:
 
 
 def _load_imported(name: str, directory: str | Path | None) -> BinaryLinearCode:
-    length, dim, dist = _IMPORTED_PARAMS[name]
+    length, dim, dist = IMPORTED_PARAMS[name]
     base = data_dir(directory)
     path = (base / f"{name}.txt") if base else None
     if path is None or not path.exists():
@@ -418,24 +428,23 @@ def _load_imported(name: str, directory: str | Path | None) -> BinaryLinearCode:
 
 def sm_catalog(name: str, directory: str | Path | None = None) -> BinaryLinearCode:
     """Bundled SM codes, plus import-only entries resolved from QDS_DATA_DIR."""
-    if name in _IMPORTED_PARAMS:
+    if name in IMPORTED_PARAMS:
         return _load_imported(name, directory)
     if name in CORDARO_WAGNER_BLOCKS:
         return _cordaro_wagner(CORDARO_WAGNER_BLOCKS[name], name)
     kind, _, arg = name.partition("-")
-    if kind in ("parity", "repetition", "identity") and arg.isdigit():
+    if kind in GENERATED_FAMILIES and arg.isdigit():
         size = int(arg)
         if size < 1:
             raise CatalogError(f"size in {name!r} must be positive")
         if size > MAX_GENERATED_SIZE:
             raise CapacityError(f"size in {name!r} exceeds the cap of {MAX_GENERATED_SIZE}")
-        return {"parity": _parity, "repetition": _repetition, "identity": _identity}[kind](size)
+        return GENERATED_FAMILIES[kind][0](size)
     raise CatalogError(f"unknown SM code {name!r}; known: {', '.join(sm_catalog_names())}")
 
 
 def sm_catalog_names() -> tuple[str, ...]:
-    return (tuple(CORDARO_WAGNER_BLOCKS) + ("parity-<m>", "repetition-<l>", "identity-<m>")
-            + tuple(sorted(_IMPORTED_PARAMS)))
+    return tuple(CORDARO_WAGNER_BLOCKS) + GENERATED_NAMES + tuple(sorted(IMPORTED_PARAMS))
 
 
 # ----------------------------------------------------------------------

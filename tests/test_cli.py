@@ -6,10 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from qdscodes import codes, qds
 from qdscodes.bounds import MAX_FAMILY_EXPONENT
 from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
@@ -32,6 +34,23 @@ def test_catalog_list_names(capsys):
     assert code == 0
     for name in ("shor", "bacon-shor", "steane", "five-qubit", "example-6-1-3", "8-3-3"):
         assert name in out
+
+
+def test_catalog_list_reads_the_sm_names_from_smcodes(capsys, monkeypatch):
+    from qdscodes import smcodes
+
+    code, out, _ = run(capsys, "catalog", "list")
+    assert out.endswith("  parity-<m> / repetition-<l> / identity-<m>\n"
+                        "  grassl-18-6-8 / grassl-25-6-11\n")
+    code, out, _ = run(capsys, "catalog", "list", "--json")
+    assert json.loads(out)["sm"][-2:] == [
+        {"name": "parity-<m> / repetition-<l> / identity-<m>"},
+        {"name": "grassl-18-6-8 / grassl-25-6-11", "import": "QDS_DATA_DIR"},
+    ]
+    # an import-only code declared in smcodes is listed with the others
+    monkeypatch.setitem(smcodes.IMPORTED_PARAMS, "import-20-4-8", (20, 4, 8))
+    code, out, _ = run(capsys, "catalog", "list")
+    assert out.endswith("  grassl-18-6-8 / grassl-25-6-11 / import-20-4-8\n")
 
 
 def test_catalog_show_example_rows(capsys):
@@ -180,6 +199,27 @@ def test_search_impure_after_permutation(capsys, tmp_path):
     code, out, _ = run(capsys, "search-impure", "--code", str(path), "--json")
     assert code == 0
     assert json.loads(out)["params"] == "[[6,1,3:0]]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--code", "example-6-1-3-prime"],
+    ["check", "--code", "bacon-shor", "--sm", "parity-4"],
+    ["construct", "--code", "steane"],
+    ["construct", "--code", "bacon-shor"],
+    ["search-impure", "--code", "example-6-1-3"],
+    ["search-impure", "--code", "shor"],
+])
+def test_each_command_searches_each_distance_once(capsys, monkeypatch, argv):
+    # one base distance search and one QDS distance search, whatever reads them
+    searches = Counter()
+    for module, name in ((codes, "min_distance"), (qds, "min_distance"),
+                         (qds, "qds_min_distance")):
+        def counting(code, name=name, search=getattr(module, name)):
+            searches[name] += 1
+            return search(code)
+        monkeypatch.setattr(module, name, counting)
+    assert run(capsys, *argv)[0] == 0
+    assert searches == {"min_distance": 1, "qds_min_distance": 1}
 
 
 # ----------------------------------------------------------------------

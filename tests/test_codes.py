@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdscodes.codes import (
+    MAX_N,
     MAX_SEARCH_WEIGHT,
     MAX_SPAN_EXPONENT,
     AdditiveCode,
     StabilizerCode,
     SubsystemCode,
+    bacon_shor,
     catalog,
     catalog_names,
     is_impure,
@@ -143,6 +145,31 @@ def test_catalog_unknown_name():
     )
 
 
+# every catalog code's rows in order: the stabilizer presentation, then a
+# subsystem code's gauge generators
+CATALOG_ROWS = {
+    "8-3-3": "XXXXXXXX ZZZZZZZZ IXIXYZYZ IXZYIXZY IYXZXZIY",
+    "bacon-shor": "XXIXXIXXI IXXIXXIXX ZZZZZZIII IIIZZZZZZ"
+                  " GAUGE XXIIIIIII IXXIIIIII IIIXXIIII IIIIXXIII IIIIIIXXI IIIIIIIXX"
+                  " ZIIZIIIII IIIZIIZII IZIIZIIII IIIIZIIZI IIZIIZIII IIIIIZIIZ",
+    "example-6-1-3": "IIIZIZ YIZXXY ZXIIXZ IZXXXX ZZZIZI",
+    "example-6-1-3-prime": "YXXZYZ YIZXXY ZXIIXZ IZXYXY ZZZZZZ",
+    "five-qubit": "XZZXI IXZZX XIXZZ ZXIXZ",
+    "shor": "XXXXXXIII IIIXXXXXX ZZIIIIIII IZZIIIIII IIIZZIIII IIIIZZIII IIIIIIZZI IIIIIIIZZ",
+    "steane": "IIIXXXX IXXIIXX XIXIXIX IIIZZZZ IZZIIZZ ZIZIZIZ",
+}
+
+
+def test_catalog_rows_are_pinned():
+    assert set(CATALOG_ROWS) == set(catalog_names())
+    for name, text in CATALOG_ROWS.items():
+        code = catalog(name)
+        rows = [str(r) for r in code.rows]
+        if isinstance(code, SubsystemCode):
+            rows += ["GAUGE"] + [str(r) for r in code.gauge.rows]
+        assert rows == text.split(), name
+
+
 def test_shor_generator_order_and_weights():
     shor = catalog("shor")
     assert [str(r) for r in shor.rows[:2]] == ["XXXXXXIII", "IIIXXXXXX"]
@@ -166,6 +193,16 @@ def test_bacon_shor_parameters():
     assert all(g.weight == 2 for g in bs.gauge.rows)
     assert [s.weight for s in bs.rows] == [6, 6, 6, 6]
     assert min_distance(bs) == 3
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_bacon_shor_generator(m):
+    bs = bacon_shor(m)
+    assert (bs.n, bs.k, bs.r) == (m * m, 1, (m - 1) ** 2)
+    assert [s.weight for s in bs.rows] == [2 * m] * (2 * (m - 1))
+    assert [g.weight for g in bs.gauge.rows] == [2] * (2 * m * (m - 1))
+    if m * m <= MAX_N:
+        assert min_distance(bs) == m
 
 
 def test_bacon_shor_stabilizer_is_center_of_gauge():

@@ -188,15 +188,15 @@ def test_star_reduces_to_trace_on_empty_tail():
 
 def test_star_binary_tail_dot_product():
     zero = F4Vector.zero(4)
-    u = (zero, BitVector.from_bits([1, 0]))
-    v = (zero, BitVector.from_bits([1, 1]))
+    u = (zero, BitVector(2, 0b01))
+    v = (zero, BitVector(2, 0b11))
     assert star_inner_product(u, v) == 1
 
 
 def test_star_mixed_example():
     # anticommuting F4 part (1) plus tail dot (1) = 0
-    u = (F4Vector.from_symbols([1]), BitVector.from_bits([1]))
-    v = (F4Vector.from_symbols([W]), BitVector.from_bits([1]))
+    u = (F4Vector.from_symbols([1]), BitVector(1, 1))
+    v = (F4Vector.from_symbols([W]), BitVector(1, 1))
     assert star_inner_product(u, v) == 0
 
 
@@ -291,10 +291,10 @@ def test_parse_rejects_unknown_characters():
 
 
 def test_bitvector_basics():
-    b = BitVector.from_bits([1, 0, 1, 1])
+    b = BitVector(4, 0b1101)
     assert b.weight == 3
     assert b.to_tuple() == (1, 0, 1, 1)
-    assert (b ^ BitVector.from_bits([1, 1, 0, 1])).to_tuple() == (0, 1, 1, 0)
+    assert (b ^ BitVector(4, 0b1011)).to_tuple() == (0, 1, 1, 0)
     assert str(b) == "1011"
     with pytest.raises(DimensionError):
         b ^ BitVector.zero(3)

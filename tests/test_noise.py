@@ -1055,11 +1055,22 @@ def _straddled_part() -> SMPart:
     return part
 
 
+def _unjoinable_part() -> SMPart:
+    """A seeded random [20,4] part with 20 distinct element weights: one
+    block per position, so 2^20 joint positions even at one point, more than
+    a joint table holds, and every trial is decided as mixed."""
+    code = _random_part(20, 4, 20, "coset-leader").code
+    part = SMPart(code, tuple(range(2, 22)))
+    assert 2 ** len(part._sampler_blocks) > noise.JOINT_TABLE_ENTRIES
+    return part
+
+
 @pytest.mark.parametrize("scheme", [
     build_scheme("fig1-bs-sm"),
     build_scheme("fig2-bs-216", decoder="weighted-ml"),
     MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],)),
     MeasurementScheme("straddled-20-6", (_straddled_part(),)),
+    MeasurementScheme("unjoinable-20-4", (_unjoinable_part(),)),
 ])
 def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
     trials, chunk_size, seed, p_m = 50_000, 20_000, 5, 2.0**-3

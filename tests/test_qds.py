@@ -14,7 +14,6 @@ from qdscodes.codes import (
     SubsystemCode,
     catalog,
     make_stabilizer,
-    make_subsystem,
     min_distance,
 )
 from qdscodes.errors import CapacityError, DimensionError, PreconditionError
@@ -89,20 +88,35 @@ def test_extended_syndrome_vanishes_on_span(name):
         assert extended_syndrome(qds, v).weight == 0
 
 
+def random_sm_code(m: int, redundancy: int, seed: int) -> BinaryLinearCode:
+    """A seeded random systematic [m + redundancy, m] SM code."""
+    columns = np.random.default_rng(seed).integers(0, 1 << m, size=redundancy).tolist()
+    rows = tuple((1 << i) | sum(((col >> i) & 1) << (m + j) for j, col in enumerate(columns))
+                 for i in range(m))
+    return BinaryLinearCode(m + redundancy, rows)
+
+
 def test_extended_syndrome_tail_consistency():
-    # bits beyond m are the A-combinations of the first m bits
     rng = np.random.default_rng(41)
-    base = catalog("steane")
-    sm = sm_catalog("parity-6")
-    qds = build_qds(base, sm)
-    for _ in range(50):
-        e = random_error(rng, 7)
-        ext = extended_syndrome(qds, e)
-        s = syndrome(base.rows, e)
-        assert ext.to_tuple()[: base.m] == s.to_tuple()
-        for j in range(qds.l):
-            expected = bin(sm.a_column(j) & s.bits).count("1") & 1
-            assert ext.bit(base.m + j) == expected
+    for name, sm in (("steane", sm_catalog("parity-6")),
+                     ("steane", random_sm_code(6, 9, seed=1)),
+                     ("shor", random_sm_code(8, 5, seed=2)),
+                     ("bacon-shor", random_sm_code(4, 7, seed=3))):
+        base = catalog(name)
+        m = len(base.rows)
+        qds = build_qds(base, sm)
+        # every measured element is a stabilizer element
+        stabilizer = base.stabilizer if isinstance(base, SubsystemCode) else base.code
+        assert all(stabilizer.member(b) for b in qds.measured)
+        # bits beyond m are the A-combinations of the first m bits
+        for _ in range(50):
+            e = random_error(rng, base.n)
+            ext = extended_syndrome(qds, e)
+            s = syndrome(base.rows, e)
+            assert ext.to_tuple()[:m] == s.to_tuple()
+            for j in range(qds.l):
+                expected = bin(sm.a_column(j) & s.bits).count("1") & 1
+                assert ext.bit(m + j) == expected
 
 
 # ----------------------------------------------------------------------
@@ -179,23 +193,8 @@ def test_qds_distance_upper_bounded_by_base_distance():
         assert qds_min_distance(identity_qds(catalog(name))) <= 3
 
 
-def bacon_shor_gauge_rows(size: int) -> list[F4Vector]:
-    """XX on horizontal and ZZ on vertical neighbours of a size x size grid."""
-    n = size * size
-    rows = []
-    for r in range(size):
-        for c in range(size - 1):
-            pair = (1 << (size * r + c)) | (1 << (size * r + c + 1))
-            rows.append(F4Vector(n, pair, 0))
-    for c in range(size):
-        for r in range(size - 1):
-            pair = (1 << (size * r + c)) | (1 << (size * (r + 1) + c))
-            rows.append(F4Vector(n, 0, pair))
-    return rows
-
-
 def test_distance_searches_share_the_length_cap():
-    bs25 = make_subsystem(bacon_shor_gauge_rows(5))
+    bs25 = codes.bacon_shor(5)
     assert bs25.n == 25
     with pytest.raises(CapacityError, match=r"n=25 exceeds the enumeration cap n<=16"):
         min_distance(bs25)

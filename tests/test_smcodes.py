@@ -35,7 +35,7 @@ from qdscodes.smcodes import (
 
 
 def bv(*bits):
-    return BitVector.from_bits(bits)
+    return BitVector(len(bits), sum(b << i for i, b in enumerate(bits)))
 
 
 def row_span_sets(code):
@@ -196,7 +196,7 @@ def test_majority_failure_probability_matches_binomial_sums():
 def test_coset_leader_identity_on_codewords():
     cw = sm_catalog("cw-12-2-8")
     for msg in ([0, 0], [0, 1], [1, 0], [1, 1]):
-        out = coset_leader_decode(cw, cw.encode(BitVector.from_bits(msg)))
+        out = coset_leader_decode(cw, cw.encode(bv(*msg)))
         assert out.message.to_tuple() == tuple(msg) and out.success
 
 
@@ -206,7 +206,7 @@ def test_coset_leader_corrects_up_to_half_distance(name):
     t = (code.minimum_distance() - 1) // 2
     patterns = [e for e in range(1 << code.length) if e.bit_count() <= t]
     for msg in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        sent = code.encode(BitVector.from_bits(msg))
+        sent = code.encode(bv(*msg))
         for e in patterns:
             out = coset_leader_decode(code, BitVector(code.length, sent.bits ^ e))
             assert out.success and out.message.to_tuple() == tuple(msg)
@@ -278,7 +278,7 @@ def test_weighted_ml_identity_on_codewords():
     cw = sm_catalog("cw-12-2-8")
     probs = [0.3] * 12
     for msg in ([0, 0], [1, 1]):
-        out = weighted_ml_decode(cw, cw.encode(BitVector.from_bits(msg)), probs)
+        out = weighted_ml_decode(cw, cw.encode(bv(*msg)), probs)
         assert out.success and out.message.to_tuple() == tuple(msg)
 
 
