@@ -125,14 +125,7 @@ def cmd_catalog(args) -> int:
     # show
     name = args.name
     if name in codes_mod.catalog_names():
-        code = codes_mod.catalog(name)
-        if isinstance(code, codes_mod.SubsystemCode):
-            print("GAUGE")
-            for row in code.gauge.rows:
-                print(str(row))
-        else:
-            for row in code.rows:
-                print(str(row))
+        sys.stdout.write(codes_mod.code_file_text(codes_mod.catalog(name)))
         return EXIT_OK
     sm = _load_sm(name, args.data_dir)
     sys.stdout.write(sm_mod.binary_code_file_text(sm))

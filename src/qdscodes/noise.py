@@ -772,14 +772,13 @@ class _CountBlock:
     def index(self, i: int, pos: np.ndarray, v: np.ndarray, out: np.ndarray,
               work: dict[str, np.ndarray]) -> np.ndarray:
         """Point i's table indices at count positions pos and position
-        uniforms v, written to the intp array out, which may be pos."""
+        uniforms v, written to the intp array out."""
         if i not in self.at_positions:  # point i's run and start at each position
             counts = self.positions.counts[i]
             self.at_positions[i] = self.runs.take(counts), self.starts.take(counts)
         runs, starts = self.at_positions[i]
         # indices are in range; with out=, mode "raise" would buffer a copy
         run = runs.take(pos, out=_working(work, "run", len(pos)), mode="clip")
-        # each entry of pos is read before out's entry is written
         return _table_index(v, run, starts.take(pos, out=out, mode="clip"), out, work)
 
 
@@ -834,17 +833,15 @@ def _table_index(v: np.ndarray, run, start, out: np.ndarray, work: dict[str, np.
     return np.add(floor, start, out=out)
 
 
-def _words(blocks: list[_CountBlock], i: int, uniforms: np.ndarray,
-           positions: list[np.ndarray] | None, work: dict[str, np.ndarray]) -> np.ndarray:
-    """Point i's received words: per block, the table word its count and
-    position uniform pick; the blocks cover disjoint bits, so they are ORed.
-    Without positions (_locate), each block is located just before it is
-    read, so one position array is live."""
-    size = uniforms.shape[-1]
+def _words(blocks: list[_CountBlock], i: int, v: Sequence[np.ndarray],
+           positions: Sequence[np.ndarray], work: dict[str, np.ndarray]) -> np.ndarray:
+    """Point i's received words: per block, the table word its count
+    position (_locate) and position uniform v pick; the blocks cover
+    disjoint bits, so they are ORed."""
+    size = len(v[0])
     words, index = _working(work, "words", size, np.uint64), _working(work, "index", size, np.intp)
-    for j, (block, u, v) in enumerate(zip(blocks, uniforms[0::2], uniforms[1::2])):
-        pos = positions[j] if positions is not None else block.positions.locate(u, index, work)
-        block.index(i, pos, v, index, work)
+    for j, (block, pos, u) in enumerate(zip(blocks, positions, v)):
+        block.index(i, pos, u, index, work)
         # each word overwrites the index it is read at; with out=, mode
         # "raise" would buffer a copy
         word = block.table.take(index, out=index.view(np.uint64) if j else words, mode="clip")
@@ -907,22 +904,24 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     costs[i].
 
     Each block's count uniforms are placed once among every point's CDF
-    values (_Positions).  A point judged by the table (_judged_by_table)
-    looks up, by the blocks' joint position, whether the part's verdicts
-    (SMPart._mc_tables) say that the trial's count vector fails, or that it
-    is mixed: some patterns with those counts fail and some decode.  One
-    table of point masks per verdict holds every point's bit, at most
-    JOINT_TABLE_ENTRIES positions (_group_width); a part whose joint
-    positions exceed that even for one point keeps no table and treats
+    values (_Positions), and each tile's count positions are located once
+    for all its points (_locate).  A point judged by the table
+    (_judged_by_table) looks up, by the blocks' joint position, whether the
+    part's verdicts (SMPart._mc_tables) say that the trial's count vector
+    fails, or that it is mixed: some patterns with those counts fail and
+    some decode.  One table of point masks per verdict holds every point's
+    bit, at most JOINT_TABLE_ENTRIES positions (_group_width); a part whose
+    joint positions exceed that even for one point keeps no table and treats
     every trial as mixed.
 
     A mixed count c of a one-block part is decided by the position uniform
     alone: the decisions of the block's C(N, c) words with c flips are taken
     once, and entry min(floor(v C(N, c)), C(N, c) - 1) is read once per tile
     for every trial whatever the points; on a part of several blocks each
-    point decides only the trials mixed at its counts, at their words.  Any
-    other point assembles its words and decodes them (_sm_decoder); the
-    bytes reported count its per-syndrome table, if it keeps one.
+    point decides only the trials mixed at its counts, at their words
+    (_words).  Any other point assembles its words (_words) and decodes
+    them (_sm_decoder); the bytes reported count its per-syndrome table, if
+    it keeps one.
     """
     blocks = _count_blocks(part, p_ms)
     sizes = [block.positions.counts.shape[1] for block in blocks]
@@ -954,9 +953,7 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     def failed(uniforms: np.ndarray) -> np.ndarray:
         size = uniforms.shape[-1]
         out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
-        # a lone decoded point locates each block as it reads it, so one
-        # position array is live
-        positions = _locate(blocks, uniforms, work) if on_table or len(decoders) > 1 else None
+        positions = _locate(blocks, uniforms, work)
         v = uniforms[1::2]
         if not on_table:
             out.fill(0)
@@ -982,7 +979,7 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
                 mixed.take(joint, out=hit, mode="clip")
             _decide_mixed(decisions, blocks, on_table, positions, v, out, hit, work)
         for i, decode in decoders.items():
-            decoded = decode(_words(blocks, i, uniforms, positions, work))
+            decoded = decode(_words(blocks, i, v, positions, work))
             out |= np.multiply(decoded.view(np.uint8), dtype.type(1 << i), out=hit)
         return out
     shared = {id(block.positions): block.positions for block in blocks}
@@ -1002,13 +999,8 @@ def _decide_mixed(decisions: np.ndarray, blocks: list[_CountBlock], on_table: li
         bit = out.dtype.type(1 << i)
         mixed_here = np.bitwise_and(mixed, bit, out=_working(work, "mixed", len(mixed), mixed.dtype))
         rows = np.flatnonzero(np.not_equal(mixed_here, 0, out=flag))
-        words = _working(work, "picked", len(rows), np.uint64)
-        words.fill(0)
-        for block, pos, u in zip(blocks, positions, v):
-            at = pos.take(rows)
-            index = block.index(i, at, u.take(rows), at, work)
-            # each word overwrites the index it is read at, as in _words
-            words |= block.table.take(index, out=index.view(np.uint64), mode="clip")
+        words = _words(blocks, i, [u.take(rows) for u in v], [pos.take(rows) for pos in positions],
+                       work)
         # words < 2^HARD_EXACT_BITS, so their intp view is the same index
         failing = decisions.take(words.view(np.intp),
                                  out=_working(work, "decided", len(rows), bool), mode="clip")

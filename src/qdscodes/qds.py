@@ -276,9 +276,12 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     and g1 is added to the row subsets named by even-weight strings until
     every single-symbol error keeps an extended syndrome of weight >= 2
     (>= 3 on the odd-parity side) unless it lies in the stabilizer itself.
-    The accepted row set is verified as a distance-3 zero-redundancy QDS
-    code, which is returned; `pivots_tried` counts the bases formed.  Every
-    row found is a sum of stabilizer rows, so the span stays that of base.
+    The accepted row set is returned as a zero-redundancy QDS code;
+    `pivots_tried` counts the bases formed.  Every row found is a sum of
+    stabilizer rows, so the span stays that of base, and the QDS distance
+    is 3 exactly when the test passes (a weight-2 error outside the
+    stabilizer has a nonzero syndrome, and a weight-3 logical costs 3).  A
+    confirming distance search that disagrees raises ConstructionFailureError.
     """
     d = min_distance(base)
     if d != 3:
@@ -311,13 +314,16 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
             candidate = [
                 row + g1 if (a >> i) & 1 else row for i, row in enumerate(new_rows)
             ]
-            qds = identity_qds(make_stabilizer(candidate))
+            qds, modifier = identity_qds(make_stabilizer(candidate)), BitVector(m, a)
             if qds.distance != 3:
-                continue
+                raise ConstructionFailureError(
+                    f"pivot {g1} with string {modifier} passed the weight-1 test but gives "
+                    f"QDS distance {qds.distance}, not 3; this indicates a defect"
+                )
             return ImpureSearchResult(
                 qds,
                 pivot=g1,
-                modifier=BitVector(m, a),
+                modifier=modifier,
                 pivots_tried=bases_tried,
                 strings_examined=strings_examined,
             )

@@ -16,7 +16,12 @@ from qdscodes.bounds import MAX_FAMILY_EXPONENT
 from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
 from qdscodes.qds import identity_qds, qds_min_distance
-from qdscodes.smcodes import MAX_GENERATED_SIZE
+from qdscodes.smcodes import (
+    MAX_GENERATED_SIZE,
+    read_binary_code_file,
+    sm_catalog,
+    write_binary_code_file,
+)
 
 
 def run(capsys, *argv):
@@ -58,6 +63,16 @@ def test_catalog_show_example_rows(capsys):
     assert code == 0
     rows = [line for line in out.strip().split("\n")]
     assert rows == ["IIIZIZ", "YIZXXY", "ZXIIXZ", "IZXXXX", "ZZZIZI"]
+
+
+def test_catalog_show_subsystem_code_prints_its_gauge_rows(capsys):
+    code, out, _ = run(capsys, "catalog", "show", "bacon-shor")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "GAUGE"
+    assert lines[1:] == [str(r) for r in catalog("bacon-shor").gauge.rows]
+    assert len(lines[1:]) == 12
+    assert codes.parse_code_text(out) == catalog("bacon-shor")
 
 
 def test_catalog_show_sm_code(capsys):
@@ -132,6 +147,21 @@ def test_check_subsystem_flag_rejects_stabilizer(capsys):
     assert "subsystem" in err
 
 
+def test_check_unknown_code_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--code", "no-such-file")
+    assert code == 2
+    assert out == ""
+    assert "'no-such-file' is neither a catalog code nor an existing file" in err
+
+
+def test_check_reads_the_sm_code_from_a_file(capsys, tmp_path):
+    path = tmp_path / "parity-8.txt"
+    write_binary_code_file(sm_catalog("parity-8"), path)
+    code, out, _ = run(capsys, "check", "--code", "shor", "--sm", str(path), "--json")
+    assert code == 0
+    assert out == run(capsys, "check", "--code", "shor", "--sm", "parity-8", "--json")[1]
+
+
 def test_check_bad_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("XZQ\n")
@@ -156,6 +186,15 @@ def test_construct_subsystem(capsys):
     code, out, _ = run(capsys, "construct", "--code", "bacon-shor", "--json")
     assert code == 0
     assert json.loads(out)["params"] == "[[9,1,4,3:1]]"
+
+
+def test_construct_writes_the_parity_sm_code(capsys, tmp_path):
+    path = tmp_path / "sm.txt"
+    code, out, _ = run(capsys, "construct", "--code", "shor", "--out-sm", str(path))
+    assert code == 0
+    assert out.endswith(f"  sm generator written to {path}\n")
+    written, parity = read_binary_code_file(path), sm_catalog("parity-8")
+    assert (written.length, written.rows) == (parity.length, parity.rows)
 
 
 def test_construct_rejects_low_distance(capsys, tmp_path):
@@ -187,6 +226,31 @@ def test_search_impure_pure_input_exits_3(capsys):
     code, _, err = run(capsys, "search-impure", "--code", "five-qubit")
     assert code == 3
     assert "pure" in err
+
+
+@pytest.mark.parametrize(
+    "rows, exit_code, message",
+    [(None, 2, "error: search-impure operates on stabilizer codes"),
+     (["XXXX", "ZZZZ"], 3, "error: construction needs a distance-3 code, got d=2")],
+)
+def test_search_impure_refuses_a_code_outside_its_domain(capsys, tmp_path, rows, exit_code,
+                                                         message):
+    spec = "bacon-shor"
+    if rows is not None:
+        spec = str(tmp_path / "code.txt")
+        Path(spec).write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "search-impure", "--code", spec)
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_search_impure_reports_a_defect_with_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(qds, "qds_min_distance", lambda code: 2)
+    code, out, err = run(capsys, "search-impure", "--code", "example-6-1-3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("defect: pivot IIIZIZ with string 00011 passed the weight-1 test")
 
 
 def test_search_impure_after_permutation(capsys, tmp_path):
@@ -240,6 +304,9 @@ def test_bounds_families(capsys):
     code, out, _ = run(capsys, "bounds", "--families", "3")
     assert code == 0
     assert "[[5,1,3]]" in out and "[[21,15,3]]" in out
+    code, out, _ = run(capsys, "bounds", "--families", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == [{"n": 5, "k": 1}, {"n": 21, "k": 15}, {"n": 168, "k": 159}]
 
 
 def test_bounds_families_at_and_past_the_cap(capsys):
@@ -326,6 +393,7 @@ def test_simulate_range_stops_at_its_end(capsys, spec, count, last):
     "spec, message",
     [
         ("-1..-2:inf", "must be finite"),
+        ("-1..-3:0", "step must be nonzero"),
         ("-1..-inf:0.5", "must be finite"),
         ("nan..-2:0.5", "must be finite"),
         ("-2..-3:1e-300", f"cap of {MAX_GRID_POINTS} points"),

@@ -265,6 +265,15 @@ def test_make_subsystem_rejects_bad_stabilizer_presentation():
         make_subsystem(bs_gauge, [pauli_string_parse("XXXXXXIII")])
 
 
+def test_make_subsystem_rejects_a_supplied_row_outside_the_stabilizer():
+    # the right dimension, but the gauge row XX on qubits 0, 1 is not central
+    bs = catalog("bacon-shor")
+    rows = [*bs.stabilizer.rows[1:], pauli_string_parse("XXIIIIIII")]
+    assert len(rows) == bs.stabilizer.dim
+    with pytest.raises(StructureError, match="XXIIIIIII lies outside"):
+        make_subsystem(bs.gauge.rows, rows)
+
+
 # ----------------------------------------------------------------------
 # minimum distance behaviour
 # ----------------------------------------------------------------------
@@ -479,6 +488,8 @@ def test_parse_errors_carry_line_numbers():
         parse_code_text("# only comments\n")
     with pytest.raises(ParseError, match="GAUGE"):
         parse_code_text("XX\nGAUGE\nZZ\n")
+    with pytest.raises(ParseError, match="line 3: duplicate GAUGE header"):
+        parse_code_text("GAUGE\nXX\nGAUGE\nZZ\n")
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """README's *Limits* table names each capacity constant with its value, and
 every qdscodes name README gives exists."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -19,15 +20,29 @@ def limits_rows() -> list[tuple[str, str, int]]:
     return [(m.group(1), m.group(2), int(m.group(3))) for m in matches]
 
 
+def capacity_constants() -> set[tuple[str, str]]:
+    """(module, constant) for every module-level MAX_* or HARD_* name that a
+    qdscodes source file assigns."""
+    found = set()
+    for path in (README.parent / "src" / "qdscodes").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            found |= {(path.stem, t.id) for t in targets
+                      if isinstance(t, ast.Name) and t.id.startswith(("MAX_", "HARD_"))}
+    return found
+
+
 def test_limits_table_matches_the_constants():
     rows = limits_rows()
-    assert {(module, name) for module, name, _ in rows} >= {
+    constants = capacity_constants()
+    assert constants >= {
         ("bounds", "MAX_FAMILY_EXPONENT"),
         ("codes", "MAX_N"),
         ("smcodes", "MAX_CODEWORD_DIM"),
         ("smcodes", "MAX_GENERATED_SIZE"),
         ("noise", "HARD_EXACT_BITS"),
     }
+    assert {(module, name) for module, name, _ in rows} >= constants
     for module, name, value in rows:
         assert getattr(importlib.import_module(f"qdscodes.{module}"), name) == value, name
 

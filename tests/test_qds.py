@@ -16,7 +16,12 @@ from qdscodes.codes import (
     make_stabilizer,
     min_distance,
 )
-from qdscodes.errors import CapacityError, DimensionError, PreconditionError
+from qdscodes.errors import (
+    CapacityError,
+    ConstructionFailureError,
+    DimensionError,
+    PreconditionError,
+)
 from qdscodes.f2 import Basis
 from qdscodes.gf4 import (
     BitVector,
@@ -325,6 +330,21 @@ def test_search_weight_1_pivot_case():
     result = impure_zero_redundancy(base)
     assert result.pivot.weight == 1
     assert qds_min_distance(identity_qds(make_stabilizer(result.rows))) == 3
+
+
+def test_search_reports_a_defect_when_an_accepted_string_misses_distance_3(monkeypatch):
+    # the weight-1 test fixes the QDS distance at 3, so the first string that
+    # passes it is returned or, if its distance search disagrees, is a defect
+    searches = []
+
+    def wrong(code):
+        searches.append(code)
+        return 2
+
+    monkeypatch.setattr("qdscodes.qds.qds_min_distance", wrong)
+    with pytest.raises(ConstructionFailureError, match="pivot IIIZIZ with string 00011"):
+        impure_zero_redundancy(catalog("example-6-1-3"))
+    assert len(searches) == 1
 
 
 def test_search_examines_linearly_many_strings():
