@@ -133,14 +133,16 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from . import codes as codes_mod, qds as qds_mod, smcodes as sm_mod
+    from . import codes as codes_mod, qds as qds_mod
 
     code = _load_code(args.code)
     if args.subsystem and not isinstance(code, codes_mod.SubsystemCode):
         raise QDSError(f"{args.code!r} is not a subsystem code")
     m = len(code.rows)
-    sm = _load_sm(args.sm, args.data_dir) if args.sm else sm_mod.sm_catalog(f"identity-{m}")
-    qds = qds_mod.build_qds(code, sm)
+    if args.sm:
+        qds = qds_mod.build_qds(code, _load_sm(args.sm, args.data_dir))
+    else:
+        qds = qds_mod.identity_qds(code)
     base_d = codes_mod.min_distance(code)
     qds_d = qds.distance
     r = code.r if isinstance(code, codes_mod.SubsystemCode) else 0

@@ -13,19 +13,13 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import f2
-from .errors import (
-    CapacityError,
-    CatalogError,
-    CommutationError,
-    ParseError,
-    RankError,
-    StructureError,
-)
+from . import f2, gf4
+from .errors import CapacityError, CatalogError, CommutationError, ParseError, RankError
 from .gf4 import F4Vector, f2_rank, pauli_string_parse, trace_inner_product
 
 MAX_N = 16
@@ -102,10 +96,20 @@ class StabilizerCode:
 
 @dataclass(frozen=True)
 class SubsystemCode:
-    """A subsystem code: gauge code D with stabilizer C = D intersect D-perp."""
+    """A subsystem code, given by its gauge code D.
+
+    Its stabilizer C = D intersect D-perp is derived from D, so no parity
+    or commutation check is needed: D/C carries a nondegenerate
+    alternating form, so its dimension 2r is even, and each row of C
+    commutes with all of D by definition.
+    """
 
     gauge: AdditiveCode
-    stabilizer: AdditiveCode
+
+    @cached_property
+    def stabilizer(self) -> AdditiveCode:
+        """C, derived once on first use."""
+        return AdditiveCode(self.n, _gram_null_combinations(self.gauge.rows))
 
     @property
     def n(self) -> int:
@@ -140,55 +144,27 @@ def make_stabilizer(rows: Iterable[F4Vector]) -> StabilizerCode:
     return StabilizerCode(code)
 
 
-def _gram_null_combinations(rows: Sequence[F4Vector]) -> list[F4Vector]:
+def _gram_null_combinations(rows: Sequence[F4Vector]) -> tuple[F4Vector, ...]:
     """Basis of {v in span(rows) : v orthogonal to every row}.
 
     Solves c . Gram = 0 for the F2 Gram matrix of the trace form, so no
-    explicit dual basis is needed.
+    explicit dual basis is needed.  Bit j of Gram row i is
+    tr(rows[j], rows[i]), the syndrome of rows[i]; the form is symmetric.
     """
-    g = len(rows)
-    gram = []
-    for i in range(g):
-        mask = 0
-        for j in range(g):
-            mask |= trace_inner_product(rows[i], rows[j]) << j
-        gram.append(mask)
-    combos = f2.null_space(gram, g)
+    gram = [gf4.syndrome(rows, row).bits for row in rows]
     out = []
-    for c in combos:
+    for c in f2.null_space(gram, len(rows)):
         v = F4Vector.zero(rows[0].n)
-        for j in range(g):
+        for j, row in enumerate(rows):
             if (c >> j) & 1:
-                v = v + rows[j]
+                v = v + row
         out.append(v)
-    return out
+    return tuple(out)
 
 
-def make_subsystem(
-    gauge_rows: Iterable[F4Vector],
-    stabilizer_rows: Iterable[F4Vector] | None = None,
-) -> SubsystemCode:
-    """Build a subsystem code from its gauge generators.
-
-    The stabilizer is computed as a basis of D intersect D-perp.  An
-    explicit `stabilizer_rows` presentation may be supplied (for fixing
-    generator weights); it must span the same subspace.  No parity or
-    commutation check is needed: D/(D intersect D-perp) carries a
-    nondegenerate alternating form, so its dimension 2r is even, and each
-    row of D intersect D-perp commutes with all of D by definition.
-    """
-    gauge = AdditiveCode.from_rows(gauge_rows)
-    derived = _gram_null_combinations(gauge.rows)
-    if stabilizer_rows is None:
-        return SubsystemCode(gauge, AdditiveCode(gauge.n, tuple(derived)))
-    stabilizer = AdditiveCode(gauge.n, tuple(stabilizer_rows))
-    if stabilizer.dim != len(derived):
-        raise StructureError("supplied stabilizer rows do not match dim(D intersect D-perp)")
-    derived_basis = f2.Basis(v.bit_expansion() for v in derived)
-    for v in stabilizer.rows:
-        if not derived_basis.contains(v.bit_expansion()):
-            raise StructureError(f"row {v} lies outside D intersect D-perp")
-    return SubsystemCode(gauge, stabilizer)
+def make_subsystem(gauge_rows: Iterable[F4Vector]) -> SubsystemCode:
+    """Build a subsystem code from its gauge generators."""
+    return SubsystemCode(AdditiveCode.from_rows(gauge_rows))
 
 
 def _word_table(rows: Sequence[F4Vector], excluded: AdditiveCode) -> tuple[np.ndarray, ...]:
@@ -308,8 +284,8 @@ _FIVE_QUBIT = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 _STEANE = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
 
-# Generator order is fixed: permuted variants are built via explicit
-# permutation arguments, because the choice matters for SM-code accounting.
+# Generator order is fixed, because the choice matters for SM-code
+# accounting: noise.build_scheme reorders the Z rows for a listed total.
 _SHOR = (
     "XXXXXXIII",
     "IIIXXXXXX",
@@ -328,17 +304,13 @@ def bacon_shor(m: int) -> SubsystemCode:
     """The m x m Bacon-Shor code, qubit m*r + c at row r, column c.
 
     Gauge generators: XX on horizontal neighbours, then ZZ on vertical
-    neighbours.  Stabilizer presentation, weight 2m: X on adjacent column
-    pairs (products of the XX gauges), then Z on adjacent row pairs.
+    neighbours.  The derived stabilizer rows, weight 2m, are X on adjacent
+    column pairs (products of the XX gauges), then Z on adjacent row pairs.
     """
     n = m * m
-    row = (1 << m) - 1  # the qubits of row 0
-    column = sum(1 << (m * r) for r in range(m))  # the qubits of column 0
     gauge = [F4Vector(n, 3 << (m * r + c), 0) for r in range(m) for c in range(m - 1)]
     gauge += [F4Vector(n, 0, (1 | 1 << m) << (m * r + c)) for c in range(m) for r in range(m - 1)]
-    stabilizer = [F4Vector(n, (column | column << 1) << c, 0) for c in range(m - 1)]
-    stabilizer += [F4Vector(n, 0, (row | row << m) << (m * r)) for r in range(m - 1)]
-    return make_subsystem(gauge, stabilizer)
+    return make_subsystem(gauge)
 
 
 def _stab(strings: Sequence[str]) -> StabilizerCode:

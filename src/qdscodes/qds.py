@@ -32,7 +32,6 @@ from .errors import (
     DimensionError,
     ParseError,
     PreconditionError,
-    StructureError,
 )
 from .f2 import Basis, bit_reversed
 from .gf4 import BitVector, F4Vector, syndrome, trace_inner_product
@@ -143,14 +142,18 @@ def augment_parity(base: StabilizerCode | SubsystemCode) -> QDSCode:
 
     The extra measured element is the product of all stabilizer
     generators, which acts as a parity bit for the syndrome; the result is
-    an [[n,k,3:1]] (or [[n,k,r,3:1]]) QDS code.
+    an [[n,k,3:1]] (or [[n,k,r,3:1]]) QDS code.  That distance is
+    guaranteed: a weight-1 error outside C (outside D for subsystem codes)
+    has a nonzero syndrome s, whose extended syndrome (s, parity(s)) has
+    weight at least 2, and a weight-2 error outside C has a nonzero
+    syndrome.  A smaller distance is therefore a defect.
     """
     d = min_distance(base)
     if d != 3:
         raise PreconditionError(f"parity augmentation needs a distance-3 base, got d={d}")
     qds = build_qds(base, sm_catalog(f"parity-{len(base.rows)}"))
     if qds.distance < 3:
-        raise StructureError("parity augmentation failed to preserve distance 3")
+        raise ConstructionFailureError("parity augmentation failed to preserve distance 3")
     return qds
 
 

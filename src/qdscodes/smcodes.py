@@ -421,8 +421,8 @@ def _load_imported(name: str, directory: str | Path | None) -> BinaryLinearCode:
             f"{path}: expected a [{length},{dim}] generator matrix, "
             f"got [{code.length},{code.dim}]"
         )
-    if code.minimum_distance() != dist:
-        raise StructureError(f"{path}: minimum distance {code.minimum_distance()} != {dist}")
+    if (found := code.minimum_distance()) != dist:
+        raise StructureError(f"{path}: minimum distance {found} != {dist}")
     return code
 
 

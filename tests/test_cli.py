@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, and round trips."""
 
 import argparse
+import ast
+import inspect
 import json
 import os
 import shlex
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qdscodes import codes, qds
+from qdscodes import codes, errors, qds
 from qdscodes.bounds import MAX_FAMILY_EXPONENT
 from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
@@ -253,6 +255,15 @@ def test_search_impure_reports_a_defect_with_exit_4(capsys, monkeypatch):
     assert err.startswith("defect: pivot IIIZIZ with string 00011 passed the weight-1 test")
 
 
+def test_construct_reports_a_parity_augmentation_below_distance_3_as_a_defect(capsys,
+                                                                              monkeypatch):
+    monkeypatch.setattr(qds, "qds_min_distance", lambda code: 2)
+    code, out, err = run(capsys, "construct", "--code", "steane")
+    assert code == 4
+    assert out == ""
+    assert err == "defect: parity augmentation failed to preserve distance 3\n"
+
+
 def test_search_impure_after_permutation(capsys, tmp_path):
     # an equivalent presentation of an impure code still succeeds
     from qdscodes.codes import make_stabilizer, write_code_file
@@ -334,6 +345,13 @@ def test_bounds_table_refuses_an_empty_or_non_positive_range(capsys, spec):
     assert code == 3
     assert out == ""
     assert err.startswith("error: need 1 <= n1 <= n2")
+
+
+def test_bounds_table_refuses_a_spec_without_a_range(capsys):
+    code, out, err = run(capsys, "bounds", "--table", "19")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected n1..n2, got '19'\n"
 
 
 @pytest.mark.parametrize("values", [["5"], ["9", "1", "3", "0", "7"]])
@@ -738,3 +756,23 @@ def test_an_unknown_package_attribute_raises_attribute_error():
         qdscodes.no_such_name  # noqa: B018
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qdscodes import no_such_name", {})
+
+
+def test_every_raise_names_a_package_error():
+    # cli.main maps the package's error classes onto exit codes, so a raw
+    # ValueError or KeyError raised in a module would reach it unnamed.  The
+    # one exception is the AttributeError that PEP 562 requires of the
+    # package's __getattr__, the only function in __init__.py.
+    package = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, errors.QDSError)}
+    offenders = []
+    for path in sorted((README.parent / "src" / "qdscodes").glob("*.py")):
+        allowed = package | ({"AttributeError"} if path.name == "__init__.py" else set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            call = node.exc
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in allowed):
+                offenders.append(f"{path.name}:{node.lineno}: raise {ast.unparse(call)}")
+    assert offenders == []

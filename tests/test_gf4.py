@@ -290,6 +290,20 @@ def test_parse_rejects_unknown_characters():
         pauli_string_parse("XZQ")
 
 
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: BitVector(2, 0b100), DimensionError, "exceed length 2", id="bits"),
+    pytest.param(lambda: F4Vector(2, 0b100, 0), DimensionError, "exceeds length 2",
+                 id="support"),
+    pytest.param(lambda: F4Vector.zero(2).permute([0, 0]), DimensionError,
+                 "not a permutation", id="permutation"),
+    pytest.param(lambda: F4Vector.from_symbols([0, 4]), ParseError, "symbol 4", id="symbol"),
+    pytest.param(lambda: F4Vector.zero(2).scale(0), ParseError, "scalar 0", id="scalar"),
+])
+def test_input_checks_raise_their_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_bitvector_basics():
     b = BitVector(4, 0b1101)
     assert b.weight == 3

@@ -87,6 +87,17 @@ def test_p_err_validation():
         p_err(3, 1.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: SMPart(code=sm_catalog("parity-3"), weights=(1,) * 4, decoder="bogus"),
+                 "decoder must be one of", id="decoder"),
+    pytest.param(lambda: repetition_scheme(catalog("steane"), fold=0), "fold must be >= 1",
+                 id="fold"),
+])
+def test_scheme_parts_refuse_bad_options(build, message):
+    with pytest.raises(PreconditionError, match=message):
+        build()
+
+
 # ----------------------------------------------------------------------
 # measurement accounting
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from qdscodes.errors import (
     CapacityError,
     ConstructionFailureError,
     DimensionError,
+    ParseError,
     PreconditionError,
 )
 from qdscodes.f2 import Basis
@@ -77,6 +78,18 @@ def test_shor_x_part_with_cw_code_all_weight_6():
 def test_build_rejects_dimension_mismatch():
     with pytest.raises(DimensionError):
         build_qds(catalog("steane"), sm_catalog("cw-12-2-8"))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: extended_syndrome(identity_qds(catalog("steane")), F4Vector.zero(6)),
+                 DimensionError, "error length 6 != code length 7", id="error-length"),
+    pytest.param(lambda: equivalence_apply([F4Vector.zero(2)], Conjugate(5)), DimensionError,
+                 r"coordinate 5 outside \[0, 2\)", id="coordinate"),
+    pytest.param(lambda: Scale(0, 1), ParseError, "got 1", id="scale-factor"),
+])
+def test_input_checks_raise_their_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_extended_syndrome_zero_error():

@@ -89,6 +89,26 @@ def test_systematize_rejects_rank_deficiency():
         systematize([0b11, 0b11], 2)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: BinaryLinearCode.from_bit_rows([]), RankError, "at least one",
+                 id="no-rows"),
+    pytest.param(lambda: BinaryLinearCode(2, (0b100,)), DimensionError, "exceeds declared length",
+                 id="row-length"),
+    pytest.param(lambda: BinaryLinearCode.from_bit_rows([[1, 0], [0, 1, 1]]), DimensionError,
+                 "unequal lengths", id="unequal-rows"),
+    pytest.param(lambda: majority_decode([]), DimensionError, "at least one", id="no-blocks"),
+    pytest.param(lambda: majority_decode([BitVector(2, 1), BitVector(3, 1)]), DimensionError,
+                 "unequal lengths", id="unequal-blocks"),
+    pytest.param(lambda: coset_leader_decode(sm_catalog("parity-3"), BitVector(3, 0)),
+                 DimensionError, "received length 3 != code length 4", id="coset-leader-word"),
+    pytest.param(lambda: weighted_ml_decode(sm_catalog("parity-3"), BitVector(3, 0), [0.1] * 4),
+                 DimensionError, "received length 3 != code length 4", id="weighted-ml-word"),
+])
+def test_input_checks_raise_their_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_encode_zero_and_parity():
     parity3 = sm_catalog("parity-3")
     assert parity3.encode(bv(0, 0, 0)).bits == 0
@@ -375,7 +395,7 @@ def test_import_pathway(tmp_path, monkeypatch):
         bits[i] = "1"
         rows.append("".join(bits))
     target.write_text("\n".join(rows) + "\n")
-    with pytest.raises(StructureError, match="distance"):
+    with pytest.raises(StructureError, match="minimum distance 1 != 8"):
         sm_catalog("grassl-18-6-8")
 
 
