@@ -234,11 +234,21 @@ def cmd_search_impure(args) -> int:
     return EXIT_OK
 
 
+def _integers(values: list[str], usage: str, given: str) -> list[int]:
+    """values as integers; a value that is not one is refused with usage,
+    which names the option and the form it takes, and the given text."""
+    try:
+        return [int(v) for v in values]
+    except ValueError:
+        raise QDSError(f"{usage}, got {given!r}") from None
+
+
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
         raise QDSError(f"expected n1..n2, got {spec!r}")
-    return int(lo), int(hi)
+    lo, hi = _integers([lo, hi], "--table takes n1..n2 with integer n1, n2", spec)
+    return lo, hi
 
 
 def cmd_bounds(args) -> int:
@@ -251,7 +261,9 @@ def cmd_bounds(args) -> int:
         if not 2 <= len(args.check) <= 4:
             raise QDSError(f"--check takes n k [d l], got {' '.join(args.check)!r}")
         # d defaults to 3 and l to 0
-        n, k, d, l = [int(v) for v in args.check] + [3, 0][len(args.check) - 2 :]
+        n, k, d, l = (_integers(args.check, "--check takes integers n k [d l]",
+                                " ".join(args.check))
+                      + [3, 0][len(args.check) - 2 :])
         report = {
             "n": n,
             "k": k,
@@ -275,7 +287,8 @@ def cmd_bounds(args) -> int:
         for r in rows:
             print(f"{r.n},{r.singleton_k},{r.hamming_k},{r.impure_k},{r.conjecture_k}")
         return EXIT_OK
-    fams = bounds_mod.pure_only_families(int(args.families))
+    (a_max,) = _integers([args.families], "--families takes an integer A_MAX", args.families)
+    fams = bounds_mod.pure_only_families(a_max)
     if args.json:
         _print_json([{"n": n, "k": k} for n, k in fams])
     else:

@@ -28,31 +28,40 @@ each row summed against the histogram by one fsum.  The unit failure
 probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny
 p_se keeps its precision.
 
-Monte Carlo draws flip counts, not one float per flip.  Each bit of a
-repetition part takes one uniform u and fails iff u >= F(t - 1), the
-Binomial(fold, q) lower-tail CDF at the majority threshold t.  An SM
-part's weight classes, each with q = p_err(w, p_m), are split into
-near-equal blocks of at most SAMPLER_BLOCK_BITS bits; per block a first
-uniform gives the flip count c by inverse CDF of Binomial(N, q), and a
-second picks one of the C(N, c) words with c flips from a table of the
-block's words sorted by popcount.  When the part's costs are the unit
-costs (coset-leader, or weighted ML with one likelihood class) and it has
-at most 2^HARD_EXACT_BITS patterns, its decisions do not depend on p_m:
-a per-pattern failure table, built once per part from the cosets'
-unique minima (the walk exact evaluation bins), is read at the drawn
-pattern, and no word is decoded.  Otherwise the block words are ORed
-into a uint64 word and decoded by the coset's unique-minimum test.
+Monte Carlo draws flip counts, not one float per flip.  A repetition
+part draws one uniform u per weight: each of its k bits decodes with
+probability s = F(t - 1), the Binomial(fold, q) lower-tail CDF below the
+majority threshold t, so the weight fails iff u >= s^k.  An SM part with
+q = p_err(w, p_m) per weight class draws either its cells or its blocks.
+A cell (_cells under the unit costs: the positions of one class under
+one generator column) takes one uniform, its flip count c by inverse CDF
+of Binomial(n_cell, q).  A codeword flips a cell wholly or not at all,
+so whether a pattern decodes depends only on its count vector over the
+cells, under every cost rule, and no position is drawn.  A part samples
+cells when they need no more uniforms than its blocks and their count
+vectors fit a joint table (SMPart._sampler_cells).  Otherwise its weight
+classes are split into near-equal blocks of at most SAMPLER_BLOCK_BITS
+bits; per block a first uniform gives the flip count, and a second picks
+one of the C(N, c) words with c flips from a table of the block's words
+sorted by popcount.  When such a part's costs are the unit costs
+(coset-leader, or weighted ML with one likelihood class) and it has at
+most 2^HARD_EXACT_BITS patterns, its decisions do not depend on p_m: a
+per-pattern failure table, built once per part from the cosets' unique
+minima (the walk exact evaluation bins), is read at the drawn pattern,
+and no word is decoded.  Otherwise the block words are ORed into a
+uint64 word and decoded by the coset's unique-minimum test.
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
 numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
 i.e. PCG64 seeded through numpy's documented SeedSequence hash.  Within
-a chunk the parts draw in scheme order: a repetition part one array of
-uniforms per syndrome bit, an SM part a count array then a position
-array per block, blocks in class order.  The arrays do not depend on
-p_m, so every point of a sweep reads the same chunk streams, and a grid
-call draws them once per pass: one pass serves every point whose tables,
-decoders' per-syndrome tables included, fit PASS_BYTES.  A pass walks
+a chunk the parts draw in scheme order (_draws): a repetition part one
+array of uniforms per distinct weight, an SM part one count array per
+cell, or a count array then a position array per block, blocks in class
+order.  The arrays do not depend on p_m, so every point of a sweep reads
+the same chunk streams, and a grid call draws them once per pass: one
+pass serves every point whose tables, decoders' per-syndrome tables
+included, fit PASS_BYTES.  A pass walks
 each chunk in tiles of at most TILE_WORDS trials; a float64 takes one
 64-bit draw, so a tile's slice of array a is drawn from the chunk's start
 state moved by PCG64.advance to draw a * size + (tile offset).
@@ -62,12 +71,16 @@ part turns it into one integer mask per trial, bit i set when the trial
 fails at point i, and the scheme fails where any part does.  A count
 uniform is placed once among the CDF values of all the group's points,
 by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
-reads its count at that position.  A table-judged part keeps a verdict
-per count vector (SMPart._mc_tables): every pattern with those counts
-decodes, every one fails, or it depends on the positions.  A table over
-the blocks' joint positions, at most JOINT_TABLE_ENTRIES of them, gives
-each trial's fail bits and mixed bits for all points at once, and only
-the mixed trials read the per-pattern table.
+reads its count at that position.  A part that samples cells reads each
+point's decode flag per count vector (_cell_decodes, the kernel exact
+evaluation counts with) at every joint position of its cells, so one
+table lookup judges a trial for all points.  A table-judged part of
+blocks keeps a verdict per count vector (SMPart._mc_tables): every
+pattern with those counts decodes, every one fails, or it depends on the
+positions.  A table over the blocks' joint positions, at most
+JOINT_TABLE_ENTRIES of them, gives each trial's fail bits and mixed bits
+for all points at once, and only the mixed trials read the per-pattern
+table.
 """
 
 from __future__ import annotations
@@ -235,10 +248,12 @@ class SMPart:
     does not depend on p_m is built on first use and kept on this part:
     the failing-pattern histogram of minimum-weight decoding (exact
     evaluation, counted over cells or cosets, whichever is smaller:
-    _exact_domain), the sampler's per-block word tables, and Monte Carlo's
-    decisions of minimum-weight decoding per pattern (2^n bools) with
-    their verdict per flip-count vector of the blocks (prod (N_j + 1)
-    bytes), read from the cosets' unique minima (_unique_minima).
+    _exact_domain) and what Monte Carlo samples, the cells
+    (_sampler_cells) or else the blocks: the sampler's per-block word
+    tables, and the decisions of minimum-weight decoding per pattern
+    (2^n bools) with their verdict per flip-count vector of the blocks
+    (prod (N_j + 1) bytes), read from the cosets' unique minima
+    (_unique_minima).
     """
 
     code: BinaryLinearCode
@@ -278,6 +293,18 @@ class SMPart:
     @cached_property
     def _unit_failures(self) -> np.ndarray:
         return _failing_patterns(self, self._unit_costs)
+
+    @cached_property
+    def _sampler_cells(self) -> Cells | None:
+        """The unit-cost cells (_cells) when Monte Carlo draws one flip
+        count per cell, else None and it draws the sampler blocks: cells are
+        drawn when they need no more uniforms than the blocks, one per cell
+        against two per block, and their count vectors at one point fit a
+        joint table, prod (n_cell + 1) <= JOINT_TABLE_ENTRIES."""
+        cells = _cells(self, self._unit_costs)
+        blocks = sum(-(-n // SAMPLER_BLOCK_BITS) for n in self._unit_costs.sizes)
+        fits = math.prod((cells[0] + 1).tolist()) <= JOINT_TABLE_ENTRIES
+        return cells if fits and len(cells[0]) <= 2 * blocks else None
 
     @cached_property
     def _sampler_blocks(self) -> list[tuple[int, np.ndarray]]:
@@ -484,17 +511,18 @@ def _boxes(radices: Sequence[int], limit: int) -> Iterator[tuple[slice, ...]]:
     return itertools.product(*slices)
 
 
-def _cell_successes(part: SMPart, costs: _Costs, cells: Cells
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(cost key, number of patterns) of the cell count vectors that decode
-    to zero, at most TILE_WORDS pairs of count vector and codeword at a time.
+def _cell_decodes(part: SMPart, costs: _Costs, cells: Cells
+                  ) -> Iterator[tuple[tuple[slice, ...], np.ndarray, np.ndarray]]:
+    """Whether each cell count vector decodes to zero under the cost rule
+    costs, whose classes the cells' classes index, at most TILE_WORDS pairs
+    of count vector and codeword at a time: per box of count vectors (a
+    slice of counts per cell), the cost key of each vector and whether it
+    decodes, cell 0 fastest.
 
     Codeword m maps count e_j to n_j - e_j on every cell j it flips, so the
-    key of each image is a sum of per-cell terms and the number of patterns
-    the counts stand for, prod C(n_j, e_j), a product; both are laid out
-    over a box of count vectors one cell at a time.  The counts decode iff
-    their cost is below the ceiling and every image's, the unique-minimum
-    test of _coset_minima.
+    key of each image is a sum of per-cell terms, laid out over the box one
+    cell at a time.  The counts decode iff their cost is below the ceiling
+    and every image's, the unique-minimum test of _coset_minima.
     """
     sizes, classes, columns = cells
     codewords, counts = np.arange(1 << part.code.dim), np.arange(sizes.max() + 1)
@@ -502,17 +530,24 @@ def _cell_successes(part: SMPart, costs: _Costs, cells: Cells
     # terms[j, m, e]: the class key of e flips in cell j, after codeword m
     terms = np.where(flipped, (sizes[:, None] - counts)[:, None], counts)
     terms *= np.array(costs.strides)[classes, None, None]
-    binomials = [_binomials(n) for n in sizes.tolist()]
     table = costs.table if costs.lams is not None else functools.reduce(  # flip counts by key
         np.add.outer, [np.arange(n + 1) for n in costs.sizes[::-1]]).ravel()
-    for box in _boxes([len(b) for b in binomials], max(1, TILE_WORDS >> part.code.dim)):
-        keys, patterns = terms[0, :, box[0]], binomials[0][box[0]]
+    for box in _boxes((sizes + 1).tolist(), max(1, TILE_WORDS >> part.code.dim)):
+        keys = terms[0, :, box[0]]
         for j in range(1, len(box)):
             keys = (terms[j, :, box[j], None] + keys[:, None]).reshape(len(codewords), -1)
-            patterns = (binomials[j][box[j], None] * patterns).ravel()
         cost = table.take(keys)
-        decodes = cost[0] < cost[1:].min(axis=0, initial=costs.ceiling)
-        yield keys[0, decodes], patterns[decodes]
+        yield box, keys[0], cost[0] < cost[1:].min(axis=0, initial=costs.ceiling)
+
+
+def _cell_successes(part: SMPart, costs: _Costs, cells: Cells
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(cost key, number of patterns) of the cell count vectors that decode
+    to zero (_cell_decodes); counts e_j stand for prod C(n_j, e_j) patterns."""
+    binomials = [_binomials(n) for n in cells[0].tolist()]
+    for box, keys, decodes in _cell_decodes(part, costs, cells):
+        patterns = _Costs.outer([row[counts] for row, counts in zip(binomials, box)])
+        yield keys[decodes], patterns[decodes]
 
 
 def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
@@ -633,11 +668,15 @@ Reader = Callable[[np.ndarray], np.ndarray]  # a part's uniform arrays (rows) ->
 
 
 def _draws(part: Part) -> int:
-    """Uniform arrays a chunk draws for the part: one per repetition bit, or
-    a count and a position array per SM sampler block."""
+    """Uniform arrays a chunk draws for the part: for a repetition part one
+    per distinct weight, in first-seen order; for an SM part one count array
+    per cell, in _cells order, when it samples cells (SMPart._sampler_cells),
+    else a count and then a position array per sampler block, in class
+    order."""
     if isinstance(part, RepetitionPart):
-        return len(part.weights)
-    return 2 * len(part._sampler_blocks)
+        return len(set(part.weights))
+    cells = part._sampler_cells
+    return len(cells[0]) if cells is not None else 2 * len(part._sampler_blocks)
 
 
 def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
@@ -658,9 +697,9 @@ class _Positions:
     """Where uniforms fall among the thresholds of a group of points.
 
     Point i's count at a uniform u is the number of its sorted thresholds
-    at most u, here a sampler block's inverse-CDF flip count.  The
-    thresholds below 1 of all points (u < 1, so no other ever counts) are
-    merged, sorted and distinct; u's position m is the number of merged
+    at most u, here the inverse-CDF flip count of a cell or sampler block.
+    The thresholds below 1 of all points (u < 1, so no other ever counts)
+    are merged, sorted and distinct; u's position m is the number of merged
     values at most u, and counts[i, m] is point i's count at every u of
     position m, so one position serves every point.
 
@@ -670,11 +709,11 @@ class _Positions:
     merged value lies inside the bucket, where guide[b] holds -1 - position;
     only those uniforms are searched.  The tables take
     8 GUIDE_BUCKETS + 8 m + points (m + 1) bytes for m merged values (a
-    count is at most SAMPLER_BLOCK_BITS, one byte).
+    count is at most MAX_SM_LENGTH, one byte).
     """
 
     def __init__(self, thresholds: Sequence[np.ndarray]):
-        # at most MASK_POINTS * SAMPLER_BLOCK_BITS values; np.unique would
+        # at most MASK_POINTS * MAX_SM_LENGTH values; np.unique would
         # import numpy.ma, 0.6 MB of code
         merged = {t for t in np.concatenate(thresholds).tolist() if t < 1.0}
         self.merged = np.array(sorted(merged), dtype=float)
@@ -727,17 +766,15 @@ def _repetition_reader(part: RepetitionPart, p_ms: Sequence[float], work: dict[s
     """Point masks of a repetition part over a group of points: bit i of a
     trial's mask is set iff the trial fails at p_ms[i].
 
-    Bit i's flip count c ~ Binomial(fold, q_i) reaches the threshold
-    t = (fold + 1) // 2, a wrong or tied majority, iff the inverse-CDF
-    uniform u satisfies u >= F(t - 1), so per weight the largest uniform of
-    its bits is compared once with each point's threshold.
+    A bit's flip count c ~ Binomial(fold, q) stays below the threshold
+    t = (fold + 1) // 2, so its majority decodes, with probability
+    s = F(t - 1), and bits flip independently, so the k bits of one weight
+    all decode with probability s^k: per weight one uniform u is drawn, and
+    one of its bits fails iff u >= s^k.
     """
-    classes: dict[int, list[int]] = {}
-    for j, w in enumerate(part.weights):
-        classes.setdefault(w, []).append(j)
-    decoded = range((part.fold + 1) // 2)  # a bit decodes iff its uniform is below F(t - 1)
-    thresholds = [(rows, [_majority_bit_failure(p_err(w, p_m), part.fold, decoded) for p_m in p_ms])
-                  for w, rows in classes.items()]
+    decoded = range((part.fold + 1) // 2)  # a bit decodes iff its flip count is below t
+    thresholds = [[_majority_bit_failure(p_err(w, p_m), part.fold, decoded) ** part.weights.count(w)
+                   for p_m in p_ms] for w in dict.fromkeys(part.weights)]
     bits = [dtype.type(1 << i) for i in range(len(p_ms))]
 
     def failed(uniforms: np.ndarray) -> np.ndarray:
@@ -745,12 +782,9 @@ def _repetition_reader(part: RepetitionPart, p_ms: Sequence[float], work: dict[s
         out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
         flag = _working(work, "flag", size, bool)
         out.fill(0)
-        for rows, points in thresholds:
-            top = uniforms[rows[0]]
-            for j in rows[1:]:
-                top = np.maximum(top, uniforms[j], out=_working(work, "top", size))
+        for u, points in zip(uniforms, thresholds):
             for bit, threshold in zip(bits, points):
-                np.greater_equal(top, threshold, out=flag)
+                np.greater_equal(u, threshold, out=flag)
                 out |= np.multiply(flag.view(np.uint8), bit, out=hit)
         return out
     return failed, 0
@@ -797,25 +831,48 @@ def _block_cdf(runs: np.ndarray, q: float) -> np.ndarray:
     return np.cumsum(runs * _pattern_probabilities(q, len(runs) - 1))[:-1]
 
 
-def _count_blocks(part: SMPart, p_ms: Sequence[float]) -> list[_CountBlock]:
+def _count_positions(part: SMPart, p_ms: Sequence[float], digits: Sequence[tuple[int, int]]
+                     ) -> list[_Positions]:
+    """For each (class k, size n) of digits, where count uniforms fall among
+    each point's Binomial(n, q_k) CDF values F(0), ..., F(n - 1); digits of
+    one class and size share their CDFs, so one _Positions."""
     class_q = [[p_err(part.weights[j], p_m) for j in part._unit_costs.first] for p_m in p_ms]
-    shared: dict[tuple[int, int], _Positions] = {}  # blocks of one class and length share CDFs
-    blocks = []
-    for k, table in part._sampler_blocks:
-        n = len(table).bit_length() - 1
-        runs, starts = _block_runs(n)
+    shared: dict[tuple[int, int], _Positions] = {}
+    for k, n in digits:
         if (k, n) not in shared:
-            shared[k, n] = _Positions([_block_cdf(runs, q[k]) for q in class_q])
-        blocks.append(_CountBlock(table, runs, starts, shared[k, n]))
-    return blocks
+            shared[k, n] = _Positions([_block_cdf(_block_runs(n)[0], q[k]) for q in class_q])
+    return [shared[digit] for digit in digits]
 
 
-def _locate(blocks: list[_CountBlock], uniforms: np.ndarray, work: dict[str, np.ndarray]):
-    """Each block's count positions, read from its count uniforms; block j's
-    is working array pos<j>."""
-    size = uniforms.shape[-1]
-    return [block.positions.locate(u, _working(work, f"pos{j}", size, np.intp), work)
-            for j, (block, u) in enumerate(zip(blocks, uniforms[0::2]))]
+def _count_blocks(part: SMPart, p_ms: Sequence[float]) -> list[_CountBlock]:
+    digits = [(k, len(table).bit_length() - 1) for k, table in part._sampler_blocks]
+    return [_CountBlock(table, *_block_runs(n), positions) for (_, table), (_, n), positions
+            in zip(part._sampler_blocks, digits, _count_positions(part, p_ms, digits))]
+
+
+def _locate(positions: Sequence[_Positions], uniforms: Sequence[np.ndarray],
+            work: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Each digit's (cell's or block's) count positions, read from its count
+    uniforms; digit j's is working array pos<j>."""
+    return [where.locate(u, _working(work, f"pos{j}", len(u), np.intp), work)
+            for j, (where, u) in enumerate(zip(positions, uniforms))]
+
+
+def _joint(positions: list[np.ndarray], widths: Sequence[int], work: dict[str, np.ndarray]):
+    """Each trial's joint position, digit 0 fastest, from the digits' count
+    positions (_locate) and numbers of positions (widths)."""
+    joint = _working(work, "joint", len(positions[0]), np.intp)
+    np.copyto(joint, positions[-1])
+    for pos, width in zip(positions[-2::-1], widths[-2::-1]):
+        joint *= width
+        joint += pos
+    return joint
+
+
+def _at_joint(by_counts: np.ndarray, positions: Sequence[_Positions], i: int) -> np.ndarray:
+    """A table over count vectors, last digit first, read at each joint
+    position of point i, digit 0 fastest."""
+    return by_counts[np.ix_(*[where.counts[i] for where in reversed(positions)])].ravel()
 
 
 def _table_index(v: np.ndarray, run, start, out: np.ndarray, work: dict[str, np.ndarray]):
@@ -892,16 +949,20 @@ def _sm_decoder(
 
 def _judged_by_table(part: SMPart, costs: _Costs) -> bool:
     """Whether the part's decisions under the cost rule costs
-    (SMPart._pricing) are read from its cached _mc_tables: unit costs, which
-    do not depend on p_m, and at most 2^HARD_EXACT_BITS patterns."""
+    (SMPart._pricing) are read from a table, not decoded word by word: every
+    rule of a part that samples cells (_cell_reader), or else the cached
+    _mc_tables, of unit costs, which do not depend on p_m, and at most
+    2^HARD_EXACT_BITS patterns."""
+    if part._sampler_cells is not None:
+        return True
     return part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs
 
 
 def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], trials: int,
                work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
-    """Point masks of an SM part over a group of points: bit i of a trial's
-    mask is set iff the trial fails at p_ms[i], whose decoder minimizes
-    costs[i].
+    """Point masks of an SM part that samples blocks over a group of points:
+    bit i of a trial's mask is set iff the trial fails at p_ms[i], whose
+    decoder minimizes costs[i].
 
     Each block's count uniforms are placed once among every point's CDF
     values (_Positions), and each tile's count positions are located once
@@ -924,7 +985,8 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     it keeps one.
     """
     blocks = _count_blocks(part, p_ms)
-    sizes = [block.positions.counts.shape[1] for block in blocks]
+    where = [block.positions for block in blocks]
+    sizes = [positions.counts.shape[1] for positions in where]
     on_table = [i for i, rule in enumerate(costs) if _judged_by_table(part, rule)]
     decoders = {i: _sm_decoder(part, rule, trials)
                 for i, rule in enumerate(costs) if i not in on_table}
@@ -935,8 +997,7 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     if on_table and math.prod(sizes) <= JOINT_TABLE_ENTRIES:
         # each joint position's count vector, block 0 fastest, as in the verdicts
         by_counts = verdicts.reshape([len(block.runs) for block in reversed(blocks)])
-        verdict = {i: by_counts[np.ix_(*[block.positions.counts[i] for block in reversed(blocks)])]
-                   .ravel() for i in on_table}
+        verdict = {i: _at_joint(by_counts, where, i) for i in on_table}
         size = math.prod(sizes)
         fails = _point_bits({i: v == _FAILS for i, v in verdict.items()}, size, dtype)
         if len(blocks) == 1:
@@ -953,7 +1014,7 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
     def failed(uniforms: np.ndarray) -> np.ndarray:
         size = uniforms.shape[-1]
         out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
-        positions = _locate(blocks, uniforms, work)
+        positions = _locate(where, uniforms[0::2], work)
         v = uniforms[1::2]
         if not on_table:
             out.fill(0)
@@ -970,11 +1031,7 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
                 out.fill(0)
                 hit.fill(everyone)
             else:
-                joint = _working(work, "joint", size, np.intp)
-                np.copyto(joint, positions[-1])
-                for pos, width in zip(positions[-2::-1], sizes[-2::-1]):
-                    joint *= width
-                    joint += pos
+                joint = _joint(positions, sizes, work)
                 fails.take(joint, out=out, mode="clip")
                 mixed.take(joint, out=hit, mode="clip")
             _decide_mixed(decisions, blocks, on_table, positions, v, out, hit, work)
@@ -982,11 +1039,57 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
             decoded = decode(_words(blocks, i, v, positions, work))
             out |= np.multiply(decoded.view(np.uint8), dtype.type(1 << i), out=hit)
         return out
-    shared = {id(block.positions): block.positions for block in blocks}
-    held = sum(positions.nbytes for positions in shared.values())
+    held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
     held += sum(table.nbytes for table in (fails, mixed) if table is not None)
     held += sum(masks.nbytes + at_count.nbytes for _, masks, at_count in mixed_counts)
     return failed, held + len(decoders) * _syndrome_table_bytes(part.code, trials)
+
+
+def _cell_flags(part: SMPart, costs: _Costs) -> np.ndarray:
+    """Whether each count vector of the part's sampler cells decodes under
+    the cost rule costs (_cell_decodes), indexed by the counts, last cell
+    first.  Each weight class lies in one class of the rule, the class of
+    its first position."""
+    sizes, classes, columns = part._sampler_cells
+    rule_class = np.array([next(c for c, mask in enumerate(costs.masks) if (int(mask) >> j) & 1)
+                           for j in part._unit_costs.first])
+    flags = np.empty(tuple((sizes + 1)[::-1].tolist()), dtype=bool)
+    for box, _, decodes in _cell_decodes(part, costs, (sizes, rule_class[classes], columns)):
+        flags[box[::-1]] = decodes.reshape([counts.stop - counts.start for counts in box[::-1]])
+    return flags
+
+
+def _cell_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs],
+                 work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
+    """Point masks of an SM part that samples cells (SMPart._sampler_cells)
+    over a group of points: bit i of a trial's mask is set iff the trial
+    fails at p_ms[i], whose decoder minimizes costs[i].
+
+    A cell of n bits of weight class k flips Binomial(n, q_k) of them,
+    independently of the other cells, and one uniform per cell gives that
+    count by inverse CDF (_Positions, shared by the cells of one class and
+    size).  Whether a pattern decodes depends only on its count vector over
+    the cells, under every cost rule, as each weight class lies within one
+    class of the rule; so each point reads its rule's decode flags
+    (_cell_decodes) at every joint position of the cells, at most
+    JOINT_TABLE_ENTRIES (_group_width), into one table of point masks, and
+    a trial is judged by one lookup.  No word is drawn or decoded.
+    """
+    sizes, classes, _ = part._sampler_cells
+    where = _count_positions(part, p_ms, list(zip(classes.tolist(), sizes.tolist())))
+    flags: dict[_Costs, np.ndarray] = {}
+    fails = {}
+    for i, rule in enumerate(costs):
+        if rule not in flags:
+            flags[rule] = _cell_flags(part, rule)
+        fails[i] = ~_at_joint(flags[rule], where, i)
+    widths = [positions.counts.shape[1] for positions in where]
+    table = _point_bits(fails, math.prod(widths), dtype)
+
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        joint = _joint(_locate(where, uniforms, work), widths, work)
+        return table.take(joint, out=_working(work, "part", len(joint), dtype), mode="clip")
+    return failed, table.nbytes + sum(p.nbytes for p in {id(p): p for p in where}.values())
 
 
 def _decide_mixed(decisions: np.ndarray, blocks: list[_CountBlock], on_table: list[int],
@@ -1010,14 +1113,16 @@ def _decide_mixed(decisions: np.ndarray, blocks: list[_CountBlock], on_table: li
 def _group_width(judged: Iterable[SMPart], decoded: Iterable[SMPart], points: int,
                  trials: int) -> int:
     """How many points are judged together: at most MASK_POINTS, and few
-    enough that each table-judged part of several blocks, whose N_j-bit
-    blocks take at most width N_j + 1 positions each, has at most
-    JOINT_TABLE_ENTRIES joint positions, and that the per-syndrome tables of
-    the parts that decode words (_syndrome_table_bytes), one per point, fit
-    PASS_BYTES (unless one point alone exceeds either)."""
+    enough that each table-judged part, whose N_j-bit cells or blocks take
+    at most width N_j + 1 positions each, has at most JOINT_TABLE_ENTRIES
+    joint positions, and that the per-syndrome tables of the parts that
+    decode words (_syndrome_table_bytes), one per point, fit PASS_BYTES
+    (unless one point alone exceeds either)."""
     width = max(1, min(MASK_POINTS, points))
     for part in judged:
-        bits = [len(table).bit_length() - 1 for _, table in part._sampler_blocks]
+        cells = part._sampler_cells
+        bits = (cells[0].tolist() if cells is not None
+                else [len(table).bit_length() - 1 for _, table in part._sampler_blocks])
         while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
             width -= 1
     per_point = sum(_syndrome_table_bytes(part.code, trials) for part in decoded)
@@ -1048,11 +1153,17 @@ def _count_failures(
     dtype = _mask_dtype(width)
     failures, work = [0] * len(p_ms), {}  # the groups share their working arrays
 
-    def judges(points: range) -> tuple[list[Reader], int]:
+    def judge(key: int, part: Part, points: range) -> Judge:
         group = [p_ms[i] for i in points]
-        made = {key: _sm_reader(part, group, rules[key][points.start:points.stop], trials, work,
-                                dtype) if key in rules
-                else _repetition_reader(part, group, work, dtype) for key, part in distinct.items()}
+        if key not in rules:
+            return _repetition_reader(part, group, work, dtype)
+        costs = rules[key][points.start:points.stop]
+        if part._sampler_cells is not None:
+            return _cell_reader(part, group, costs, work, dtype)
+        return _sm_reader(part, group, costs, trials, work, dtype)
+
+    def judges(points: range) -> tuple[list[Reader], int]:
+        made = {key: judge(key, part, points) for key, part in distinct.items()}
         return [made[id(part)][0] for part in scheme.parts], sum(held for _, held in made.values())
 
     groups = [range(lo, min(lo + width, len(p_ms))) for lo in range(0, len(p_ms), width)]

@@ -354,6 +354,19 @@ def test_bounds_table_refuses_a_spec_without_a_range(capsys):
     assert err == "error: expected n1..n2, got '19'\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--table", "abc..3"], "--table takes n1..n2 with integer n1, n2, got 'abc..3'"),
+    (["--table", "1..x"], "--table takes n1..n2 with integer n1, n2, got '1..x'"),
+    (["--families", "abc"], "--families takes an integer A_MAX, got 'abc'"),
+    (["--check", "a", "1"], "--check takes integers n k [d l], got 'a 1'"),
+])
+def test_bounds_names_the_option_of_a_value_that_is_not_an_integer(capsys, args, message):
+    code, out, err = run(capsys, "bounds", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("values", [["5"], ["9", "1", "3", "0", "7"]])
 def test_bounds_check_rejects_wrong_value_count(capsys, values):
     code, _, err = run(capsys, "bounds", "--check", *values)

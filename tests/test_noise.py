@@ -1,5 +1,6 @@
 """Measurement-error channel, exact evaluation, and Monte Carlo."""
 
+import collections
 import itertools
 import math
 import re
@@ -750,14 +751,16 @@ def test_sm_part_of_too_high_dimension_is_refused():
 # ----------------------------------------------------------------------
 
 def _repetition_failures(part: RepetitionPart, p_m: float):
-    """Majority failures read from one uniform array per syndrome bit, one
-    point at a time: bit i fails iff its uniform u >= F(t - 1), the
-    Binomial(fold, q_i) lower tail below the majority threshold t."""
+    """Majority failures read from one uniform array per distinct weight,
+    one point at a time: each bit decodes with probability s = F(t - 1), the
+    Binomial(fold, q) lower tail below the majority threshold t, so a
+    weight's k bits all decode iff its uniform u < s^k."""
     decoded = range((part.fold + 1) // 2)
-    thresholds = [noise._majority_bit_failure(p_err(w, p_m), part.fold, decoded)
-                  for w in part.weights]
+    thresholds = [noise._majority_bit_failure(p_err(w, p_m), part.fold, decoded) ** k
+                  for w, k in collections.Counter(part.weights).items()]
 
     def failed(uniforms: np.ndarray) -> np.ndarray:
+        assert len(uniforms) == len(thresholds)
         out = np.zeros(uniforms.shape[-1], dtype=bool)
         for u, threshold in zip(uniforms, thresholds):
             out |= u >= threshold
@@ -766,7 +769,8 @@ def _repetition_failures(part: RepetitionPart, p_m: float):
 
 
 def _sm_word_sampler(part: SMPart, p_m: float):
-    """Draw one chunk of received words, the part's uniform arrays in order.
+    """Draw one chunk of received words from the part's sampler blocks, a
+    count and a position array per block, in order.
 
     A block's flip count is the number of its CDF values at most the count
     uniform, each value compared with every uniform: no _Positions, so the
@@ -774,7 +778,8 @@ def _sm_word_sampler(part: SMPart, p_m: float):
     class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        uniforms, words = rng.random((_draws(part), size)), np.zeros(size, dtype=np.uint64)
+        uniforms = rng.random((2 * len(part._sampler_blocks), size))
+        words = np.zeros(size, dtype=np.uint64)
         for (k, table), u, v in zip(part._sampler_blocks, uniforms[0::2], uniforms[1::2]):
             runs, starts = noise._block_runs(len(table).bit_length() - 1)
             counts = np.count_nonzero(noise._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
@@ -782,6 +787,50 @@ def _sm_word_sampler(part: SMPart, p_m: float):
             words |= table.take(noise._table_index(v, runs.take(counts), start, start, {}))
         return words
     return sample
+
+
+def _cell_positions(part: SMPart) -> list[np.ndarray]:
+    """The bit positions of each unit-cost cell of the part, in _cells order:
+    the positions of one weight class covered by one set of systematic rows."""
+    sizes, classes, columns = noise._cells(part, part._unit_costs)
+    rows, masks = part.code.systematic_rows, [int(m) for m in part._unit_costs.masks]
+    cell = {j: (next(k for k, m in enumerate(masks) if (m >> j) & 1),
+                sum(((row >> j) & 1) << i for i, row in enumerate(rows)))
+            for j in range(part.code.length)}
+    cells = [np.array([j for j in cell if cell[j] == (k, column)], dtype=np.uint64)
+             for k, column in zip(classes.tolist(), columns.tolist())]
+    assert [len(positions) for positions in cells] == sizes.tolist()
+    return cells
+
+
+def _cell_word_sampler(part: SMPart, p_m: float):
+    """Draw one chunk of received words from one count array per cell, in
+    order: a cell's flip count is the number of its CDF values at most its
+    uniform, and the flips fall on random positions inside the cell, drawn
+    from a stream of their own."""
+    class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
+    classes = noise._cells(part, part._unit_costs)[1].tolist()
+    cells = _cell_positions(part)
+    anywhere = np.random.default_rng(0)
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        uniforms, words = rng.random((len(cells), size)), np.zeros(size, dtype=np.uint64)
+        for positions, k, u in zip(cells, classes, uniforms):
+            runs, _ = noise._block_runs(len(positions))
+            counts = np.count_nonzero(noise._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
+            # each trial flips the positions of its `counts` lowest random ranks
+            ranks = anywhere.random((size, len(positions))).argsort(axis=1).argsort(axis=1)
+            bits = np.where(ranks < counts[:, None], np.uint64(1) << positions, np.uint64(0))
+            words |= np.bitwise_or.reduce(bits, axis=1)
+        return words
+    return sample
+
+
+def _on_cells(part: SMPart) -> SMPart:
+    """The part, made to draw one flip count per cell whatever
+    SMPart._sampler_cells would choose."""
+    part.__dict__["_sampler_cells"] = noise._cells(part, part._unit_costs)
+    return part
 
 
 def test_monte_carlo_matches_exact_on_fig1_schemes():
@@ -803,13 +852,14 @@ def test_monte_carlo_deterministic_and_chunked():
 
 
 # failures out of 20 000 trials at log2 p_m = -3, seed 7, chunk size 7 000,
-# as drawn by the flip-count samplers (inverse-CDF counts, table positions)
+# as drawn by the flip-count samplers (a uniform per repetition weight,
+# inverse-CDF counts per cell or block, block table positions)
 PINNED_MC_FAILURES = [
     ("fig1-bs-sm", "coset-leader", 17919),
     ("fig1-bs-sm", "weighted-ml", 17919),
-    ("fig1-bs-6fold", "coset-leader", 18533),
-    ("fig1-shor-6fold", "coset-leader", 17591),
-    ("fig2-bs-216", "coset-leader", 16939),
+    ("fig1-bs-6fold", "coset-leader", 18559),
+    ("fig1-shor-6fold", "coset-leader", 17515),
+    ("fig2-bs-216", "coset-leader", 16966),
 ]
 
 
@@ -1078,7 +1128,6 @@ def _unjoinable_part() -> SMPart:
 
 @pytest.mark.parametrize("scheme", [
     build_scheme("fig1-bs-sm"),
-    build_scheme("fig2-bs-216", decoder="weighted-ml"),
     MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],)),
     MeasurementScheme("straddled-20-6", (_straddled_part(),)),
     MeasurementScheme("unjoinable-20-4", (_unjoinable_part(),)),
@@ -1157,18 +1206,23 @@ def _whole_chunk_failures(
     scheme: MeasurementScheme, p_m: float, trials: int, seed: int, chunk_size: int
 ) -> int:
     """Failures counted from each chunk's stream drawn whole, part after
-    part, as one array per repetition bit and received words per SM part."""
+    part, as one array per repetition weight and received words per SM
+    part, drawn from its cells' counts or from its blocks."""
     failures = 0
+    samplers = {id(part): (_cell_word_sampler if part._sampler_cells is not None
+                           else _sm_word_sampler)(part, p_m)
+                for part in scheme.parts if isinstance(part, SMPart)}
     for chunk_index, start in enumerate(range(0, trials, chunk_size)):
         size = min(chunk_size, trials - start)
         rng = _chunk_rng(seed, chunk_index)
         failed = np.zeros(size, dtype=bool)
         for part in scheme.parts:
             if isinstance(part, RepetitionPart):
-                failed |= _repetition_failures(part, p_m)(rng.random((_draws(part), size)))
+                uniforms = rng.random((len(set(part.weights)), size))
+                failed |= _repetition_failures(part, p_m)(uniforms)
             else:
                 costs, _ = part._pricing(p_m)
-                failed |= _sm_decoder(part, costs)(_sm_word_sampler(part, p_m)(rng, size))
+                failed |= _sm_decoder(part, costs)(samplers[id(part)](rng, size))
         failures += int(failed.sum())
     return failures
 
@@ -1182,6 +1236,89 @@ def test_monte_carlo_tiles_read_each_chunk_stream_in_order(trials, chunk_size):
         got = pse_monte_carlo(scheme, [2.0**-3, 2.0**-5], trials, seed=3, chunk_size=chunk_size)
         for p_m, result in zip([2.0**-3, 2.0**-5], got):
             assert result.p_se * trials == _whole_chunk_failures(scheme, p_m, trials, 3, chunk_size)
+
+
+# uniform arrays each chunk draws per part: a repetition part one per
+# distinct weight, a part sampling cells one per cell, a part sampling
+# blocks two per block; any change moves every seeded result of the scheme
+DRAWS_PER_CHUNK = {
+    "fig1-bs-6fold": [1],
+    "fig1-shor-6fold": [2],
+    "fig1-bs-sm": [2, 2],
+    "fig2-bs-204": [3, 3],
+    "fig2-bs-216": [3, 3],
+}
+
+
+@pytest.mark.parametrize("name", list(DRAWS_PER_CHUNK))
+def test_uniform_arrays_drawn_per_chunk_by_each_offline_scheme(name):
+    scheme = build_scheme(name)
+    assert [_draws(part) for part in scheme.parts] == DRAWS_PER_CHUNK[name]
+    cells = [part._sampler_cells is not None for part in scheme.parts if isinstance(part, SMPart)]
+    assert cells == [name.startswith("fig2")] * len(cells)
+
+
+def _cell_cases() -> dict[str, MeasurementScheme]:
+    cases = {f"fig2-bs-216/{decoder}": build_scheme("fig2-bs-216", decoder=decoder)
+             for decoder in DECODERS}
+    code = sm_catalog("cw-12-2-8")  # these three draw blocks unless made to draw cells
+    for weights, decoder in [((6,) * 12, "coset-leader"), ((2, 6) * 6, "weighted-ml"),
+                             ((1, 2, 3) * 4, "weighted-ml")]:
+        name = f"cw-12-2-8/{''.join(map(str, weights[:3]))}"
+        cases[name] = MeasurementScheme(name, (_on_cells(SMPart(code, weights, decoder)),))
+    cases["35-bit"] = MeasurementScheme("35-bit", (_random_35_bit_part(),))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_cell_cases()))
+def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(case):
+    # the same count draws, turned into words with the flips at random
+    # positions inside each cell and decoded, fail exactly where the cell
+    # reader says; (1, 2, 3) * 4 has three likelihood classes under weighted ML
+    scheme = _cell_cases()[case]
+    grid, trials, chunk_size, seed = [2.0**-2, 2.0**-3, 2.0**-5], 50_000, 20_000, 5
+    got = pse_monte_carlo(scheme, grid, trials, seed, chunk_size)
+    for p_m, result in zip(grid, got):
+        assert 0.0 < result.p_se < 1.0
+        assert result.p_se == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size) / trials
+    if case.startswith("cw-12-2-8/123"):
+        assert len(likelihood_classes([p_err(w, 2.0**-3) for w in (1, 2, 3)])[0]) == 3
+    assert not any(name in part.__dict__ for part in scheme.parts
+                   for name in ("_sampler_blocks", "_mc_tables"))
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_fig2_bs_216_monte_carlo_walks_no_coset_and_decodes_no_word(monkeypatch, decoder):
+    scheme, grid, trials = build_scheme("fig2-bs-216", decoder=decoder), [2.0**-3, 2.0**-5], 1 << 16
+    exact = pse_exact(scheme, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a part that samples cells walked a coset or decoded a word")
+
+    for name in ("_decide_mixed", "_unique_minima", "_sm_decoder"):
+        monkeypatch.setattr(noise, name, refuse)
+    for mc, reference in zip(pse_monte_carlo(scheme, grid, trials, seed=9), exact):
+        p = reference.p_se
+        assert abs(mc.p_se - p) <= 5 * math.sqrt(p * (1.0 - p) / trials)
+    assert not any(name in part.__dict__ for part in scheme.parts
+                   for name in ("_sampler_blocks", "_mc_tables"))
+
+
+@pytest.mark.parametrize("p_m", [0.0, 1.0])
+def test_cell_parts_equal_exact_at_certain_flips(p_m):
+    # at p_m = 1 the weight-1 bits all flip, a tie of the three cells of
+    # cw-18-2-12; under weighted ML odd weights flip for certain and even never
+    schemes = [build_scheme("fig2-bs-216", decoder=d) for d in DECODERS] + [build_scheme("fig2-bs-204")]
+    code = sm_catalog("cw-18-2-12")
+    parts = {"35-bit": _random_35_bit_part(), "weight-1": SMPart(code, (1,) * 18),
+             "odd-even": _on_cells(SMPart(code, (1, 2) * 9, "weighted-ml"))}
+    schemes += [MeasurementScheme(name, (part,)) for name, part in parts.items()]
+    for scheme in schemes:
+        assert all(part._sampler_cells is not None for part in scheme.parts)
+        exact = pse_exact(scheme, p_m).p_se
+        assert exact in (0.0, 1.0)
+        assert pse_monte_carlo(scheme, p_m, trials=5_000, seed=3).p_se == exact, scheme.name
+    assert pse_exact(schemes[-2], 1.0).p_se == 1.0
 
 
 WIDE_GRIDS = {
