@@ -43,13 +43,10 @@ vectors fit a joint table (SMPart._sampler_cells).  Otherwise its weight
 classes are split into near-equal blocks of at most SAMPLER_BLOCK_BITS
 bits; per block a first uniform gives the flip count, and a second picks
 one of the C(N, c) words with c flips from a table of the block's words
-sorted by popcount.  When such a part's costs are the unit costs
-(coset-leader, or weighted ML with one likelihood class) and it has at
-most 2^HARD_EXACT_BITS patterns, its decisions do not depend on p_m: a
-per-pattern failure table, built once per part from the cosets' unique
-minima (the walk exact evaluation bins), is read at the drawn pattern,
-and no word is decoded.  Otherwise the block words are ORed into a
-uint64 word and decoded by the coset's unique-minimum test.
+sorted by popcount.  A drawn word fails iff it is not the unique
+minimum-cost member of its coset (_sm_decoder): each coset's runner-up
+cost is looked up by syndrome, under the unit costs from the table the
+part keeps (SMPart._unit_runner_up).
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
@@ -71,16 +68,15 @@ part turns it into one integer mask per trial, bit i set when the trial
 fails at point i, and the scheme fails where any part does.  A count
 uniform is placed once among the CDF values of all the group's points,
 by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
-reads its count at that position.  A part that samples cells reads each
-point's decode flag per count vector (_cell_decodes, the kernel exact
-evaluation counts with) at every joint position of its cells, so one
-table lookup judges a trial for all points.  A table-judged part of
-blocks keeps a verdict per count vector (SMPart._mc_tables): every
-pattern with those counts decodes, every one fails, or it depends on the
-positions.  A table over the blocks' joint positions, at most
-JOINT_TABLE_ENTRIES of them, gives each trial's fail bits and mixed bits
-for all points at once, and only the mixed trials read the per-pattern
-table.
+reads its count at that position.  An SM part is judged in one of three
+ways.  A part that samples cells reads each point's decode flag per
+count vector (_cell_decodes, the kernel exact evaluation counts with) at
+every joint position of its cells, so one table lookup judges a trial
+for all points.  A part of one block decodes the block's table words
+once per cost rule and keeps, per flip count, whether all, none or some
+of its words fail; only a count whose words partly fail reads the
+position uniform.  A part of several blocks assembles each point's
+words and decodes them.
 """
 
 from __future__ import annotations
@@ -110,14 +106,12 @@ TILE_WORDS = 1 << 14  # entries per working array of the coset walks and the exa
 SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
 MASK_POINTS = 64  # grid points judged together by Monte Carlo, one bit each of a uint64 mask
 GUIDE_BUCKETS = 1 << 12  # guide-table buckets that place a uniform among merged thresholds
-JOINT_TABLE_ENTRIES = 1 << 16  # joint positions of a multi-block part's point-mask tables
+JOINT_TABLE_ENTRIES = 1 << 16  # joint positions of a point-mask table over cells or a block
 PASS_BYTES = 1 << 25  # point-judging tables one Monte Carlo pass over the chunks builds
 
 COSET_LEADER = "coset-leader"
 WEIGHTED_ML = "weighted-ml"
 DECODERS = (COSET_LEADER, WEIGHTED_ML)
-
-_MIXED, _FAILS = 1, 2  # SMPart._mc_tables verdicts: 0 when every pattern of a count vector decodes
 
 
 def p_err(w: int, p_m: float) -> float:
@@ -250,10 +244,8 @@ class SMPart:
     evaluation, counted over cells or cosets, whichever is smaller:
     _exact_domain) and what Monte Carlo samples, the cells
     (_sampler_cells) or else the blocks: the sampler's per-block word
-    tables, and the decisions of minimum-weight decoding per pattern
-    (2^n bools) with their verdict per flip-count vector of the blocks
-    (prod (N_j + 1) bytes), read from the cosets' unique minima
-    (_unique_minima).
+    tables, and each coset's runner-up cost under minimum-weight decoding
+    (2^(n - k) bytes), which decodes the drawn words (_sm_decoder).
     """
 
     code: BinaryLinearCode
@@ -327,28 +319,12 @@ class SMPart:
         return blocks
 
     @cached_property
-    def _mc_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Monte Carlo's tables of minimum-weight decoding, from one walk of
-        the unique coset minima, the only patterns it decodes: decisions[w],
-        whether it fails on pattern w, and verdicts per flip-count vector of
-        the sampler blocks (digit j in 0..N_j, block 0 least significant),
-        0 when every pattern with those counts decodes, _FAILS when every
-        one fails, _MIXED when it depends on where the flips are."""
-        minima = _unique_minima(self, self._unit_costs)  # checks the length cap first
-        masks = [table[-1] for _, table in self._sampler_blocks]  # last word: all the block's bits
-        bits = [len(table).bit_length() - 1 for _, table in self._sampler_blocks]
-        strides = [math.prod(n + 1 for n in bits[:j]) for j in range(len(bits))]
-        totals = _Costs.outer([_block_runs(n)[0] for n in bits])  # patterns per count vector
-        key_type = np.uint16 if len(totals) <= 1 << 16 else np.intp  # as in _Costs
-        decisions = np.ones(1 << self.code.length, dtype=bool)
-        decoded = np.zeros(len(totals), dtype=np.intp)
-        for words in minima:
-            decisions[words.view(np.intp)] = False  # words < 2^HARD_EXACT_BITS
-            key = sum(np.bitwise_count(words & mask) * key_type(stride)
-                      for mask, stride in zip(masks, strides))
-            decoded += np.bincount(key, minlength=len(totals))
-        verdicts = np.where(decoded == 0, _FAILS, np.where(decoded == totals, 0, _MIXED))
-        return decisions, verdicts.astype(np.uint8)
+    def _unit_runner_up(self) -> np.ndarray:
+        """Each coset's runner-up cost under the unit costs, by syndrome, by
+        which Monte Carlo decodes minimum-weight decoding's words whatever
+        the trials (_sm_decoder); built for at most 2^HARD_EXACT_BITS
+        patterns."""
+        return _runner_up_by_syndrome(self, self._unit_costs)
 
     def _pricing(self, p_m: float) -> tuple[_Costs, list[float]]:
         """The cost rule the decoder minimizes at p_m, and the flip
@@ -460,19 +436,6 @@ def _runner_up_by_syndrome(part: SMPart, costs: _Costs) -> np.ndarray:
                            for base in _coset_bases(part.code)])
 
 
-def _unique_minima(part: SMPart, costs: _Costs) -> Iterator[np.ndarray]:
-    """Each coset's unique minimum-cost member, where it has one, a tile of
-    cosets at a time: the only patterns either decoder decodes to zero.
-    The length cap is checked before the walk starts."""
-    code = part.code
-    if code.length > HARD_EXACT_BITS:
-        raise CapacityError(
-            f"exact enumeration over 2^{code.length} patterns exceeds the 2^{HARD_EXACT_BITS} cap"
-        )
-    tiles = (_coset_minima(base, part._codewords, costs) for base in _coset_bases(code))
-    return (word[low < second] for low, second, word in tiles)
-
-
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # each cell's size, class and column
 
 
@@ -554,9 +517,9 @@ def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
     """Per cost key, the number of patterns the decoder fails on: all
     patterns minus those that decode to zero, counted over the smaller
     domain (_exact_domain), which must fit 2^HARD_EXACT_BITS entries, and
-    binned a tile at a time in int64: the unique minima of the coset walk
-    (_unique_minima), or the cell count vectors that decode
-    (_cell_successes), each with its number of patterns."""
+    binned a tile at a time in int64: each coset's unique minimum-cost
+    member, where it has one (_coset_minima), or the cell count vectors
+    that decode (_cell_successes), each with its number of patterns."""
     entries, cells = _exact_domain(part, costs)
     if entries > 1 << HARD_EXACT_BITS:
         raise CapacityError(f"exact enumeration over {entries} patterns or cell pairs exceeds "
@@ -564,8 +527,9 @@ def _failing_patterns(part: SMPart, costs: _Costs) -> np.ndarray:
     totals = costs.outer([_binomials(n) for n in costs.sizes])
     success = np.zeros_like(totals)
     if cells is None:
-        for words in _unique_minima(part, costs):
-            success += np.bincount(costs.key(words), minlength=len(totals))
+        for base in _coset_bases(part.code):
+            low, second, words = _coset_minima(base, part._codewords, costs)
+            success += np.bincount(costs.key(words[low < second]), minlength=len(totals))
     else:
         for keys, patterns in _cell_successes(part, costs, cells):
             np.add.at(success, keys, patterns)
@@ -915,9 +879,10 @@ def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
 
 def _syndrome_table_bytes(code: BinaryLinearCode, trials: float) -> int:
     """Bytes of the per-syndrome runner-up table (float costs) that
-    _sm_decoder keeps for a run decoding trials words, or 0 when it scans
-    each word's coset: the table walks all 2^n patterns once, the scan 2^k
-    codewords per word, so the table pays from 2^(n - k) words on."""
+    _sm_decoder builds under a cost rule other than the unit costs, for a
+    run decoding trials words, or 0 when it scans each word's coset: the
+    table walks all 2^n patterns once, the scan 2^k codewords per word, so
+    the table pays from 2^(n - k) words on."""
     pays = code.length <= HARD_EXACT_BITS and trials >= 1 << code.redundancy
     return 8 << code.redundancy if pays else 0
 
@@ -928,34 +893,28 @@ def _sm_decoder(
     """Which received words the part's decoder fails on under the cost rule
     costs (SMPart._pricing), for a run that decodes trials words.
 
-    A word succeeds iff it is the unique minimum-cost member of its coset.
-    When that pays (_syndrome_table_bytes), each coset's runner-up cost is
-    computed once and looked up by syndrome; otherwise each word's coset is
-    scanned.  Both give the same decisions.
+    A word succeeds iff it is the unique minimum-cost member of its coset,
+    iff its cost is below its coset's runner-up cost.  That cost is looked
+    up by syndrome: under the unit costs in the table the part keeps
+    (SMPart._unit_runner_up) when it has at most 2^HARD_EXACT_BITS
+    patterns, under another rule in a table computed here when that pays
+    (_syndrome_table_bytes).  Otherwise each word's coset is scanned.  All
+    give the same decisions.
     """
-    if _syndrome_table_bytes(part.code, trials):
+    if costs is part._unit_costs and part.code.length <= HARD_EXACT_BITS:
+        table = part._unit_runner_up
+    elif _syndrome_table_bytes(part.code, trials):
         table = _runner_up_by_syndrome(part, costs)
-
-        def runner_up(words):
-            return table[_syndromes(part, words)]
     else:
-        def runner_up(words):
-            return _coset_minima(words, part._codewords, costs, word=False)[1]
+        table = None
 
     def failed(words: np.ndarray) -> np.ndarray:
-        return ~(costs(words) < runner_up(words))
+        if table is None:
+            runner_up = _coset_minima(words, part._codewords, costs, word=False)[1]
+        else:
+            runner_up = table[_syndromes(part, words)]
+        return ~(costs(words) < runner_up)
     return failed
-
-
-def _judged_by_table(part: SMPart, costs: _Costs) -> bool:
-    """Whether the part's decisions under the cost rule costs
-    (SMPart._pricing) are read from a table, not decoded word by word: every
-    rule of a part that samples cells (_cell_reader), or else the cached
-    _mc_tables, of unit costs, which do not depend on p_m, and at most
-    2^HARD_EXACT_BITS patterns."""
-    if part._sampler_cells is not None:
-        return True
-    return part.code.length <= HARD_EXACT_BITS and costs is part._unit_costs
 
 
 def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], trials: int,
@@ -966,83 +925,67 @@ def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], tri
 
     Each block's count uniforms are placed once among every point's CDF
     values (_Positions), and each tile's count positions are located once
-    for all its points (_locate).  A point judged by the table
-    (_judged_by_table) looks up, by the blocks' joint position, whether the
-    part's verdicts (SMPart._mc_tables) say that the trial's count vector
-    fails, or that it is mixed: some patterns with those counts fail and
-    some decode.  One table of point masks per verdict holds every point's
-    bit, at most JOINT_TABLE_ENTRIES positions (_group_width); a part whose
-    joint positions exceed that even for one point keeps no table and treats
-    every trial as mixed.
+    for all its points (_locate).  The points of one cost rule share one
+    decoder (_sm_decoder).
 
-    A mixed count c of a one-block part is decided by the position uniform
-    alone: the decisions of the block's C(N, c) words with c flips are taken
-    once, and entry min(floor(v C(N, c)), C(N, c) - 1) is read once per tile
-    for every trial whatever the points; on a part of several blocks each
-    point decides only the trials mixed at its counts, at their words
-    (_words).  Any other point assembles its words (_words) and decodes
-    them (_sm_decoder); the bytes reported count its per-syndrome table, if
-    it keeps one.
+    A part of one block decodes the block's table words once per rule.  A
+    point reads, at a trial's count position, whether every word with that
+    count c fails; where only some do, the position uniform v decides
+    alone: entry min(floor(v C(N, c)), C(N, c) - 1) of the decisions of the
+    C(N, c) words with c flips is read once per tile and rule for every
+    trial, whatever the points.  A part of several blocks assembles each
+    point's words (_words) and decodes them; the bytes reported count the
+    per-syndrome tables its decoders build, not the unit-cost table the
+    part keeps.
     """
     blocks = _count_blocks(part, p_ms)
     where = [block.positions for block in blocks]
-    sizes = [positions.counts.shape[1] for positions in where]
-    on_table = [i for i, rule in enumerate(costs) if _judged_by_table(part, rule)]
-    decoders = {i: _sm_decoder(part, rule, trials)
-                for i, rule in enumerate(costs) if i not in on_table}
-    decisions, verdicts = part._mc_tables if on_table else (None, None)
-    fails = mixed = None
-    # per mixed count of a one-block part: C(N, c), point masks, decisions of the words
-    mixed_counts: list[tuple[float, np.ndarray, np.ndarray]] = []
-    if on_table and math.prod(sizes) <= JOINT_TABLE_ENTRIES:
-        # each joint position's count vector, block 0 fastest, as in the verdicts
-        by_counts = verdicts.reshape([len(block.runs) for block in reversed(blocks)])
-        verdict = {i: _at_joint(by_counts, where, i) for i in on_table}
-        size = math.prod(sizes)
-        fails = _point_bits({i: v == _FAILS for i, v in verdict.items()}, size, dtype)
-        if len(blocks) == 1:
-            block, counts = blocks[0], blocks[0].positions.counts
-            for c in np.flatnonzero(verdicts == _MIXED):
-                masks = _point_bits({i: counts[i] == c for i in on_table}, size, dtype)
-                if masks.any():
-                    words = block.table[block.starts[c]:block.starts[c] + int(block.runs[c])]
-                    mixed_counts.append((block.runs[c], masks, decisions.take(words)))
-        else:
-            mixed = _point_bits({i: v == _MIXED for i, v in verdict.items()}, size, dtype)
-    everyone = dtype.type(sum(1 << i for i in on_table))
+    held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
+    if len(blocks) > 1:
+        decoders = {rule: _sm_decoder(part, rule, trials) for rule in dict.fromkeys(costs)}
+
+        def decoded(uniforms: np.ndarray) -> np.ndarray:
+            size = uniforms.shape[-1]
+            out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
+            positions, v = _locate(where, uniforms[0::2], work), uniforms[1::2]
+            out.fill(0)
+            for i, rule in enumerate(costs):
+                failing = decoders[rule](_words(blocks, i, v, positions, work))
+                out |= np.multiply(failing.view(np.uint8), dtype.type(1 << i), out=hit)
+            return out
+        built = sum(rule is not part._unit_costs for rule in decoders)
+        return decoded, held + built * _syndrome_table_bytes(part.code, trials)
+
+    (block,) = blocks
+    counts = block.positions.counts
+    fails: dict[int, np.ndarray] = {}
+    # per rule and count c whose words partly fail: C(N, c), point masks, decisions of the words
+    mixed: list[tuple[float, np.ndarray, np.ndarray]] = []
+    for rule in dict.fromkeys(costs):
+        decisions = _sm_decoder(part, rule, len(block.table))(block.table)
+        every = np.logical_and.reduceat(decisions, block.starts)
+        points = [i for i, point_rule in enumerate(costs) if point_rule is rule]
+        fails.update((i, every.take(counts[i])) for i in points)
+        for c in np.flatnonzero(np.logical_or.reduceat(decisions, block.starts) > every):
+            masks = _point_bits({i: counts[i] == c for i in points}, counts.shape[1], dtype)
+            if masks.any():
+                words = decisions[block.starts[c]:block.starts[c] + int(block.runs[c])]
+                mixed.append((block.runs[c], masks, words))
+    table = _point_bits(fails, counts.shape[1], dtype)
 
     def failed(uniforms: np.ndarray) -> np.ndarray:
         size = uniforms.shape[-1]
         out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
-        positions = _locate(where, uniforms[0::2], work)
-        v = uniforms[1::2]
-        if not on_table:
-            out.fill(0)
-        elif len(blocks) == 1 and fails is not None:
-            fails.take(positions[0], out=out, mode="clip")
-            for run, masks, at_count in mixed_counts:
-                index = _table_index(v[0], run, 0, _working(work, "index", size, np.intp), work)
-                decided = at_count.take(index, out=_working(work, "decided", size, bool),
-                                        mode="clip")
-                masks.take(positions[0], out=hit, mode="clip")
-                out |= np.multiply(hit, decided, out=hit)
-        else:
-            if fails is None:  # every table point decides every trial
-                out.fill(0)
-                hit.fill(everyone)
-            else:
-                joint = _joint(positions, sizes, work)
-                fails.take(joint, out=out, mode="clip")
-                mixed.take(joint, out=hit, mode="clip")
-            _decide_mixed(decisions, blocks, on_table, positions, v, out, hit, work)
-        for i, decode in decoders.items():
-            decoded = decode(_words(blocks, i, v, positions, work))
-            out |= np.multiply(decoded.view(np.uint8), dtype.type(1 << i), out=hit)
+        (positions,) = _locate(where, uniforms[:1], work)
+        table.take(positions, out=out, mode="clip")
+        for run, masks, at_count in mixed:
+            index = _table_index(uniforms[1], run, 0, _working(work, "index", size, np.intp), work)
+            decided = at_count.take(index, out=_working(work, "decided", size, bool), mode="clip")
+            masks.take(positions, out=hit, mode="clip")
+            out |= np.multiply(hit, decided, out=hit)
         return out
-    held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
-    held += sum(table.nbytes for table in (fails, mixed) if table is not None)
-    held += sum(masks.nbytes + at_count.nbytes for _, masks, at_count in mixed_counts)
-    return failed, held + len(decoders) * _syndrome_table_bytes(part.code, trials)
+    held += table.nbytes + sum(masks.nbytes + at_count.nbytes for _, masks, at_count in mixed)
+    return failed, held
 
 
 def _cell_flags(part: SMPart, costs: _Costs) -> np.ndarray:
@@ -1092,40 +1035,26 @@ def _cell_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs],
     return failed, table.nbytes + sum(p.nbytes for p in {id(p): p for p in where}.values())
 
 
-def _decide_mixed(decisions: np.ndarray, blocks: list[_CountBlock], on_table: list[int],
-                  positions: list[np.ndarray], v: np.ndarray, out: np.ndarray, mixed: np.ndarray,
-                  work: dict[str, np.ndarray]):
-    """Set each table point's failure bits among the trials whose counts are
-    mixed at it (its bit of mixed), read from the decisions at their words."""
-    flag = _working(work, "flag", len(mixed), bool)
-    for i in on_table:
-        bit = out.dtype.type(1 << i)
-        mixed_here = np.bitwise_and(mixed, bit, out=_working(work, "mixed", len(mixed), mixed.dtype))
-        rows = np.flatnonzero(np.not_equal(mixed_here, 0, out=flag))
-        words = _words(blocks, i, [u.take(rows) for u in v], [pos.take(rows) for pos in positions],
-                       work)
-        # words < 2^HARD_EXACT_BITS, so their intp view is the same index
-        failing = decisions.take(words.view(np.intp),
-                                 out=_working(work, "decided", len(rows), bool), mode="clip")
-        out[rows[failing]] |= bit
-
-
-def _group_width(judged: Iterable[SMPart], decoded: Iterable[SMPart], points: int,
+def _group_width(rules: Iterable[tuple[SMPart, Sequence[_Costs]]], points: int,
                  trials: int) -> int:
-    """How many points are judged together: at most MASK_POINTS, and few
-    enough that each table-judged part, whose N_j-bit cells or blocks take
-    at most width N_j + 1 positions each, has at most JOINT_TABLE_ENTRIES
-    joint positions, and that the per-syndrome tables of the parts that
-    decode words (_syndrome_table_bytes), one per point, fit PASS_BYTES
-    (unless one point alone exceeds either)."""
-    width = max(1, min(MASK_POINTS, points))
-    for part in judged:
+    """How many points are judged together, given each SM part with its
+    points' cost rules: at most MASK_POINTS, and few enough that each part
+    judged by one table lookup, whose N_j-bit cells or one block take at
+    most width N_j + 1 positions each, has at most JOINT_TABLE_ENTRIES joint
+    positions, and that the per-syndrome tables that parts of several
+    blocks build for rules other than the unit costs
+    (_syndrome_table_bytes), one per point, fit PASS_BYTES (unless one
+    point alone exceeds either)."""
+    width, per_point = max(1, min(MASK_POINTS, points)), 0
+    for part, costs in rules:
         cells = part._sampler_cells
-        bits = (cells[0].tolist() if cells is not None
-                else [len(table).bit_length() - 1 for _, table in part._sampler_blocks])
+        if cells is None and len(part._sampler_blocks) > 1:
+            if any(rule is not part._unit_costs for rule in costs):
+                per_point += _syndrome_table_bytes(part.code, trials)
+            continue
+        bits = cells[0].tolist() if cells is not None else [part.code.length]  # the one block
         while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
             width -= 1
-    per_point = sum(_syndrome_table_bytes(part.code, trials) for part in decoded)
     return max(1, min(width, PASS_BYTES // per_point)) if per_point else width
 
 
@@ -1145,10 +1074,7 @@ def _count_failures(
     distinct = {id(part): part for part in scheme.parts}  # equal X and Z parts share a reader
     rules = {key: [part._pricing(p_m)[0] for p_m in p_ms]
              for key, part in distinct.items() if isinstance(part, SMPart)}
-    on_table = {key: [_judged_by_table(distinct[key], c) for c in costs]
-                for key, costs in rules.items()}
-    width = _group_width([distinct[key] for key, on in on_table.items() if any(on)],
-                         [distinct[key] for key, on in on_table.items() if not all(on)],
+    width = _group_width([(distinct[key], costs) for key, costs in rules.items()],
                          len(p_ms), trials)
     dtype = _mask_dtype(width)
     failures, work = [0] * len(p_ms), {}  # the groups share their working arrays

@@ -948,9 +948,9 @@ def test_monte_carlo_syndrome_table_above_20_bits(decoder):
     exact = pse_exact(scheme, 2.0**-3).p_se
     mc = pse_monte_carlo(scheme, 2.0**-3, trials, seed=13)
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
-    # coset-leader decisions are read from the cached per-pattern table;
+    # coset-leader runner-up costs are read from the table the part keeps;
     # weighted ML's three classes give costs that change with p_m
-    assert ("_mc_tables" in part.__dict__) == (decoder == "coset-leader")
+    assert ("_unit_runner_up" in part.__dict__) == (decoder == "coset-leader")
 
 
 def _shor_z_part(sm: BinaryLinearCode) -> SMPart:
@@ -981,8 +981,9 @@ def test_cell_domain_counts_the_failures_the_coset_walk_counts(n, k, several, de
         found = noise._cells(part, costs)
         assert found[0].sum() == n
         walked = np.zeros(costs.vectors, dtype=np.int64)
-        for words in noise._unique_minima(part, costs):
-            np.add.at(walked, costs.key(words), 1)
+        for base in noise._coset_bases(part.code):  # each coset's unique minimum, if any
+            low, second, words = _coset_minima(base, part._codewords, costs)
+            np.add.at(walked, costs.key(words[low < second]), 1)
         counted = np.zeros_like(walked)
         for keys, patterns in noise._cell_successes(part, costs, found):
             np.add.at(counted, keys, patterns)
@@ -1093,18 +1094,39 @@ def _table_cases() -> dict[str, SMPart]:
     }
 
 
+def _block_words(part: SMPart) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every word of the part, assembled from its sampler blocks' tables,
+    with the key of its flip-count vector over the blocks (block 0 least
+    significant) and the number of such vectors."""
+    index = np.arange(1 << part.code.length)
+    words, key, stride = np.zeros(len(index), dtype=np.uint64), np.zeros_like(index), 1
+    for _, table in part._sampler_blocks:
+        bits = len(table).bit_length() - 1
+        block_words = table[index & (len(table) - 1)]
+        words |= block_words
+        key += np.bitwise_count(block_words).astype(np.intp) * stride
+        index >>= bits
+        stride *= bits + 1
+    return words, key, stride
+
+
+def _scanned_failures(part: SMPart, words: np.ndarray) -> np.ndarray:
+    """Minimum-weight decoding's failures, each word's coset scanned."""
+    costs = part._unit_costs
+    return ~(costs(words) < _coset_minima(words, part._codewords, costs, word=False)[1])
+
+
 @pytest.mark.parametrize("case", ["cw-18-2-12", "shor-z-20-6", "random-16-2"])
 def test_decision_table_matches_per_word_decoding(case):
+    # the unit-cost runner-up table the part keeps, read whatever the
+    # trials, decides every word as scanning its coset does
     part = _table_cases()[case]
-    index = np.arange(1 << part.code.length, dtype=np.uint64)
-    words = np.zeros_like(index)
-    for _, table in part._sampler_blocks:
-        words |= table[index & np.uint64(len(table) - 1)]
-        index >>= np.uint64(len(table).bit_length() - 1)
+    words, _, _ = _block_words(part)
     assert np.bitwise_count(np.bitwise_or.reduce(words)) == part.code.length
-    costs = part._unit_costs
-    per_word = ~(costs(words) < _coset_minima(words, part._codewords, costs)[1])
-    assert np.array_equal(part._mc_tables[0].take(words), per_word)
+    decided = _sm_decoder(part, part._unit_costs, trials=0)(words)
+    assert "_unit_runner_up" in part.__dict__
+    assert len(part._unit_runner_up) == 1 << part.code.redundancy
+    assert np.array_equal(decided, _scanned_failures(part, words))
 
 
 def _straddled_part() -> SMPart:
@@ -1119,7 +1141,7 @@ def _straddled_part() -> SMPart:
 def _unjoinable_part() -> SMPart:
     """A seeded random [20,4] part with 20 distinct element weights: one
     block per position, so 2^20 joint positions even at one point, more than
-    a joint table holds, and every trial is decided as mixed."""
+    a joint table holds."""
     code = _random_part(20, 4, 20, "coset-leader").code
     part = SMPart(code, tuple(range(2, 22)))
     assert 2 ** len(part._sampler_blocks) > noise.JOINT_TABLE_ENTRIES
@@ -1133,6 +1155,8 @@ def _unjoinable_part() -> SMPart:
     MeasurementScheme("unjoinable-20-4", (_unjoinable_part(),)),
 ])
 def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
+    # the same draws, assembled into words and decoded by scanning each
+    # word's coset, fail exactly where Monte Carlo's reader says
     trials, chunk_size, seed, p_m = 50_000, 20_000, 5, 2.0**-3
     expected = 0
     for chunk_index, start in enumerate(range(0, trials, chunk_size)):
@@ -1140,23 +1164,37 @@ def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
         rng = _chunk_rng(seed, chunk_index)
         failed = np.zeros(size, dtype=bool)
         for part in scheme.parts:
-            costs, _ = part._pricing(p_m)
-            failed |= _sm_decoder(part, costs)(_sm_word_sampler(part, p_m)(rng, size))
+            assert part._pricing(p_m)[0] is part._unit_costs
+            failed |= _scanned_failures(part, _sm_word_sampler(part, p_m)(rng, size))
         expected += int(failed.sum())
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
-    assert all("_mc_tables" in part.__dict__ for part in scheme.parts)
+    assert all("_unit_runner_up" in part.__dict__ for part in scheme.parts)
     assert got == expected
 
 
+def test_one_block_part_under_a_negative_likelihood_weight_equals_word_decoding():
+    # at p_m = 3/4 weight-1 bits flip with probability 3/4, so weighted ML
+    # prefers more flips, a rule other than the unit costs: the one-block
+    # reader decides it from its table words, some counts partly failing
+    part = SMPart(sm_catalog("cw-12-2-8"), (1,) * 12, "weighted-ml")
+    scheme = MeasurementScheme("weight-1", (part,))
+    p_m, trials, seed, chunk_size = 0.75, 50_000, 5, 20_000
+    assert part._pricing(p_m)[0] is not part._unit_costs and len(part._sampler_blocks) == 1
+    got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
+    assert 0 < got < trials
+    assert got == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size)
+
+
 def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
+    # minimum-weight decoding's runner-up table, SMPart._unit_runner_up
     built = []
-    original = noise._unique_minima
+    original = noise._runner_up_by_syndrome
 
     def counting(part, costs):
         built.append(part)
         return original(part, costs)
 
-    monkeypatch.setattr(noise, "_unique_minima", counting)
+    monkeypatch.setattr(noise, "_runner_up_by_syndrome", counting)
     scheme = build_scheme("fig1-bs-sm")
     rows = sweep(scheme, [-3.0, -4.0, -5.0], method="mc", trials=5_000, seed=2)
     assert len(rows) == 3
@@ -1278,13 +1316,13 @@ def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(case):
     scheme = _cell_cases()[case]
     grid, trials, chunk_size, seed = [2.0**-2, 2.0**-3, 2.0**-5], 50_000, 20_000, 5
     got = pse_monte_carlo(scheme, grid, trials, seed, chunk_size)
+    assert not any(name in part.__dict__ for part in scheme.parts
+                   for name in ("_sampler_blocks", "_unit_runner_up"))
     for p_m, result in zip(grid, got):
         assert 0.0 < result.p_se < 1.0
         assert result.p_se == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size) / trials
     if case.startswith("cw-12-2-8/123"):
         assert len(likelihood_classes([p_err(w, 2.0**-3) for w in (1, 2, 3)])[0]) == 3
-    assert not any(name in part.__dict__ for part in scheme.parts
-                   for name in ("_sampler_blocks", "_mc_tables"))
 
 
 @pytest.mark.parametrize("decoder", DECODERS)
@@ -1295,13 +1333,34 @@ def test_fig2_bs_216_monte_carlo_walks_no_coset_and_decodes_no_word(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("a part that samples cells walked a coset or decoded a word")
 
-    for name in ("_decide_mixed", "_unique_minima", "_sm_decoder"):
+    for name in ("_coset_minima", "_sm_decoder"):  # the walk, the runner-up tables, decoding
         monkeypatch.setattr(noise, name, refuse)
     for mc, reference in zip(pse_monte_carlo(scheme, grid, trials, seed=9), exact):
         p = reference.p_se
         assert abs(mc.p_se - p) <= 5 * math.sqrt(p * (1.0 - p) / trials)
     assert not any(name in part.__dict__ for part in scheme.parts
-                   for name in ("_sampler_blocks", "_mc_tables"))
+                   for name in ("_sampler_blocks", "_unit_runner_up"))
+
+
+# the (scheme, decoder) pairs of the benchmark's montecarlo workload
+BENCHMARK_MC_OPS = [("fig1-bs-sm", "coset-leader"), ("fig1-bs-sm", "weighted-ml"),
+                    ("fig1-shor-6fold", "coset-leader"), ("fig1-bs-6fold", "coset-leader"),
+                    ("fig2-bs-216", "coset-leader")]
+
+
+@pytest.mark.parametrize("name, decoder", BENCHMARK_MC_OPS)
+def test_benchmark_monte_carlo_schemes_assemble_no_word(monkeypatch, name, decoder):
+    # the benchmark's Monte Carlo sweeps read tables only, fig1-bs-sm its one
+    # block's: moving one of them onto assembled words fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} assembled a word")
+
+    monkeypatch.setattr(noise, "_words", refuse)
+    scheme = build_scheme(name, decoder=decoder)
+    got = pse_monte_carlo(scheme, [2.0**-3, 2.0**-4, 2.0**-5], 1 << 14, seed=1)
+    assert all(0.0 < result.p_se < 1.0 for result in got)
+    if name == "fig1-bs-sm":
+        assert all(len(part._sampler_blocks) == 1 for part in scheme.parts)
 
 
 @pytest.mark.parametrize("p_m", [0.0, 1.0])
@@ -1345,9 +1404,8 @@ def test_monte_carlo_wide_grid_equals_per_point_calls(monkeypatch, name, grid):
 @pytest.mark.parametrize("name", ["fig1-bs-sm", "fig2-bs-204", "fig1-shor-6fold"])
 def test_monte_carlo_groups_taking_their_own_passes_count_alike(monkeypatch, name):
     # with no room for tables every group takes its own pass over the chunks;
-    # with no room for a joint table an SM part judges one point per group and
-    # decides every trial through its decisions, while a repetition part
-    # keeps all the points in one group
+    # with no room for a joint table an SM part judges one point per group,
+    # while a repetition part keeps all the points in one group
     scheme, p_ms = build_scheme(name), WIDE_GRIDS["66"][::5]
     expected = pse_monte_carlo(scheme, p_ms, 5_000, seed=31)
     monkeypatch.setattr(noise, "PASS_BYTES", 1)
@@ -1404,37 +1462,37 @@ def _verdict_cases() -> dict[str, SMPart]:
 
 @pytest.mark.parametrize("case", list(_verdict_cases()))
 def test_verdicts_say_whether_none_all_or_some_patterns_of_a_count_vector_fail(case):
+    # per flip-count vector over the sampler blocks: 0 when every word
+    # decodes, 2 when every one fails, 1 when it depends on the positions,
+    # from the table the part keeps and from scanning each word's coset
     part = _verdict_cases()[case]
-    index = np.arange(1 << part.code.length)
-    words, key, stride = np.zeros(len(index), dtype=np.uint64), np.zeros_like(index), 1
-    for _, table in part._sampler_blocks:
-        bits = len(table).bit_length() - 1
-        block_words = table[index & (len(table) - 1)]
-        words |= block_words
-        key += np.bitwise_count(block_words).astype(np.intp) * stride
-        index >>= bits
-        stride *= bits + 1
-    decisions, verdicts = part._mc_tables
-    fails = np.bincount(key, weights=decisions.take(words), minlength=stride)
-    totals = np.bincount(key, minlength=stride)
-    expected = np.where(fails == 0, 0, np.where(fails == totals, 2, 1))
-    assert len(verdicts) == stride
-    assert np.array_equal(verdicts, expected)
+    words, key, vectors = _block_words(part)
+    totals = np.bincount(key, minlength=vectors)
+    verdicts = []
+    for failing in (_sm_decoder(part, part._unit_costs)(words), _scanned_failures(part, words)):
+        fails = np.bincount(key, weights=failing, minlength=vectors)
+        verdicts.append(np.where(fails == 0, 0, np.where(fails == totals, 2, 1)).tolist())
+    assert verdicts[0] == verdicts[1]
     if case == "cw-12-2-8":
-        # counts 0-3 always decode, 4 depends on the positions, 5-12 always fail
-        assert verdicts.tolist() == [0] * 4 + [1] + [2] * 8
+        # one block: counts 0-3 always decode, 4 depends on the positions,
+        # 5-12 always fail
+        assert len(part._sampler_blocks) == 1
+        assert verdicts[0] == [0] * 4 + [1] + [2] * 8
 
 
-def test_monte_carlo_tables_build_within_their_decisions_and_a_half():
+def test_unit_runner_up_table_builds_within_its_cosets_and_tiles():
     part = _random_part(22, 6, seed=22, decoder="coset-leader")
     assert len(part._sampler_blocks) > 1
     tracemalloc.start()
     try:
-        part._mc_tables  # 2^22 bools of decisions, and the verdicts, in one pass
+        table = part._unit_runner_up  # 2^16 one-byte costs, walked a tile of cosets at a time
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (1 << 22) + (1 << 21)
+    assert table.nbytes == 1 << 16
+    # the table, its tiles before they are joined, and one tile's walk: a
+    # few arrays of TILE_WORDS uint64 words (measured: 673,096 bytes)
+    assert peak <= 2 * table.nbytes + 5 * TILE_WORDS * 8
 
 
 def test_unit_costs_build_no_cost_table():
@@ -1443,7 +1501,7 @@ def test_unit_costs_build_no_cost_table():
     part = SMPart(sm_catalog("cw-12-2-8"), (2, 4) * 6)
     part._unit_failures
     assert "table" not in part._unit_costs.__dict__
-    part._mc_tables
+    part._unit_runner_up
     assert "table" not in part._unit_costs.__dict__
 
 
@@ -1632,6 +1690,69 @@ def test_weighted_ml_at_certain_flips_with_odd_and_even_weights(code):
     assert _likelihood_failure(part, 1.0) == 0.0
     assert pse_exact(scheme, 1.0).p_se == 0.0
     assert pse_monte_carlo(scheme, 1.0, trials=1_000, seed=3).p_se == 0.0
+
+
+def _monte_carlo_path(part, p_m: float, trials: int) -> str:
+    """How Monte Carlo judges the part at p_m for a run of trials words."""
+    if isinstance(part, RepetitionPart):
+        return "repetition"
+    if part._sampler_cells is not None:
+        return "cells"
+    if len(part._sampler_blocks) == 1:
+        return "one-block"
+    if part._pricing(p_m)[0] is part._unit_costs:
+        return "unit-table"
+    return "weighted-ml-tables" if noise._syndrome_table_bytes(part.code, trials) else "coset-scan"
+
+
+def _calibration_paths() -> dict[str, tuple[list[MeasurementScheme], int]]:
+    """Per Monte Carlo path, the schemes that take it and the trials per point."""
+    three_class = MeasurementScheme("random-16-4", (_random_part(16, 4, 16, "weighted-ml"),))
+    shor_z = MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],))
+    return {
+        "repetition": ([build_scheme("fig1-shor-6fold"), build_scheme("fig1-bs-6fold")], 1 << 16),
+        "cells": ([build_scheme("fig2-bs-204"), build_scheme("fig2-bs-216")], 1 << 16),
+        "one-block": ([build_scheme("fig1-bs-sm")], 1 << 16),
+        "unit-table": ([shor_z], 1 << 15),
+        "weighted-ml-tables": ([three_class], 1 << 14),  # 2^12 cosets: a table per point
+        "coset-scan": ([three_class], (1 << 12) - 1),  # fewer words than cosets: scanned
+    }
+
+
+CALIBRATION_GRID = [-2.0 - 0.2 * i for i in range(31)]  # log2 p_m
+
+
+def _mean_square_band(n: int, z: float = 3.719) -> tuple[float, float]:
+    """The one-sided 1e-4 tails (z sigmas) of chi^2_n / n, the mean of n
+    squared standard normals, by the Wilson-Hilferty approximation."""
+    spread = 2.0 / (9.0 * n)
+    return tuple((1.0 - spread + sign * z * math.sqrt(spread)) ** 3 for sign in (-1, 1))
+
+
+@pytest.mark.parametrize("path", list(_calibration_paths()))
+def test_monte_carlo_counts_are_calibrated_against_exact_on_every_path(path):
+    # a small relative bias at every point passes each point's 5-sigma check
+    # but not a pooled one: z = (failures - trials p) / sqrt(trials p (1 - p))
+    # over the points that expect at least 20 failures.  For a correct
+    # sampler |sum z| / sqrt(N) > 4 has probability 6.3e-5, and a mean z^2
+    # outside _mean_square_band 2e-4; each point has its own seed, as the
+    # points of one grid call read the same draws
+    schemes, trials = _calibration_paths()[path]
+    z = []
+    for number, scheme in enumerate(schemes):
+        p_ms = [2.0**lp for lp in CALIBRATION_GRID]
+        for i, (p_m, exact) in enumerate(zip(p_ms, pse_exact(scheme, p_ms))):
+            p = exact.p_se
+            if trials * p < 20:
+                continue
+            assert {_monte_carlo_path(part, p_m, trials) for part in scheme.parts} == {path}
+            seed = 1 + i + number * len(p_ms)
+            failures = pse_monte_carlo(scheme, p_m, trials, seed=seed).p_se * trials
+            z.append((failures - trials * p) / math.sqrt(trials * p * (1.0 - p)))
+    assert len(z) >= 15
+    pooled, mean_square = sum(z) / math.sqrt(len(z)), sum(x * x for x in z) / len(z)
+    low, high = _mean_square_band(len(z))
+    assert abs(pooled) <= 4.0 and low <= mean_square <= high, (len(z), pooled, mean_square)
 
 
 # ----------------------------------------------------------------------
