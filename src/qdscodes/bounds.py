@@ -12,6 +12,7 @@ from math import comb
 from .errors import CapacityError, PreconditionError
 
 MAX_FAMILY_EXPONENT = 200  # largest a_max pure_only_families enumerates
+MAX_REGION_ROWS = 100_000  # most lengths n one region_table covers
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,10 @@ def region_table(n_range: tuple[int, int]) -> list[RegionRow]:
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise PreconditionError(f"need 1 <= n1 <= n2, got n1={lo}, n2={hi}")
+    if hi - lo >= MAX_REGION_ROWS:
+        raise CapacityError(
+            f"table n={lo}..{hi} has {hi - lo + 1} rows, above the cap of {MAX_REGION_ROWS}"
+        )
     rows = []
     for n in range(lo, hi + 1):
         rows.append(

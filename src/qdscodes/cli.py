@@ -62,25 +62,25 @@ def _load_sm(spec: str, data_dir: str | None):
 def _code_summary(name: str, code) -> dict:
     from . import codes as codes_mod
 
-    if isinstance(code, codes_mod.SubsystemCode):
+    d = codes_mod.min_distance(code)
+    if isinstance(code, codes_mod.StabilizerCode):
         return {
             "name": name,
-            "kind": "subsystem",
+            "kind": "stabilizer",
             "n": code.n,
             "k": code.k,
-            "r": code.r,
             "m": code.m,
-            "d": codes_mod.min_distance(code),
+            "d": d,
+            "impure": codes_mod.is_impure(code, d),
         }
-    d = codes_mod.min_distance(code)
     return {
         "name": name,
-        "kind": "stabilizer",
+        "kind": "subsystem",
         "n": code.n,
         "k": code.k,
+        "r": code.r,
         "m": code.m,
         "d": d,
-        "impure": codes_mod.is_impure(code, d),
     }
 
 
@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
     from . import codes as codes_mod, qds as qds_mod
 
     code = _load_code(args.code)
-    if args.subsystem and not isinstance(code, codes_mod.SubsystemCode):
+    if args.subsystem and isinstance(code, codes_mod.StabilizerCode):
         raise QDSError(f"{args.code!r} is not a subsystem code")
     m = len(code.rows)
     if args.sm:
@@ -145,11 +145,10 @@ def cmd_check(args) -> int:
         qds = qds_mod.identity_qds(code)
     base_d = codes_mod.min_distance(code)
     qds_d = qds.distance
-    r = code.r if isinstance(code, codes_mod.SubsystemCode) else 0
     report = {
         "n": code.n,
         "k": code.k,
-        "r": r,
+        "r": code.r,
         "m": m,
         "impure": codes_mod.is_impure(code, base_d),
         "base_distance": base_d,
@@ -162,7 +161,7 @@ def cmd_check(args) -> int:
     if args.json:
         _print_json(report)
         return EXIT_OK
-    params = qds_mod.QDSParams(code.n, code.k, r, base_d, qds.l)
+    params = qds_mod.QDSParams(code.n, code.k, code.r, base_d, qds.l)
     print(f"{params} QDS: {'yes' if report['qds'] else 'no'}")
     for key in ("n", "k", "r", "m", "impure", "base_distance", "qds_distance", "l",
                 "total_measurements"):
@@ -203,7 +202,7 @@ def cmd_search_impure(args) -> int:
     from . import codes as codes_mod, qds as qds_mod
 
     code = _load_code(args.code)
-    if isinstance(code, codes_mod.SubsystemCode):
+    if not isinstance(code, codes_mod.StabilizerCode):
         raise QDSError("search-impure operates on stabilizer codes")
     result = qds_mod.impure_zero_redundancy(code)
     params = qds_mod.qds_params(result.qds)

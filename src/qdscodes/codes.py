@@ -1,4 +1,8 @@
-"""Stabilizer and subsystem codes over additive F4 codes.
+"""Subsystem codes over additive F4 codes, stabilizer codes among them.
+
+Every code is a subsystem code, given by its gauge group D; its
+stabilizer is C = D intersect D-perp.  A stabilizer code is one given by
+commuting generators: its gauge group is its stabilizer, so r = 0.
 
 Minimum distances and purity are computed by exhaustive enumeration at
 desk scale: one kernel forms the error vectors of each weight as XORs of
@@ -72,31 +76,8 @@ class AdditiveCode:
 
 
 @dataclass(frozen=True)
-class StabilizerCode:
-    """An [[n, k]] stabilizer code presented by m = n - k commuting generators."""
-
-    code: AdditiveCode
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def m(self) -> int:
-        return self.code.dim
-
-    @property
-    def k(self) -> int:
-        return self.n - self.m
-
-    @property
-    def rows(self) -> tuple[F4Vector, ...]:
-        return self.code.rows
-
-
-@dataclass(frozen=True)
 class SubsystemCode:
-    """A subsystem code, given by its gauge code D.
+    """A subsystem code, given by its gauge code D; every code is one.
 
     Its stabilizer C = D intersect D-perp is derived from D, so no parity
     or commutation check is needed: D/C carries a nondegenerate
@@ -133,6 +114,17 @@ class SubsystemCode:
         return self.stabilizer.rows
 
 
+@dataclass(frozen=True)
+class StabilizerCode(SubsystemCode):
+    """An [[n, k]] stabilizer code: the subsystem code given by m = n - k
+    commuting generators, whose gauge group is its stabilizer (r = 0).
+    Its rows are the generators as given, in their order."""
+
+    @property
+    def stabilizer(self) -> AdditiveCode:
+        return self.gauge
+
+
 def make_stabilizer(rows: Iterable[F4Vector]) -> StabilizerCode:
     """Validate rows as independent, mutually commuting generators."""
     rows = tuple(rows)
@@ -152,14 +144,7 @@ def _gram_null_combinations(rows: Sequence[F4Vector]) -> tuple[F4Vector, ...]:
     tr(rows[j], rows[i]), the syndrome of rows[i]; the form is symmetric.
     """
     gram = [gf4.syndrome(rows, row).bits for row in rows]
-    out = []
-    for c in f2.null_space(gram, len(rows)):
-        v = F4Vector.zero(rows[0].n)
-        for j, row in enumerate(rows):
-            if (c >> j) & 1:
-                v = v + row
-        out.append(v)
-    return tuple(out)
+    return tuple(gf4.combination(rows, c) for c in f2.null_space(gram, len(rows)))
 
 
 def make_subsystem(gauge_rows: Iterable[F4Vector]) -> SubsystemCode:
@@ -256,20 +241,19 @@ def min_weight_outside(
     return best
 
 
-def min_distance(code: StabilizerCode | SubsystemCode) -> int:
-    """min weight of e with zero syndrome outside the stabilizer (outside
-    the gauge group for subsystem codes)."""
-    excluded = code.gauge if isinstance(code, SubsystemCode) else code.code
-    return min_weight_outside(excluded, code.rows, count_syndrome=False)
+def min_distance(code: SubsystemCode) -> int:
+    """min weight of e with zero syndrome outside the gauge group (the
+    stabilizer, for a stabilizer code)."""
+    return min_weight_outside(code.gauge, code.rows, count_syndrome=False)
 
 
-def is_impure(code: StabilizerCode | SubsystemCode, d: int) -> bool:
+def is_impure(code: SubsystemCode, d: int) -> bool:
     """True iff some nonzero stabilizer span element has weight below d."""
-    additive = code.code if isinstance(code, StabilizerCode) else code.stabilizer
-    if additive.dim <= MAX_SPAN_EXPONENT:
-        return any(v.weight < d for v in additive.span() if v.weight > 0)
+    stabilizer = code.stabilizer
+    if stabilizer.dim <= MAX_SPAN_EXPONENT:
+        return any(v.weight < d for v in stabilizer.span() if v.weight > 0)
     # with no rows, a word is its membership field
-    table = _word_table((), additive)[0]
+    table = _word_table((), stabilizer)[0]
     return any(not words.any(axis=0).all() for _, words in _weight_blocks(table, d - 1))
 
 
@@ -332,7 +316,7 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
-def catalog(name: str) -> StabilizerCode | SubsystemCode:
+def catalog(name: str) -> SubsystemCode:
     try:
         builder = _CATALOG[name]
     except KeyError:
@@ -344,7 +328,7 @@ def catalog(name: str) -> StabilizerCode | SubsystemCode:
 # file format: one Pauli row per line, '#' comments, optional GAUGE section
 # ----------------------------------------------------------------------
 
-def parse_code_text(text: str) -> StabilizerCode | SubsystemCode:
+def parse_code_text(text: str) -> SubsystemCode:
     stab_lines: list[F4Vector] = []
     gauge_lines: list[F4Vector] = []
     target = stab_lines
@@ -370,20 +354,17 @@ def parse_code_text(text: str) -> StabilizerCode | SubsystemCode:
     return make_stabilizer(stab_lines)
 
 
-def read_code_file(path: str | Path) -> StabilizerCode | SubsystemCode:
+def read_code_file(path: str | Path) -> SubsystemCode:
     return parse_code_text(Path(path).read_text())
 
 
-def code_file_text(code: StabilizerCode | SubsystemCode, comment: str | None = None) -> str:
+def code_file_text(code: SubsystemCode, comment: str | None = None) -> str:
     lines = [f"# {comment}"] if comment else []
-    if isinstance(code, SubsystemCode):
+    if not isinstance(code, StabilizerCode):
         lines.append("GAUGE")
-        lines.extend(str(r) for r in code.gauge.rows)
-    else:
-        lines.extend(str(r) for r in code.rows)
+    lines.extend(str(r) for r in code.gauge.rows)
     return "\n".join(lines) + "\n"
 
 
-def write_code_file(code: StabilizerCode | SubsystemCode, path: str | Path,
-                    comment: str | None = None) -> None:
+def write_code_file(code: SubsystemCode, path: str | Path, comment: str | None = None) -> None:
     Path(path).write_text(code_file_text(code, comment))

@@ -225,6 +225,16 @@ def syndrome(rows: Sequence[F4Vector], e: F4Vector) -> BitVector:
     return BitVector(len(rows), bits)
 
 
+def combination(rows: Sequence[F4Vector], mask: int) -> F4Vector:
+    """The sum of the rows that mask names: rows[i] for each set bit i."""
+    x = z = 0
+    for i, row in enumerate(rows):
+        if (mask >> i) & 1:
+            x ^= row.x
+            z ^= row.z
+    return F4Vector(rows[0].n, x, z)
+
+
 def f2_rank(rows: Sequence[F4Vector]) -> int:
     """Rank of the 2n-bit binary expansions under F2 elimination."""
     return f2.rank(r.bit_expansion() for r in rows)

@@ -93,7 +93,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import StabilizerCode, SubsystemCode, catalog, make_stabilizer
+from .codes import SubsystemCode, catalog, make_stabilizer
 from .errors import CapacityError, PreconditionError, StructureError
 from .gf4 import F4Vector
 from .qds import measured_elements
@@ -1280,7 +1280,7 @@ def split_rows_by_type(rows: Sequence[F4Vector]) -> tuple[list[F4Vector], list[F
 
 
 def repetition_scheme(
-    code: StabilizerCode | SubsystemCode, fold: int, name: str = ""
+    code: SubsystemCode, fold: int, name: str = ""
 ) -> MeasurementScheme:
     if fold < 1:
         raise PreconditionError(f"fold must be >= 1, got {fold}")
@@ -1294,7 +1294,7 @@ def _sm_part(rows: Sequence[F4Vector], sm: BinaryLinearCode, decoder: str) -> SM
 
 
 def sm_scheme(
-    code: StabilizerCode | SubsystemCode,
+    code: SubsystemCode,
     sm_x: BinaryLinearCode,
     sm_z: BinaryLinearCode,
     decoder: str = COSET_LEADER,

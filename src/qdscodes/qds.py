@@ -1,10 +1,10 @@
 """Quantum data-syndrome code assembly, verification, and constructions.
 
-A QDS code pairs a stabilizer or subsystem code with a binary SM code.
-The measured elements are the stabilizer generators followed by the
-products selected by the SM code's redundant columns; measuring them
-never collapses the encoded state because every one lies in the
-stabilizer span.
+A QDS code pairs a subsystem code (a stabilizer code among them) with a
+binary SM code.  The measured elements are the stabilizer generators
+followed by the products selected by the SM code's redundant columns;
+measuring them never collapses the encoded state because every one lies
+in the stabilizer span.
 
 Distances are computed through the characterization that the dual of the
 joint code is exactly {(e, extended_syndrome(e)) : e in F4^n}; the
@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
 )
 from .f2 import Basis, bit_reversed
-from .gf4 import BitVector, F4Vector, syndrome, trace_inner_product
+from .gf4 import BitVector, F4Vector, combination, syndrome, trace_inner_product
 from .smcodes import BinaryLinearCode, sm_catalog
 
 
@@ -58,7 +58,7 @@ class QDSParams:
 class QDSCode:
     """A base code plus an SM code over its measured generators."""
 
-    base: StabilizerCode | SubsystemCode
+    base: SubsystemCode
     sm: BinaryLinearCode
     measured: tuple[F4Vector, ...]
 
@@ -93,19 +93,23 @@ def measured_elements(rows: Sequence[F4Vector], sm: BinaryLinearCode) -> tuple[F
         raise DimensionError(
             f"SM code dimension {sm.dim} != number of measured generators {len(rows)}"
         )
-    out = list(rows)
-    for j in range(sm.redundancy):
-        mask = sm.a_column(j)
-        b = F4Vector.zero(rows[0].n)
-        for i in range(sm.dim):
-            if (mask >> i) & 1:
-                b = b + rows[i]
-        out.append(b)
-    return tuple(out)
+    return tuple(rows) + tuple(combination(rows, sm.a_column(j)) for j in range(sm.redundancy))
 
 
-def build_qds(base: StabilizerCode | SubsystemCode, sm: BinaryLinearCode) -> QDSCode:
-    return QDSCode(base, sm, measured_elements(base.rows, sm))
+def _generators(base: SubsystemCode) -> tuple[F4Vector, ...]:
+    """base's stabilizer generators, the elements a QDS code measures.  A
+    base whose stabilizer is trivial leaves an SM code nothing to protect,
+    and is refused before any SM code is looked up."""
+    if not base.rows:
+        raise DimensionError(
+            f"the code has no stabilizer generator to measure: its gauge group "
+            f"(r = {base.r}, k = {base.k}) has a trivial stabilizer"
+        )
+    return base.rows
+
+
+def build_qds(base: SubsystemCode, sm: BinaryLinearCode) -> QDSCode:
+    return QDSCode(base, sm, measured_elements(_generators(base), sm))
 
 
 def extended_syndrome(qds: QDSCode, e: F4Vector) -> BitVector:
@@ -116,28 +120,26 @@ def extended_syndrome(qds: QDSCode, e: F4Vector) -> BitVector:
 
 
 def qds_min_distance(qds: QDSCode) -> int:
-    """min over e outside C (outside D for subsystem bases) of
-    weight(e) + weight(extended_syndrome(e)).
+    """min over e outside the gauge group D (C itself for stabilizer
+    bases) of weight(e) + weight(extended_syndrome(e)).
 
     The dual characterization makes an explicit dual basis unnecessary:
     the extended syndrome is e's syndrome against the measured elements.
     """
-    excluded = qds.base.gauge if isinstance(qds.base, SubsystemCode) else qds.base.code
-    return min_weight_outside(excluded, qds.measured, count_syndrome=True)
+    return min_weight_outside(qds.base.gauge, qds.measured, count_syndrome=True)
 
 
 def qds_params(qds: QDSCode) -> QDSParams:
     base = qds.base
-    r = base.r if isinstance(base, SubsystemCode) else 0
-    return QDSParams(base.n, base.k, r, qds.distance, qds.l)
+    return QDSParams(base.n, base.k, base.r, qds.distance, qds.l)
 
 
-def identity_qds(base: StabilizerCode | SubsystemCode) -> QDSCode:
+def identity_qds(base: SubsystemCode) -> QDSCode:
     """The l = 0 assembly: measure exactly the stabilizer generators."""
-    return build_qds(base, sm_catalog(f"identity-{len(base.rows)}"))
+    return build_qds(base, sm_catalog(f"identity-{len(_generators(base))}"))
 
 
-def augment_parity(base: StabilizerCode | SubsystemCode) -> QDSCode:
+def augment_parity(base: SubsystemCode) -> QDSCode:
     """Attach the [m+1, m, 2] parity SM code to a distance-3 code.
 
     The extra measured element is the product of all stabilizer
@@ -259,15 +261,11 @@ def _completions(
         completions.append([row for row in base.rows if tracker.add(row.bit_expansion())])
         yield g1, completions[-1]
     for g1, rows in zip(pivots, completions):
-        # sums[mask] is the sum of the rows that mask names
-        sums = [F4Vector.zero(base.n)]
-        for row in rows:
-            sums += [total + row for total in sums]
         given = tuple(1 << i for i in range(len(rows)))
-        for masks in itertools.combinations(range(1, len(sums)), len(rows)):
+        for masks in itertools.combinations(range(1, 1 << len(rows)), len(rows)):
             tracker = Basis()
             if masks != given and all(tracker.add(mask) for mask in masks):
-                yield g1, [sums[mask] for mask in masks]
+                yield g1, [combination(rows, mask) for mask in masks]
 
 
 def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
@@ -289,19 +287,15 @@ def impure_zero_redundancy(base: StabilizerCode) -> ImpureSearchResult:
     d = min_distance(base)
     if d != 3:
         raise PreconditionError(f"construction needs a distance-3 code, got d={d}")
-    pivots = _low_weight_span_elements(base.code)
+    pivots = _low_weight_span_elements(base.stabilizer)
     if not pivots:
         raise PreconditionError("code is pure: no stabilizer element of weight < 3")
     m, n = base.m, base.n
     errors = single_symbol_errors(n)
-    stab_basis = base.code.basis()
+    stab_basis = base.stabilizer.basis()
     strings_examined = 0
     for bases_tried, (g1, completion) in enumerate(_completions(base, pivots), start=1):
-        basis_rows = [g1] + completion
-        total = basis_rows[0]
-        for row in basis_rows[1:]:
-            total = total + row
-        new_rows = [total] + basis_rows[1:]
+        new_rows = [combination([g1] + completion, (1 << m) - 1)] + completion
         anticommuting = [e for e in errors if trace_inner_product(g1, e)]
         commuting = [e for e in errors if not trace_inner_product(g1, e)]
         base_synd = {e: syndrome(new_rows, e) for e in errors}

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from qdscodes import codes, errors, qds
-from qdscodes.bounds import MAX_FAMILY_EXPONENT
+from qdscodes import bounds, codes, errors, qds
+from qdscodes.bounds import MAX_FAMILY_EXPONENT, MAX_REGION_ROWS
 from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
 from qdscodes.qds import identity_qds, qds_min_distance
@@ -162,6 +162,19 @@ def test_check_reads_the_sm_code_from_a_file(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--code", "shor", "--sm", str(path), "--json")
     assert code == 0
     assert out == run(capsys, "check", "--code", "shor", "--sm", "parity-8", "--json")[1]
+
+
+@pytest.mark.parametrize("sm", [[], ["--sm", "parity-2"]])
+def test_check_refuses_a_code_with_no_stabilizer_generator_by_name(capsys, tmp_path, sm):
+    # gauge XI, ZI: r = 1 and k = 1, but a trivial stabilizer, so no SM code
+    # (not the identity-0 that check would otherwise look up) has anything to protect
+    path = tmp_path / "gauge-only.txt"
+    path.write_text("GAUGE\nXI\nZI\n")
+    code, out, err = run(capsys, "check", "--code", str(path), *sm)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the code has no stabilizer generator to measure: its gauge group "
+                   "(r = 1, k = 1) has a trivial stabilizer\n")
 
 
 def test_check_bad_file_exits_2(capsys, tmp_path):
@@ -337,6 +350,21 @@ def test_bounds_table(capsys):
     assert lines[0] == "n,singleton_k,hamming_k,impure_k,conjecture_k"
     assert lines[1] == "19,15,13,13,12"
     assert lines[-1] == "26,22,19,19,18"
+
+
+def test_bounds_table_refuses_one_row_past_the_cap_before_building_any(capsys, monkeypatch):
+    built, region_row = [], bounds.RegionRow
+    monkeypatch.setattr(bounds, "RegionRow", lambda **row: built.append(row) or region_row(**row))
+    code, out, err = run(capsys, "bounds", "--table", f"7..{7 + MAX_REGION_ROWS}")
+    assert code == 2
+    assert out == "" and built == []
+    assert err == (f"error: table n=7..{7 + MAX_REGION_ROWS} has {MAX_REGION_ROWS + 1} rows, "
+                   f"above the cap of {MAX_REGION_ROWS}\n")
+    # the cap itself is one range of that many rows
+    monkeypatch.setattr(bounds, "MAX_REGION_ROWS", 8)
+    assert run(capsys, "bounds", "--table", "19..26")[0] == 0
+    assert len(built) == 8
+    assert run(capsys, "bounds", "--table", "19..27")[0] == 2
 
 
 @pytest.mark.parametrize("spec", ["26..19", "0..0", "0..4", "-2..3"])

@@ -68,10 +68,7 @@ def errors_of_weight(n: int, weight: int):
 def brute_force_distance(code, max_weight=3):
     """Direct enumeration oracle: no early exit, membership by span listing.
     None when no vector of weight <= max_weight qualifies."""
-    if isinstance(code, SubsystemCode):
-        excluded = {v.symbols() for v in code.gauge.span()}
-    else:
-        excluded = {v.symbols() for v in code.code.span()}
+    excluded = {v.symbols() for v in code.gauge.span()}
     found = []
     for w in range(1, max_weight + 1):
         for e in errors_of_weight(code.n, w):
@@ -138,7 +135,7 @@ def test_catalog_rows_pairwise_commute(name):
 @pytest.mark.parametrize("name", sorted(STABILIZER_PARAMS))
 def test_span_members_have_zero_syndrome(name):
     code = catalog(name)
-    for v in code.code.span():
+    for v in code.stabilizer.span():
         assert syndrome(code.rows, v).bits == 0
 
 
@@ -178,7 +175,7 @@ def test_catalog_rows_are_pinned():
     for name, text in CATALOG_ROWS.items():
         code = catalog(name)
         rows = [str(r) for r in code.rows]
-        if isinstance(code, SubsystemCode):
+        if not isinstance(code, StabilizerCode):
             rows += ["GAUGE"] + [str(r) for r in code.gauge.rows]
         assert rows == text.split(), name
 
@@ -200,7 +197,7 @@ def test_example_code_g1_weight_2():
 
 def test_bacon_shor_parameters():
     bs = catalog("bacon-shor")
-    assert isinstance(bs, SubsystemCode)
+    assert isinstance(bs, SubsystemCode) and not isinstance(bs, StabilizerCode)
     assert (bs.n, bs.k, bs.r, bs.m) == (9, 1, 4, 8)
     assert len(bs.gauge.rows) == 12
     assert all(g.weight == 2 for g in bs.gauge.rows)
@@ -277,13 +274,25 @@ def test_subsystem_abelian_gauge_group_means_r_zero():
 
 
 def test_subsystem_with_r_zero_equals_stabilizer_code():
-    five = catalog("five-qubit")
-    sub = make_subsystem(five.rows)
-    assert (sub.r, sub.k, sub.m) == (0, five.k, five.m)
-    assert {v.symbols() for v in sub.stabilizer.span()} == {
-        v.symbols() for v in five.code.span()
-    }
-    assert min_distance(sub) == min_distance(five)
+    # a stabilizer code is the subsystem code whose gauge group is its
+    # stabilizer: given rows, in order, with r = 0, however it is built
+    given_codes = [(catalog(name), CATALOG_ROWS[name].split()) for name in STABILIZER_PARAMS]
+    reversed_steane = CATALOG_ROWS["steane"].split()[::-1]
+    given_codes.append((parse_code_text("\n".join(reversed_steane)), reversed_steane))
+    prime = CATALOG_ROWS["example-6-1-3-prime"].split()
+    rotated = prime[2:] + prime[:2]
+    given_codes.append((make_stabilizer(map(pauli_string_parse, rotated)), rotated))
+    for code, given_rows in given_codes:
+        assert isinstance(code, SubsystemCode)
+        assert code.stabilizer is code.gauge
+        assert code.r == 0 and code.m == len(given_rows) == code.n - code.k
+        assert [str(r) for r in code.rows] == given_rows
+        sub = SubsystemCode(code.gauge)
+        assert (sub.r, sub.k, sub.m) == (0, code.k, code.m)
+        assert {v.symbols() for v in sub.stabilizer.span()} == {
+            v.symbols() for v in code.stabilizer.span()
+        }
+        assert min_distance(sub) == min_distance(code)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +323,7 @@ def test_distance_invariant_under_equivalence_moves():
 def test_is_impure_matches_direct_span_scan():
     for name, (_, _, d, impure) in STABILIZER_PARAMS.items():
         code = catalog(name)
-        direct = any(0 < v.weight < d for v in code.code.span())
+        direct = any(0 < v.weight < d for v in code.stabilizer.span())
         assert direct == impure == is_impure(code, d)
 
 
@@ -355,7 +364,7 @@ def test_min_distance_matches_brute_force_on_random_codes(code):
 def _direct_qds_totals(qds, max_weight):
     """min over e outside the excluded span of weight(e) +
     weight(extended_syndrome(e)), for each weight 1..max_weight."""
-    excluded = qds.base.gauge if isinstance(qds.base, SubsystemCode) else qds.base.code
+    excluded = qds.base.gauge
     members = {v.symbols() for v in excluded.span()}
     return {
         w: min((w + extended_syndrome(qds, e).weight for e in errors_of_weight(qds.n, w)
@@ -426,14 +435,13 @@ def test_word_table_matches_bitwise_assembly(n, dim, size, seed):
 def test_word_table_matches_bitwise_assembly_on_the_catalog_and_a_wide_chain():
     for name in catalog_names():
         code = catalog(name)
-        excluded = code.gauge if isinstance(code, SubsystemCode) else code.code
-        assert_same_arrays(_word_table(code.rows, excluded),
-                           word_table_by_bits(code.rows, excluded))
+        assert_same_arrays(_word_table(code.rows, code.gauge),
+                           word_table_by_bits(code.rows, code.gauge))
     # is_impure's membership-only words on 50 qubits: 70 bits in two limbs
     z_chain = make_stabilizer(F4Vector(50, 0, 3 << j) for j in range(19, 49))
-    table = _word_table((), z_chain.code)
+    table = _word_table((), z_chain.stabilizer)
     assert table[0].shape == (50, 3, 2)
-    assert_same_arrays(table, word_table_by_bits((), z_chain.code))
+    assert_same_arrays(table, word_table_by_bits((), z_chain.stabilizer))
 
 
 def test_min_distance_refuses_a_code_without_logical_qubits():
@@ -445,7 +453,7 @@ def test_min_distance_refuses_a_code_without_logical_qubits():
 
 def _low_weight_member(code, d):
     """The reference for is_impure: a weight-ordered scan with basis tests."""
-    basis = code.code.basis()
+    basis = code.stabilizer.basis()
     return any(
         basis.contains(e.bit_expansion()) for w in range(1, d) for e in errors_of_weight(code.n, w)
     )
@@ -480,7 +488,7 @@ def test_subsystem_file_roundtrip(tmp_path):
     path = tmp_path / "bs.txt"
     write_code_file(code, path)
     loaded = read_code_file(path)
-    assert isinstance(loaded, SubsystemCode)
+    assert isinstance(loaded, SubsystemCode) and not isinstance(loaded, StabilizerCode)
     assert loaded.gauge.rows == code.gauge.rows
     assert {v.symbols() for v in loaded.stabilizer.span()} == {
         v.symbols() for v in code.stabilizer.span()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qdscodes import codes
 from qdscodes.bounds import impure_bound, qds_hamming_d3
 from qdscodes.codes import (
-    SubsystemCode,
     catalog,
     make_stabilizer,
     min_distance,
@@ -101,7 +100,7 @@ def test_extended_syndrome_zero_error():
 def test_extended_syndrome_vanishes_on_span(name):
     base = catalog(name)
     qds = augment_parity(base)
-    members = base.gauge.span() if name == "bacon-shor" else base.code.span()
+    members = base.gauge.span() if name == "bacon-shor" else base.stabilizer.span()
     for v in members:
         assert extended_syndrome(qds, v).weight == 0
 
@@ -124,8 +123,7 @@ def test_extended_syndrome_tail_consistency():
         m = len(base.rows)
         qds = build_qds(base, sm)
         # every measured element is a stabilizer element
-        stabilizer = base.stabilizer if isinstance(base, SubsystemCode) else base.code
-        assert all(stabilizer.member(b) for b in qds.measured)
+        assert all(base.stabilizer.member(b) for b in qds.measured)
         # bits beyond m are the A-combinations of the first m bits
         for _ in range(50):
             e = random_error(rng, base.n)
@@ -237,8 +235,7 @@ def test_qds_distance_with_an_sm_code_longer_than_64_bits(name):
     owner = [j % (m - 1) for j in range(56)] + [m - 1] * 8
     rows = tuple((1 << i) | sum(1 << (m + j) for j in range(64) if owner[j] == i) for i in range(m))
     qds = build_qds(base, BinaryLinearCode(m + 64, rows))
-    excluded = base.gauge if isinstance(base, SubsystemCode) else base.code
-    members = {v.symbols() for v in excluded.span()}
+    members = {v.symbols() for v in base.gauge.span()}
     # weight-w errors total at least w, so weights <= 3 settle a minimum of 3
     errors = (
         F4Vector.from_symbols([dict(zip(support, values)).get(j, 0) for j in range(base.n)])
@@ -371,7 +368,7 @@ def test_search_output_preserves_span_and_rank():
     base = catalog("example-6-1-3")
     result = impure_zero_redundancy(base)
     for row in result.rows:
-        assert base.code.member(row)
+        assert base.stabilizer.member(row)
     assert make_stabilizer(result.rows).m == base.m
 
 
@@ -384,7 +381,7 @@ def test_search_tries_other_completions_when_the_input_rows_fail():
     assert str(result.pivot) == "IZIIIZ"
     assert result.pivots_tried > 1 and result.strings_examined > 16
     assert str(qds_params(identity_qds(make_stabilizer(result.rows)))) == "[[6,1,3:0]]"
-    assert all(base.code.member(row) for row in result.rows)
+    assert all(base.stabilizer.member(row) for row in result.rows)
 
 
 # (n, k) where random codes with a ZZ row reach d = 3 within a few hundred draws
@@ -422,7 +419,7 @@ def test_impure_construction_on_random_codes(params, seed):
     result = impure_zero_redundancy(base)
     found = make_stabilizer(result.rows)
     assert str(qds_params(identity_qds(found))) == f"[[{n},{k},3:0]]"
-    assert all(base.code.member(row) for row in result.rows)
+    assert all(base.stabilizer.member(row) for row in result.rows)
     assert found.m == base.m
     assert impure_bound(n, k) and qds_hamming_d3(n, k)
 
