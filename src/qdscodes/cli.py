@@ -63,25 +63,19 @@ def _code_summary(name: str, code) -> dict:
     from . import codes as codes_mod
 
     d = codes_mod.min_distance(code)
-    if isinstance(code, codes_mod.StabilizerCode):
-        return {
-            "name": name,
-            "kind": "stabilizer",
-            "n": code.n,
-            "k": code.k,
-            "m": code.m,
-            "d": d,
-            "impure": codes_mod.is_impure(code, d),
-        }
-    return {
+    stabilizer = isinstance(code, codes_mod.StabilizerCode)
+    summary = {
         "name": name,
-        "kind": "subsystem",
+        "kind": "stabilizer" if stabilizer else "subsystem",
         "n": code.n,
         "k": code.k,
-        "r": code.r,
-        "m": code.m,
+        **({} if stabilizer else {"r": code.r}),
+        "m": len(code.rows),  # the stabilizer generators measured, as check reports
         "d": d,
     }
+    if stabilizer:
+        summary["impure"] = codes_mod.is_impure(code, d)
+    return summary
 
 
 def _print_json(payload) -> None:

@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import f2, gf4
-from .errors import CapacityError, CatalogError, CommutationError, ParseError, RankError
+from .errors import (
+    CapacityError, CatalogError, CommutationError, DimensionError, ParseError, RankError,
+)
 from .gf4 import F4Vector, f2_rank, pauli_string_parse, trace_inner_product
 
 MAX_N = 16
@@ -243,7 +245,10 @@ def min_weight_outside(
 
 def min_distance(code: SubsystemCode) -> int:
     """min weight of e with zero syndrome outside the gauge group (the
-    stabilizer, for a stabilizer code)."""
+    stabilizer, for a stabilizer code).  With k = 0 every such e lies in
+    the gauge group, so the code is refused before any search."""
+    if code.k == 0:
+        raise DimensionError("the code encodes no logical qubit (k = 0), so it has no distance")
     return min_weight_outside(code.gauge, code.rows, count_syndrome=False)
 
 

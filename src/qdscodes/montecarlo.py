@@ -1,0 +1,629 @@
+"""Monte Carlo p_se, for noise.pse_monte_carlo, which imports it on first use.
+
+Monte Carlo draws flip counts, not one float per flip.  A repetition
+part draws one uniform u per weight: each of its k bits decodes with
+probability s = F(t - 1), the Binomial(fold, q) lower-tail CDF below the
+majority threshold t, so the weight fails iff u >= s^k.  An SM part with
+q = p_err(w, p_m) per weight class draws either its cells or its blocks.
+A cell (noise._cells under the unit costs: the positions of one class
+under one generator column) takes one uniform, its flip count c by
+inverse CDF of Binomial(n_cell, q).  A codeword flips a cell wholly or
+not at all, so whether a pattern decodes depends only on its count
+vector over the cells, under every cost rule, and no position is drawn.
+A part samples cells when they need no more uniforms than its blocks and
+their count vectors fit a joint table (_sampler_cells).  Otherwise its
+weight classes are split into near-equal blocks of at most
+SAMPLER_BLOCK_BITS bits; per block a first uniform gives the flip count,
+and a second picks one of the C(N, c) words with c flips from a table of
+the block's words sorted by popcount.  A drawn word fails iff it is not
+the unique minimum-cost member of its coset (_sm_decoder): each coset's
+runner-up cost is looked up by syndrome, under the unit costs from the
+table built once per part and call (_Sampler).
+
+Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
+into chunks of fixed size, and chunk c draws from
+numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
+i.e. PCG64 seeded through numpy's documented SeedSequence hash.  Within
+a chunk the parts draw in scheme order (_draws): a repetition part one
+array of uniforms per distinct weight, an SM part one count array per
+cell, or a count array then a position array per block, blocks in class
+order.  The arrays do not depend on p_m, so every point of a sweep reads
+the same chunk streams, and a grid call draws them once per pass: one
+pass serves every point whose tables, decoders' per-syndrome tables
+included, fit PASS_BYTES.  A pass walks
+each chunk in tiles of at most TILE_WORDS trials; a float64 takes one
+64-bit draw, so a tile's slice of array a is drawn from the chunk's start
+state moved by PCG64.advance to draw a * size + (tile offset).
+
+Each tile is judged once for a group of up to MASK_POINTS points: every
+part turns it into one integer mask per trial, bit i set when the trial
+fails at point i, and the scheme fails where any part does.  A count
+uniform is placed once among the CDF values of all the group's points,
+by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
+reads its count at that position.  An SM part is judged in one of three
+ways.  A part that samples cells reads each point's decode flag per
+count vector (noise._cell_decodes, the kernel exact evaluation counts
+with) at every joint position of its cells, so one table lookup judges a
+trial for all points.  A part of one block decodes the block's table
+words once per cost rule and keeps, per flip count, whether all, none or
+some of its words fail; only a count whose words partly fail reads the
+position uniform.  A part of several blocks assembles each point's words
+and decodes them.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import noise  # read as noise.<name> at each call, so a name replaced there reaches here
+
+SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
+MASK_POINTS = 64  # grid points judged together by Monte Carlo, one bit each of a uint64 mask
+GUIDE_BUCKETS = 1 << 12  # guide-table buckets that place a uniform among merged thresholds
+JOINT_TABLE_ENTRIES = 1 << 16  # joint positions of a point-mask table over cells or a block
+PASS_BYTES = 1 << 25  # point-judging tables one Monte Carlo pass over the chunks builds
+
+
+def _sampler_cells(part: noise.SMPart) -> noise.Cells | None:
+    """The unit-cost cells (noise._cells) when Monte Carlo draws one flip
+    count per cell, else None and it draws the sampler blocks: cells are
+    drawn when they need no more uniforms than the blocks, one per cell
+    against two per block, and their count vectors at one point fit a
+    joint table, prod (n_cell + 1) <= JOINT_TABLE_ENTRIES."""
+    cells = noise._cells(part, part._unit_costs)
+    blocks = sum(-(-n // SAMPLER_BLOCK_BITS) for n in part._unit_costs.sizes)
+    fits = math.prod((cells[0] + 1).tolist()) <= JOINT_TABLE_ENTRIES
+    return cells if fits and len(cells[0]) <= 2 * blocks else None
+
+
+def _sampler_blocks(part: noise.SMPart) -> list[tuple[int, np.ndarray]]:
+    """Each weight class split into near-equal blocks of at most
+    SAMPLER_BLOCK_BITS bits, as (class index, table): the table holds
+    the block's 2^N words on their bit positions, sorted by popcount,
+    so the words with c flips are the C(N, c) entries after the first
+    sum_{j<c} C(N, j)."""
+    blocks = []
+    for k, mask in enumerate(part._unit_costs.masks):
+        positions = [j for j in range(part.code.length) if (int(mask) >> j) & 1]
+        count = -(-len(positions) // SAMPLER_BLOCK_BITS)
+        for block in np.array_split(np.array(positions, dtype=np.uint64), count):
+            local = np.arange(1 << len(block), dtype=np.uint64)
+            local = local[np.argsort(np.bitwise_count(local), kind="stable")]
+            table = np.zeros_like(local)
+            for i, position in enumerate(block):
+                table |= ((local >> np.uint64(i)) & np.uint64(1)) << position
+            blocks.append((k, table))
+    return blocks
+
+
+def _runner_up_by_syndrome(part: noise.SMPart, costs: noise._Costs) -> np.ndarray:
+    return np.concatenate([noise._coset_minima(base, part._codewords, costs, word=False)[1]
+                           for base in noise._coset_bases(part.code)])
+
+
+class _Sampler:
+    """What Monte Carlo samples of one SM part, built for one
+    pse_monte_carlo call and dropped when it returns, so no part keeps it:
+    its cells (_sampler_cells), or else its blocks (_sampler_blocks)."""
+
+    def __init__(self, part: noise.SMPart):
+        self.part, self.cells = part, _sampler_cells(part)
+        self.blocks = _sampler_blocks(part) if self.cells is None else []
+
+    @functools.cached_property
+    def runner_up(self) -> np.ndarray:
+        """Each coset's runner-up cost under the unit costs, by syndrome
+        (_sm_decoder), built on first use: only a part that decodes words reads it."""
+        return _runner_up_by_syndrome(self.part, self.part._unit_costs)
+
+
+def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+
+
+Reader = Callable[[np.ndarray], np.ndarray]  # a part's uniform arrays (rows) -> per-trial result
+Judge = tuple[Reader, int]  # a part's tile rows -> per-trial point masks, and the bytes it holds
+
+
+def _draws(part: noise.RepetitionPart | _Sampler) -> int:
+    """Uniform arrays a chunk draws for a part: for a repetition part one
+    per distinct weight, in first-seen order; for an SM part, given by its
+    _Sampler, one count array per cell, in noise._cells order, when it
+    samples cells, else a count and then a position array per sampler
+    block, in class order."""
+    if isinstance(part, noise.RepetitionPart):
+        return len(set(part.weights))
+    return len(part.cells[0]) if part.cells is not None else 2 * len(part.blocks)
+
+
+def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
+    """work[name] cut to size, allocated only when missing, too short or of
+    another dtype.
+
+    Readers run one tile at a time and share these arrays: a fresh
+    tile-sized array per block and point would be mapped and unmapped by
+    the allocator, a page fault per page each time.
+    """
+    array = work.get(name)
+    if array is None or len(array) < size or array.dtype != dtype:
+        array = work[name] = np.empty(size, dtype=dtype)
+    return array if len(array) == size else array[:size]
+
+
+class _Positions:
+    """Where uniforms fall among the thresholds of a group of points.
+
+    Point i's count at a uniform u is the number of its sorted thresholds
+    at most u, here the inverse-CDF flip count of a cell or sampler block.
+    The thresholds below 1 of all points (u < 1, so no other ever counts)
+    are merged, sorted and distinct; u's position m is the number of merged
+    values at most u, and counts[i, m] is point i's count at every u of
+    position m, so one position serves every point.
+
+    Positions are found by indexed search (Chen and Asau 1974; Devroye
+    1986, III.2.4): guide[b] is the position of b / GUIDE_BUCKETS, which is
+    the position of every u in bucket b = floor(u GUIDE_BUCKETS) unless a
+    merged value lies inside the bucket, where guide[b] holds -1 - position;
+    only those uniforms are searched.  The tables take
+    8 GUIDE_BUCKETS + 8 m + points (m + 1) bytes for m merged values (a
+    count is at most MAX_SM_LENGTH, one byte).
+    """
+
+    def __init__(self, thresholds: Sequence[np.ndarray]):
+        # at most MASK_POINTS * MAX_SM_LENGTH values; np.unique would
+        # import numpy.ma, 0.6 MB of code
+        merged = {t for t in np.concatenate(thresholds).tolist() if t < 1.0}
+        self.merged = np.array(sorted(merged), dtype=float)
+        # T <= b / B iff b >= ceil(T B), which is exact as B is a power of
+        # two, so position m fills buckets ceil(T_m B) to ceil(T_(m+1) B) - 1;
+        # a T with T B not an integer lies inside bucket ceil(T B) - 1
+        scaled = self.merged * GUIDE_BUCKETS
+        ceil = np.ceil(scaled).astype(np.intp)
+        edges = np.concatenate(([0], ceil, [GUIDE_BUCKETS]))
+        self.guide = np.repeat(np.arange(len(ceil) + 1), edges[1:] - edges[:-1])
+        inside = ceil[ceil != scaled] - 1
+        self.guide[inside] = -1 - self.guide[inside]
+        floors = np.concatenate(([-math.inf], self.merged))
+        self.counts = np.array([np.searchsorted(t, floors, side="right") for t in thresholds],
+                               dtype=np.uint8)
+
+    @property
+    def nbytes(self) -> int:
+        return self.merged.nbytes + self.guide.nbytes + self.counts.nbytes
+
+    def locate(self, u: np.ndarray, out: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
+        """The position of each uniform in u, written to the intp array out."""
+        np.multiply(u, GUIDE_BUCKETS, out=out, casting="unsafe")  # the bucket, as u >= 0
+        # out[j] is read before it is written; with out=, mode "raise" would buffer a copy
+        self.guide.take(out, out=out, mode="clip")
+        fix = np.flatnonzero(np.less(out, 0, out=_working(work, "straddles", len(u), bool)))
+        out[fix] = np.searchsorted(self.merged, u[fix], side="right")
+        return out
+
+
+def _point_bits(flags: dict[int, np.ndarray], size: int, dtype: np.dtype) -> np.ndarray:
+    """size masks whose bit i is flags[i] (points of one group)."""
+    masks = np.zeros(size, dtype=dtype)
+    for i, flag in flags.items():
+        masks |= flag.astype(dtype) << dtype.type(i)
+    return masks
+
+
+def _repetition_reader(part: noise.RepetitionPart, p_ms: Sequence[float],
+                       work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
+    """Point masks of a repetition part over a group of points: bit i of a
+    trial's mask is set iff the trial fails at p_ms[i].
+
+    A bit's flip count c ~ Binomial(fold, q) stays below the threshold
+    t = (fold + 1) // 2, so its majority decodes, with probability
+    s = F(t - 1), and bits flip independently, so the k bits of one weight
+    all decode with probability s^k: per weight one uniform u is drawn, and
+    one of its bits fails iff u >= s^k.
+    """
+    decoded = range((part.fold + 1) // 2)  # a bit decodes iff its flip count is below t
+    thresholds = [[noise._majority_bit_failure(noise.p_err(w, p_m), part.fold, decoded)
+                   ** part.weights.count(w) for p_m in p_ms] for w in dict.fromkeys(part.weights)]
+    bits = [dtype.type(1 << i) for i in range(len(p_ms))]
+
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        size = uniforms.shape[-1]
+        out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
+        flag = _working(work, "flag", size, bool)
+        out.fill(0)
+        for u, points in zip(uniforms, thresholds):
+            for bit, threshold in zip(bits, points):
+                np.greater_equal(u, threshold, out=flag)
+                out |= np.multiply(flag.view(np.uint8), bit, out=hit)
+        return out
+    return failed, 0
+
+
+@dataclass(frozen=True)
+class _CountBlock:
+    """A sampler block read for a group of points: its word table, the
+    number (runs[c]) and first index (starts[c]) of its words with c
+    flips, and where its count uniforms fall among each point's
+    Binomial(N, q) CDF values F(0), ..., F(N - 1)."""
+
+    table: np.ndarray
+    runs: np.ndarray
+    starts: np.ndarray
+    positions: _Positions
+    at_positions: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def index(self, i: int, pos: np.ndarray, v: np.ndarray, out: np.ndarray,
+              work: dict[str, np.ndarray]) -> np.ndarray:
+        """Point i's table indices at count positions pos and position
+        uniforms v, written to the intp array out."""
+        if i not in self.at_positions:  # point i's run and start at each position
+            counts = self.positions.counts[i]
+            self.at_positions[i] = self.runs.take(counts), self.starts.take(counts)
+        runs, starts = self.at_positions[i]
+        # indices are in range; with out=, mode "raise" would buffer a copy
+        run = runs.take(pos, out=_working(work, "run", len(pos)), mode="clip")
+        return _table_index(v, run, starts.take(pos, out=out, mode="clip"), out, work)
+
+
+@functools.cache
+def _block_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The number (runs[c]) and first index (starts[c]) of the words with c
+    flips in an n-bit sampler block's table; shared, so read-only."""
+    runs = noise._binomials(n).astype(float)
+    starts = (np.cumsum(runs) - runs).astype(np.intp)
+    runs.flags.writeable = starts.flags.writeable = False
+    return runs, starts
+
+
+def _block_cdf(runs: np.ndarray, q: float) -> np.ndarray:
+    """F(0), ..., F(N - 1) of Binomial(N, q), N = len(runs) - 1."""
+    return np.cumsum(runs * noise._pattern_probabilities(q, len(runs) - 1))[:-1]
+
+
+def _count_positions(part: noise.SMPart, p_ms: Sequence[float],
+                     digits: Sequence[tuple[int, int]]) -> list[_Positions]:
+    """For each (class k, size n) of digits, where count uniforms fall among
+    each point's Binomial(n, q_k) CDF values F(0), ..., F(n - 1); digits of
+    one class and size share their CDFs, so one _Positions."""
+    class_q = [[noise.p_err(part.weights[j], p_m) for j in part._unit_costs.first]
+               for p_m in p_ms]
+    shared: dict[tuple[int, int], _Positions] = {}
+    for k, n in digits:
+        if (k, n) not in shared:
+            shared[k, n] = _Positions([_block_cdf(_block_runs(n)[0], q[k]) for q in class_q])
+    return [shared[digit] for digit in digits]
+
+
+def _locate(positions: Sequence[_Positions], uniforms: Sequence[np.ndarray],
+            work: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Each digit's (cell's or block's) count positions, read from its count
+    uniforms; digit j's is working array pos<j>."""
+    return [where.locate(u, _working(work, f"pos{j}", len(u), np.intp), work)
+            for j, (where, u) in enumerate(zip(positions, uniforms))]
+
+
+def _joint(positions: list[np.ndarray], widths: Sequence[int], work: dict[str, np.ndarray]):
+    """Each trial's joint position, digit 0 fastest, from the digits' count
+    positions (_locate) and numbers of positions (widths)."""
+    joint = _working(work, "joint", len(positions[0]), np.intp)
+    np.copyto(joint, positions[-1])
+    for pos, width in zip(positions[-2::-1], widths[-2::-1]):
+        joint *= width
+        joint += pos
+    return joint
+
+
+def _at_joint(by_counts: np.ndarray, positions: Sequence[_Positions], i: int) -> np.ndarray:
+    """A table over count vectors, last digit first, read at each joint
+    position of point i, digit 0 fastest."""
+    return by_counts[np.ix_(*[where.counts[i] for where in reversed(positions)])].ravel()
+
+
+def _table_index(v: np.ndarray, run, start, out: np.ndarray, work: dict[str, np.ndarray]):
+    """start + min(floor(v run), run - 1), written to the intp array out
+    (which may be start): the table entry a position uniform v picks among
+    the run words with c flips from index start.  run and start are
+    numbers or per-trial arrays, and an array run is decremented in place."""
+    pick = np.multiply(v, run, out=_working(work, "pick", len(v)))
+    run = np.subtract(run, 1.0, out=run if isinstance(run, np.ndarray) else None)
+    np.minimum(pick, run, out=pick)
+    # truncated in place (each entry is read before it is written), as
+    # astype does: pick >= 0, so that is the floor
+    floor = pick.view(np.intp)
+    np.copyto(floor, pick, casting="unsafe")
+    return np.add(floor, start, out=out)
+
+
+def _words(blocks: list[_CountBlock], i: int, v: Sequence[np.ndarray],
+           positions: Sequence[np.ndarray], work: dict[str, np.ndarray]) -> np.ndarray:
+    """Point i's received words: per block, the table word its count
+    position (_locate) and position uniform v pick; the blocks cover
+    disjoint bits, so they are ORed."""
+    size = len(v[0])
+    words, index = _working(work, "words", size, np.uint64), _working(work, "index", size, np.intp)
+    for j, (block, pos, u) in enumerate(zip(blocks, positions, v)):
+        block.index(i, pos, u, index, work)
+        # each word overwrites the index it is read at; with out=, mode
+        # "raise" would buffer a copy
+        word = block.table.take(index, out=index.view(np.uint64) if j else words, mode="clip")
+        if j:
+            words |= word
+    return words
+
+
+def _syndromes(part: noise.SMPart, words: np.ndarray) -> np.ndarray:
+    """In systematic order w ^ C[w mod 2^k] is (0, s), s the syndrome of w."""
+    low = (words & np.uint64(len(part._codewords) - 1)).astype(np.intp)
+    return ((words ^ part._codewords.take(low)) >> np.uint64(part.code.dim)).astype(np.intp)
+
+
+def _syndrome_table_bytes(code: noise.BinaryLinearCode, trials: float) -> int:
+    """Bytes of the per-syndrome runner-up table (float costs) that
+    _sm_decoder builds under a cost rule other than the unit costs, for a
+    run decoding trials words, or 0 when it scans each word's coset: the
+    table walks all 2^n patterns once, the scan 2^k codewords per word, so
+    the table pays from 2^(n - k) words on."""
+    pays = code.length <= noise.HARD_EXACT_BITS and trials >= 1 << code.redundancy
+    return 8 << code.redundancy if pays else 0
+
+
+def _sm_decoder(
+    sampler: _Sampler, costs: noise._Costs, trials: float = math.inf
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Which received words the sampler's part fails on under the cost rule
+    costs (SMPart._pricing), for a run that decodes trials words.
+
+    A word succeeds iff it is the unique minimum-cost member of its coset,
+    iff its cost is below its coset's runner-up cost.  That cost is looked
+    up by syndrome: under the unit costs in the table the sampler builds
+    once (_Sampler.runner_up) when the part has at most 2^HARD_EXACT_BITS
+    patterns, under another rule in a table computed here when that pays
+    (_syndrome_table_bytes).  Otherwise each word's coset is scanned.  All
+    give the same decisions.
+    """
+    part = sampler.part
+    if costs is part._unit_costs and part.code.length <= noise.HARD_EXACT_BITS:
+        table = sampler.runner_up
+    elif _syndrome_table_bytes(part.code, trials):
+        table = _runner_up_by_syndrome(part, costs)
+    else:
+        table = None
+
+    def failed(words: np.ndarray) -> np.ndarray:
+        if table is None:
+            runner_up = noise._coset_minima(words, part._codewords, costs, word=False)[1]
+        else:
+            runner_up = table[_syndromes(part, words)]
+        return ~(costs(words) < runner_up)
+    return failed
+
+
+def _sm_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise._Costs],
+               trials: int, work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
+    """Point masks of an SM part that samples blocks over a group of points:
+    bit i of a trial's mask is set iff the trial fails at p_ms[i], whose
+    decoder minimizes costs[i].
+
+    Each block's count uniforms are placed once among every point's CDF
+    values (_Positions), and each tile's count positions are located once
+    for all its points (_locate).  The points of one cost rule share one
+    decoder (_sm_decoder).
+
+    A part of one block decodes the block's table words once per rule.  A
+    point reads, at a trial's count position, whether every word with that
+    count c fails; where only some do, the position uniform v decides
+    alone: entry min(floor(v C(N, c)), C(N, c) - 1) of the decisions of the
+    C(N, c) words with c flips is read once per tile and rule for every
+    trial, whatever the points.  A part of several blocks assembles each
+    point's words (_words) and decodes them; the bytes reported count the
+    per-syndrome tables its decoders build, not the unit-cost table the
+    sampler keeps.
+    """
+    part = sampler.part
+    digits = [(k, len(table).bit_length() - 1) for k, table in sampler.blocks]
+    blocks = [_CountBlock(table, *_block_runs(n), positions) for (_, table), (_, n), positions
+              in zip(sampler.blocks, digits, _count_positions(part, p_ms, digits))]
+    where = [block.positions for block in blocks]
+    held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
+    if len(blocks) > 1:
+        decoders = {rule: _sm_decoder(sampler, rule, trials) for rule in dict.fromkeys(costs)}
+
+        def decoded(uniforms: np.ndarray) -> np.ndarray:
+            size = uniforms.shape[-1]
+            out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
+            positions, v = _locate(where, uniforms[0::2], work), uniforms[1::2]
+            out.fill(0)
+            for i, rule in enumerate(costs):
+                failing = decoders[rule](_words(blocks, i, v, positions, work))
+                out |= np.multiply(failing.view(np.uint8), dtype.type(1 << i), out=hit)
+            return out
+        built = sum(rule is not part._unit_costs for rule in decoders)
+        return decoded, held + built * _syndrome_table_bytes(part.code, trials)
+
+    (block,) = blocks
+    counts = block.positions.counts
+    fails: dict[int, np.ndarray] = {}
+    # per rule and count c whose words partly fail: C(N, c), point masks, decisions of the words
+    mixed: list[tuple[float, np.ndarray, np.ndarray]] = []
+    for rule in dict.fromkeys(costs):
+        decisions = _sm_decoder(sampler, rule, len(block.table))(block.table)
+        every = np.logical_and.reduceat(decisions, block.starts)
+        points = [i for i, point_rule in enumerate(costs) if point_rule is rule]
+        fails.update((i, every.take(counts[i])) for i in points)
+        for c in np.flatnonzero(np.logical_or.reduceat(decisions, block.starts) > every):
+            masks = _point_bits({i: counts[i] == c for i in points}, counts.shape[1], dtype)
+            if masks.any():
+                words = decisions[block.starts[c]:block.starts[c] + int(block.runs[c])]
+                mixed.append((block.runs[c], masks, words))
+    table = _point_bits(fails, counts.shape[1], dtype)
+
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        size = uniforms.shape[-1]
+        out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
+        (positions,) = _locate(where, uniforms[:1], work)
+        table.take(positions, out=out, mode="clip")
+        for run, masks, at_count in mixed:
+            index = _table_index(uniforms[1], run, 0, _working(work, "index", size, np.intp), work)
+            decided = at_count.take(index, out=_working(work, "decided", size, bool), mode="clip")
+            masks.take(positions, out=hit, mode="clip")
+            out |= np.multiply(hit, decided, out=hit)
+        return out
+    held += table.nbytes + sum(masks.nbytes + at_count.nbytes for _, masks, at_count in mixed)
+    return failed, held
+
+
+def _cell_flags(sampler: _Sampler, costs: noise._Costs) -> np.ndarray:
+    """Whether each count vector of the sampler's cells decodes under the
+    cost rule costs (noise._cell_decodes), indexed by the counts, last cell
+    first.  Each weight class lies in one class of the rule, the class of
+    its first position."""
+    sizes, classes, columns = sampler.cells
+    rule_class = np.array([next(c for c, mask in enumerate(costs.masks) if (int(mask) >> j) & 1)
+                           for j in sampler.part._unit_costs.first])
+    flags = np.empty(tuple((sizes + 1)[::-1].tolist()), dtype=bool)
+    cells = (sizes, rule_class[classes], columns)
+    for box, _, decodes in noise._cell_decodes(sampler.part, costs, cells):
+        flags[box[::-1]] = decodes.reshape([counts.stop - counts.start for counts in box[::-1]])
+    return flags
+
+
+def _cell_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise._Costs],
+                 work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
+    """Point masks of an SM part that samples cells (_sampler_cells) over a
+    group of points: bit i of a trial's mask is set iff the trial fails at
+    p_ms[i], whose decoder minimizes costs[i].
+
+    A cell of n bits of weight class k flips Binomial(n, q_k) of them,
+    independently of the other cells, and one uniform per cell gives that
+    count by inverse CDF (_Positions, shared by the cells of one class and
+    size).  Whether a pattern decodes depends only on its count vector over
+    the cells, under every cost rule, as each weight class lies within one
+    class of the rule; so each point reads its rule's decode flags
+    (noise._cell_decodes) at every joint position of the cells, at most
+    JOINT_TABLE_ENTRIES (_group_width), into one table of point masks, and
+    a trial is judged by one lookup.  No word is drawn or decoded.
+    """
+    sizes, classes, _ = sampler.cells
+    where = _count_positions(sampler.part, p_ms, list(zip(classes.tolist(), sizes.tolist())))
+    flags = {rule: _cell_flags(sampler, rule) for rule in dict.fromkeys(costs)}
+    fails = {i: ~_at_joint(flags[rule], where, i) for i, rule in enumerate(costs)}
+    widths = [positions.counts.shape[1] for positions in where]
+    table = _point_bits(fails, math.prod(widths), dtype)
+
+    def failed(uniforms: np.ndarray) -> np.ndarray:
+        joint = _joint(_locate(where, uniforms, work), widths, work)
+        return table.take(joint, out=_working(work, "part", len(joint), dtype), mode="clip")
+    return failed, table.nbytes + sum(p.nbytes for p in {id(p): p for p in where}.values())
+
+
+def _group_width(rules: Iterable[tuple[_Sampler, Sequence[noise._Costs]]], points: int,
+                 trials: int) -> int:
+    """How many points are judged together, given each SM part's sampler
+    with its points' cost rules: at most MASK_POINTS, and few enough that
+    each part judged by one table lookup, whose N_j-bit cells or one block
+    take at most width N_j + 1 positions each, has at most
+    JOINT_TABLE_ENTRIES joint positions, and that the per-syndrome tables
+    that parts of several blocks build for rules other than the unit costs
+    (_syndrome_table_bytes), one per point, fit PASS_BYTES (unless one
+    point alone exceeds either)."""
+    width, per_point = max(1, min(MASK_POINTS, points)), 0
+    for sampler, costs in rules:
+        part, cells = sampler.part, sampler.cells
+        if cells is None and len(sampler.blocks) > 1:
+            if any(rule is not part._unit_costs for rule in costs):
+                per_point += _syndrome_table_bytes(part.code, trials)
+            continue
+        bits = cells[0].tolist() if cells is not None else [part.code.length]  # the one block
+        while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
+            width -= 1
+    return max(1, min(width, PASS_BYTES // per_point)) if per_point else width
+
+
+def _count_failures(
+    scheme: noise.MeasurementScheme, p_ms: Sequence[float], trials: int, seed: int,
+    chunk_size: int,
+) -> list[int]:
+    """Failed trials at each p_m, every point reading the same draws.
+
+    Each SM part gets one _Sampler for the call.  Points are judged in
+    groups of _group_width: each part reads a tile into one mask per trial,
+    bit i for the group's point i (_repetition_reader, _cell_reader,
+    _sm_reader), the scheme fails where any part does, and each point
+    counts its bit.  Groups share a pass over the chunks (_judge_chunks)
+    while their tables, decoders' per-syndrome tables included, hold less
+    than PASS_BYTES, so a pass holds at most PASS_BYTES plus one group's
+    tables.
+    """
+    # equal X and Z parts share a sampler and a reader
+    units = {id(part): _Sampler(part) if isinstance(part, noise.SMPart) else part
+             for part in scheme.parts}
+    rules = {key: [unit.part._pricing(p_m)[0] for p_m in p_ms]
+             for key, unit in units.items() if isinstance(unit, _Sampler)}
+    width = _group_width([(units[key], costs) for key, costs in rules.items()], len(p_ms), trials)
+    dtype = np.min_scalar_type((1 << width) - 1)  # the narrowest with a bit per point
+    failures, work = [0] * len(p_ms), {}  # the groups share their working arrays
+
+    def judge(key: int, unit: noise.RepetitionPart | _Sampler, points: range) -> Judge:
+        group = [p_ms[i] for i in points]
+        if key not in rules:
+            return _repetition_reader(unit, group, work, dtype)
+        costs = rules[key][points.start:points.stop]
+        if unit.cells is not None:
+            return _cell_reader(unit, group, costs, work, dtype)
+        return _sm_reader(unit, group, costs, trials, work, dtype)
+
+    def judges(points: range) -> tuple[list[Reader], int]:
+        made = {key: judge(key, unit, points) for key, unit in units.items()}
+        return [made[id(part)][0] for part in scheme.parts], sum(held for _, held in made.values())
+
+    draws = [_draws(units[id(part)]) for part in scheme.parts]
+    groups = [range(lo, min(lo + width, len(p_ms))) for lo in range(0, len(p_ms), width)]
+    while groups:
+        passing, held = [], 0
+        while groups and held < PASS_BYTES:
+            points = groups.pop(0)
+            readers, nbytes = judges(points)
+            passing.append((points, readers))
+            held += nbytes
+        _judge_chunks(draws, passing, failures, trials, seed, chunk_size, work, dtype)
+    return failures
+
+
+def _judge_chunks(draws: list[int], passing: list[tuple[range, list[Reader]]],
+                  failures: list[int], trials: int, seed: int, chunk_size: int,
+                  work: dict[str, np.ndarray], dtype: np.dtype):
+    """Add each group's failed trials to failures, in one pass over the chunks.
+
+    Chunk c's stream holds the parts' uniform arrays back to back (draws[j]
+    of them for part j, _draws), each size long, so entry t of array a is
+    draw a * size + t.  The chunk is walked in tiles of at most TILE_WORDS
+    trials: each array's slice is drawn from the chunk's start state
+    advanced to it, and every group judges the tile.
+    """
+    ends = list(itertools.accumulate(draws))
+    spans = list(zip([0] + ends[:-1], ends))
+    uniforms = np.empty((ends[-1] if ends else 0, min(noise.TILE_WORDS, chunk_size, trials)))
+    for chunk_index, start in enumerate(range(0, trials, chunk_size)):
+        size = min(chunk_size, trials - start)
+        rng = _chunk_rng(seed, chunk_index)
+        state = rng.bit_generator.state
+        for offset in range(0, size, uniforms.shape[1]):
+            tile = uniforms[:, :min(uniforms.shape[1], size - offset)]
+            for a, row in enumerate(tile):
+                rng.bit_generator.state = state
+                rng.bit_generator.advance(a * size + offset)
+                rng.random(out=row)
+            for points, readers in passing:
+                failed = _working(work, "failed", tile.shape[1], dtype)
+                failed.fill(0)
+                for (lo, hi), read in zip(spans, readers):
+                    failed |= read(tile[lo:hi])
+                bit = _working(work, "bit", tile.shape[1], dtype)
+                for i, point in enumerate(points):
+                    np.bitwise_and(failed, dtype.type(1 << i), out=bit)
+                    failures[point] += int(np.count_nonzero(bit))

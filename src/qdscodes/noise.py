@@ -26,57 +26,8 @@ rule are priced in one table: a row of
 per-class pattern probabilities per point, TILE_WORDS entries at a time,
 each row summed against the histogram by one fsum.  The unit failure
 probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny
-p_se keeps its precision.
-
-Monte Carlo draws flip counts, not one float per flip.  A repetition
-part draws one uniform u per weight: each of its k bits decodes with
-probability s = F(t - 1), the Binomial(fold, q) lower-tail CDF below the
-majority threshold t, so the weight fails iff u >= s^k.  An SM part with
-q = p_err(w, p_m) per weight class draws either its cells or its blocks.
-A cell (_cells under the unit costs: the positions of one class under
-one generator column) takes one uniform, its flip count c by inverse CDF
-of Binomial(n_cell, q).  A codeword flips a cell wholly or not at all,
-so whether a pattern decodes depends only on its count vector over the
-cells, under every cost rule, and no position is drawn.  A part samples
-cells when they need no more uniforms than its blocks and their count
-vectors fit a joint table (SMPart._sampler_cells).  Otherwise its weight
-classes are split into near-equal blocks of at most SAMPLER_BLOCK_BITS
-bits; per block a first uniform gives the flip count, and a second picks
-one of the C(N, c) words with c flips from a table of the block's words
-sorted by popcount.  A drawn word fails iff it is not the unique
-minimum-cost member of its coset (_sm_decoder): each coset's runner-up
-cost is looked up by syndrome, under the unit costs from the table the
-part keeps (SMPart._unit_runner_up).
-
-Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
-into chunks of fixed size, and chunk c draws from
-numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
-i.e. PCG64 seeded through numpy's documented SeedSequence hash.  Within
-a chunk the parts draw in scheme order (_draws): a repetition part one
-array of uniforms per distinct weight, an SM part one count array per
-cell, or a count array then a position array per block, blocks in class
-order.  The arrays do not depend on p_m, so every point of a sweep reads
-the same chunk streams, and a grid call draws them once per pass: one
-pass serves every point whose tables, decoders' per-syndrome tables
-included, fit PASS_BYTES.  A pass walks
-each chunk in tiles of at most TILE_WORDS trials; a float64 takes one
-64-bit draw, so a tile's slice of array a is drawn from the chunk's start
-state moved by PCG64.advance to draw a * size + (tile offset).
-
-Each tile is judged once for a group of up to MASK_POINTS points: every
-part turns it into one integer mask per trial, bit i set when the trial
-fails at point i, and the scheme fails where any part does.  A count
-uniform is placed once among the CDF values of all the group's points,
-by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
-reads its count at that position.  An SM part is judged in one of three
-ways.  A part that samples cells reads each point's decode flag per
-count vector (_cell_decodes, the kernel exact evaluation counts with) at
-every joint position of its cells, so one table lookup judges a trial
-for all points.  A part of one block decodes the block's table words
-once per cost rule and keeps, per flip count, whether all, none or some
-of its words fail; only a count whose words partly fail reads the
-position uniform.  A part of several blocks assembles each point's
-words and decodes them.
+p_se keeps its precision.  Monte Carlo (pse_monte_carlo) samples in the
+montecarlo module, which this one imports on the first Monte Carlo call.
 """
 
 from __future__ import annotations
@@ -86,8 +37,8 @@ import functools
 import io
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -103,11 +54,6 @@ HARD_EXACT_BITS = 25  # exact p_se enumerates at most 2^25 patterns or cell pair
 MAX_SM_LENGTH = 64  # received words are packed into uint64
 DEFAULT_CHUNK_SIZE = 1 << 16  # Monte Carlo trials per chunk, each chunk its own RNG stream
 TILE_WORDS = 1 << 14  # entries per working array of the coset walks and the exact table
-SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
-MASK_POINTS = 64  # grid points judged together by Monte Carlo, one bit each of a uint64 mask
-GUIDE_BUCKETS = 1 << 12  # guide-table buckets that place a uniform among merged thresholds
-JOINT_TABLE_ENTRIES = 1 << 16  # joint positions of a point-mask table over cells or a block
-PASS_BYTES = 1 << 25  # point-judging tables one Monte Carlo pass over the chunks builds
 
 COSET_LEADER = "coset-leader"
 WEIGHTED_ML = "weighted-ml"
@@ -238,14 +184,11 @@ class SMPart:
     """A block of measured elements protected by one SM code.
 
     weights[j] is the Pauli weight of measured element j in systematic
-    order, so bit j flips with probability p_err(weights[j], p_m).  What
-    does not depend on p_m is built on first use and kept on this part:
-    the failing-pattern histogram of minimum-weight decoding (exact
+    order, so bit j flips with probability p_err(weights[j], p_m).  The
+    failing-pattern histogram of minimum-weight decoding, which does not
+    depend on p_m, is built on first use and kept on this part (exact
     evaluation, counted over cells or cosets, whichever is smaller:
-    _exact_domain) and what Monte Carlo samples, the cells
-    (_sampler_cells) or else the blocks: the sampler's per-block word
-    tables, and each coset's runner-up cost under minimum-weight decoding
-    (2^(n - k) bytes), which decodes the drawn words (_sm_decoder).
+    _exact_domain); Monte Carlo keeps nothing here (montecarlo._Sampler).
     """
 
     code: BinaryLinearCode
@@ -285,46 +228,6 @@ class SMPart:
     @cached_property
     def _unit_failures(self) -> np.ndarray:
         return _failing_patterns(self, self._unit_costs)
-
-    @cached_property
-    def _sampler_cells(self) -> Cells | None:
-        """The unit-cost cells (_cells) when Monte Carlo draws one flip
-        count per cell, else None and it draws the sampler blocks: cells are
-        drawn when they need no more uniforms than the blocks, one per cell
-        against two per block, and their count vectors at one point fit a
-        joint table, prod (n_cell + 1) <= JOINT_TABLE_ENTRIES."""
-        cells = _cells(self, self._unit_costs)
-        blocks = sum(-(-n // SAMPLER_BLOCK_BITS) for n in self._unit_costs.sizes)
-        fits = math.prod((cells[0] + 1).tolist()) <= JOINT_TABLE_ENTRIES
-        return cells if fits and len(cells[0]) <= 2 * blocks else None
-
-    @cached_property
-    def _sampler_blocks(self) -> list[tuple[int, np.ndarray]]:
-        """Each weight class split into near-equal blocks of at most
-        SAMPLER_BLOCK_BITS bits, as (class index, table): the table holds
-        the block's 2^N words on their bit positions, sorted by popcount,
-        so the words with c flips are the C(N, c) entries after the first
-        sum_{j<c} C(N, j)."""
-        blocks = []
-        for k, mask in enumerate(self._unit_costs.masks):
-            positions = [j for j in range(self.code.length) if (int(mask) >> j) & 1]
-            count = -(-len(positions) // SAMPLER_BLOCK_BITS)
-            for block in np.array_split(np.array(positions, dtype=np.uint64), count):
-                local = np.arange(1 << len(block), dtype=np.uint64)
-                local = local[np.argsort(np.bitwise_count(local), kind="stable")]
-                table = np.zeros_like(local)
-                for i, position in enumerate(block):
-                    table |= ((local >> np.uint64(i)) & np.uint64(1)) << position
-                blocks.append((k, table))
-        return blocks
-
-    @cached_property
-    def _unit_runner_up(self) -> np.ndarray:
-        """Each coset's runner-up cost under the unit costs, by syndrome, by
-        which Monte Carlo decodes minimum-weight decoding's words whatever
-        the trials (_sm_decoder); built for at most 2^HARD_EXACT_BITS
-        patterns."""
-        return _runner_up_by_syndrome(self, self._unit_costs)
 
     def _pricing(self, p_m: float) -> tuple[_Costs, list[float]]:
         """The cost rule the decoder minimizes at p_m, and the flip
@@ -429,11 +332,6 @@ def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs, word: 
             block = _lowest_two(tuple(x[:half] for x in block), tuple(x[half:] for x in block))
         minima = _lowest_two(minima, tuple(x[0] for x in block))
     return minima
-
-
-def _runner_up_by_syndrome(part: SMPart, costs: _Costs) -> np.ndarray:
-    return np.concatenate([_coset_minima(base, part._codewords, costs, word=False)[1]
-                           for base in _coset_bases(part.code)])
 
 
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # each cell's size, class and column
@@ -620,525 +518,6 @@ def pse_exact(
     return results[0] if scalar else results
 
 
-# ----------------------------------------------------------------------
-# Monte Carlo
-# ----------------------------------------------------------------------
-
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-
-
-Reader = Callable[[np.ndarray], np.ndarray]  # a part's uniform arrays (rows) -> per-trial result
-
-
-def _draws(part: Part) -> int:
-    """Uniform arrays a chunk draws for the part: for a repetition part one
-    per distinct weight, in first-seen order; for an SM part one count array
-    per cell, in _cells order, when it samples cells (SMPart._sampler_cells),
-    else a count and then a position array per sampler block, in class
-    order."""
-    if isinstance(part, RepetitionPart):
-        return len(set(part.weights))
-    cells = part._sampler_cells
-    return len(cells[0]) if cells is not None else 2 * len(part._sampler_blocks)
-
-
-def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
-    """work[name] cut to size, allocated only when missing, too short or of
-    another dtype.
-
-    Readers run one tile at a time and share these arrays: a fresh
-    tile-sized array per block and point would be mapped and unmapped by
-    the allocator, a page fault per page each time.
-    """
-    array = work.get(name)
-    if array is None or len(array) < size or array.dtype != dtype:
-        array = work[name] = np.empty(size, dtype=dtype)
-    return array if len(array) == size else array[:size]
-
-
-class _Positions:
-    """Where uniforms fall among the thresholds of a group of points.
-
-    Point i's count at a uniform u is the number of its sorted thresholds
-    at most u, here the inverse-CDF flip count of a cell or sampler block.
-    The thresholds below 1 of all points (u < 1, so no other ever counts)
-    are merged, sorted and distinct; u's position m is the number of merged
-    values at most u, and counts[i, m] is point i's count at every u of
-    position m, so one position serves every point.
-
-    Positions are found by indexed search (Chen and Asau 1974; Devroye
-    1986, III.2.4): guide[b] is the position of b / GUIDE_BUCKETS, which is
-    the position of every u in bucket b = floor(u GUIDE_BUCKETS) unless a
-    merged value lies inside the bucket, where guide[b] holds -1 - position;
-    only those uniforms are searched.  The tables take
-    8 GUIDE_BUCKETS + 8 m + points (m + 1) bytes for m merged values (a
-    count is at most MAX_SM_LENGTH, one byte).
-    """
-
-    def __init__(self, thresholds: Sequence[np.ndarray]):
-        # at most MASK_POINTS * MAX_SM_LENGTH values; np.unique would
-        # import numpy.ma, 0.6 MB of code
-        merged = {t for t in np.concatenate(thresholds).tolist() if t < 1.0}
-        self.merged = np.array(sorted(merged), dtype=float)
-        # T <= b / B iff b >= ceil(T B), which is exact as B is a power of
-        # two, so position m fills buckets ceil(T_m B) to ceil(T_(m+1) B) - 1;
-        # a T with T B not an integer lies inside bucket ceil(T B) - 1
-        scaled = self.merged * GUIDE_BUCKETS
-        ceil = np.ceil(scaled).astype(np.intp)
-        edges = np.concatenate(([0], ceil, [GUIDE_BUCKETS]))
-        self.guide = np.repeat(np.arange(len(ceil) + 1), edges[1:] - edges[:-1])
-        inside = ceil[ceil != scaled] - 1
-        self.guide[inside] = -1 - self.guide[inside]
-        floors = np.concatenate(([-math.inf], self.merged))
-        self.counts = np.array([np.searchsorted(t, floors, side="right") for t in thresholds],
-                               dtype=np.uint8)
-
-    @property
-    def nbytes(self) -> int:
-        return self.merged.nbytes + self.guide.nbytes + self.counts.nbytes
-
-    def locate(self, u: np.ndarray, out: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
-        """The position of each uniform in u, written to the intp array out."""
-        np.multiply(u, GUIDE_BUCKETS, out=out, casting="unsafe")  # the bucket, as u >= 0
-        # out[j] is read before it is written; with out=, mode "raise" would buffer a copy
-        self.guide.take(out, out=out, mode="clip")
-        fix = np.flatnonzero(np.less(out, 0, out=_working(work, "straddles", len(u), bool)))
-        out[fix] = np.searchsorted(self.merged, u[fix], side="right")
-        return out
-
-
-def _mask_dtype(points: int) -> np.dtype:
-    """The narrowest unsigned integer with a bit per point (at most MASK_POINTS)."""
-    return next(dtype for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))
-                if points <= 8 * dtype.itemsize)
-
-
-def _point_bits(flags: dict[int, np.ndarray], size: int, dtype: np.dtype) -> np.ndarray:
-    """size masks whose bit i is flags[i] (points of one group)."""
-    masks = np.zeros(size, dtype=dtype)
-    for i, flag in flags.items():
-        masks |= flag.astype(dtype) << dtype.type(i)
-    return masks
-
-
-Judge = tuple[Reader, int]  # a part's tile rows -> per-trial point masks, and the bytes it holds
-
-
-def _repetition_reader(part: RepetitionPart, p_ms: Sequence[float], work: dict[str, np.ndarray],
-                       dtype: np.dtype) -> Judge:
-    """Point masks of a repetition part over a group of points: bit i of a
-    trial's mask is set iff the trial fails at p_ms[i].
-
-    A bit's flip count c ~ Binomial(fold, q) stays below the threshold
-    t = (fold + 1) // 2, so its majority decodes, with probability
-    s = F(t - 1), and bits flip independently, so the k bits of one weight
-    all decode with probability s^k: per weight one uniform u is drawn, and
-    one of its bits fails iff u >= s^k.
-    """
-    decoded = range((part.fold + 1) // 2)  # a bit decodes iff its flip count is below t
-    thresholds = [[_majority_bit_failure(p_err(w, p_m), part.fold, decoded) ** part.weights.count(w)
-                   for p_m in p_ms] for w in dict.fromkeys(part.weights)]
-    bits = [dtype.type(1 << i) for i in range(len(p_ms))]
-
-    def failed(uniforms: np.ndarray) -> np.ndarray:
-        size = uniforms.shape[-1]
-        out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
-        flag = _working(work, "flag", size, bool)
-        out.fill(0)
-        for u, points in zip(uniforms, thresholds):
-            for bit, threshold in zip(bits, points):
-                np.greater_equal(u, threshold, out=flag)
-                out |= np.multiply(flag.view(np.uint8), bit, out=hit)
-        return out
-    return failed, 0
-
-
-@dataclass(frozen=True)
-class _CountBlock:
-    """A sampler block read for a group of points: its word table, the
-    number (runs[c]) and first index (starts[c]) of its words with c
-    flips, and where its count uniforms fall among each point's
-    Binomial(N, q) CDF values F(0), ..., F(N - 1)."""
-
-    table: np.ndarray
-    runs: np.ndarray
-    starts: np.ndarray
-    positions: _Positions
-    at_positions: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def index(self, i: int, pos: np.ndarray, v: np.ndarray, out: np.ndarray,
-              work: dict[str, np.ndarray]) -> np.ndarray:
-        """Point i's table indices at count positions pos and position
-        uniforms v, written to the intp array out."""
-        if i not in self.at_positions:  # point i's run and start at each position
-            counts = self.positions.counts[i]
-            self.at_positions[i] = self.runs.take(counts), self.starts.take(counts)
-        runs, starts = self.at_positions[i]
-        # indices are in range; with out=, mode "raise" would buffer a copy
-        run = runs.take(pos, out=_working(work, "run", len(pos)), mode="clip")
-        return _table_index(v, run, starts.take(pos, out=out, mode="clip"), out, work)
-
-
-@functools.cache
-def _block_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The number (runs[c]) and first index (starts[c]) of the words with c
-    flips in an n-bit sampler block's table; shared, so read-only."""
-    runs = _binomials(n).astype(float)
-    starts = (np.cumsum(runs) - runs).astype(np.intp)
-    runs.flags.writeable = starts.flags.writeable = False
-    return runs, starts
-
-
-def _block_cdf(runs: np.ndarray, q: float) -> np.ndarray:
-    """F(0), ..., F(N - 1) of Binomial(N, q), N = len(runs) - 1."""
-    return np.cumsum(runs * _pattern_probabilities(q, len(runs) - 1))[:-1]
-
-
-def _count_positions(part: SMPart, p_ms: Sequence[float], digits: Sequence[tuple[int, int]]
-                     ) -> list[_Positions]:
-    """For each (class k, size n) of digits, where count uniforms fall among
-    each point's Binomial(n, q_k) CDF values F(0), ..., F(n - 1); digits of
-    one class and size share their CDFs, so one _Positions."""
-    class_q = [[p_err(part.weights[j], p_m) for j in part._unit_costs.first] for p_m in p_ms]
-    shared: dict[tuple[int, int], _Positions] = {}
-    for k, n in digits:
-        if (k, n) not in shared:
-            shared[k, n] = _Positions([_block_cdf(_block_runs(n)[0], q[k]) for q in class_q])
-    return [shared[digit] for digit in digits]
-
-
-def _count_blocks(part: SMPart, p_ms: Sequence[float]) -> list[_CountBlock]:
-    digits = [(k, len(table).bit_length() - 1) for k, table in part._sampler_blocks]
-    return [_CountBlock(table, *_block_runs(n), positions) for (_, table), (_, n), positions
-            in zip(part._sampler_blocks, digits, _count_positions(part, p_ms, digits))]
-
-
-def _locate(positions: Sequence[_Positions], uniforms: Sequence[np.ndarray],
-            work: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Each digit's (cell's or block's) count positions, read from its count
-    uniforms; digit j's is working array pos<j>."""
-    return [where.locate(u, _working(work, f"pos{j}", len(u), np.intp), work)
-            for j, (where, u) in enumerate(zip(positions, uniforms))]
-
-
-def _joint(positions: list[np.ndarray], widths: Sequence[int], work: dict[str, np.ndarray]):
-    """Each trial's joint position, digit 0 fastest, from the digits' count
-    positions (_locate) and numbers of positions (widths)."""
-    joint = _working(work, "joint", len(positions[0]), np.intp)
-    np.copyto(joint, positions[-1])
-    for pos, width in zip(positions[-2::-1], widths[-2::-1]):
-        joint *= width
-        joint += pos
-    return joint
-
-
-def _at_joint(by_counts: np.ndarray, positions: Sequence[_Positions], i: int) -> np.ndarray:
-    """A table over count vectors, last digit first, read at each joint
-    position of point i, digit 0 fastest."""
-    return by_counts[np.ix_(*[where.counts[i] for where in reversed(positions)])].ravel()
-
-
-def _table_index(v: np.ndarray, run, start, out: np.ndarray, work: dict[str, np.ndarray]):
-    """start + min(floor(v run), run - 1), written to the intp array out
-    (which may be start): the table entry a position uniform v picks among
-    the run words with c flips from index start.  run and start are
-    numbers or per-trial arrays, and an array run is decremented in place."""
-    pick = np.multiply(v, run, out=_working(work, "pick", len(v)))
-    run = np.subtract(run, 1.0, out=run if isinstance(run, np.ndarray) else None)
-    np.minimum(pick, run, out=pick)
-    # truncated in place (each entry is read before it is written), as
-    # astype does: pick >= 0, so that is the floor
-    floor = pick.view(np.intp)
-    np.copyto(floor, pick, casting="unsafe")
-    return np.add(floor, start, out=out)
-
-
-def _words(blocks: list[_CountBlock], i: int, v: Sequence[np.ndarray],
-           positions: Sequence[np.ndarray], work: dict[str, np.ndarray]) -> np.ndarray:
-    """Point i's received words: per block, the table word its count
-    position (_locate) and position uniform v pick; the blocks cover
-    disjoint bits, so they are ORed."""
-    size = len(v[0])
-    words, index = _working(work, "words", size, np.uint64), _working(work, "index", size, np.intp)
-    for j, (block, pos, u) in enumerate(zip(blocks, positions, v)):
-        block.index(i, pos, u, index, work)
-        # each word overwrites the index it is read at; with out=, mode
-        # "raise" would buffer a copy
-        word = block.table.take(index, out=index.view(np.uint64) if j else words, mode="clip")
-        if j:
-            words |= word
-    return words
-
-
-def _syndromes(part: SMPart, words: np.ndarray) -> np.ndarray:
-    """In systematic order w ^ C[w mod 2^k] is (0, s), s the syndrome of w."""
-    low = (words & np.uint64(len(part._codewords) - 1)).astype(np.intp)
-    return ((words ^ part._codewords.take(low)) >> np.uint64(part.code.dim)).astype(np.intp)
-
-
-def _syndrome_table_bytes(code: BinaryLinearCode, trials: float) -> int:
-    """Bytes of the per-syndrome runner-up table (float costs) that
-    _sm_decoder builds under a cost rule other than the unit costs, for a
-    run decoding trials words, or 0 when it scans each word's coset: the
-    table walks all 2^n patterns once, the scan 2^k codewords per word, so
-    the table pays from 2^(n - k) words on."""
-    pays = code.length <= HARD_EXACT_BITS and trials >= 1 << code.redundancy
-    return 8 << code.redundancy if pays else 0
-
-
-def _sm_decoder(
-    part: SMPart, costs: _Costs, trials: float = math.inf
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Which received words the part's decoder fails on under the cost rule
-    costs (SMPart._pricing), for a run that decodes trials words.
-
-    A word succeeds iff it is the unique minimum-cost member of its coset,
-    iff its cost is below its coset's runner-up cost.  That cost is looked
-    up by syndrome: under the unit costs in the table the part keeps
-    (SMPart._unit_runner_up) when it has at most 2^HARD_EXACT_BITS
-    patterns, under another rule in a table computed here when that pays
-    (_syndrome_table_bytes).  Otherwise each word's coset is scanned.  All
-    give the same decisions.
-    """
-    if costs is part._unit_costs and part.code.length <= HARD_EXACT_BITS:
-        table = part._unit_runner_up
-    elif _syndrome_table_bytes(part.code, trials):
-        table = _runner_up_by_syndrome(part, costs)
-    else:
-        table = None
-
-    def failed(words: np.ndarray) -> np.ndarray:
-        if table is None:
-            runner_up = _coset_minima(words, part._codewords, costs, word=False)[1]
-        else:
-            runner_up = table[_syndromes(part, words)]
-        return ~(costs(words) < runner_up)
-    return failed
-
-
-def _sm_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs], trials: int,
-               work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
-    """Point masks of an SM part that samples blocks over a group of points:
-    bit i of a trial's mask is set iff the trial fails at p_ms[i], whose
-    decoder minimizes costs[i].
-
-    Each block's count uniforms are placed once among every point's CDF
-    values (_Positions), and each tile's count positions are located once
-    for all its points (_locate).  The points of one cost rule share one
-    decoder (_sm_decoder).
-
-    A part of one block decodes the block's table words once per rule.  A
-    point reads, at a trial's count position, whether every word with that
-    count c fails; where only some do, the position uniform v decides
-    alone: entry min(floor(v C(N, c)), C(N, c) - 1) of the decisions of the
-    C(N, c) words with c flips is read once per tile and rule for every
-    trial, whatever the points.  A part of several blocks assembles each
-    point's words (_words) and decodes them; the bytes reported count the
-    per-syndrome tables its decoders build, not the unit-cost table the
-    part keeps.
-    """
-    blocks = _count_blocks(part, p_ms)
-    where = [block.positions for block in blocks]
-    held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
-    if len(blocks) > 1:
-        decoders = {rule: _sm_decoder(part, rule, trials) for rule in dict.fromkeys(costs)}
-
-        def decoded(uniforms: np.ndarray) -> np.ndarray:
-            size = uniforms.shape[-1]
-            out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
-            positions, v = _locate(where, uniforms[0::2], work), uniforms[1::2]
-            out.fill(0)
-            for i, rule in enumerate(costs):
-                failing = decoders[rule](_words(blocks, i, v, positions, work))
-                out |= np.multiply(failing.view(np.uint8), dtype.type(1 << i), out=hit)
-            return out
-        built = sum(rule is not part._unit_costs for rule in decoders)
-        return decoded, held + built * _syndrome_table_bytes(part.code, trials)
-
-    (block,) = blocks
-    counts = block.positions.counts
-    fails: dict[int, np.ndarray] = {}
-    # per rule and count c whose words partly fail: C(N, c), point masks, decisions of the words
-    mixed: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for rule in dict.fromkeys(costs):
-        decisions = _sm_decoder(part, rule, len(block.table))(block.table)
-        every = np.logical_and.reduceat(decisions, block.starts)
-        points = [i for i, point_rule in enumerate(costs) if point_rule is rule]
-        fails.update((i, every.take(counts[i])) for i in points)
-        for c in np.flatnonzero(np.logical_or.reduceat(decisions, block.starts) > every):
-            masks = _point_bits({i: counts[i] == c for i in points}, counts.shape[1], dtype)
-            if masks.any():
-                words = decisions[block.starts[c]:block.starts[c] + int(block.runs[c])]
-                mixed.append((block.runs[c], masks, words))
-    table = _point_bits(fails, counts.shape[1], dtype)
-
-    def failed(uniforms: np.ndarray) -> np.ndarray:
-        size = uniforms.shape[-1]
-        out, hit = _working(work, "part", size, dtype), _working(work, "hit", size, dtype)
-        (positions,) = _locate(where, uniforms[:1], work)
-        table.take(positions, out=out, mode="clip")
-        for run, masks, at_count in mixed:
-            index = _table_index(uniforms[1], run, 0, _working(work, "index", size, np.intp), work)
-            decided = at_count.take(index, out=_working(work, "decided", size, bool), mode="clip")
-            masks.take(positions, out=hit, mode="clip")
-            out |= np.multiply(hit, decided, out=hit)
-        return out
-    held += table.nbytes + sum(masks.nbytes + at_count.nbytes for _, masks, at_count in mixed)
-    return failed, held
-
-
-def _cell_flags(part: SMPart, costs: _Costs) -> np.ndarray:
-    """Whether each count vector of the part's sampler cells decodes under
-    the cost rule costs (_cell_decodes), indexed by the counts, last cell
-    first.  Each weight class lies in one class of the rule, the class of
-    its first position."""
-    sizes, classes, columns = part._sampler_cells
-    rule_class = np.array([next(c for c, mask in enumerate(costs.masks) if (int(mask) >> j) & 1)
-                           for j in part._unit_costs.first])
-    flags = np.empty(tuple((sizes + 1)[::-1].tolist()), dtype=bool)
-    for box, _, decodes in _cell_decodes(part, costs, (sizes, rule_class[classes], columns)):
-        flags[box[::-1]] = decodes.reshape([counts.stop - counts.start for counts in box[::-1]])
-    return flags
-
-
-def _cell_reader(part: SMPart, p_ms: Sequence[float], costs: Sequence[_Costs],
-                 work: dict[str, np.ndarray], dtype: np.dtype) -> Judge:
-    """Point masks of an SM part that samples cells (SMPart._sampler_cells)
-    over a group of points: bit i of a trial's mask is set iff the trial
-    fails at p_ms[i], whose decoder minimizes costs[i].
-
-    A cell of n bits of weight class k flips Binomial(n, q_k) of them,
-    independently of the other cells, and one uniform per cell gives that
-    count by inverse CDF (_Positions, shared by the cells of one class and
-    size).  Whether a pattern decodes depends only on its count vector over
-    the cells, under every cost rule, as each weight class lies within one
-    class of the rule; so each point reads its rule's decode flags
-    (_cell_decodes) at every joint position of the cells, at most
-    JOINT_TABLE_ENTRIES (_group_width), into one table of point masks, and
-    a trial is judged by one lookup.  No word is drawn or decoded.
-    """
-    sizes, classes, _ = part._sampler_cells
-    where = _count_positions(part, p_ms, list(zip(classes.tolist(), sizes.tolist())))
-    flags: dict[_Costs, np.ndarray] = {}
-    fails = {}
-    for i, rule in enumerate(costs):
-        if rule not in flags:
-            flags[rule] = _cell_flags(part, rule)
-        fails[i] = ~_at_joint(flags[rule], where, i)
-    widths = [positions.counts.shape[1] for positions in where]
-    table = _point_bits(fails, math.prod(widths), dtype)
-
-    def failed(uniforms: np.ndarray) -> np.ndarray:
-        joint = _joint(_locate(where, uniforms, work), widths, work)
-        return table.take(joint, out=_working(work, "part", len(joint), dtype), mode="clip")
-    return failed, table.nbytes + sum(p.nbytes for p in {id(p): p for p in where}.values())
-
-
-def _group_width(rules: Iterable[tuple[SMPart, Sequence[_Costs]]], points: int,
-                 trials: int) -> int:
-    """How many points are judged together, given each SM part with its
-    points' cost rules: at most MASK_POINTS, and few enough that each part
-    judged by one table lookup, whose N_j-bit cells or one block take at
-    most width N_j + 1 positions each, has at most JOINT_TABLE_ENTRIES joint
-    positions, and that the per-syndrome tables that parts of several
-    blocks build for rules other than the unit costs
-    (_syndrome_table_bytes), one per point, fit PASS_BYTES (unless one
-    point alone exceeds either)."""
-    width, per_point = max(1, min(MASK_POINTS, points)), 0
-    for part, costs in rules:
-        cells = part._sampler_cells
-        if cells is None and len(part._sampler_blocks) > 1:
-            if any(rule is not part._unit_costs for rule in costs):
-                per_point += _syndrome_table_bytes(part.code, trials)
-            continue
-        bits = cells[0].tolist() if cells is not None else [part.code.length]  # the one block
-        while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
-            width -= 1
-    return max(1, min(width, PASS_BYTES // per_point)) if per_point else width
-
-
-def _count_failures(
-    scheme: MeasurementScheme, p_ms: Sequence[float], trials: int, seed: int, chunk_size: int,
-) -> list[int]:
-    """Failed trials at each p_m, every point reading the same draws.
-
-    Points are judged in groups of _group_width: each part reads a tile
-    into one mask per trial, bit i for the group's point i
-    (_repetition_reader, _sm_reader), the scheme fails where any part
-    does, and each point counts its bit.  Groups share a pass over the
-    chunks (_judge_chunks) while their tables, decoders' per-syndrome tables
-    included, hold less than PASS_BYTES, so a pass holds at most PASS_BYTES
-    plus one group's tables.
-    """
-    distinct = {id(part): part for part in scheme.parts}  # equal X and Z parts share a reader
-    rules = {key: [part._pricing(p_m)[0] for p_m in p_ms]
-             for key, part in distinct.items() if isinstance(part, SMPart)}
-    width = _group_width([(distinct[key], costs) for key, costs in rules.items()],
-                         len(p_ms), trials)
-    dtype = _mask_dtype(width)
-    failures, work = [0] * len(p_ms), {}  # the groups share their working arrays
-
-    def judge(key: int, part: Part, points: range) -> Judge:
-        group = [p_ms[i] for i in points]
-        if key not in rules:
-            return _repetition_reader(part, group, work, dtype)
-        costs = rules[key][points.start:points.stop]
-        if part._sampler_cells is not None:
-            return _cell_reader(part, group, costs, work, dtype)
-        return _sm_reader(part, group, costs, trials, work, dtype)
-
-    def judges(points: range) -> tuple[list[Reader], int]:
-        made = {key: judge(key, part, points) for key, part in distinct.items()}
-        return [made[id(part)][0] for part in scheme.parts], sum(held for _, held in made.values())
-
-    groups = [range(lo, min(lo + width, len(p_ms))) for lo in range(0, len(p_ms), width)]
-    while groups:
-        passing, held = [], 0
-        while groups and held < PASS_BYTES:
-            points = groups.pop(0)
-            readers, nbytes = judges(points)
-            passing.append((points, readers))
-            held += nbytes
-        _judge_chunks(scheme, passing, failures, trials, seed, chunk_size, work, dtype)
-    return failures
-
-
-def _judge_chunks(scheme: MeasurementScheme, passing: list[tuple[range, list[Reader]]],
-                  failures: list[int], trials: int, seed: int, chunk_size: int,
-                  work: dict[str, np.ndarray], dtype: np.dtype):
-    """Add each group's failed trials to failures, in one pass over the chunks.
-
-    Chunk c's stream holds the parts' uniform arrays back to back, each
-    size long, so entry t of array a is draw a * size + t.  The chunk is
-    walked in tiles of at most TILE_WORDS trials: each array's slice is
-    drawn from the chunk's start state advanced to it, and every group
-    judges the tile.
-    """
-    ends = list(itertools.accumulate(_draws(part) for part in scheme.parts))
-    spans = list(zip([0] + ends[:-1], ends))
-    uniforms = np.empty((ends[-1] if ends else 0, min(TILE_WORDS, chunk_size, trials)))
-    for chunk_index, start in enumerate(range(0, trials, chunk_size)):
-        size = min(chunk_size, trials - start)
-        rng = _chunk_rng(seed, chunk_index)
-        state = rng.bit_generator.state
-        for offset in range(0, size, uniforms.shape[1]):
-            tile = uniforms[:, :min(uniforms.shape[1], size - offset)]
-            for a, row in enumerate(tile):
-                rng.bit_generator.state = state
-                rng.bit_generator.advance(a * size + offset)
-                rng.random(out=row)
-            for points, readers in passing:
-                failed = _working(work, "failed", tile.shape[1], dtype)
-                failed.fill(0)
-                for (lo, hi), read in zip(spans, readers):
-                    failed |= read(tile[lo:hi])
-                bit = _working(work, "bit", tile.shape[1], dtype)
-                for i, point in enumerate(points):
-                    np.bitwise_and(failed, dtype.type(1 << i), out=bit)
-                    failures[point] += int(np.count_nonzero(bit))
-
-
 def pse_monte_carlo(
     scheme: MeasurementScheme,
     p_m: float | Sequence[float],
@@ -1152,7 +531,7 @@ def pse_monte_carlo(
     each equal to the float call at that point.  The points read the same
     draws, so one pass over the chunks counts them all, or as many as fit
     PASS_BYTES of tables, decoders' per-syndrome tables included
-    (_count_failures).  Every p_m is checked before any draw.
+    (montecarlo._count_failures).  Every p_m is checked before any draw.
     """
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
@@ -1163,6 +542,7 @@ def pse_monte_carlo(
     scalar = np.ndim(p_m) == 0
     p_ms = [p_m] if scalar else list(p_m)
     _check_p_ms(p_ms)
+    from .montecarlo import _count_failures  # the sampler, loaded on first use
     results = []
     for failures in _count_failures(scheme, p_ms, trials, seed, chunk_size):
         p_hat = failures / trials

@@ -60,6 +60,17 @@ def test_catalog_list_reads_the_sm_names_from_smcodes(capsys, monkeypatch):
     assert out.endswith("  grassl-18-6-8 / grassl-25-6-11 / import-20-4-8\n")
 
 
+def test_catalog_list_and_check_give_every_code_the_same_m(capsys):
+    # m is the number of stabilizer generators measured: 4 for bacon-shor
+    code, out, _ = run(capsys, "catalog", "list", "--json")
+    listed = {entry["name"]: entry["m"] for entry in json.loads(out)["quantum"]}
+    assert listed["bacon-shor"] == 4 and set(listed) == set(codes.catalog_names())
+    for name, m in listed.items():
+        code, out, _ = run(capsys, "check", "--code", name, "--json")
+        assert (code, json.loads(out)["m"]) == (0, m), name
+        assert m == len(catalog(name).rows)
+
+
 def test_catalog_show_example_rows(capsys):
     code, out, _ = run(capsys, "catalog", "show", "example-6-1-3")
     assert code == 0
@@ -175,6 +186,24 @@ def test_check_refuses_a_code_with_no_stabilizer_generator_by_name(capsys, tmp_p
     assert out == ""
     assert err == ("error: the code has no stabilizer generator to measure: its gauge group "
                    "(r = 1, k = 1) has a trivial stabilizer\n")
+
+
+# a gauge group whose rows commute, and a stabilizer code, each leaving no logical qubit
+NO_LOGICAL_QUBIT = {"gauge": "GAUGE\nXXI\nZZI\nIIX\n", "stabilizer": "XX\nZZ\n"}
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("check", "gauge"), ("check", "stabilizer"), ("construct", "gauge"),
+    ("construct", "stabilizer"), ("search-impure", "stabilizer"),
+])
+def test_a_code_with_no_logical_qubit_is_refused_by_name(capsys, tmp_path, command, kind):
+    # not by the search cap, which no search reaches: every error of zero
+    # syndrome lies in the gauge group
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(NO_LOGICAL_QUBIT[kind])
+    code, out, err = run(capsys, command, "--code", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the code encodes no logical qubit (k = 0), so it has no distance\n"
 
 
 def test_check_bad_file_exits_2(capsys, tmp_path):
@@ -771,7 +800,25 @@ def test_check_loads_neither_noise_nor_bounds():
     code, out, loaded = fresh_interpreter(RUN_CLI, "check", "--code", "example-6-1-3-prime")
     assert code == 0 and "[[6,1,3:0]] QDS: yes" in out
     assert "numpy" in loaded
-    assert not {"qdscodes.noise", "qdscodes.bounds"} & loaded
+    assert not {"qdscodes.noise", "qdscodes.montecarlo", "qdscodes.bounds"} & loaded
+
+
+@pytest.mark.parametrize("method, sampled", [("exact", False), ("mc", True)])
+def test_only_a_monte_carlo_run_loads_the_sampler(method, sampled):
+    code, out, loaded = fresh_interpreter(RUN_CLI, "simulate", "--scheme", "fig1-bs-sm",
+                                          "--pm-log2=-3", "--method", method, "--trials", "1000")
+    assert code == 0 and f",fig1-bs-sm,{'monte-carlo' if sampled else 'exact'}\n" in out
+    assert "qdscodes.noise" in loaded
+    assert ("qdscodes.montecarlo" in loaded) == sampled
+
+
+def test_exact_p_se_loads_no_sampler():
+    source = ("import sys\nimport qdscodes.noise as noise\n"
+              "result = noise.pse_exact(noise.build_scheme('fig2-bs-216'), [2.0**-3, 2.0**-5])\n"
+              "status = 0 if len(result) == 2 else 1")
+    code, _, loaded = fresh_interpreter(source)
+    assert code == 0
+    assert "qdscodes.noise" in loaded and "qdscodes.montecarlo" not in loaded
 
 
 def test_package_names_load_on_first_use():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qdscodes import codes
 from qdscodes.codes import (
     MAX_N,
     MAX_SEARCH_WEIGHT,
@@ -30,6 +31,7 @@ from qdscodes.errors import (
     CapacityError,
     CommutationError,
     CatalogError,
+    DimensionError,
     ParseError,
     QDSError,
     RankError,
@@ -354,8 +356,9 @@ def small_codes(draw):
 @given(code=small_codes())
 def test_min_distance_matches_brute_force_on_random_codes(code):
     expected = brute_force_distance(code, max_weight=code.n)
-    if expected is None:
-        with pytest.raises(CapacityError, match="no minimum settled"):
+    if expected is None:  # with k = 0 every error of zero syndrome lies in the gauge group
+        assert code.k == 0
+        with pytest.raises(DimensionError, match=r"no logical qubit \(k = 0\)"):
             min_distance(code)
     else:
         assert min_distance(code) == expected
@@ -444,11 +447,15 @@ def test_word_table_matches_bitwise_assembly_on_the_catalog_and_a_wide_chain():
     assert_same_arrays(table, word_table_by_bits((), z_chain.stabilizer))
 
 
-def test_min_distance_refuses_a_code_without_logical_qubits():
+def test_min_distance_refuses_a_code_without_logical_qubits(monkeypatch):
     bell = make_stabilizer([pauli_string_parse("XX"), pauli_string_parse("ZZ")])
-    assert bell.k == 0
-    with pytest.raises(CapacityError, match="no minimum settled by vectors of weight <= 2"):
-        min_distance(bell)
+    gauge = make_subsystem([pauli_string_parse(s) for s in ("XXI", "ZZI", "IIX")])
+    # refused by name, before any search
+    monkeypatch.setattr(codes, "min_weight_outside", None)
+    for code in (bell, gauge):
+        assert code.k == 0
+        with pytest.raises(DimensionError, match=r"no logical qubit \(k = 0\)"):
+            min_distance(code)
 
 
 def _low_weight_member(code, d):

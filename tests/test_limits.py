@@ -67,5 +67,6 @@ def test_readme_names_resolve():
         checked.add((owner_name, name))
         if not (hasattr(owner, name) or name in getattr(owner, "__dataclass_fields__", {})):
             missing.append(f"{owner_name}.{name}")
-    assert {("noise", "_coset_minima"), ("SMPart", "_unit_runner_up")} <= checked
+    assert {("noise", "_coset_minima"), ("montecarlo", "_Sampler"),
+            ("montecarlo", "_sampler_cells")} <= checked
     assert not missing

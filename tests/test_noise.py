@@ -17,23 +17,26 @@ from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError,
 from qdscodes.codes import catalog
 from qdscodes.gf4 import BitVector
 from qdscodes.qds import measured_elements
-from qdscodes import cli, noise
+from qdscodes import cli, montecarlo, noise
+from qdscodes.montecarlo import (
+    GUIDE_BUCKETS,
+    _chunk_rng,
+    _draws,
+    _Positions,
+    _Sampler,
+    _sm_decoder,
+    _syndromes,
+)
 from qdscodes.noise import (
     DECODERS,
     DEFAULT_CHUNK_SIZE,
-    GUIDE_BUCKETS,
     TILE_WORDS,
     MeasurementScheme,
     RepetitionPart,
     SMPart,
-    _chunk_rng,
     _coset_minima,
-    _draws,
     _failing_patterns,
-    _Positions,
     _shor_z_order_for_total,
-    _sm_decoder,
-    _syndromes,
     build_scheme,
     exact_is_feasible,
     p_err,
@@ -776,15 +779,16 @@ def _sm_word_sampler(part: SMPart, p_m: float):
     uniform, each value compared with every uniform: no _Positions, so the
     sampler checks the readers' count lookup."""
     class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
+    blocks = montecarlo._sampler_blocks(part)
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        uniforms = rng.random((2 * len(part._sampler_blocks), size))
+        uniforms = rng.random((2 * len(blocks), size))
         words = np.zeros(size, dtype=np.uint64)
-        for (k, table), u, v in zip(part._sampler_blocks, uniforms[0::2], uniforms[1::2]):
-            runs, starts = noise._block_runs(len(table).bit_length() - 1)
-            counts = np.count_nonzero(noise._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
+        for (k, table), u, v in zip(blocks, uniforms[0::2], uniforms[1::2]):
+            runs, starts = montecarlo._block_runs(len(table).bit_length() - 1)
+            counts = np.count_nonzero(montecarlo._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
             start = starts.take(counts)
-            words |= table.take(noise._table_index(v, runs.take(counts), start, start, {}))
+            words |= table.take(montecarlo._table_index(v, runs.take(counts), start, start, {}))
         return words
     return sample
 
@@ -816,8 +820,8 @@ def _cell_word_sampler(part: SMPart, p_m: float):
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
         uniforms, words = rng.random((len(cells), size)), np.zeros(size, dtype=np.uint64)
         for positions, k, u in zip(cells, classes, uniforms):
-            runs, _ = noise._block_runs(len(positions))
-            counts = np.count_nonzero(noise._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
+            runs, _ = montecarlo._block_runs(len(positions))
+            counts = np.count_nonzero(montecarlo._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
             # each trial flips the positions of its `counts` lowest random ranks
             ranks = anywhere.random((size, len(positions))).argsort(axis=1).argsort(axis=1)
             bits = np.where(ranks < counts[:, None], np.uint64(1) << positions, np.uint64(0))
@@ -826,11 +830,34 @@ def _cell_word_sampler(part: SMPart, p_m: float):
     return sample
 
 
-def _on_cells(part: SMPart) -> SMPart:
-    """The part, made to draw one flip count per cell whatever
-    SMPart._sampler_cells would choose."""
-    part.__dict__["_sampler_cells"] = noise._cells(part, part._unit_costs)
-    return part
+def _on_cells(monkeypatch, *parts: SMPart) -> None:
+    """Make Monte Carlo draw one flip count per cell of each of the parts,
+    whatever montecarlo._sampler_cells would choose."""
+    forced, choose = {id(part) for part in parts}, montecarlo._sampler_cells
+    monkeypatch.setattr(montecarlo, "_sampler_cells", lambda part: (
+        noise._cells(part, part._unit_costs) if id(part) in forced else choose(part)))
+
+
+@pytest.fixture
+def built(monkeypatch) -> dict[str, list[SMPart]]:
+    """The parts Monte Carlo builds state for, one entry per build: sampler
+    blocks ("blocks") and runner-up tables under the unit costs ("unit
+    runner-up").  No part keeps either, so the builds are counted."""
+    builds = {"blocks": [], "unit runner-up": []}
+    blocks, runner_up = montecarlo._sampler_blocks, montecarlo._runner_up_by_syndrome
+
+    def building_blocks(part):
+        builds["blocks"].append(part)
+        return blocks(part)
+
+    def building_runner_up(part, costs):
+        if costs is part._unit_costs:
+            builds["unit runner-up"].append(part)
+        return runner_up(part, costs)
+
+    monkeypatch.setattr(montecarlo, "_sampler_blocks", building_blocks)
+    monkeypatch.setattr(montecarlo, "_runner_up_by_syndrome", building_runner_up)
+    return builds
 
 
 def test_monte_carlo_matches_exact_on_fig1_schemes():
@@ -941,16 +968,16 @@ def _random_part(n: int, k: int, seed: int, decoder: str) -> SMPart:
 
 
 @pytest.mark.parametrize("decoder", DECODERS)
-def test_monte_carlo_syndrome_table_above_20_bits(decoder):
+def test_monte_carlo_syndrome_table_above_20_bits(built, decoder):
     part = _random_part(22, 6, seed=22, decoder=decoder)
     scheme = MeasurementScheme(part.code.name, (part,))
     trials = 1 << 16
     exact = pse_exact(scheme, 2.0**-3).p_se
     mc = pse_monte_carlo(scheme, 2.0**-3, trials, seed=13)
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
-    # coset-leader runner-up costs are read from the table the part keeps;
-    # weighted ML's three classes give costs that change with p_m
-    assert ("_unit_runner_up" in part.__dict__) == (decoder == "coset-leader")
+    # coset-leader runner-up costs are read from the table built once for
+    # the call; weighted ML's three classes give costs that change with p_m
+    assert [id(p) for p in built["unit runner-up"]] == [id(part)] * (decoder == "coset-leader")
 
 
 def _shor_z_part(sm: BinaryLinearCode) -> SMPart:
@@ -1100,7 +1127,7 @@ def _block_words(part: SMPart) -> tuple[np.ndarray, np.ndarray, int]:
     significant) and the number of such vectors."""
     index = np.arange(1 << part.code.length)
     words, key, stride = np.zeros(len(index), dtype=np.uint64), np.zeros_like(index), 1
-    for _, table in part._sampler_blocks:
+    for _, table in montecarlo._sampler_blocks(part):
         bits = len(table).bit_length() - 1
         block_words = table[index & (len(table) - 1)]
         words |= block_words
@@ -1117,15 +1144,16 @@ def _scanned_failures(part: SMPart, words: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("case", ["cw-18-2-12", "shor-z-20-6", "random-16-2"])
-def test_decision_table_matches_per_word_decoding(case):
-    # the unit-cost runner-up table the part keeps, read whatever the
+def test_decision_table_matches_per_word_decoding(built, case):
+    # the unit-cost runner-up table the sampler builds, read whatever the
     # trials, decides every word as scanning its coset does
     part = _table_cases()[case]
     words, _, _ = _block_words(part)
     assert np.bitwise_count(np.bitwise_or.reduce(words)) == part.code.length
-    decided = _sm_decoder(part, part._unit_costs, trials=0)(words)
-    assert "_unit_runner_up" in part.__dict__
-    assert len(part._unit_runner_up) == 1 << part.code.redundancy
+    sampler = _Sampler(part)
+    decided = _sm_decoder(sampler, part._unit_costs, trials=0)(words)
+    assert built["unit runner-up"] == [part]
+    assert len(sampler.runner_up) == 1 << part.code.redundancy
     assert np.array_equal(decided, _scanned_failures(part, words))
 
 
@@ -1134,7 +1162,8 @@ def _straddled_part() -> SMPart:
     blocks around the weight-2 class at positions 5 and 15."""
     code = _random_part(20, 6, 20, "coset-leader").code
     part = SMPart(code, tuple(2 if j in (5, 15) else 4 for j in range(20)))
-    assert [(k, len(table)) for k, table in part._sampler_blocks] == [(0, 512), (0, 512), (1, 4)]
+    assert [(k, len(table)) for k, table in montecarlo._sampler_blocks(part)] == [
+        (0, 512), (0, 512), (1, 4)]
     return part
 
 
@@ -1144,7 +1173,7 @@ def _unjoinable_part() -> SMPart:
     a joint table holds."""
     code = _random_part(20, 4, 20, "coset-leader").code
     part = SMPart(code, tuple(range(2, 22)))
-    assert 2 ** len(part._sampler_blocks) > noise.JOINT_TABLE_ENTRIES
+    assert 2 ** len(montecarlo._sampler_blocks(part)) > montecarlo.JOINT_TABLE_ENTRIES
     return part
 
 
@@ -1154,7 +1183,7 @@ def _unjoinable_part() -> SMPart:
     MeasurementScheme("straddled-20-6", (_straddled_part(),)),
     MeasurementScheme("unjoinable-20-4", (_unjoinable_part(),)),
 ])
-def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
+def test_monte_carlo_through_the_table_equals_word_decoding(built, scheme):
     # the same draws, assembled into words and decoded by scanning each
     # word's coset, fail exactly where Monte Carlo's reader says
     trials, chunk_size, seed, p_m = 50_000, 20_000, 5, 2.0**-3
@@ -1168,7 +1197,8 @@ def test_monte_carlo_through_the_table_equals_word_decoding(scheme):
             failed |= _scanned_failures(part, _sm_word_sampler(part, p_m)(rng, size))
         expected += int(failed.sum())
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
-    assert all("_unit_runner_up" in part.__dict__ for part in scheme.parts)
+    # one table per part object for the call
+    assert [id(p) for p in built["unit runner-up"]] == list(dict.fromkeys(map(id, scheme.parts)))
     assert got == expected
 
 
@@ -1179,22 +1209,23 @@ def test_one_block_part_under_a_negative_likelihood_weight_equals_word_decoding(
     part = SMPart(sm_catalog("cw-12-2-8"), (1,) * 12, "weighted-ml")
     scheme = MeasurementScheme("weight-1", (part,))
     p_m, trials, seed, chunk_size = 0.75, 50_000, 5, 20_000
-    assert part._pricing(p_m)[0] is not part._unit_costs and len(part._sampler_blocks) == 1
+    assert part._pricing(p_m)[0] is not part._unit_costs
+    assert len(montecarlo._sampler_blocks(part)) == 1
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
     assert 0 < got < trials
     assert got == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size)
 
 
 def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
-    # minimum-weight decoding's runner-up table, SMPart._unit_runner_up
+    # minimum-weight decoding's runner-up table, _Sampler.runner_up
     built = []
-    original = noise._runner_up_by_syndrome
+    original = montecarlo._runner_up_by_syndrome
 
     def counting(part, costs):
         built.append(part)
         return original(part, costs)
 
-    monkeypatch.setattr(noise, "_runner_up_by_syndrome", counting)
+    monkeypatch.setattr(montecarlo, "_runner_up_by_syndrome", counting)
     scheme = build_scheme("fig1-bs-sm")
     rows = sweep(scheme, [-3.0, -4.0, -5.0], method="mc", trials=5_000, seed=2)
     assert len(rows) == 3
@@ -1247,9 +1278,9 @@ def _whole_chunk_failures(
     part, as one array per repetition weight and received words per SM
     part, drawn from its cells' counts or from its blocks."""
     failures = 0
-    samplers = {id(part): (_cell_word_sampler if part._sampler_cells is not None
-                           else _sm_word_sampler)(part, p_m)
-                for part in scheme.parts if isinstance(part, SMPart)}
+    samplers = {id(part): _Sampler(part) for part in scheme.parts if isinstance(part, SMPart)}
+    draw = {key: (_cell_word_sampler if sampler.cells is not None
+                  else _sm_word_sampler)(sampler.part, p_m) for key, sampler in samplers.items()}
     for chunk_index, start in enumerate(range(0, trials, chunk_size)):
         size = min(chunk_size, trials - start)
         rng = _chunk_rng(seed, chunk_index)
@@ -1260,7 +1291,7 @@ def _whole_chunk_failures(
                 failed |= _repetition_failures(part, p_m)(uniforms)
             else:
                 costs, _ = part._pricing(p_m)
-                failed |= _sm_decoder(part, costs)(samplers[id(part)](rng, size))
+                failed |= _sm_decoder(samplers[id(part)], costs)(draw[id(part)](rng, size))
         failures += int(failed.sum())
     return failures
 
@@ -1291,8 +1322,10 @@ DRAWS_PER_CHUNK = {
 @pytest.mark.parametrize("name", list(DRAWS_PER_CHUNK))
 def test_uniform_arrays_drawn_per_chunk_by_each_offline_scheme(name):
     scheme = build_scheme(name)
-    assert [_draws(part) for part in scheme.parts] == DRAWS_PER_CHUNK[name]
-    cells = [part._sampler_cells is not None for part in scheme.parts if isinstance(part, SMPart)]
+    assert [_draws(_Sampler(part) if isinstance(part, SMPart) else part)
+            for part in scheme.parts] == DRAWS_PER_CHUNK[name]
+    cells = [montecarlo._sampler_cells(part) is not None
+             for part in scheme.parts if isinstance(part, SMPart)]
     assert cells == [name.startswith("fig2")] * len(cells)
 
 
@@ -1303,21 +1336,22 @@ def _cell_cases() -> dict[str, MeasurementScheme]:
     for weights, decoder in [((6,) * 12, "coset-leader"), ((2, 6) * 6, "weighted-ml"),
                              ((1, 2, 3) * 4, "weighted-ml")]:
         name = f"cw-12-2-8/{''.join(map(str, weights[:3]))}"
-        cases[name] = MeasurementScheme(name, (_on_cells(SMPart(code, weights, decoder)),))
+        cases[name] = MeasurementScheme(name, (SMPart(code, weights, decoder),))
     cases["35-bit"] = MeasurementScheme("35-bit", (_random_35_bit_part(),))
     return cases
 
 
 @pytest.mark.parametrize("case", list(_cell_cases()))
-def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(case):
+def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(monkeypatch, built, case):
     # the same count draws, turned into words with the flips at random
     # positions inside each cell and decoded, fail exactly where the cell
     # reader says; (1, 2, 3) * 4 has three likelihood classes under weighted ML
     scheme = _cell_cases()[case]
+    if case.startswith("cw-12-2-8/"):
+        _on_cells(monkeypatch, *scheme.parts)
     grid, trials, chunk_size, seed = [2.0**-2, 2.0**-3, 2.0**-5], 50_000, 20_000, 5
     got = pse_monte_carlo(scheme, grid, trials, seed, chunk_size)
-    assert not any(name in part.__dict__ for part in scheme.parts
-                   for name in ("_sampler_blocks", "_unit_runner_up"))
+    assert built == {"blocks": [], "unit runner-up": []}
     for p_m, result in zip(grid, got):
         assert 0.0 < result.p_se < 1.0
         assert result.p_se == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size) / trials
@@ -1326,20 +1360,20 @@ def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(case):
 
 
 @pytest.mark.parametrize("decoder", DECODERS)
-def test_fig2_bs_216_monte_carlo_walks_no_coset_and_decodes_no_word(monkeypatch, decoder):
+def test_fig2_bs_216_monte_carlo_walks_no_coset_and_decodes_no_word(monkeypatch, built, decoder):
     scheme, grid, trials = build_scheme("fig2-bs-216", decoder=decoder), [2.0**-3, 2.0**-5], 1 << 16
     exact = pse_exact(scheme, grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a part that samples cells walked a coset or decoded a word")
 
-    for name in ("_coset_minima", "_sm_decoder"):  # the walk, the runner-up tables, decoding
-        monkeypatch.setattr(noise, name, refuse)
+    # the walk and the runner-up tables, and decoding
+    monkeypatch.setattr(noise, "_coset_minima", refuse)
+    monkeypatch.setattr(montecarlo, "_sm_decoder", refuse)
     for mc, reference in zip(pse_monte_carlo(scheme, grid, trials, seed=9), exact):
         p = reference.p_se
         assert abs(mc.p_se - p) <= 5 * math.sqrt(p * (1.0 - p) / trials)
-    assert not any(name in part.__dict__ for part in scheme.parts
-                   for name in ("_sampler_blocks", "_unit_runner_up"))
+    assert built == {"blocks": [], "unit runner-up": []}
 
 
 # the (scheme, decoder) pairs of the benchmark's montecarlo workload
@@ -1355,25 +1389,26 @@ def test_benchmark_monte_carlo_schemes_assemble_no_word(monkeypatch, name, decod
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} assembled a word")
 
-    monkeypatch.setattr(noise, "_words", refuse)
+    monkeypatch.setattr(montecarlo, "_words", refuse)
     scheme = build_scheme(name, decoder=decoder)
     got = pse_monte_carlo(scheme, [2.0**-3, 2.0**-4, 2.0**-5], 1 << 14, seed=1)
     assert all(0.0 < result.p_se < 1.0 for result in got)
     if name == "fig1-bs-sm":
-        assert all(len(part._sampler_blocks) == 1 for part in scheme.parts)
+        assert all(len(montecarlo._sampler_blocks(part)) == 1 for part in scheme.parts)
 
 
 @pytest.mark.parametrize("p_m", [0.0, 1.0])
-def test_cell_parts_equal_exact_at_certain_flips(p_m):
+def test_cell_parts_equal_exact_at_certain_flips(monkeypatch, p_m):
     # at p_m = 1 the weight-1 bits all flip, a tie of the three cells of
     # cw-18-2-12; under weighted ML odd weights flip for certain and even never
     schemes = [build_scheme("fig2-bs-216", decoder=d) for d in DECODERS] + [build_scheme("fig2-bs-204")]
     code = sm_catalog("cw-18-2-12")
     parts = {"35-bit": _random_35_bit_part(), "weight-1": SMPart(code, (1,) * 18),
-             "odd-even": _on_cells(SMPart(code, (1, 2) * 9, "weighted-ml"))}
+             "odd-even": SMPart(code, (1, 2) * 9, "weighted-ml")}
+    _on_cells(monkeypatch, parts["odd-even"])
     schemes += [MeasurementScheme(name, (part,)) for name, part in parts.items()]
     for scheme in schemes:
-        assert all(part._sampler_cells is not None for part in scheme.parts)
+        assert all(montecarlo._sampler_cells(part) is not None for part in scheme.parts)
         exact = pse_exact(scheme, p_m).p_se
         assert exact in (0.0, 1.0)
         assert pse_monte_carlo(scheme, p_m, trials=5_000, seed=3).p_se == exact, scheme.name
@@ -1393,8 +1428,9 @@ def test_monte_carlo_wide_grid_equals_per_point_calls(monkeypatch, name, grid):
     # that all read one draw of each chunk
     scheme, p_ms, trials, chunk_size = build_scheme(name), WIDE_GRIDS[grid], 3_000, 1_250
     drawn = []
-    chunk_rng = noise._chunk_rng
-    monkeypatch.setattr(noise, "_chunk_rng", lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
+    chunk_rng = montecarlo._chunk_rng
+    monkeypatch.setattr(montecarlo, "_chunk_rng",
+                        lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
     got = pse_monte_carlo(scheme, p_ms, trials, seed=29, chunk_size=chunk_size)
     assert drawn == [0, 1, 2]
     assert got == [pse_monte_carlo(scheme, p_m, trials, seed=29, chunk_size=chunk_size)
@@ -1408,11 +1444,16 @@ def test_monte_carlo_groups_taking_their_own_passes_count_alike(monkeypatch, nam
     # while a repetition part keeps all the points in one group
     scheme, p_ms = build_scheme(name), WIDE_GRIDS["66"][::5]
     expected = pse_monte_carlo(scheme, p_ms, 5_000, seed=31)
-    monkeypatch.setattr(noise, "PASS_BYTES", 1)
-    monkeypatch.setattr(noise, "JOINT_TABLE_ENTRIES", 1)
+    # each part keeps the draws it takes with room for a joint table
+    chosen = {id(part): montecarlo._sampler_cells(part) for part in scheme.parts
+              if isinstance(part, SMPart)}
+    monkeypatch.setattr(montecarlo, "_sampler_cells", lambda part: chosen[id(part)])
+    monkeypatch.setattr(montecarlo, "PASS_BYTES", 1)
+    monkeypatch.setattr(montecarlo, "JOINT_TABLE_ENTRIES", 1)
     drawn = []
-    chunk_rng = noise._chunk_rng
-    monkeypatch.setattr(noise, "_chunk_rng", lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
+    chunk_rng = montecarlo._chunk_rng
+    monkeypatch.setattr(montecarlo, "_chunk_rng",
+                        lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
     assert pse_monte_carlo(scheme, p_ms, 5_000, seed=31) == expected
     assert len(drawn) == (1 if name == "fig1-shor-6fold" else len(p_ms))
 
@@ -1464,28 +1505,30 @@ def _verdict_cases() -> dict[str, SMPart]:
 def test_verdicts_say_whether_none_all_or_some_patterns_of_a_count_vector_fail(case):
     # per flip-count vector over the sampler blocks: 0 when every word
     # decodes, 2 when every one fails, 1 when it depends on the positions,
-    # from the table the part keeps and from scanning each word's coset
+    # from the sampler's unit runner-up table and from scanning each word's coset
     part = _verdict_cases()[case]
     words, key, vectors = _block_words(part)
     totals = np.bincount(key, minlength=vectors)
     verdicts = []
-    for failing in (_sm_decoder(part, part._unit_costs)(words), _scanned_failures(part, words)):
+    decided = _sm_decoder(_Sampler(part), part._unit_costs)(words)
+    for failing in (decided, _scanned_failures(part, words)):
         fails = np.bincount(key, weights=failing, minlength=vectors)
         verdicts.append(np.where(fails == 0, 0, np.where(fails == totals, 2, 1)).tolist())
     assert verdicts[0] == verdicts[1]
     if case == "cw-12-2-8":
         # one block: counts 0-3 always decode, 4 depends on the positions,
         # 5-12 always fail
-        assert len(part._sampler_blocks) == 1
+        assert len(montecarlo._sampler_blocks(part)) == 1
         assert verdicts[0] == [0] * 4 + [1] + [2] * 8
 
 
 def test_unit_runner_up_table_builds_within_its_cosets_and_tiles():
     part = _random_part(22, 6, seed=22, decoder="coset-leader")
-    assert len(part._sampler_blocks) > 1
+    sampler = _Sampler(part)
+    assert len(sampler.blocks) > 1
     tracemalloc.start()
     try:
-        table = part._unit_runner_up  # 2^16 one-byte costs, walked a tile of cosets at a time
+        table = sampler.runner_up  # 2^16 one-byte costs, walked a tile of cosets at a time
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1501,7 +1544,7 @@ def test_unit_costs_build_no_cost_table():
     part = SMPart(sm_catalog("cw-12-2-8"), (2, 4) * 6)
     part._unit_failures
     assert "table" not in part._unit_costs.__dict__
-    part._unit_runner_up
+    _Sampler(part).runner_up
     assert "table" not in part._unit_costs.__dict__
 
 
@@ -1522,7 +1565,7 @@ def test_monte_carlo_sweep_calls_pse_monte_carlo_once(monkeypatch):
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf])
 def test_monte_carlo_checks_every_p_m_before_any_draw(monkeypatch, bad):
     drawn = []
-    monkeypatch.setattr(noise, "_chunk_rng", lambda *args: drawn.append(args))
+    monkeypatch.setattr(montecarlo, "_chunk_rng", lambda *args: drawn.append(args))
     for name in ("fig1-bs-sm", "fig1-bs-6fold"):
         with pytest.raises(PreconditionError, match=r"outside \[0, 1\]"):
             pse_monte_carlo(build_scheme(name), [2.0**-3, bad], trials=100)
@@ -1533,7 +1576,7 @@ def test_monte_carlo_checks_every_p_m_before_any_draw(monkeypatch, bad):
 def test_an_empty_grid_gives_no_results_and_draws_nothing(monkeypatch, shor_sm_data_dir,
                                                           decoder):
     drawn = []
-    monkeypatch.setattr(noise, "_chunk_rng", lambda *args: drawn.append(args))
+    monkeypatch.setattr(montecarlo, "_chunk_rng", lambda *args: drawn.append(args))
     for name in noise.SCHEMES:
         if name.startswith("fig2-shor"):  # needs the import-only [25,6,11] code
             continue
@@ -1558,16 +1601,16 @@ def test_per_syndrome_table_is_built_only_when_it_pays(monkeypatch):
     costs, _ = part._pricing(2.0**-3)
     assert costs is not part._unit_costs
     words = _sm_word_sampler(part, 2.0**-3)(np.random.default_rng(8), 5_000)
-    scanned = _sm_decoder(part, costs, trials=cosets - 1)(words)
-    looked_up = _sm_decoder(part, costs, trials=cosets)(words)
+    scanned = _sm_decoder(_Sampler(part), costs, trials=cosets - 1)(words)
+    looked_up = _sm_decoder(_Sampler(part), costs, trials=cosets)(words)
     assert 0 < scanned.sum() < len(words)
     assert np.array_equal(scanned, looked_up)
 
     built, passes = [], []
-    runner_up, count_failures = noise._runner_up_by_syndrome, noise._count_failures
-    monkeypatch.setattr(noise, "_runner_up_by_syndrome",
+    runner_up, count_failures = montecarlo._runner_up_by_syndrome, montecarlo._count_failures
+    monkeypatch.setattr(montecarlo, "_runner_up_by_syndrome",
                         lambda *args: built.append(args) or runner_up(*args))
-    monkeypatch.setattr(noise, "_count_failures",
+    monkeypatch.setattr(montecarlo, "_count_failures",
                         lambda scheme, p_ms, *args: passes.append(p_ms)
                         or count_failures(scheme, p_ms, *args))
     grid = [2.0**-3, 2.0**-4]
@@ -1584,21 +1627,21 @@ def _recorded_passes(monkeypatch) -> tuple[list[list[range]], list[list[int]]]:
     of the per-syndrome tables built for it (_count_failures builds a pass's
     readers just before the pass runs)."""
     passes, tables, pending = [], [], []
-    runner_up, judge_chunks = noise._runner_up_by_syndrome, noise._judge_chunks
+    runner_up, judge_chunks = montecarlo._runner_up_by_syndrome, montecarlo._judge_chunks
 
     def building(part, costs):
         table = runner_up(part, costs)
         pending.append(table.nbytes)
         return table
 
-    def judging(scheme, passing, *args):
+    def judging(draws, passing, *args):
         passes.append([points for points, _ in passing])
         tables.append(pending[:])
         pending.clear()
-        return judge_chunks(scheme, passing, *args)
+        return judge_chunks(draws, passing, *args)
 
-    monkeypatch.setattr(noise, "_runner_up_by_syndrome", building)
-    monkeypatch.setattr(noise, "_judge_chunks", judging)
+    monkeypatch.setattr(montecarlo, "_runner_up_by_syndrome", building)
+    monkeypatch.setattr(montecarlo, "_judge_chunks", judging)
     return passes, tables
 
 
@@ -1606,8 +1649,9 @@ def test_per_syndrome_tables_share_one_draw_of_each_chunk(monkeypatch):
     scheme = MeasurementScheme("three-class", (_three_class_part(),))
     p_ms, trials, chunk_size = WIDE_GRIDS["66"][::5], 1 << 14, 5_000
     drawn = []
-    chunk_rng = noise._chunk_rng
-    monkeypatch.setattr(noise, "_chunk_rng", lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
+    chunk_rng = montecarlo._chunk_rng
+    monkeypatch.setattr(montecarlo, "_chunk_rng",
+                        lambda seed, c: drawn.append(c) or chunk_rng(seed, c))
     got = pse_monte_carlo(scheme, p_ms, trials, seed=37, chunk_size=chunk_size)
     assert drawn == [0, 1, 2, 3]
     assert got == [pse_monte_carlo(scheme, p_m, trials, seed=37, chunk_size=chunk_size)
@@ -1618,7 +1662,7 @@ def test_per_syndrome_tables_with_no_room_take_a_pass_each(monkeypatch):
     scheme = MeasurementScheme("three-class", (_three_class_part(),))
     p_ms, trials = WIDE_GRIDS["66"][::15], 1 << 14
     expected = pse_monte_carlo(scheme, p_ms, trials, seed=41)
-    monkeypatch.setattr(noise, "PASS_BYTES", 1)
+    monkeypatch.setattr(montecarlo, "PASS_BYTES", 1)
     passes, tables = _recorded_passes(monkeypatch)
     assert pse_monte_carlo(scheme, p_ms, trials, seed=41) == expected
     assert passes == [[range(i, i + 1)] for i in range(len(p_ms))]
@@ -1630,12 +1674,12 @@ def test_a_pass_holds_at_most_pass_bytes_of_decoder_tables_plus_one_group(monkey
     scheme = MeasurementScheme("three-class", (part,))
     p_ms, trials = WIDE_GRIDS["66"][::5], 1 << 14
     expected = pse_monte_carlo(scheme, p_ms, trials, seed=43)
-    table = noise._syndrome_table_bytes(part.code, trials)
+    table = montecarlo._syndrome_table_bytes(part.code, trials)
     assert table == 8 << part.code.redundancy
     # room for three tables per group; a group's other tables (about 100 KB
     # of count positions) leave room to start a second group in a pass
     budget = 39 * table // 10
-    monkeypatch.setattr(noise, "PASS_BYTES", budget)
+    monkeypatch.setattr(montecarlo, "PASS_BYTES", budget)
     passes, tables = _recorded_passes(monkeypatch)
     assert pse_monte_carlo(scheme, p_ms, trials, seed=43) == expected
     groups = [points for pass_groups in passes for points in pass_groups]
@@ -1654,7 +1698,7 @@ def test_fig1_shor_sm_monte_carlo_sweep_equals_per_point_calls(shor_sm_data_dir,
     (z_part,) = {id(part): part for part in scheme.parts[1:]}.values()
     # 2^12 trials reach the [18,6] Z part's 2^12 cosets: under weighted ML
     # its points decode words through per-syndrome tables
-    assert noise._syndrome_table_bytes(z_part.code, trials) > 0
+    assert montecarlo._syndrome_table_bytes(z_part.code, trials) > 0
     decoded = [z_part._pricing(2.0**lp)[0] is not z_part._unit_costs for lp in grid]
     assert all(decoded) == (decoder == "weighted-ml")
     rows = sweep(scheme, grid, method="mc", trials=trials, seed=47)
@@ -1696,13 +1740,15 @@ def _monte_carlo_path(part, p_m: float, trials: int) -> str:
     """How Monte Carlo judges the part at p_m for a run of trials words."""
     if isinstance(part, RepetitionPart):
         return "repetition"
-    if part._sampler_cells is not None:
+    if montecarlo._sampler_cells(part) is not None:
         return "cells"
-    if len(part._sampler_blocks) == 1:
+    if len(montecarlo._sampler_blocks(part)) == 1:
         return "one-block"
     if part._pricing(p_m)[0] is part._unit_costs:
         return "unit-table"
-    return "weighted-ml-tables" if noise._syndrome_table_bytes(part.code, trials) else "coset-scan"
+    if montecarlo._syndrome_table_bytes(part.code, trials):
+        return "weighted-ml-tables"
+    return "coset-scan"
 
 
 def _calibration_paths() -> dict[str, tuple[list[MeasurementScheme], int]]:
@@ -1857,7 +1903,7 @@ def _iid_failures(scheme: MeasurementScheme, p_m: float, trials: int, seed: int)
     parts = []
     for part in scheme.parts:
         q = [p_err(w, p_m) for w in part.weights]
-        parts.append((q, _sm_decoder(part, part._pricing(p_m)[0])))
+        parts.append((q, _sm_decoder(_Sampler(part), part._pricing(p_m)[0])))
     failures = 0
     for chunk_index, start in enumerate(range(0, trials, DEFAULT_CHUNK_SIZE)):
         size = min(DEFAULT_CHUNK_SIZE, trials - start)
@@ -1884,20 +1930,25 @@ def _oracle_case(case: str) -> MeasurementScheme:
         assert len(set(part.weights)) == 3
     else:
         part = _random_35_bit_part()
-        assert [k for k, _ in part._sampler_blocks] == [0, 0, 0]  # one class, three blocks
+        assert [k for k, _ in montecarlo._sampler_blocks(part)] == [0, 0, 0]  # one class, 3 blocks
     return MeasurementScheme(case, (part,))
 
 
 @pytest.mark.parametrize(
     "case", ["fig1-bs-sm/coset-leader", "fig1-bs-sm/weighted-ml", "hetero", "shor-z-22", "35-bit"]
 )
-def test_flip_count_sampler_agrees_with_iid_oracle(case):
+def test_flip_count_sampler_agrees_with_iid_oracle(monkeypatch, case):
     scheme = _oracle_case(case)
     trials, p_m = 1 << 16, 2.0**-4
+    readers = []
+    for name in ("_cell_reader", "_sm_reader"):
+        monkeypatch.setattr(montecarlo, name, lambda *args, read=getattr(montecarlo, name):
+                            readers.append(args) or read(*args))
     old = _iid_failures(scheme, p_m, trials, seed=42)
-    # the oracle decodes each word; it never builds the decision table
-    assert not any("_mc_tables" in part.__dict__ for part in scheme.parts)
+    # the oracle decodes each word; it never builds a reader or its tables
+    assert readers == []
     new = pse_monte_carlo(scheme, p_m, trials, seed=41).p_se * trials
+    assert len(readers) == 1
     pooled = (new + old) / (2 * trials)
     assert 0.0 < pooled < 1.0
     assert abs(new - old) <= 5 * math.sqrt(2 * trials * pooled * (1.0 - pooled))
@@ -1919,7 +1970,8 @@ def test_flip_counts_and_positions_of_a_class_split_over_two_blocks():
     # is drawn as two blocks of 10
     code = BinaryLinearCode(24, ((1 << 24) - 1,), "repetition-24")
     part = SMPart(code, (4, 4, 4, 4, 4, 2) * 4)
-    assert [(k, len(table)) for k, table in part._sampler_blocks] == [(0, 1 << 10)] * 2 + [(1, 16)]
+    assert [(k, len(table)) for k, table in montecarlo._sampler_blocks(part)] == [
+        (0, 1 << 10)] * 2 + [(1, 16)]
     q = [p_err(w, 2.0**-3) for w in part.weights]
     size = 1 << 17
     words = _sm_word_sampler(part, 2.0**-3)(np.random.default_rng(6), size)
