@@ -7,12 +7,14 @@ logarithm ever decides a verdict.  ceil(log2(x)) is (x-1).bit_length().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import CapacityError, PreconditionError
 
 MAX_FAMILY_EXPONENT = 200  # largest a_max pure_only_families enumerates
 MAX_REGION_ROWS = 100_000  # most lengths n one region_table covers
+MAX_CHECK_DISTANCE = 2001  # largest d qds_hamming sums its binomials for
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,12 @@ def qds_hamming(params: CodeParams) -> bool:
     """
     if params.d % 2 == 0:
         raise PreconditionError(f"QDS Hamming bound needs odd d, got {params.d}")
+    if params.d > MAX_CHECK_DISTANCE:
+        raise CapacityError(f"d={params.d} exceeds the Hamming-check cap {MAX_CHECK_DISTANCE}")
     n, m, t, measured = params.n, params.m, params.t, params.m + params.l
-    total = 0
-    for i in range(t + 1):
-        total += comb(n, i) * 3**i * sum(comb(measured, j) for j in range(t - i + 1))
+    # sum_{j<=s} C(m+l, j) for each s; terms with i > n or j > m + l are 0
+    prefix = list(accumulate(comb(measured, j) for j in range(min(t, measured) + 1)))
+    total = sum(comb(n, i) * 3**i * prefix[min(t - i, measured)] for i in range(min(t, n) + 1))
     return _at_most_power_of_two(total, m)
 
 

@@ -323,6 +323,8 @@ def cmd_simulate(args) -> int:
         raise QDSError("--trials must be positive")
     if args.seed < 0:
         raise QDSError("--seed must be non-negative")
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise QDSError(f"--out {args.out} must name a file in an existing directory")
     grid = _parse_pm_grid(args.pm_log2)
     scheme = noise_mod.build_scheme(args.scheme, args.data_dir, decoder=args.decoder)
     rows = noise_mod.sweep(

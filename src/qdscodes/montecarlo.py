@@ -16,9 +16,9 @@ weight classes are split into near-equal blocks of at most
 SAMPLER_BLOCK_BITS bits; per block a first uniform gives the flip count,
 and a second picks one of the C(N, c) words with c flips from a table of
 the block's words sorted by popcount.  A drawn word fails iff it is not
-the unique minimum-cost member of its coset (_sm_decoder): each coset's
-runner-up cost is looked up by syndrome, under the unit costs from the
-table built once per part and call (_Sampler).
+the unique minimum-cost member of its coset (_sm_decoder), whose
+runner-up cost is read by syndrome from a table when a group's words
+under the cost rule repay one, and otherwise found by scanning the coset.
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
@@ -29,11 +29,11 @@ array of uniforms per distinct weight, an SM part one count array per
 cell, or a count array then a position array per block, blocks in class
 order.  The arrays do not depend on p_m, so every point of a sweep reads
 the same chunk streams, and a grid call draws them once per pass: one
-pass serves every point whose tables, decoders' per-syndrome tables
-included, fit PASS_BYTES.  A pass walks
-each chunk in tiles of at most TILE_WORDS trials; a float64 takes one
-64-bit draw, so a tile's slice of array a is drawn from the chunk's start
-state moved by PCG64.advance to draw a * size + (tile offset).
+pass serves every point whose tables, decoders' runner-up tables
+included, fit PASS_BYTES.  A pass walks each chunk in tiles of at most
+TILE_WORDS trials; a float64 takes one 64-bit draw, so a tile's slice of
+array a is drawn from the chunk's start state moved by PCG64.advance to
+draw a * size + (tile offset).
 
 Each tile is judged once for a group of up to MASK_POINTS points: every
 part turns it into one integer mask per trial, bit i set when the trial
@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,12 +115,6 @@ class _Sampler:
     def __init__(self, part: noise.SMPart):
         self.part, self.cells = part, _sampler_cells(part)
         self.blocks = _sampler_blocks(part) if self.cells is None else []
-
-    @functools.cached_property
-    def runner_up(self) -> np.ndarray:
-        """Each coset's runner-up cost under the unit costs, by syndrome
-        (_sm_decoder), built on first use: only a part that decodes words reads it."""
-        return _runner_up_by_syndrome(self.part, self.part._unit_costs)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -362,45 +356,42 @@ def _syndromes(part: noise.SMPart, words: np.ndarray) -> np.ndarray:
     return ((words ^ part._codewords.take(low)) >> np.uint64(part.code.dim)).astype(np.intp)
 
 
-def _syndrome_table_bytes(code: noise.BinaryLinearCode, trials: float) -> int:
-    """Bytes of the per-syndrome runner-up table (float costs) that
-    _sm_decoder builds under a cost rule other than the unit costs, for a
-    run decoding trials words, or 0 when it scans each word's coset: the
-    table walks all 2^n patterns once, the scan 2^k codewords per word, so
-    the table pays from 2^(n - k) words on."""
-    pays = code.length <= noise.HARD_EXACT_BITS and trials >= 1 << code.redundancy
-    return 8 << code.redundancy if pays else 0
+def _syndrome_table_bytes(code: noise.BinaryLinearCode, costs: noise._Costs, words: float) -> int:
+    """Bytes of the runner-up table, one cost per coset, that _sm_decoder
+    builds under the cost rule costs to decode words received words, or 0
+    when it scans each word's coset: the table walks all 2^n patterns once
+    (n <= HARD_EXACT_BITS), the scan 2^k codewords per word, so the table
+    pays from 2^(n - k) words on."""
+    pays = code.length <= noise.HARD_EXACT_BITS and words >= 1 << code.redundancy
+    return costs.dtype.itemsize << code.redundancy if pays else 0
 
 
 def _sm_decoder(
-    sampler: _Sampler, costs: noise._Costs, trials: float = math.inf
+    part: noise.SMPart, costs: noise._Costs, words: float = math.inf
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Which received words the sampler's part fails on under the cost rule
-    costs (SMPart._pricing), for a run that decodes trials words.
+    """Which received words the part fails on under the cost rule costs
+    (SMPart._pricing), for a run that decodes words words under it.
 
     A word succeeds iff it is the unique minimum-cost member of its coset,
-    iff its cost is below its coset's runner-up cost.  That cost is looked
-    up by syndrome: under the unit costs in the table the sampler builds
-    once (_Sampler.runner_up) when the part has at most 2^HARD_EXACT_BITS
-    patterns, under another rule in a table computed here when that pays
-    (_syndrome_table_bytes).  Otherwise each word's coset is scanned.  All
-    give the same decisions.
+    iff its cost is below its coset's runner-up cost.  Under every cost
+    rule alike, that cost is looked up by syndrome in a table built here
+    when the words repay it (_syndrome_table_bytes), and otherwise each
+    word's coset is scanned.  Both give the same decisions.
     """
-    part = sampler.part
-    if costs is part._unit_costs and part.code.length <= noise.HARD_EXACT_BITS:
-        table = sampler.runner_up
-    elif _syndrome_table_bytes(part.code, trials):
+    if _syndrome_table_bytes(part.code, costs, words):
         table = _runner_up_by_syndrome(part, costs)
-    else:
-        table = None
+        return lambda received: ~(costs(received) < table[_syndromes(part, received)])
+    return lambda received: ~(costs(received) < noise._coset_minima(
+        received, part._codewords, costs, word=False)[1])
 
-    def failed(words: np.ndarray) -> np.ndarray:
-        if table is None:
-            runner_up = noise._coset_minima(words, part._codewords, costs, word=False)[1]
-        else:
-            runner_up = table[_syndromes(part, words)]
-        return ~(costs(words) < runner_up)
-    return failed
+
+def _rule_words(sampler: _Sampler, costs: Sequence[noise._Costs], trials: int) -> dict:
+    """The words a group of points with cost rules costs decodes under each
+    distinct rule: a part of one block its block's 2^N table words once,
+    any other the trials at each point of the rule."""
+    if len(sampler.blocks) == 1:
+        return dict.fromkeys(costs, len(sampler.blocks[0][1]))
+    return {rule: trials * costs.count(rule) for rule in dict.fromkeys(costs)}
 
 
 def _sm_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise._Costs],
@@ -420,18 +411,18 @@ def _sm_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise._
     alone: entry min(floor(v C(N, c)), C(N, c) - 1) of the decisions of the
     C(N, c) words with c flips is read once per tile and rule for every
     trial, whatever the points.  A part of several blocks assembles each
-    point's words (_words) and decodes them; the bytes reported count the
-    per-syndrome tables its decoders build, not the unit-cost table the
-    sampler keeps.
+    point's words (_words) and decodes them.  The bytes reported count
+    every runner-up table the decoders build.
     """
-    part = sampler.part
+    part, rule_words = sampler.part, _rule_words(sampler, costs, trials)
     digits = [(k, len(table).bit_length() - 1) for k, table in sampler.blocks]
     blocks = [_CountBlock(table, *_block_runs(n), positions) for (_, table), (_, n), positions
               in zip(sampler.blocks, digits, _count_positions(part, p_ms, digits))]
     where = [block.positions for block in blocks]
     held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
+    held += sum(_syndrome_table_bytes(part.code, rule, n) for rule, n in rule_words.items())
     if len(blocks) > 1:
-        decoders = {rule: _sm_decoder(sampler, rule, trials) for rule in dict.fromkeys(costs)}
+        decoders = {rule: _sm_decoder(part, rule, words) for rule, words in rule_words.items()}
 
         def decoded(uniforms: np.ndarray) -> np.ndarray:
             size = uniforms.shape[-1]
@@ -442,16 +433,15 @@ def _sm_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise._
                 failing = decoders[rule](_words(blocks, i, v, positions, work))
                 out |= np.multiply(failing.view(np.uint8), dtype.type(1 << i), out=hit)
             return out
-        built = sum(rule is not part._unit_costs for rule in decoders)
-        return decoded, held + built * _syndrome_table_bytes(part.code, trials)
+        return decoded, held
 
     (block,) = blocks
     counts = block.positions.counts
     fails: dict[int, np.ndarray] = {}
     # per rule and count c whose words partly fail: C(N, c), point masks, decisions of the words
     mixed: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for rule in dict.fromkeys(costs):
-        decisions = _sm_decoder(sampler, rule, len(block.table))(block.table)
+    for rule, words in rule_words.items():
+        decisions = _sm_decoder(part, rule, words)(block.table)
         every = np.logical_and.reduceat(decisions, block.starts)
         points = [i for i, point_rule in enumerate(costs) if point_rule is rule]
         fails.update((i, every.take(counts[i])) for i in points)
@@ -521,27 +511,30 @@ def _cell_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise
     return failed, table.nbytes + sum(p.nbytes for p in {id(p): p for p in where}.values())
 
 
-def _group_width(rules: Iterable[tuple[_Sampler, Sequence[noise._Costs]]], points: int,
+def _group_width(rules: Sequence[tuple[_Sampler, Sequence[noise._Costs]]], points: int,
                  trials: int) -> int:
     """How many points are judged together, given each SM part's sampler
     with its points' cost rules: at most MASK_POINTS, and few enough that
     each part judged by one table lookup, whose N_j-bit cells or one block
     take at most width N_j + 1 positions each, has at most
-    JOINT_TABLE_ENTRIES joint positions, and that the per-syndrome tables
-    that parts of several blocks build for rules other than the unit costs
-    (_syndrome_table_bytes), one per point, fit PASS_BYTES (unless one
-    point alone exceeds either)."""
-    width, per_point = max(1, min(MASK_POINTS, points)), 0
-    for sampler, costs in rules:
-        part, cells = sampler.part, sampler.cells
-        if cells is None and len(sampler.blocks) > 1:
-            if any(rule is not part._unit_costs for rule in costs):
-                per_point += _syndrome_table_bytes(part.code, trials)
-            continue
-        bits = cells[0].tolist() if cells is not None else [part.code.length]  # the one block
-        while width > 1 and math.prod(width * n + 1 for n in bits) > JOINT_TABLE_ENTRIES:
-            width -= 1
-    return max(1, min(width, PASS_BYTES // per_point)) if per_point else width
+    JOINT_TABLE_ENTRIES joint positions, and that the runner-up tables each
+    group builds, at most one per distinct rule among its points
+    (_rule_words), fit PASS_BYTES (unless one point alone exceeds either)."""
+    # the bits of each cell, or of the one block, of the parts judged by one table lookup
+    lookups = [s.cells[0].tolist() if s.cells is not None else [s.part.code.length]
+               for s, _ in rules if s.cells is not None or len(s.blocks) == 1]
+
+    def fits(width: int) -> bool:
+        tables = max(sum(_syndrome_table_bytes(sampler.part.code, rule, n)
+                         for sampler, costs in rules if sampler.cells is None
+                         for rule, n in _rule_words(sampler, costs[lo:lo + width], trials).items())
+                     for lo in range(0, points, width))  # the runner-up tables of each group
+        return tables <= PASS_BYTES and all(
+            math.prod(width * n + 1 for n in bits) <= JOINT_TABLE_ENTRIES for bits in lookups)
+    width = max(1, min(MASK_POINTS, points))
+    while width > 1 and not fits(width):
+        width -= 1
+    return width
 
 
 def _count_failures(
@@ -555,7 +548,7 @@ def _count_failures(
     bit i for the group's point i (_repetition_reader, _cell_reader,
     _sm_reader), the scheme fails where any part does, and each point
     counts its bit.  Groups share a pass over the chunks (_judge_chunks)
-    while their tables, decoders' per-syndrome tables included, hold less
+    while their tables, decoders' runner-up tables included, hold less
     than PASS_BYTES, so a pass holds at most PASS_BYTES plus one group's
     tables.
     """

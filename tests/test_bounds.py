@@ -1,10 +1,12 @@
 """Exact-arithmetic bound checkers and parameter families."""
 
 import tracemalloc
+from math import comb
 
 import pytest
 
 from qdscodes.bounds import (
+    MAX_CHECK_DISTANCE,
     MAX_FAMILY_EXPONENT,
     CodeParams,
     ceil_log2,
@@ -60,6 +62,31 @@ def test_bound_verdicts_do_not_build_two_to_the_redundancy():
         tracemalloc.stop()
     assert verdicts == [True] * 4
     assert peak < 64 * 1024
+
+
+def _hamming_sum(n: int, m: int, t: int, measured: int) -> int:
+    """The QDS Hamming sum, every term formed, zero ones included."""
+    return sum(comb(n, i) * 3**i * sum(comb(measured, j) for j in range(t - i + 1))
+               for i in range(t + 1))
+
+
+@pytest.mark.parametrize("n", [3, 8, 20, 45])
+def test_qds_hamming_verdicts_equal_the_full_sum(n):
+    # skipping the zero terms (i > n or j > m + l) and summing each
+    # syndrome prefix once decide as the full sum does, on both sides of 2^m
+    for k in range(1, n):
+        for d in (1, 3, 5, 9, 2 * n + 5):
+            for l in (0, 1, 7, 3 * n):
+                params = CodeParams(n, k, d, l)
+                total = _hamming_sum(n, params.m, params.t, params.m + l)
+                assert qds_hamming(params) == (total <= 2**params.m), (n, k, d, l)
+
+
+def test_qds_hamming_takes_d_up_to_the_cap():
+    assert qds_hamming(CodeParams(20_000, 1, MAX_CHECK_DISTANCE)) is True
+    assert qds_hamming(CodeParams(10, 3, MAX_CHECK_DISTANCE)) is False
+    with pytest.raises(CapacityError, match="Hamming-check cap"):
+        qds_hamming(CodeParams(10, 3, MAX_CHECK_DISTANCE + 2))
 
 
 def test_qds_hamming_d3_verdicts():

@@ -464,6 +464,24 @@ def test_simulate_range_to_file(capsys, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["-2", "-3", "-4"]
 
 
+@pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
+def test_simulate_refuses_an_out_it_cannot_write_before_the_sweep(capsys, monkeypatch, tmp_path,
+                                                                   out):
+    # a file in a missing directory, or a directory: refused before any scheme is built
+    from qdscodes import noise
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate evaluated a sweep it could not write")
+
+    monkeypatch.setattr(noise, "build_scheme", refuse)
+    monkeypatch.setattr(noise, "sweep", refuse)
+    path = str(tmp_path / out)
+    code, stdout, err = run(capsys, "simulate", "--scheme", "fig1-bs-sm",
+                            "--pm-log2=-3..-4:0.5", "--out", path)
+    assert code == 2 and stdout == ""
+    assert err == f"error: --out {path} must name a file in an existing directory\n"
+
+
 @pytest.mark.parametrize(
     "spec, count, last",
     [("-1..-2.9:0.5", 4, "-2.5"), ("-2.9..-1:0.5", 4, "-1.4"), ("-1.5..-8:0.1", 66, "-8")],
@@ -749,6 +767,17 @@ def test_shell_entry_point(argv, exit_code, needle):
                           capture_output=True, text=True, timeout=60, check=False)
     assert done.returncode == exit_code, done.stderr
     assert needle in done.stdout + done.stderr
+
+
+def test_bounds_check_refuses_a_distance_past_the_cap_at_once():
+    # d = 1,000,001 is past the cap, so no term of the Hamming sum is formed;
+    # all t^2 / 2 = 1.25e11 of them, zeros included, would take hours
+    done = subprocess.run([sys.executable, "-m", "qdscodes", "bounds", "--check", "10", "3",
+                           "1000001"], env=src_env(), capture_output=True, text=True, timeout=20,
+                          check=False)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: d=1000001 exceeds the Hamming-check cap "
+                           f"{bounds.MAX_CHECK_DISTANCE}\n")
 
 
 def test_the_package_runs_as_a_module():

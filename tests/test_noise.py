@@ -841,9 +841,9 @@ def _on_cells(monkeypatch, *parts: SMPart) -> None:
 @pytest.fixture
 def built(monkeypatch) -> dict[str, list[SMPart]]:
     """The parts Monte Carlo builds state for, one entry per build: sampler
-    blocks ("blocks") and runner-up tables under the unit costs ("unit
-    runner-up").  No part keeps either, so the builds are counted."""
-    builds = {"blocks": [], "unit runner-up": []}
+    blocks ("blocks") and runner-up tables under any cost rule
+    ("runner-up").  No part keeps either, so the builds are counted."""
+    builds = {"blocks": [], "runner-up": []}
     blocks, runner_up = montecarlo._sampler_blocks, montecarlo._runner_up_by_syndrome
 
     def building_blocks(part):
@@ -851,8 +851,7 @@ def built(monkeypatch) -> dict[str, list[SMPart]]:
         return blocks(part)
 
     def building_runner_up(part, costs):
-        if costs is part._unit_costs:
-            builds["unit runner-up"].append(part)
+        builds["runner-up"].append(part)
         return runner_up(part, costs)
 
     monkeypatch.setattr(montecarlo, "_sampler_blocks", building_blocks)
@@ -975,9 +974,8 @@ def test_monte_carlo_syndrome_table_above_20_bits(built, decoder):
     exact = pse_exact(scheme, 2.0**-3).p_se
     mc = pse_monte_carlo(scheme, 2.0**-3, trials, seed=13)
     assert abs(mc.p_se - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / trials)
-    # coset-leader runner-up costs are read from the table built once for
-    # the call; weighted ML's three classes give costs that change with p_m
-    assert [id(p) for p in built["unit runner-up"]] == [id(part)] * (decoder == "coset-leader")
+    # 2^16 words repay a table of the 2^16 cosets under either decoder's rule
+    assert built["runner-up"] == [part]
 
 
 def _shor_z_part(sm: BinaryLinearCode) -> SMPart:
@@ -1145,16 +1143,19 @@ def _scanned_failures(part: SMPart, words: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("case", ["cw-18-2-12", "shor-z-20-6", "random-16-2"])
 def test_decision_table_matches_per_word_decoding(built, case):
-    # the unit-cost runner-up table the sampler builds, read whatever the
-    # trials, decides every word as scanning its coset does
+    # the unit-cost runner-up table, built for a run of at least as many
+    # words as the part has cosets, and the scan below that decide every
+    # word as scanning its coset does
     part = _table_cases()[case]
     words, _, _ = _block_words(part)
     assert np.bitwise_count(np.bitwise_or.reduce(words)) == part.code.length
-    sampler = _Sampler(part)
-    decided = _sm_decoder(sampler, part._unit_costs, trials=0)(words)
-    assert built["unit runner-up"] == [part]
-    assert len(sampler.runner_up) == 1 << part.code.redundancy
-    assert np.array_equal(decided, _scanned_failures(part, words))
+    cosets = 1 << part.code.redundancy
+    scanned = _sm_decoder(part, part._unit_costs, cosets - 1)(words)
+    assert built["runner-up"] == []
+    looked_up = _sm_decoder(part, part._unit_costs, cosets)(words)
+    assert built["runner-up"] == [part]
+    assert np.array_equal(scanned, _scanned_failures(part, words))
+    assert np.array_equal(looked_up, scanned)
 
 
 def _straddled_part() -> SMPart:
@@ -1177,6 +1178,12 @@ def _unjoinable_part() -> SMPart:
     return part
 
 
+# runner-up tables a 50,000-trial call builds: fig1-bs-sm's one block has
+# 2^12 words against 2^10 cosets, the [20,6] parts 2^14 cosets, and the
+# [20,4] part 2^16, so its words are scanned
+THROUGH_THE_TABLE = {"fig1-bs-sm": 1, "shor-z-20-6": 1, "straddled-20-6": 1, "unjoinable-20-4": 0}
+
+
 @pytest.mark.parametrize("scheme", [
     build_scheme("fig1-bs-sm"),
     MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],)),
@@ -1185,7 +1192,8 @@ def _unjoinable_part() -> SMPart:
 ])
 def test_monte_carlo_through_the_table_equals_word_decoding(built, scheme):
     # the same draws, assembled into words and decoded by scanning each
-    # word's coset, fail exactly where Monte Carlo's reader says
+    # word's coset, fail exactly where Monte Carlo's reader says, whether
+    # it reads a runner-up table or scans each coset
     trials, chunk_size, seed, p_m = 50_000, 20_000, 5, 2.0**-3
     expected = 0
     for chunk_index, start in enumerate(range(0, trials, chunk_size)):
@@ -1197,8 +1205,9 @@ def test_monte_carlo_through_the_table_equals_word_decoding(built, scheme):
             failed |= _scanned_failures(part, _sm_word_sampler(part, p_m)(rng, size))
         expected += int(failed.sum())
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
-    # one table per part object for the call
-    assert [id(p) for p in built["unit runner-up"]] == list(dict.fromkeys(map(id, scheme.parts)))
+    # at most one table per part object, the X and Z parts of fig1-bs-sm being one
+    tables = THROUGH_THE_TABLE[scheme.name]
+    assert [id(p) for p in built["runner-up"]] == [id(scheme.parts[0])] * tables
     assert got == expected
 
 
@@ -1217,7 +1226,8 @@ def test_one_block_part_under_a_negative_likelihood_weight_equals_word_decoding(
 
 
 def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
-    # minimum-weight decoding's runner-up table, _Sampler.runner_up
+    # minimum-weight decoding's runner-up table, built once for the one
+    # group of points, which share the unit costs
     built = []
     original = montecarlo._runner_up_by_syndrome
 
@@ -1231,6 +1241,36 @@ def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
     assert len(rows) == 3
     # the X and Z parts are one object, so one build serves both
     assert [id(part) for part in built] == list(dict.fromkeys(id(part) for part in scheme.parts))
+
+
+def test_a_short_run_on_a_25_bit_part_builds_no_runner_up_table(built):
+    # 1,000 words do not repay a table of the [25,6] part's 2^19 cosets, so
+    # each word's coset is scanned; the count is the scan's of the same draws
+    part = _random_part(25, 6, 25, "coset-leader")
+    assert len(_Sampler(part).blocks) > 1
+    scheme = MeasurementScheme(part.code.name, (part,))
+    p_m, trials, seed = 2.0**-3, 1_000, 25
+    got = pse_monte_carlo(scheme, p_m, trials, seed).p_se * trials
+    assert built["runner-up"] == []
+    words = _sm_word_sampler(part, p_m)(_chunk_rng(seed, 0), trials)
+    assert got == int(_scanned_failures(part, words).sum())
+    assert 0 < got < trials
+
+
+def test_a_group_builds_one_table_for_a_rule_its_points_repay_together(built):
+    # four points share the unit costs: at 2^12 trials each they decode
+    # 2^14 words under that rule, as many as the [20,6] part has cosets, so
+    # the group builds one table and counts its 2^14 one-byte costs
+    part = _random_part(20, 6, 20, "coset-leader")
+    sampler, p_ms = _Sampler(part), [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
+    costs = [part._pricing(p_m)[0] for p_m in p_ms]
+    assert all(rule is part._unit_costs for rule in costs) and len(sampler.blocks) > 1
+    dtype = np.dtype(np.uint8)
+    _, below = montecarlo._sm_reader(sampler, p_ms, costs, (1 << 12) - 1, {}, dtype)
+    assert built["runner-up"] == []
+    _, held = montecarlo._sm_reader(sampler, p_ms, costs, 1 << 12, {}, dtype)
+    assert built["runner-up"] == [part]
+    assert held - below == 1 << part.code.redundancy
 
 
 def _three_class_part() -> SMPart:
@@ -1291,7 +1331,7 @@ def _whole_chunk_failures(
                 failed |= _repetition_failures(part, p_m)(uniforms)
             else:
                 costs, _ = part._pricing(p_m)
-                failed |= _sm_decoder(samplers[id(part)], costs)(draw[id(part)](rng, size))
+                failed |= _sm_decoder(part, costs)(draw[id(part)](rng, size))
         failures += int(failed.sum())
     return failures
 
@@ -1351,7 +1391,7 @@ def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(monkeypatch, bu
         _on_cells(monkeypatch, *scheme.parts)
     grid, trials, chunk_size, seed = [2.0**-2, 2.0**-3, 2.0**-5], 50_000, 20_000, 5
     got = pse_monte_carlo(scheme, grid, trials, seed, chunk_size)
-    assert built == {"blocks": [], "unit runner-up": []}
+    assert built == {"blocks": [], "runner-up": []}
     for p_m, result in zip(grid, got):
         assert 0.0 < result.p_se < 1.0
         assert result.p_se == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size) / trials
@@ -1373,7 +1413,7 @@ def test_fig2_bs_216_monte_carlo_walks_no_coset_and_decodes_no_word(monkeypatch,
     for mc, reference in zip(pse_monte_carlo(scheme, grid, trials, seed=9), exact):
         p = reference.p_se
         assert abs(mc.p_se - p) <= 5 * math.sqrt(p * (1.0 - p) / trials)
-    assert built == {"blocks": [], "unit runner-up": []}
+    assert built == {"blocks": [], "runner-up": []}
 
 
 # the (scheme, decoder) pairs of the benchmark's montecarlo workload
@@ -1505,12 +1545,12 @@ def _verdict_cases() -> dict[str, SMPart]:
 def test_verdicts_say_whether_none_all_or_some_patterns_of_a_count_vector_fail(case):
     # per flip-count vector over the sampler blocks: 0 when every word
     # decodes, 2 when every one fails, 1 when it depends on the positions,
-    # from the sampler's unit runner-up table and from scanning each word's coset
+    # from the unit runner-up table and from scanning each word's coset
     part = _verdict_cases()[case]
     words, key, vectors = _block_words(part)
     totals = np.bincount(key, minlength=vectors)
     verdicts = []
-    decided = _sm_decoder(_Sampler(part), part._unit_costs)(words)
+    decided = _sm_decoder(part, part._unit_costs)(words)
     for failing in (decided, _scanned_failures(part, words)):
         fails = np.bincount(key, weights=failing, minlength=vectors)
         verdicts.append(np.where(fails == 0, 0, np.where(fails == totals, 2, 1)).tolist())
@@ -1524,11 +1564,11 @@ def test_verdicts_say_whether_none_all_or_some_patterns_of_a_count_vector_fail(c
 
 def test_unit_runner_up_table_builds_within_its_cosets_and_tiles():
     part = _random_part(22, 6, seed=22, decoder="coset-leader")
-    sampler = _Sampler(part)
-    assert len(sampler.blocks) > 1
+    assert len(_Sampler(part).blocks) > 1
     tracemalloc.start()
     try:
-        table = sampler.runner_up  # 2^16 one-byte costs, walked a tile of cosets at a time
+        # 2^16 one-byte costs, walked a tile of cosets at a time
+        table = montecarlo._runner_up_by_syndrome(part, part._unit_costs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1544,7 +1584,7 @@ def test_unit_costs_build_no_cost_table():
     part = SMPart(sm_catalog("cw-12-2-8"), (2, 4) * 6)
     part._unit_failures
     assert "table" not in part._unit_costs.__dict__
-    _Sampler(part).runner_up
+    montecarlo._runner_up_by_syndrome(part, part._unit_costs)
     assert "table" not in part._unit_costs.__dict__
 
 
@@ -1601,8 +1641,8 @@ def test_per_syndrome_table_is_built_only_when_it_pays(monkeypatch):
     costs, _ = part._pricing(2.0**-3)
     assert costs is not part._unit_costs
     words = _sm_word_sampler(part, 2.0**-3)(np.random.default_rng(8), 5_000)
-    scanned = _sm_decoder(_Sampler(part), costs, trials=cosets - 1)(words)
-    looked_up = _sm_decoder(_Sampler(part), costs, trials=cosets)(words)
+    scanned = _sm_decoder(part, costs, cosets - 1)(words)
+    looked_up = _sm_decoder(part, costs, cosets)(words)
     assert 0 < scanned.sum() < len(words)
     assert np.array_equal(scanned, looked_up)
 
@@ -1674,7 +1714,7 @@ def test_a_pass_holds_at_most_pass_bytes_of_decoder_tables_plus_one_group(monkey
     scheme = MeasurementScheme("three-class", (part,))
     p_ms, trials = WIDE_GRIDS["66"][::5], 1 << 14
     expected = pse_monte_carlo(scheme, p_ms, trials, seed=43)
-    table = montecarlo._syndrome_table_bytes(part.code, trials)
+    table = montecarlo._syndrome_table_bytes(part.code, part._pricing(p_ms[0])[0], trials)
     assert table == 8 << part.code.redundancy
     # room for three tables per group; a group's other tables (about 100 KB
     # of count positions) leave room to start a second group in a pass
@@ -1696,11 +1736,11 @@ def test_fig1_shor_sm_monte_carlo_sweep_equals_per_point_calls(shor_sm_data_dir,
     scheme = build_scheme("fig1-shor-sm", data_dir=shor_sm_data_dir, decoder=decoder)
     grid, trials = [-2.0, -3.0, -4.5, -6.0], 1 << 12
     (z_part,) = {id(part): part for part in scheme.parts[1:]}.values()
-    # 2^12 trials reach the [18,6] Z part's 2^12 cosets: under weighted ML
-    # its points decode words through per-syndrome tables
-    assert montecarlo._syndrome_table_bytes(z_part.code, trials) > 0
-    decoded = [z_part._pricing(2.0**lp)[0] is not z_part._unit_costs for lp in grid]
-    assert all(decoded) == (decoder == "weighted-ml")
+    # 2^12 trials reach the [18,6] Z part's 2^12 cosets: each point's words
+    # alone repay a per-syndrome table, under weighted ML a float one per point
+    rules = [z_part._pricing(2.0**lp)[0] for lp in grid]
+    assert all(montecarlo._syndrome_table_bytes(z_part.code, rule, trials) for rule in rules)
+    assert all(rule is not z_part._unit_costs for rule in rules) == (decoder == "weighted-ml")
     rows = sweep(scheme, grid, method="mc", trials=trials, seed=47)
     expected = [pse_monte_carlo(scheme, 2.0**lp, trials, seed=47) for lp in grid]
     assert [(row.log2_pse, row.stderr) for row in rows] == [
@@ -1744,11 +1784,10 @@ def _monte_carlo_path(part, p_m: float, trials: int) -> str:
         return "cells"
     if len(montecarlo._sampler_blocks(part)) == 1:
         return "one-block"
-    if part._pricing(p_m)[0] is part._unit_costs:
-        return "unit-table"
-    if montecarlo._syndrome_table_bytes(part.code, trials):
-        return "weighted-ml-tables"
-    return "coset-scan"
+    costs = part._pricing(p_m)[0]
+    if not montecarlo._syndrome_table_bytes(part.code, costs, trials):
+        return "coset-scan"
+    return "unit-table" if costs is part._unit_costs else "weighted-ml-tables"
 
 
 def _calibration_paths() -> dict[str, tuple[list[MeasurementScheme], int]]:
@@ -1903,7 +1942,7 @@ def _iid_failures(scheme: MeasurementScheme, p_m: float, trials: int, seed: int)
     parts = []
     for part in scheme.parts:
         q = [p_err(w, p_m) for w in part.weights]
-        parts.append((q, _sm_decoder(_Sampler(part), part._pricing(p_m)[0])))
+        parts.append((q, _sm_decoder(part, part._pricing(p_m)[0])))
     failures = 0
     for chunk_index, start in enumerate(range(0, trials, DEFAULT_CHUNK_SIZE)):
         size = min(DEFAULT_CHUNK_SIZE, trials - start)
