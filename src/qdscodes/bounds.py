@@ -15,6 +15,7 @@ from .errors import CapacityError, PreconditionError
 MAX_FAMILY_EXPONENT = 200  # largest a_max pure_only_families enumerates
 MAX_REGION_ROWS = 100_000  # most lengths n one region_table covers
 MAX_CHECK_DISTANCE = 2001  # largest d qds_hamming sums its binomials for
+MAX_SUMMED_LENGTH = 10**12  # largest n + l qds_hamming sums for when no bound settles it
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,37 @@ def _at_most_power_of_two(x: int, e: int) -> bool:
 def qds_hamming(params: CodeParams) -> bool:
     """Hamming bound for QDS codes with d = 2t + 1:
 
-        sum_{i<=t} C(n,i) 3^i sum_{j<=t-i} C(m+l, j)  <=  2^m.
+        S = sum_{i<=t} C(n,i) 3^i sum_{j<=t-i} C(m+l, j)  <=  2^m.
 
     The syndrome-position binomial runs over all m + l measured bits; at
     l = 0 this reduces to 4n - k + 1 <= 2^(n-k) for d = 3.
+
+    Two integer bounds on S settle most verdicts before any sum is formed:
+
+        C(n, t) 3^t  <=  S  <=  (t + 1) (3n + m + l)^t.
+
+    The lower bound is the term i = t, j = 0.  For the upper one, write
+    a = 3n and b = m + l: C(n, i) 3^i <= a^i and C(b, j) <= b^j, so S is at
+    most the sum of a^i b^j over i + j <= t.  The terms with i + j = s are
+    among those of the binomial expansion of (a + b)^s, whose coefficients
+    are at least 1, so they sum to at most (a + b)^s, and (a + b)^s <=
+    (a + b)^t as a + b >= 1; the t + 1 values of s give the bound.  So the
+    upper bound at most 2^m gives True and the lower one above 2^m gives
+    False.  Otherwise S itself is summed, when n + l is at most
+    MAX_SUMMED_LENGTH, and the check is refused beyond it.
     """
     if params.d % 2 == 0:
         raise PreconditionError(f"QDS Hamming bound needs odd d, got {params.d}")
     if params.d > MAX_CHECK_DISTANCE:
         raise CapacityError(f"d={params.d} exceeds the Hamming-check cap {MAX_CHECK_DISTANCE}")
     n, m, t, measured = params.n, params.m, params.t, params.m + params.l
+    if _at_most_power_of_two((t + 1) * (3 * n + measured) ** t, m):
+        return True
+    if not _at_most_power_of_two(comb(n, t) * 3**t, m):
+        return False
+    if n + params.l > MAX_SUMMED_LENGTH:
+        raise CapacityError(f"n + l = {n + params.l} exceeds the Hamming-sum cap "
+                            f"{MAX_SUMMED_LENGTH}, and no bound settles the check")
     # sum_{j<=s} C(m+l, j) for each s; terms with i > n or j > m + l are 0
     prefix = list(accumulate(comb(measured, j) for j in range(min(t, measured) + 1)))
     total = sum(comb(n, i) * 3**i * prefix[min(t - i, measured)] for i in range(min(t, n) + 1))

@@ -6,19 +6,24 @@ probability s = F(t - 1), the Binomial(fold, q) lower-tail CDF below the
 majority threshold t, so the weight fails iff u >= s^k.  An SM part with
 q = p_err(w, p_m) per weight class draws either its cells or its blocks.
 A cell (noise._cells under the unit costs: the positions of one class
-under one generator column) takes one uniform, its flip count c by
-inverse CDF of Binomial(n_cell, q).  A codeword flips a cell wholly or
-not at all, so whether a pattern decodes depends only on its count
-vector over the cells, under every cost rule, and no position is drawn.
-A part samples cells when they need no more uniforms than its blocks and
-their count vectors fit a joint table (_sampler_cells).  Otherwise its
-weight classes are split into near-equal blocks of at most
-SAMPLER_BLOCK_BITS bits; per block a first uniform gives the flip count,
-and a second picks one of the C(N, c) words with c flips from a table of
-the block's words sorted by popcount.  A drawn word fails iff it is not
-the unique minimum-cost member of its coset (_sm_decoder), whose
-runner-up cost is read by syndrome from a table when a group's words
-under the cost rule repay one, and otherwise found by scanning the coset.
+under one generator column) flips Binomial(n_cell, q) of its bits.  A
+codeword flips a cell wholly or not at all, so whether a pattern decodes
+depends only on its count vector over the cells, under every cost rule,
+and no position is drawn.  Cells are drawn in digits: a digit takes one
+uniform, the count vector of its cells by inverse CDF of the product of
+their distributions (Devroye 1986, III.2).  All the cells form one digit
+when a group of points reads their V = prod (n_cell + 1) count vectors
+from one joint table (V <= 1,024), else each cell is a digit.  A part
+samples cells when they form one digit, or when they need no more
+uniforms than its blocks and their count vectors fit a joint table
+(_sampler_cells).  Otherwise its weight classes are split into
+near-equal blocks of at most SAMPLER_BLOCK_BITS bits; per block a first
+uniform gives the flip count, and a second picks one of the C(N, c)
+words with c flips from a table of the block's words sorted by popcount.
+A drawn word fails iff it is not the unique minimum-cost member of its
+coset (_sm_decoder), whose runner-up cost is read by syndrome from a
+table when a group's words under the cost rule repay one, and otherwise
+found by scanning the coset.
 
 Monte Carlo runs are reproducible bit-for-bit: trials are partitioned
 into chunks of fixed size, and chunk c draws from
@@ -26,7 +31,7 @@ numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c,))),
 i.e. PCG64 seeded through numpy's documented SeedSequence hash.  Within
 a chunk the parts draw in scheme order (_draws): a repetition part one
 array of uniforms per distinct weight, an SM part one count array per
-cell, or a count array then a position array per block, blocks in class
+digit, or a count array then a position array per block, blocks in class
 order.  The arrays do not depend on p_m, so every point of a sweep reads
 the same chunk streams, and a grid call draws them once per pass: one
 pass serves every point whose tables, decoders' runner-up tables
@@ -39,16 +44,16 @@ Each tile is judged once for a group of up to MASK_POINTS points: every
 part turns it into one integer mask per trial, bit i set when the trial
 fails at point i, and the scheme fails where any part does.  A count
 uniform is placed once among the CDF values of all the group's points,
-by a guide table of GUIDE_BUCKETS buckets (_Positions), and each point
-reads its count at that position.  An SM part is judged in one of three
-ways.  A part that samples cells reads each point's decode flag per
-count vector (noise._cell_decodes, the kernel exact evaluation counts
-with) at every joint position of its cells, so one table lookup judges a
-trial for all points.  A part of one block decodes the block's table
-words once per cost rule and keeps, per flip count, whether all, none or
-some of its words fail; only a count whose words partly fail reads the
-position uniform.  A part of several blocks assembles each point's words
-and decodes them.
+by a guide table of at least GUIDE_BUCKETS buckets (_Positions), and
+each point reads its count at that position.  An SM part is judged in
+one of three ways.  A part that samples cells reads each point's decode
+flag per count vector (noise._cell_decodes, the kernel exact evaluation
+counts with) at every joint position of its digits, so one table lookup
+judges a trial for all points.  A part of one block decodes the block's
+table words once per cost rule and keeps, per flip count, whether all,
+none or some of its words fail; only a count whose words partly fail
+reads the position uniform.  A part of several blocks assembles each
+point's words and decodes them.
 """
 
 from __future__ import annotations
@@ -65,21 +70,33 @@ from . import noise  # read as noise.<name> at each call, so a name replaced the
 
 SAMPLER_BLOCK_BITS = 16  # longest run of one class's bits a sampler table enumerates
 MASK_POINTS = 64  # grid points judged together by Monte Carlo, one bit each of a uint64 mask
-GUIDE_BUCKETS = 1 << 12  # guide-table buckets that place a uniform among merged thresholds
+GUIDE_BUCKETS = 1 << 12  # fewest guide-table buckets that place a uniform among merged thresholds
 JOINT_TABLE_ENTRIES = 1 << 16  # joint positions of a point-mask table over cells or a block
 PASS_BYTES = 1 << 25  # point-judging tables one Monte Carlo pass over the chunks builds
 
+Digit = tuple[tuple[int, int], ...]  # (class, size) of the cells or block one uniform draws
 
-def _sampler_cells(part: noise.SMPart) -> noise.Cells | None:
-    """The unit-cost cells (noise._cells) when Monte Carlo draws one flip
-    count per cell, else None and it draws the sampler blocks: cells are
-    drawn when they need no more uniforms than the blocks, one per cell
-    against two per block, and their count vectors at one point fit a
-    joint table, prod (n_cell + 1) <= JOINT_TABLE_ENTRIES."""
+
+def _sampler_cells(part: noise.SMPart) -> tuple[noise.Cells, list[Digit]] | None:
+    """The unit-cost cells (noise._cells) and their digits when Monte Carlo
+    draws flip counts per cell, else None and it draws the sampler blocks.
+
+    A digit is a run of cells, in _cells order, whose count vector one
+    uniform draws.  All V = prod (n_cell + 1) count vectors form one digit
+    when their positions at MASK_POINTS points fit a joint table,
+    MASK_POINTS (V - 1) + 1 <= JOINT_TABLE_ENTRIES (V <= 1,024).  Otherwise
+    each cell is a digit, drawn when the cells need no more uniforms than
+    the blocks, one per cell against two per block, and their count vectors
+    at one point fit a joint table, V <= JOINT_TABLE_ENTRIES."""
     cells = noise._cells(part, part._unit_costs)
+    vectors = math.prod((cells[0] + 1).tolist())
+    pairs = list(zip(cells[1].tolist(), cells[0].tolist()))
+    if MASK_POINTS * (vectors - 1) + 1 <= JOINT_TABLE_ENTRIES:
+        return cells, [tuple(pairs)]
     blocks = sum(-(-n // SAMPLER_BLOCK_BITS) for n in part._unit_costs.sizes)
-    fits = math.prod((cells[0] + 1).tolist()) <= JOINT_TABLE_ENTRIES
-    return cells if fits and len(cells[0]) <= 2 * blocks else None
+    if vectors <= JOINT_TABLE_ENTRIES and len(pairs) <= 2 * blocks:
+        return cells, [(pair,) for pair in pairs]
+    return None
 
 
 def _sampler_blocks(part: noise.SMPart) -> list[tuple[int, np.ndarray]]:
@@ -110,11 +127,14 @@ def _runner_up_by_syndrome(part: noise.SMPart, costs: noise._Costs) -> np.ndarra
 class _Sampler:
     """What Monte Carlo samples of one SM part, built for one
     pse_monte_carlo call and dropped when it returns, so no part keeps it:
-    its cells (_sampler_cells), or else its blocks (_sampler_blocks)."""
+    its cells and their digits (_sampler_cells), or else its blocks
+    (_sampler_blocks), each block a digit of one (class, size) pair."""
 
     def __init__(self, part: noise.SMPart):
-        self.part, self.cells = part, _sampler_cells(part)
-        self.blocks = _sampler_blocks(part) if self.cells is None else []
+        self.part, layout = part, _sampler_cells(part)
+        self.blocks = [] if layout else _sampler_blocks(part)
+        self.cells, self.digits = layout or (
+            None, [((k, len(table).bit_length() - 1),) for k, table in self.blocks])
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -128,12 +148,11 @@ Judge = tuple[Reader, int]  # a part's tile rows -> per-trial point masks, and t
 def _draws(part: noise.RepetitionPart | _Sampler) -> int:
     """Uniform arrays a chunk draws for a part: for a repetition part one
     per distinct weight, in first-seen order; for an SM part, given by its
-    _Sampler, one count array per cell, in noise._cells order, when it
-    samples cells, else a count and then a position array per sampler
-    block, in class order."""
+    _Sampler, one count array per digit when it samples cells, else a
+    count and then a position array per sampler block, in class order."""
     if isinstance(part, noise.RepetitionPart):
         return len(set(part.weights))
-    return len(part.cells[0]) if part.cells is not None else 2 * len(part.blocks)
+    return len(part.digits) * (1 if part.cells is not None else 2)
 
 
 def _working(work: dict[str, np.ndarray], name: str, size: int, dtype=float) -> np.ndarray:
@@ -154,46 +173,63 @@ class _Positions:
     """Where uniforms fall among the thresholds of a group of points.
 
     Point i's count at a uniform u is the number of its sorted thresholds
-    at most u, here the inverse-CDF flip count of a cell or sampler block.
-    The thresholds below 1 of all points (u < 1, so no other ever counts)
-    are merged, sorted and distinct; u's position m is the number of merged
-    values at most u, and counts[i, m] is point i's count at every u of
-    position m, so one position serves every point.
+    at most u, here the inverse-CDF flip count of a block or the count
+    vector index of a digit.  The thresholds below 1 of all points (u < 1,
+    so no other ever counts) are merged, sorted and distinct; u's position
+    m is the number of merged values at most u, and counts[i, m] is point
+    i's count at every u of position m, so one position serves every
+    point.  counts is one running sum per point over its thresholds' ranks
+    among the merged values, in the narrowest unsigned type that holds it.
 
     Positions are found by indexed search (Chen and Asau 1974; Devroye
-    1986, III.2.4): guide[b] is the position of b / GUIDE_BUCKETS, which is
-    the position of every u in bucket b = floor(u GUIDE_BUCKETS) unless a
-    merged value lies inside the bucket, where guide[b] holds -1 - position;
-    only those uniforms are searched.  The tables take
-    8 GUIDE_BUCKETS + 8 m + points (m + 1) bytes for m merged values (a
-    count is at most MAX_SM_LENGTH, one byte).
+    1986, III.2.4): guide[b] is the position of b / buckets, which is the
+    position of every u in bucket b = floor(u buckets) unless a merged
+    value lies inside the bucket, where guide[b] holds -1 - position; only
+    those uniforms are searched.  buckets is the least power of two
+    that gives 64 buckets per merged value, kept within GUIDE_BUCKETS and
+    2^16, so few uniforms are searched however many points share the
+    table (nbytes).
     """
 
     def __init__(self, thresholds: Sequence[np.ndarray]):
-        # at most MASK_POINTS * MAX_SM_LENGTH values; np.unique would
-        # import numpy.ma, 0.6 MB of code
-        merged = {t for t in np.concatenate(thresholds).tolist() if t < 1.0}
-        self.merged = np.array(sorted(merged), dtype=float)
+        values = np.concatenate(thresholds)
+        merged = np.sort(values)
+        merged = merged[:merged.searchsorted(1.0)]
+        distinct = np.empty(len(merged), dtype=bool)  # np.unique would import numpy.ma
+        distinct[:1] = True
+        np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+        self.merged = merged[distinct]
+        self.buckets = min(max(GUIDE_BUCKETS, 1 << (64 * len(self.merged) - 1).bit_length()),
+                           1 << 16)
         # T <= b / B iff b >= ceil(T B), which is exact as B is a power of
         # two, so position m fills buckets ceil(T_m B) to ceil(T_(m+1) B) - 1;
         # a T with T B not an integer lies inside bucket ceil(T B) - 1
-        scaled = self.merged * GUIDE_BUCKETS
+        scaled = self.merged * self.buckets
         ceil = np.ceil(scaled).astype(np.intp)
-        edges = np.concatenate(([0], ceil, [GUIDE_BUCKETS]))
+        edges = np.concatenate(([0], ceil, [self.buckets]))
         self.guide = np.repeat(np.arange(len(ceil) + 1), edges[1:] - edges[:-1])
         inside = ceil[ceil != scaled] - 1
         self.guide[inside] = -1 - self.guide[inside]
-        floors = np.concatenate(([-math.inf], self.merged))
-        self.counts = np.array([np.searchsorted(t, floors, side="right") for t in thresholds],
-                               dtype=np.uint8)
+        # a threshold of rank r among the merged values counts from position
+        # r + 1, and one of 1 or more from position width, which no uniform
+        # takes: each point's counts sum its thresholds position by position
+        width, lengths = len(self.merged) + 1, [len(t) for t in thresholds]
+        ranks = np.concatenate((self.merged, [1.0])).searchsorted(values, side="right")
+        ranks += np.repeat(np.arange(0, len(lengths) * (width + 1), width + 1), lengths)
+        per_position = np.bincount(ranks, minlength=len(lengths) * (width + 1))
+        self.counts = per_position.reshape(len(lengths), width + 1)[:, :width].cumsum(
+            axis=1, dtype=np.min_scalar_type(max(lengths)))
 
     @property
     def nbytes(self) -> int:
+        """8 buckets + 8 m + points (m + 1) itemsize bytes for m merged
+        values: at most 512 KB of guide, and 2.8 MB of counts for 64
+        points over 343 count vectors (itemsize 2)."""
         return self.merged.nbytes + self.guide.nbytes + self.counts.nbytes
 
     def locate(self, u: np.ndarray, out: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
         """The position of each uniform in u, written to the intp array out."""
-        np.multiply(u, GUIDE_BUCKETS, out=out, casting="unsafe")  # the bucket, as u >= 0
+        np.multiply(u, self.buckets, out=out, casting="unsafe")  # the bucket, as u >= 0
         # out[j] is read before it is written; with out=, mode "raise" would buffer a copy
         self.guide.take(out, out=out, mode="clip")
         fix = np.flatnonzero(np.less(out, 0, out=_working(work, "straddles", len(u), bool)))
@@ -274,36 +310,42 @@ def _block_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return runs, starts
 
 
-def _block_cdf(runs: np.ndarray, q: float) -> np.ndarray:
-    """F(0), ..., F(N - 1) of Binomial(N, q), N = len(runs) - 1."""
-    return np.cumsum(runs * noise._pattern_probabilities(q, len(runs) - 1))[:-1]
+def _digit_cdf(digit: Digit, class_q: Sequence[float]) -> np.ndarray:
+    """F(0), ..., F(V - 2) over the V count vectors of the digit's cells or
+    block, cell 0 fastest: the cumulative product of their Binomial(n, q_k)
+    distributions, for flip probability class_q[k] per weight class k."""
+    pmf = noise._Costs.outer([_block_runs(n)[0] * noise._pattern_probabilities(class_q[k], n)
+                              for k, n in digit])
+    return np.cumsum(pmf)[:-1]
 
 
 def _count_positions(part: noise.SMPart, p_ms: Sequence[float],
-                     digits: Sequence[tuple[int, int]]) -> list[_Positions]:
-    """For each (class k, size n) of digits, where count uniforms fall among
-    each point's Binomial(n, q_k) CDF values F(0), ..., F(n - 1); digits of
-    one class and size share their CDFs, so one _Positions."""
+                     digits: Sequence[Digit]) -> list[_Positions]:
+    """For each digit, where its count uniforms fall among each point's CDF
+    values (_digit_cdf); equal digits share their CDFs, so one _Positions."""
     class_q = [[noise.p_err(part.weights[j], p_m) for j in part._unit_costs.first]
                for p_m in p_ms]
-    shared: dict[tuple[int, int], _Positions] = {}
-    for k, n in digits:
-        if (k, n) not in shared:
-            shared[k, n] = _Positions([_block_cdf(_block_runs(n)[0], q[k]) for q in class_q])
+    shared: dict[Digit, _Positions] = {}
+    for digit in digits:
+        if digit not in shared:
+            shared[digit] = _Positions([_digit_cdf(digit, q) for q in class_q])
     return [shared[digit] for digit in digits]
 
 
 def _locate(positions: Sequence[_Positions], uniforms: Sequence[np.ndarray],
             work: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Each digit's (cell's or block's) count positions, read from its count
-    uniforms; digit j's is working array pos<j>."""
+    """Each digit's count positions, read from its count uniforms; digit
+    j's is working array pos<j>."""
     return [where.locate(u, _working(work, f"pos{j}", len(u), np.intp), work)
             for j, (where, u) in enumerate(zip(positions, uniforms))]
 
 
 def _joint(positions: list[np.ndarray], widths: Sequence[int], work: dict[str, np.ndarray]):
     """Each trial's joint position, digit 0 fastest, from the digits' count
-    positions (_locate) and numbers of positions (widths)."""
+    positions (_locate) and numbers of positions (widths); one digit's
+    positions are its joint positions."""
+    if len(positions) == 1:
+        return positions[0]
     joint = _working(work, "joint", len(positions[0]), np.intp)
     np.copyto(joint, positions[-1])
     for pos, width in zip(positions[-2::-1], widths[-2::-1]):
@@ -314,8 +356,13 @@ def _joint(positions: list[np.ndarray], widths: Sequence[int], work: dict[str, n
 
 def _at_joint(by_counts: np.ndarray, positions: Sequence[_Positions], i: int) -> np.ndarray:
     """A table over count vectors, last digit first, read at each joint
-    position of point i, digit 0 fastest."""
-    return by_counts[np.ix_(*[where.counts[i] for where in reversed(positions)])].ravel()
+    position of point i, digit 0 fastest: one take at the flat index of
+    each position's count vector."""
+    index, stride = 0, 1
+    for where, radix in zip(positions, by_counts.shape[::-1]):
+        index = np.add.outer(stride * where.counts[i].astype(np.intp), index)
+        stride *= radix
+    return by_counts.take(index.ravel())
 
 
 def _table_index(v: np.ndarray, run, start, out: np.ndarray, work: dict[str, np.ndarray]):
@@ -415,9 +462,8 @@ def _sm_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise._
     every runner-up table the decoders build.
     """
     part, rule_words = sampler.part, _rule_words(sampler, costs, trials)
-    digits = [(k, len(table).bit_length() - 1) for k, table in sampler.blocks]
-    blocks = [_CountBlock(table, *_block_runs(n), positions) for (_, table), (_, n), positions
-              in zip(sampler.blocks, digits, _count_positions(part, p_ms, digits))]
+    blocks = [_CountBlock(table, *_block_runs(n), positions) for (_, table), ((_, n),), positions
+              in zip(sampler.blocks, sampler.digits, _count_positions(part, p_ms, sampler.digits))]
     where = [block.positions for block in blocks]
     held = sum(positions.nbytes for positions in {id(p): p for p in where}.values())
     held += sum(_syndrome_table_bytes(part.code, rule, n) for rule, n in rule_words.items())
@@ -489,18 +535,19 @@ def _cell_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise
     p_ms[i], whose decoder minimizes costs[i].
 
     A cell of n bits of weight class k flips Binomial(n, q_k) of them,
-    independently of the other cells, and one uniform per cell gives that
-    count by inverse CDF (_Positions, shared by the cells of one class and
-    size).  Whether a pattern decodes depends only on its count vector over
-    the cells, under every cost rule, as each weight class lies within one
-    class of the rule; so each point reads its rule's decode flags
-    (noise._cell_decodes) at every joint position of the cells, at most
-    JOINT_TABLE_ENTRIES (_group_width), into one table of point masks, and
-    a trial is judged by one lookup.  No word is drawn or decoded.
+    independently of the other cells, and one uniform per digit gives the
+    count vector of its cells by inverse CDF of their product distribution
+    (_Positions, shared by equal digits).  Whether a pattern decodes
+    depends only on its count vector over the cells, under every cost
+    rule, as each weight class lies within one class of the rule; so each
+    point reads its rule's decode flags (noise._cell_decodes) at every
+    joint position of the digits, at most JOINT_TABLE_ENTRIES
+    (_group_width), into one table of point masks, and a trial is judged
+    by one lookup.  No word is drawn or decoded.
     """
-    sizes, classes, _ = sampler.cells
-    where = _count_positions(sampler.part, p_ms, list(zip(classes.tolist(), sizes.tolist())))
-    flags = {rule: _cell_flags(sampler, rule) for rule in dict.fromkeys(costs)}
+    where = _count_positions(sampler.part, p_ms, sampler.digits)
+    shape = [_radix(digit) for digit in reversed(sampler.digits)]
+    flags = {rule: _cell_flags(sampler, rule).reshape(shape) for rule in dict.fromkeys(costs)}
     fails = {i: ~_at_joint(flags[rule], where, i) for i, rule in enumerate(costs)}
     widths = [positions.counts.shape[1] for positions in where]
     table = _point_bits(fails, math.prod(widths), dtype)
@@ -511,17 +558,23 @@ def _cell_reader(sampler: _Sampler, p_ms: Sequence[float], costs: Sequence[noise
     return failed, table.nbytes + sum(p.nbytes for p in {id(p): p for p in where}.values())
 
 
+def _radix(digit: Digit) -> int:
+    """The number of count vectors of a digit's cells or block."""
+    return math.prod(n + 1 for _, n in digit)
+
+
 def _group_width(rules: Sequence[tuple[_Sampler, Sequence[noise._Costs]]], points: int,
                  trials: int) -> int:
     """How many points are judged together, given each SM part's sampler
     with its points' cost rules: at most MASK_POINTS, and few enough that
-    each part judged by one table lookup, whose N_j-bit cells or one block
-    take at most width N_j + 1 positions each, has at most
-    JOINT_TABLE_ENTRIES joint positions, and that the runner-up tables each
-    group builds, at most one per distinct rule among its points
-    (_rule_words), fit PASS_BYTES (unless one point alone exceeds either)."""
-    # the bits of each cell, or of the one block, of the parts judged by one table lookup
-    lookups = [s.cells[0].tolist() if s.cells is not None else [s.part.code.length]
+    each part judged by one table lookup, whose digits (cells or one block)
+    of V_d count vectors take at most width (V_d - 1) + 1 positions each,
+    has at most JOINT_TABLE_ENTRIES joint positions, and that the runner-up
+    tables each group builds, at most one per distinct rule among its
+    points (_rule_words), fit PASS_BYTES (unless one point alone exceeds
+    either)."""
+    # V_d - 1 per digit of the parts judged by one table lookup
+    lookups = [[_radix(digit) - 1 for digit in s.digits]
                for s, _ in rules if s.cells is not None or len(s.blocks) == 1]
 
     def fits(width: int) -> bool:
@@ -530,7 +583,7 @@ def _group_width(rules: Sequence[tuple[_Sampler, Sequence[noise._Costs]]], point
                          for rule, n in _rule_words(sampler, costs[lo:lo + width], trials).items())
                      for lo in range(0, points, width))  # the runner-up tables of each group
         return tables <= PASS_BYTES and all(
-            math.prod(width * n + 1 for n in bits) <= JOINT_TABLE_ENTRIES for bits in lookups)
+            math.prod(width * v + 1 for v in digits) <= JOINT_TABLE_ENTRIES for digits in lookups)
     width = max(1, min(MASK_POINTS, points))
     while width > 1 and not fits(width):
         width -= 1

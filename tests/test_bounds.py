@@ -4,10 +4,13 @@ import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdscodes.bounds import (
     MAX_CHECK_DISTANCE,
     MAX_FAMILY_EXPONENT,
+    MAX_SUMMED_LENGTH,
     CodeParams,
     ceil_log2,
     conjectured_bound,
@@ -80,6 +83,38 @@ def test_qds_hamming_verdicts_equal_the_full_sum(n):
                 params = CodeParams(n, k, d, l)
                 total = _hamming_sum(n, params.m, params.t, params.m + l)
                 assert qds_hamming(params) == (total <= 2**params.m), (n, k, d, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 80), data=st.data())
+def test_qds_hamming_verdicts_settled_by_bounds_equal_the_full_sum(n, data):
+    # the upper bound (t + 1) (3n + m + l)^t and the lower bound C(n, t) 3^t
+    # decide only where the full sum decides alike
+    k = data.draw(st.integers(1, n - 1))
+    d = data.draw(st.integers(0, 30)) * 2 + 1
+    l = data.draw(st.integers(0, 60))
+    params = CodeParams(n, k, d, l)
+    total = _hamming_sum(n, params.m, params.t, params.m + l)
+    assert comb(n, params.t) * 3**params.t <= total
+    assert total <= (params.t + 1) * (3 * n + params.m + l) ** params.t
+    assert qds_hamming(params) == (total <= 2**params.m)
+
+
+def test_qds_hamming_of_a_100_digit_length_is_settled_by_a_bound():
+    # neither verdict forms the 1,000-term sum of 100-digit binomials
+    assert qds_hamming(CodeParams(10**100, 1, 2001)) is True  # (t + 1) (3n + m)^t <= 2^m
+    assert qds_hamming(CodeParams(10**100, 10**100 - 10, 3)) is False  # 3n > 2^10
+
+
+def test_qds_hamming_sums_only_up_to_the_length_cap():
+    # at t = 1 neither bound settles 3n <= 2^m < 2 (3n + m + l): n near
+    # 10^12 with m = 42, and n = 10^13 with m = 45
+    n = MAX_SUMMED_LENGTH - 100
+    assert qds_hamming(CodeParams(n, n - 42, 3)) == (1 + 42 + 3 * n <= 2**42)
+    n = 10 * MAX_SUMMED_LENGTH
+    assert 3 * n <= 2**45 < 2 * (3 * n + 45)
+    with pytest.raises(CapacityError, match="Hamming-sum cap"):
+        qds_hamming(CodeParams(n, n - 45, 3))
 
 
 def test_qds_hamming_takes_d_up_to_the_cap():

@@ -780,6 +780,16 @@ def test_bounds_check_refuses_a_distance_past_the_cap_at_once():
                            f"{bounds.MAX_CHECK_DISTANCE}\n")
 
 
+def test_bounds_check_of_a_100_digit_length_answers_at_once():
+    # a bound settles the Hamming check; summing its 1,000 terms of
+    # 100-digit binomials took about 19 s
+    n = str(10**100)
+    done = subprocess.run([sys.executable, "-m", "qdscodes", "bounds", "--check", n, "1", "2001"],
+                          env=src_env(), capture_output=True, text=True, timeout=10, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "qds_hamming: True" in done.stdout.splitlines()
+
+
 def test_the_package_runs_as_a_module():
     done = subprocess.run([sys.executable, "-m", "qdscodes", "bounds", "--check", "22", "15"],
                           env=src_env(), capture_output=True, text=True, timeout=60, check=False)

@@ -1,6 +1,7 @@
 """Measurement-error channel, exact evaluation, and Monte Carlo."""
 
 import collections
+import functools
 import itertools
 import math
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdscodes.errors import AvailabilityError, CapacityError, PreconditionError, StructureError
@@ -711,6 +712,27 @@ def _random_35_bit_part() -> SMPart:
     return SMPart(BinaryLinearCode(35, rows, "random-35-2"), (4,) * 35, "weighted-ml")
 
 
+def _columns_part() -> SMPart:
+    """A [30,2] part whose generator columns 01, 10 and 11 cover 6, 10 and
+    14 positions, all of weight 6: three cells of 1,155 count vectors,
+    drawn one per cell."""
+    columns = [1] * 6 + [2] * 10 + [3] * 14
+    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(columns)) for i in range(2))
+    return SMPart(BinaryLinearCode(30, rows, "columns-30-2"), (6,) * 30)
+
+
+def _three_class_cw_12_2_8() -> SMPart:
+    """Weighted ML on cw-12-2-8 with element weight 1, 2 or 3 by generator
+    column: three likelihood classes, each one cell, so 125 count vectors."""
+    code = sm_catalog("cw-12-2-8")
+    columns = [tuple((row >> j) & 1 for row in code.systematic_rows) for j in range(12)]
+    rank = {column: r for r, column in enumerate(dict.fromkeys(columns))}
+    part = SMPart(code, tuple(1 + rank[column] for column in columns), "weighted-ml")
+    assert len(likelihood_classes([p_err(w, 2.0**-3) for w in (1, 2, 3)])[0]) == 3
+    assert noise._cells(part, part._unit_costs)[0].tolist() == [4, 4, 4]
+    return part
+
+
 def test_weighted_ml_monte_carlo_on_a_35_bit_code():
     # longer than 32 bits: received words are packed into uint64
     part = _random_35_bit_part()
@@ -771,13 +793,31 @@ def _repetition_failures(part: RepetitionPart, p_m: float):
     return failed
 
 
+def _product_cdf(cells: list[tuple[int, float]]) -> np.ndarray:
+    """F(0), ..., F(V - 2) over the V count vectors of independent cells
+    of (n bits, flip probability q), cell 0 fastest: each vector's
+    probability is the product over its cells of C(n, c) q^c (1 - q)^(n - c),
+    and the vectors' probabilities are summed one at a time, in order."""
+    pmfs = [noise._binomials(n) * noise._pattern_probabilities(q, n) for n, q in cells]
+    vectors = itertools.product(*[range(n + 1) for n, _ in reversed(cells)])  # cell 0 fastest
+    probs = [functools.reduce(lambda acc, p: p * acc, [pmf[c] for pmf, c in zip(pmfs, v[::-1])])
+             for v in vectors]
+    return np.array(list(itertools.accumulate(probs))[:-1])
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of CDF values at most each uniform, each value compared
+    with every uniform: no _Positions, so oracles check the readers' lookup."""
+    counts = np.zeros(len(u), dtype=np.intp)
+    for value in cdf.tolist():
+        counts += value <= u
+    return counts
+
+
 def _sm_word_sampler(part: SMPart, p_m: float):
     """Draw one chunk of received words from the part's sampler blocks, a
-    count and a position array per block, in order.
-
-    A block's flip count is the number of its CDF values at most the count
-    uniform, each value compared with every uniform: no _Positions, so the
-    sampler checks the readers' count lookup."""
+    count and a position array per block, in order; a block's flip count
+    is read by _inverse_cdf."""
     class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
     blocks = montecarlo._sampler_blocks(part)
 
@@ -785,8 +825,9 @@ def _sm_word_sampler(part: SMPart, p_m: float):
         uniforms = rng.random((2 * len(blocks), size))
         words = np.zeros(size, dtype=np.uint64)
         for (k, table), u, v in zip(blocks, uniforms[0::2], uniforms[1::2]):
-            runs, starts = montecarlo._block_runs(len(table).bit_length() - 1)
-            counts = np.count_nonzero(montecarlo._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
+            n = len(table).bit_length() - 1
+            runs, starts = montecarlo._block_runs(n)
+            counts = _inverse_cdf(_product_cdf([(n, class_q[k])]), u)
             start = starts.take(counts)
             words |= table.take(montecarlo._table_index(v, runs.take(counts), start, start, {}))
         return words
@@ -808,24 +849,29 @@ def _cell_positions(part: SMPart) -> list[np.ndarray]:
 
 
 def _cell_word_sampler(part: SMPart, p_m: float):
-    """Draw one chunk of received words from one count array per cell, in
-    order: a cell's flip count is the number of its CDF values at most its
-    uniform, and the flips fall on random positions inside the cell, drawn
-    from a stream of their own."""
+    """Draw one chunk of received words from one count array per digit of
+    the part's cells (the runs of cells montecarlo._sampler_cells gives),
+    in order: a digit's count vector, cell 0 fastest, is read by
+    _inverse_cdf from the product of its cells' distributions, and the
+    flips fall on random positions inside each cell, drawn from a stream
+    of their own."""
     class_q = [p_err(part.weights[j], p_m) for j in part._unit_costs.first]
-    classes = noise._cells(part, part._unit_costs)[1].tolist()
-    cells = _cell_positions(part)
+    _, digits = montecarlo._sampler_cells(part)
+    cells = iter(_cell_positions(part))
+    digits = [[(next(cells), class_q[k]) for k, _ in digit] for digit in digits]
+    assert next(cells, None) is None
     anywhere = np.random.default_rng(0)
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        uniforms, words = rng.random((len(cells), size)), np.zeros(size, dtype=np.uint64)
-        for positions, k, u in zip(cells, classes, uniforms):
-            runs, _ = montecarlo._block_runs(len(positions))
-            counts = np.count_nonzero(montecarlo._block_cdf(runs, class_q[k])[:, None] <= u, axis=0)
-            # each trial flips the positions of its `counts` lowest random ranks
-            ranks = anywhere.random((size, len(positions))).argsort(axis=1).argsort(axis=1)
-            bits = np.where(ranks < counts[:, None], np.uint64(1) << positions, np.uint64(0))
-            words |= np.bitwise_or.reduce(bits, axis=1)
+        uniforms, words = rng.random((len(digits), size)), np.zeros(size, dtype=np.uint64)
+        for digit, u in zip(digits, uniforms):
+            vector = _inverse_cdf(_product_cdf([(len(at), q) for at, q in digit]), u)
+            for positions, _ in digit:
+                vector, counts = np.divmod(vector, len(positions) + 1)
+                # each trial flips the positions of its `counts` lowest random ranks
+                ranks = anywhere.random((size, len(positions))).argsort(axis=1).argsort(axis=1)
+                bits = np.where(ranks < counts[:, None], np.uint64(1) << positions, np.uint64(0))
+                words |= np.bitwise_or.reduce(bits, axis=1)
         return words
     return sample
 
@@ -834,8 +880,13 @@ def _on_cells(monkeypatch, *parts: SMPart) -> None:
     """Make Monte Carlo draw one flip count per cell of each of the parts,
     whatever montecarlo._sampler_cells would choose."""
     forced, choose = {id(part) for part in parts}, montecarlo._sampler_cells
-    monkeypatch.setattr(montecarlo, "_sampler_cells", lambda part: (
-        noise._cells(part, part._unit_costs) if id(part) in forced else choose(part)))
+
+    def per_cell(part):
+        if id(part) not in forced:
+            return choose(part)
+        cells = noise._cells(part, part._unit_costs)
+        return cells, [((k, n),) for k, n in zip(cells[1].tolist(), cells[0].tolist())]
+    monkeypatch.setattr(montecarlo, "_sampler_cells", per_cell)
 
 
 @pytest.fixture
@@ -879,13 +930,14 @@ def test_monte_carlo_deterministic_and_chunked():
 
 # failures out of 20 000 trials at log2 p_m = -3, seed 7, chunk size 7 000,
 # as drawn by the flip-count samplers (a uniform per repetition weight,
-# inverse-CDF counts per cell or block, block table positions)
+# inverse-CDF count vectors per digit of cells, or counts and table
+# positions per block)
 PINNED_MC_FAILURES = [
-    ("fig1-bs-sm", "coset-leader", 17919),
-    ("fig1-bs-sm", "weighted-ml", 17919),
+    ("fig1-bs-sm", "coset-leader", 17969),
+    ("fig1-bs-sm", "weighted-ml", 17969),
     ("fig1-bs-6fold", "coset-leader", 18559),
     ("fig1-shor-6fold", "coset-leader", 17515),
-    ("fig2-bs-216", "coset-leader", 16966),
+    ("fig2-bs-216", "coset-leader", 16862),
 ]
 
 
@@ -1178,14 +1230,23 @@ def _unjoinable_part() -> SMPart:
     return part
 
 
-# runner-up tables a 50,000-trial call builds: fig1-bs-sm's one block has
-# 2^12 words against 2^10 cosets, the [20,6] parts 2^14 cosets, and the
-# [20,4] part 2^16, so its words are scanned
-THROUGH_THE_TABLE = {"fig1-bs-sm": 1, "shor-z-20-6": 1, "straddled-20-6": 1, "unjoinable-20-4": 0}
+def _one_block_part(weight: int = 4, decoder: str = "coset-leader") -> SMPart:
+    """A seeded random [16,4] part of one weight class: one 16-bit sampler
+    block, and 13,824 cell count vectors, too many for one joint digit."""
+    part = SMPart(_random_part(16, 4, 16, decoder).code, (weight,) * 16, decoder)
+    assert len(montecarlo._sampler_blocks(part)) == 1 and montecarlo._sampler_cells(part) is None
+    return part
+
+
+# runner-up tables a 50,000-trial call builds: the one-block [16,4] part
+# has 2^16 words against 2^12 cosets, the [20,6] parts 2^14 cosets, and
+# the [20,4] part 2^16, so its words are scanned
+THROUGH_THE_TABLE = {"one-block-16-4": 1, "shor-z-20-6": 1, "straddled-20-6": 1,
+                     "unjoinable-20-4": 0}
 
 
 @pytest.mark.parametrize("scheme", [
-    build_scheme("fig1-bs-sm"),
+    MeasurementScheme("one-block-16-4", (_one_block_part(),) * 2),
     MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],)),
     MeasurementScheme("straddled-20-6", (_straddled_part(),)),
     MeasurementScheme("unjoinable-20-4", (_unjoinable_part(),)),
@@ -1205,7 +1266,7 @@ def test_monte_carlo_through_the_table_equals_word_decoding(built, scheme):
             failed |= _scanned_failures(part, _sm_word_sampler(part, p_m)(rng, size))
         expected += int(failed.sum())
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
-    # at most one table per part object, the X and Z parts of fig1-bs-sm being one
+    # at most one table per part object, the two parts of one-block-16-4 being one
     tables = THROUGH_THE_TABLE[scheme.name]
     assert [id(p) for p in built["runner-up"]] == [id(scheme.parts[0])] * tables
     assert got == expected
@@ -1215,11 +1276,21 @@ def test_one_block_part_under_a_negative_likelihood_weight_equals_word_decoding(
     # at p_m = 3/4 weight-1 bits flip with probability 3/4, so weighted ML
     # prefers more flips, a rule other than the unit costs: the one-block
     # reader decides it from its table words, some counts partly failing
+    _equals_word_decoding_at_three_quarters(_one_block_part(1, "weighted-ml"))
+
+
+def test_joint_digit_under_a_negative_likelihood_weight_equals_word_decoding():
+    # the same rule on cw-12-2-8, whose cells form one joint digit: the
+    # cell reader decides it from the decode flags of its count vectors
     part = SMPart(sm_catalog("cw-12-2-8"), (1,) * 12, "weighted-ml")
+    assert len(_Sampler(part).digits) == 1
+    _equals_word_decoding_at_three_quarters(part)
+
+
+def _equals_word_decoding_at_three_quarters(part: SMPart) -> None:
     scheme = MeasurementScheme("weight-1", (part,))
     p_m, trials, seed, chunk_size = 0.75, 50_000, 5, 20_000
     assert part._pricing(p_m)[0] is not part._unit_costs
-    assert len(montecarlo._sampler_blocks(part)) == 1
     got = pse_monte_carlo(scheme, p_m, trials, seed, chunk_size).p_se * trials
     assert 0 < got < trials
     assert got == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size)
@@ -1236,10 +1307,10 @@ def test_monte_carlo_sweep_builds_each_decision_table_once(monkeypatch):
         return original(part, costs)
 
     monkeypatch.setattr(montecarlo, "_runner_up_by_syndrome", counting)
-    scheme = build_scheme("fig1-bs-sm")
+    scheme = MeasurementScheme("one-block-16-4", (_one_block_part(),) * 2)
     rows = sweep(scheme, [-3.0, -4.0, -5.0], method="mc", trials=5_000, seed=2)
     assert len(rows) == 3
-    # the X and Z parts are one object, so one build serves both
+    # the two parts are one object, so one build serves both
     assert [id(part) for part in built] == list(dict.fromkeys(id(part) for part in scheme.parts))
 
 
@@ -1348,14 +1419,16 @@ def test_monte_carlo_tiles_read_each_chunk_stream_in_order(trials, chunk_size):
 
 
 # uniform arrays each chunk draws per part: a repetition part one per
-# distinct weight, a part sampling cells one per cell, a part sampling
-# blocks two per block; any change moves every seeded result of the scheme
+# distinct weight, a part sampling cells one per digit, a part sampling
+# blocks two per block; any change moves every seeded result of the scheme.
+# The SM parts of fig1-bs-sm (cw-12-2-8, 125 count vectors) and fig2
+# (cw-17-2-11 and cw-18-2-12, 294 and 343) draw all their cells as one digit
 DRAWS_PER_CHUNK = {
     "fig1-bs-6fold": [1],
     "fig1-shor-6fold": [2],
-    "fig1-bs-sm": [2, 2],
-    "fig2-bs-204": [3, 3],
-    "fig2-bs-216": [3, 3],
+    "fig1-bs-sm": [1, 1],
+    "fig2-bs-204": [1, 1],
+    "fig2-bs-216": [1, 1],
 }
 
 
@@ -1364,20 +1437,34 @@ def test_uniform_arrays_drawn_per_chunk_by_each_offline_scheme(name):
     scheme = build_scheme(name)
     assert [_draws(_Sampler(part) if isinstance(part, SMPart) else part)
             for part in scheme.parts] == DRAWS_PER_CHUNK[name]
-    cells = [montecarlo._sampler_cells(part) is not None
-             for part in scheme.parts if isinstance(part, SMPart)]
-    assert cells == [name.startswith("fig2")] * len(cells)
+    for part in scheme.parts:
+        if isinstance(part, SMPart):
+            sizes = noise._cells(part, part._unit_costs)[0]
+            _, (digit,) = montecarlo._sampler_cells(part)
+            assert [n for _, n in digit] == sizes.tolist()
+            assert montecarlo.MASK_POINTS * (math.prod((sizes + 1).tolist()) - 1) + 1 <= (
+                montecarlo.JOINT_TABLE_ENTRIES)
 
 
 def _cell_cases() -> dict[str, MeasurementScheme]:
     cases = {f"fig2-bs-216/{decoder}": build_scheme("fig2-bs-216", decoder=decoder)
              for decoder in DECODERS}
-    code = sm_catalog("cw-12-2-8")  # these three draw blocks unless made to draw cells
+    # these three are made to draw a count per cell: the first two draw one
+    # joint digit of their cells unless made to, the third blocks
+    code = sm_catalog("cw-12-2-8")
     for weights, decoder in [((6,) * 12, "coset-leader"), ((2, 6) * 6, "weighted-ml"),
                              ((1, 2, 3) * 4, "weighted-ml")]:
         name = f"cw-12-2-8/{''.join(map(str, weights[:3]))}"
         cases[name] = MeasurementScheme(name, (SMPart(code, weights, decoder),))
     cases["35-bit"] = MeasurementScheme("35-bit", (_random_35_bit_part(),))
+    cases["columns-30-2"] = MeasurementScheme("columns-30-2", (_columns_part(),))
+    # one joint digit each, as drawn unforced
+    cases.update({f"fig1-bs-sm/{decoder}": build_scheme("fig1-bs-sm", decoder=decoder)
+                  for decoder in DECODERS})
+    cases["cw-12-2-8/262/joint"] = MeasurementScheme(
+        "cw-12-2-8/262/joint", (SMPart(code, (2, 6) * 6, "weighted-ml"),))
+    cases["three-class-cw-12-2-8"] = MeasurementScheme(
+        "three-class-cw-12-2-8", (_three_class_cw_12_2_8(),))
     return cases
 
 
@@ -1387,7 +1474,7 @@ def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(monkeypatch, bu
     # positions inside each cell and decoded, fail exactly where the cell
     # reader says; (1, 2, 3) * 4 has three likelihood classes under weighted ML
     scheme = _cell_cases()[case]
-    if case.startswith("cw-12-2-8/"):
+    if case.startswith("cw-12-2-8/") and not case.endswith("/joint"):
         _on_cells(monkeypatch, *scheme.parts)
     grid, trials, chunk_size, seed = [2.0**-2, 2.0**-3, 2.0**-5], 50_000, 20_000, 5
     got = pse_monte_carlo(scheme, grid, trials, seed, chunk_size)
@@ -1397,6 +1484,40 @@ def test_cell_counts_decide_wherever_the_flips_fall_in_each_cell(monkeypatch, bu
         assert result.p_se == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size) / trials
     if case.startswith("cw-12-2-8/123"):
         assert len(likelihood_classes([p_err(w, 2.0**-3) for w in (1, 2, 3)])[0]) == 3
+
+
+@st.composite
+def _joint_parts(draw) -> SMPart:
+    """Random systematic parts of at most 16 bits and dimension 4, element
+    weights from 1..6, either decoder, with at most 1,024 count vectors
+    over their unit-cost cells."""
+    n = draw(st.integers(2, 16))
+    k = draw(st.integers(1, min(4, n - 1)))
+    columns = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n - k, max_size=n - k))
+    rows = tuple((1 << i) | sum(((c >> i) & 1) << (k + j) for j, c in enumerate(columns))
+                 for i in range(k))
+    palette = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    part = SMPart(BinaryLinearCode(n, rows, f"random-{n}-{k}"), tuple(weights),
+                  draw(st.sampled_from(DECODERS)))
+    assume(math.prod((noise._cells(part, part._unit_costs)[0] + 1).tolist()) <= 1024)
+    return part
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(part=_joint_parts(), seed=st.integers(0, 2**32 - 1))
+@example(part=SMPart(_random_part(16, 2, 16, "coset-leader").code, (4,) * 16), seed=1)  # 576
+@example(part=SMPart(sm_catalog("cw-12-2-8"), (2, 6) * 6, "weighted-ml"), seed=2)  # 576
+def test_a_part_of_few_count_vectors_draws_one_array_and_counts_as_words_decode(part, seed):
+    # one uniform per trial picks the whole count vector; words with the
+    # flips at random positions inside each cell, decoded, fail alike
+    sampler = _Sampler(part)
+    assert sampler.cells is not None and sampler.blocks == []
+    assert _draws(sampler) == 1
+    scheme = MeasurementScheme(part.code.name, (part,))
+    grid, trials, chunk_size = [2.0**-2, 2.0**-4], 3_000, 1_000
+    for p_m, result in zip(grid, pse_monte_carlo(scheme, grid, trials, seed, chunk_size)):
+        assert result.p_se == _whole_chunk_failures(scheme, p_m, trials, seed, chunk_size) / trials
 
 
 @pytest.mark.parametrize("decoder", DECODERS)
@@ -1424,8 +1545,9 @@ BENCHMARK_MC_OPS = [("fig1-bs-sm", "coset-leader"), ("fig1-bs-sm", "weighted-ml"
 
 @pytest.mark.parametrize("name, decoder", BENCHMARK_MC_OPS)
 def test_benchmark_monte_carlo_schemes_assemble_no_word(monkeypatch, name, decoder):
-    # the benchmark's Monte Carlo sweeps read tables only, fig1-bs-sm its one
-    # block's: moving one of them onto assembled words fails here
+    # the benchmark's Monte Carlo sweeps read tables only, fig1-bs-sm and
+    # fig2-bs-216 their one joint digit's: moving one of them onto
+    # assembled words fails here
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} assembled a word")
 
@@ -1433,8 +1555,9 @@ def test_benchmark_monte_carlo_schemes_assemble_no_word(monkeypatch, name, decod
     scheme = build_scheme(name, decoder=decoder)
     got = pse_monte_carlo(scheme, [2.0**-3, 2.0**-4, 2.0**-5], 1 << 14, seed=1)
     assert all(0.0 < result.p_se < 1.0 for result in got)
-    if name == "fig1-bs-sm":
-        assert all(len(montecarlo._sampler_blocks(part)) == 1 for part in scheme.parts)
+    for part in scheme.parts:
+        if isinstance(part, SMPart):
+            assert len(_Sampler(part).digits) == 1 and _Sampler(part).cells is not None
 
 
 @pytest.mark.parametrize("p_m", [0.0, 1.0])
@@ -1518,9 +1641,15 @@ def _cdf_sets():
 @example(cdfs=[[1 - 1e-12, 1 - 5e-13, 1 - 1e-16], [1 - 2e-12, 1 - 1e-16]], seed=2)
 @example(cdfs=[[0.3, 1.0, 1.0], [1.0], []], seed=3)  # values of 1 never count
 @example(cdfs=[[0.0, 0.0, 0.1], [0.0]], seed=4)  # certain flips
+@example(cdfs=[[k / 2**16 for k in range(0, 2**16, 61)], [0.5]], seed=5)  # a 2^16-bucket guide
 def test_guide_table_positions_give_every_points_inverse_cdf_count(cdfs, seed):
     thresholds = [np.array(cdf, dtype=float) for cdf in cdfs]
     positions = _Positions(thresholds)
+    # about 64 buckets per merged value, a power of two within 2^12..2^16
+    merged = len({t for cdf in cdfs for t in cdf if t < 1.0})
+    least = 1 << (64 * merged - 1).bit_length()
+    assert positions.buckets == min(max(GUIDE_BUCKETS, least), 1 << 16)
+    assert np.iinfo(positions.counts.dtype).max >= max(map(len, cdfs))
     values = np.concatenate(thresholds + [np.array(_bucket_edges(0, 1, 2047, 4095))])
     near = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
     u = np.concatenate([near, np.random.default_rng(seed).random(5_000)])
@@ -1780,8 +1909,9 @@ def _monte_carlo_path(part, p_m: float, trials: int) -> str:
     """How Monte Carlo judges the part at p_m for a run of trials words."""
     if isinstance(part, RepetitionPart):
         return "repetition"
-    if montecarlo._sampler_cells(part) is not None:
-        return "cells"
+    layout = montecarlo._sampler_cells(part)
+    if layout is not None:
+        return "joint" if len(layout[1]) == 1 else "cells"
     if len(montecarlo._sampler_blocks(part)) == 1:
         return "one-block"
     costs = part._pricing(p_m)[0]
@@ -1796,8 +1926,12 @@ def _calibration_paths() -> dict[str, tuple[list[MeasurementScheme], int]]:
     shor_z = MeasurementScheme("shor-z-20-6", (_table_cases()["shor-z-20-6"],))
     return {
         "repetition": ([build_scheme("fig1-shor-6fold"), build_scheme("fig1-bs-6fold")], 1 << 16),
-        "cells": ([build_scheme("fig2-bs-204"), build_scheme("fig2-bs-216")], 1 << 16),
-        "one-block": ([build_scheme("fig1-bs-sm")], 1 << 16),
+        "joint": ([build_scheme("fig1-bs-sm"), build_scheme("fig2-bs-204"),
+                   build_scheme("fig2-bs-216"),
+                   MeasurementScheme("three-class", (_three_class_cw_12_2_8(),))], 1 << 16),
+        "cells": ([MeasurementScheme("35-bit", (_random_35_bit_part(),)),
+                   MeasurementScheme("columns-30-2", (_columns_part(),))], 1 << 16),
+        "one-block": ([MeasurementScheme("one-block-16-4", (_one_block_part(),))], 1 << 16),
         "unit-table": ([shor_z], 1 << 15),
         "weighted-ml-tables": ([three_class], 1 << 14),  # 2^12 cosets: a table per point
         "coset-scan": ([three_class], (1 << 12) - 1),  # fewer words than cosets: scanned
