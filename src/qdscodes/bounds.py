@@ -51,6 +51,23 @@ def _at_most_power_of_two(x: int, e: int) -> bool:
     return x <= 0 or (e >= 0 and (x - 1).bit_length() <= e)
 
 
+def _settled_by_bit_lengths(n: int, m: int, t: int, measured: int) -> bool | None:
+    """The verdict of qds_hamming's two bounds where bit lengths alone
+    settle it, else None; near the 4,300-digit limit on n, forming either
+    bound takes seconds.
+
+    As x < 2^bits(x), the upper bound is below 2^(bits(t + 1) + t
+    bits(3n + measured)).  For 1 <= t <= n, C(n, t) is the product of
+    (n - i)/(t - i) over i < t, each at least n/t, so the lower bound is at
+    least (3n // t)^t, which is at least 2^(t (bits(3n // t) - 1)).
+    """
+    if (t + 1).bit_length() + t * (3 * n + measured).bit_length() <= m:
+        return True
+    if 1 <= t <= n and t * ((3 * n // t).bit_length() - 1) > m:
+        return False
+    return None
+
+
 def qds_hamming(params: CodeParams) -> bool:
     """Hamming bound for QDS codes with d = 2t + 1:
 
@@ -71,13 +88,18 @@ def qds_hamming(params: CodeParams) -> bool:
     (a + b)^t as a + b >= 1; the t + 1 values of s give the bound.  So the
     upper bound at most 2^m gives True and the lower one above 2^m gives
     False.  Otherwise S itself is summed, when n + l is at most
-    MAX_SUMMED_LENGTH, and the check is refused beyond it.
+    MAX_SUMMED_LENGTH, and the check is refused beyond it.  Bit lengths
+    settle most of these verdicts before either bound is formed
+    (`_settled_by_bit_lengths`).
     """
     if params.d % 2 == 0:
         raise PreconditionError(f"QDS Hamming bound needs odd d, got {params.d}")
     if params.d > MAX_CHECK_DISTANCE:
         raise CapacityError(f"d={params.d} exceeds the Hamming-check cap {MAX_CHECK_DISTANCE}")
     n, m, t, measured = params.n, params.m, params.t, params.m + params.l
+    settled = _settled_by_bit_lengths(n, m, t, measured)
+    if settled is not None:
+        return settled
     if _at_most_power_of_two((t + 1) * (3 * n + measured) ** t, m):
         return True
     if not _at_most_power_of_two(comb(n, t) * 3**t, m):

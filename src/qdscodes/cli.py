@@ -7,6 +7,11 @@ user pays for every parser built on every run; help, a missing or unknown
 command, and a leading ``--`` go through the full tree of ``build_parser``.
 For the same reason each handler imports the modules it calls, so
 ``bounds`` runs without numpy and only ``simulate`` loads ``noise``.
+A command's parser is built once per process (``_command_parser``) and
+holds no per-call state: each call parses into a fresh namespace, and
+help wraps to ``COLUMNS`` when it is printed.  So repeated in-process
+calls of ``main`` (library use, tests, a benchmark loop) parse without
+rebuilding it, while a one-shot shell call builds its one parser as before.
 Exit codes: 0 success, 2 input error, 3 violated precondition, 4 internal
 defect (a search the theory guarantees cannot fail found nothing), 5
 missing external data (import-only SM code matrices, resolved from
@@ -16,6 +21,7 @@ missing external data (import-only SM code matrices, resolved from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -417,6 +423,12 @@ def _declare(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentPar
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command `name`'s own parser, built on its first call in a process."""
+    return _declare(argparse.ArgumentParser(prog=f"qdscodes {name}"), name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full command tree, for help, a missing or unknown command, and a leading '--'."""
     parser = argparse.ArgumentParser(
@@ -433,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in COMMANDS:
-        parser = _declare(argparse.ArgumentParser(prog=f"qdscodes {argv[0]}"), argv[0])
+        parser = _command_parser(argv[0])
         args = parser.parse_args(argv[1:])
     else:
         parser = build_parser()

@@ -7,12 +7,21 @@ commuting generators: its gauge group is its stabilizer, so r = 0.
 Minimum distances and purity are computed by exhaustive enumeration at
 desk scale: one kernel forms the error vectors of each weight as XORs of
 packed per-position words in numpy blocks and scores each block from its
-own span-membership and syndrome bits, so memory is per block (caps:
-n <= MAX_N = 16, search weight <= MAX_SEARCH_WEIGHT = 5).
+own span-membership and syndrome bits, so working memory is per block
+(caps: n <= MAX_N = 16, search weight <= MAX_SEARCH_WEIGHT = 5).  Up to
+MAX_N the blocks slice one read-only array of supports per (n, w), kept
+for the process and built when a search first reaches weight w: 0.25 MB
+for every weight up to 5 at n = 16, 2.6 MB at n = 25 (were MAX_N 25).
+Beyond MAX_N only
+`is_impure` runs the kernel, at any n and weight, so it builds each
+block's supports on its own.  A code's membership checks
+(`AdditiveCode.checks`) are derived once, so the base and QDS distance
+searches of one code share them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -61,6 +70,13 @@ class AdditiveCode:
 
     def basis(self) -> f2.Basis:
         return f2.Basis(r.bit_expansion() for r in self.rows)
+
+    @cached_property
+    def checks(self) -> tuple[int, ...]:
+        """A basis of the 2n-bit vectors orthogonal to every row's bit
+        expansion: v lies in the span iff its dot product with each is 0.
+        Derived once, so every distance search of one code shares it."""
+        return tuple(f2.null_space([r.bit_expansion() for r in self.rows], 2 * self.n))
 
     def member(self, v: F4Vector) -> bool:
         """v is in the span iff appending it does not raise the rank."""
@@ -159,17 +175,16 @@ def _word_table(rows: Sequence[F4Vector], excluded: AdditiveCode) -> tuple[np.nd
 
     Entry [j, v - 1] of the (n, 3, width) table is the word of symbol v at
     position j, as `width` little-endian uint64 limbs.  Its membership
-    field holds the parities against a basis of the vectors orthogonal to
-    every row of `excluded` (dot product on bit expansions), so an XOR of
+    field holds the parities against `excluded.checks`, so an XOR of
     words has that field 0 iff the vector lies in span(excluded); its
     syndrome field holds the syndrome against `rows`.  Each mask is a
     (width, 1) column that broadcasts over `_weight_blocks`' output.
     """
     n = excluded.n
-    checks = f2.null_space([r.bit_expansion() for r in excluded.rows], 2 * n)
+    checks = excluded.checks
     # bit i of a word is the parity of the error's bit expansion with lines[i];
     # a row's syndrome bit pairs the error's X part with the row's Z part
-    lines = checks + [r.z | (r.x << n) for r in rows]
+    lines = [*checks, *(r.z | (r.x << n) for r in rows)]
     width = max(1, -(-len(lines) // 64))
     # bits[i, b] is bit b of lines[i]; row b of its transpose, padded to
     # 64 * width bits, is the word of bit b of the expansion, and two more
@@ -186,19 +201,43 @@ def _word_table(rows: Sequence[F4Vector], excluded: AdditiveCode) -> tuple[np.nd
     return np.stack((x, z, x ^ z), axis=1), unit[-2, :, None], unit[-1, :, None]
 
 
+@functools.cache
+def _supports(n: int, w: int) -> np.ndarray:
+    """The C(n, w) supports of weight w on n positions, in
+    itertools.combinations order, as a (C(n, w), w) array; shared, so
+    read-only.  Built on the first search that reaches weight w."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), w))
+    supports = np.fromiter(flat, np.intp, math.comb(n, w) * w).reshape(-1, w)
+    supports.flags.writeable = False
+    return supports
+
+
+def _support_blocks(n: int, w: int, size: int) -> Iterator[np.ndarray]:
+    """The supports of weight w on n positions in itertools.combinations
+    order, `size` at a time.  Up to MAX_N, the lengths a distance search
+    takes, they slice `_supports`; beyond it, where only `is_impure`
+    reaches and C(n, w) is unbounded, each block is built on its own."""
+    if n <= MAX_N:
+        supports = _supports(n, w)
+        for start in range(0, len(supports), size):
+            yield supports[start : start + size]
+        return
+    combinations = itertools.combinations(range(n), w)
+    while chunk := list(itertools.islice(combinations, size)):
+        yield np.array(chunk, dtype=np.intp)
+
+
 def _weight_blocks(table: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:
     """(w, words) for w = 1..top: the XOR of table entries over every vector
     of weight w, at most BLOCK_VECTORS vectors per block, as a (width,
     count) array: one row per limb, one column per vector."""
     n, _, width = table.shape
     for w in range(1, top + 1):
-        supports = itertools.combinations(range(n), w)
-        per_block = max(1, BLOCK_VECTORS // 3**w)
-        while chunk := list(itertools.islice(supports, per_block)):
-            picked = table[np.array(chunk, dtype=np.intp)]
+        for supports in _support_blocks(n, w, max(1, BLOCK_VECTORS // 3**w)):
+            picked = table[supports]
             words = picked[:, 0]
             for i in range(1, w):
-                words = (words[:, :, None] ^ picked[:, i, None]).reshape(len(chunk), -1, width)
+                words = (words[:, :, None] ^ picked[:, i, None]).reshape(len(picked), -1, width)
             yield w, words.reshape(-1, width).T
 
 
@@ -228,10 +267,12 @@ def min_weight_outside(
         if w >= best:
             break
         outside = (words & member).any(axis=0)
-        costs = np.bitwise_count(words & syndrome).sum(axis=0)
         if not count_syndrome:
-            outside &= costs == 0
-        costs = costs[outside]
+            # only a zero syndrome has a cost, 0, so the first hit is the minimum
+            if (outside & ~(words & syndrome).any(axis=0)).any():
+                return w
+            continue
+        costs = np.bitwise_count(words & syndrome).sum(axis=0)[outside]
         if costs.size and (cost := int(costs.min())) < best - w:
             best = w + cost
             if cost == 0:

@@ -36,7 +36,6 @@ F4_CONJ = (0, 1, 3, 2)
 F4_TRACE = (0, 0, 1, 1)
 
 PAULI_OF_VALUE = "IXZY"
-VALUE_OF_PAULI = {p: v for v, p in enumerate(PAULI_OF_VALUE)}
 
 
 # The scalar field operations.  The library computes on packed vectors, so
@@ -240,12 +239,22 @@ def f2_rank(rows: Sequence[F4Vector]) -> int:
     return f2.rank(r.bit_expansion() for r in rows)
 
 
+# translations of a Pauli string into its X-part and Z-part binary digits,
+# and into the characters it has that are no Pauli
+_X_DIGITS = str.maketrans("IXZY", "0101")
+_Z_DIGITS = str.maketrans("IXZY", "0011")
+_UNKNOWN = str.maketrans("", "", "IXZY")
+
+
 def pauli_string_parse(text: str) -> F4Vector:
     """Parse a string over {I, X, Z, Y} into an F4 vector."""
-    try:
-        return F4Vector.from_symbols(VALUE_OF_PAULI[c] for c in text.strip())
-    except KeyError as exc:
-        raise ParseError(f"unknown Pauli character {exc.args[0]!r} in {text!r}") from None
+    s = text.strip()
+    if unknown := s.translate(_UNKNOWN):
+        raise ParseError(f"unknown Pauli character {unknown[0]!r} in {text!r}")
+    # coordinate 0 is the first character and bit 0 the last digit
+    digits = s[::-1]
+    return F4Vector(len(s), int(digits.translate(_X_DIGITS) or "0", 2),
+                    int(digits.translate(_Z_DIGITS) or "0", 2))
 
 
 def pauli_string_render(v: F4Vector) -> str:

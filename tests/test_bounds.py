@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdscodes import bounds
 from qdscodes.bounds import (
     MAX_CHECK_DISTANCE,
     MAX_FAMILY_EXPONENT,
@@ -104,6 +105,52 @@ def test_qds_hamming_of_a_100_digit_length_is_settled_by_a_bound():
     # neither verdict forms the 1,000-term sum of 100-digit binomials
     assert qds_hamming(CodeParams(10**100, 1, 2001)) is True  # (t + 1) (3n + m)^t <= 2^m
     assert qds_hamming(CodeParams(10**100, 10**100 - 10, 3)) is False  # 3n > 2^10
+
+
+def _integer_form(params: CodeParams) -> bool | None:
+    """The verdict of the bounds C(n, t) 3^t <= S <= (t + 1) (3n + m + l)^t
+    with both formed as integers, or None where neither settles it."""
+    n, m, t = params.n, params.m, params.t
+    if bounds._at_most_power_of_two((t + 1) * (3 * n + m + params.l) ** t, m):
+        return True
+    if not bounds._at_most_power_of_two(comb(n, t) * 3**t, m):
+        return False
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 8, 11, 16, 20, 45, 200, 3000, 10**6, 10**30])
+def test_qds_hamming_verdicts_equal_the_integer_bounds(n):
+    # bit lengths settle a verdict before either bound is formed, only where
+    # the integer bounds settle it alike (at n = 11 and 16, k = 2, without
+    # the - 1 in the lower bit length they would not); every verdict equals
+    # the integer bounds' where they settle, else the full sum
+    ks = {1, 2, n // 3, n // 2, n - 200, n - 40, n - 12, n - 5, n - 2, n - 1}
+    ds = (1, 3, 5, 7, 9, 21, 41) + ((2 * n + 5,) if n <= 45 else ())
+    for k in sorted(ks & set(range(1, min(n, 10**6)))) + [k for k in ks if 10**6 <= k < n]:
+        for d in ds:
+            for l in (0, 1, 7, 3 * n):
+                params = CodeParams(n, k, d, l)
+                expected = _integer_form(params)
+                settled = bounds._settled_by_bit_lengths(n, params.m, params.t, params.m + l)
+                assert settled in (None, expected), (n, k, d, l)
+                if expected is None:
+                    expected = _hamming_sum(n, params.m, params.t, params.m + l) <= 2**params.m
+                assert qds_hamming(params) is expected, (n, k, d, l)
+
+
+@pytest.mark.parametrize("k, verdict", [(1, True), (-100, False)])
+def test_qds_hamming_at_the_digit_limit_forms_neither_bound(monkeypatch, k, verdict):
+    # n = 10^4299 has 4,300 digits; at d = 2001 the upper bound would have
+    # 14 million bits (2.2 s to form) and C(n, t) took 6.4 s
+    n = 10**4299
+    monkeypatch.setattr(bounds, "comb", None)
+    tracemalloc.start()
+    try:
+        assert qds_hamming(CodeParams(n, k % n, MAX_CHECK_DISTANCE)) is verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_qds_hamming_sums_only_up_to_the_length_cap():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qdscodes import bounds, codes, errors, qds
+from qdscodes import bounds, cli, codes, errors, qds
 from qdscodes.bounds import MAX_FAMILY_EXPONENT, MAX_REGION_ROWS
 from qdscodes.cli import MAX_GRID_POINTS, _parse_pm_grid, build_parser, main
 from qdscodes.codes import catalog, read_code_file
@@ -741,11 +741,35 @@ def test_a_command_declares_only_its_own_arguments(capsys, monkeypatch):
         declared.extend(flags)
         return add_argument(self, *flags, **kwargs)
 
+    # a parser built by an earlier call would declare nothing the spy sees
+    cli._command_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
     assert main(["check", "--code", "example-6-1-3-prime"]) == 0
     capsys.readouterr()
     assert "--pm-log2" not in declared
     assert sorted(declared) == sorted(("-h", "--help") + OPTIONS["check"])
+
+
+def test_calls_through_one_cached_parser_share_no_state(capsys, columns):
+    cli._command_parser.cache_clear()
+    code, out, _ = run(capsys, "check", "--code", "shor", "--json")
+    assert code == 0 and json.loads(out)["base_distance"] == 3
+    # --json is not carried over into the next call's namespace
+    code, out, _ = run(capsys, "check", "--code", "shor")
+    assert code == 0 and out.startswith("[[9,1,3:0]] QDS: no\n")
+    # a bad option on a second call still exits 2 with the command's usage
+    code, out, err = exits(capsys, "check", "--code", "shor", "--extra")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: qdscodes check [-h]")
+    assert err.endswith("qdscodes check: error: unrecognized arguments: --extra\n")
+    assert cli._command_parser.cache_info().misses == 1
+    # a later command gets its own parser, which declares no check option
+    simulate = cli._command_parser("simulate")
+    assert simulate is not cli._command_parser("check")
+    declared = {flag for action in simulate._actions for flag in action.option_strings}
+    assert declared == {"-h", "--help"} | set(OPTIONS["simulate"])
+    code, out, _ = run(capsys, "simulate", "--scheme", "fig1-bs-6fold", "--pm-log2=-4")
+    assert code == 0 and out.startswith("total_measurements: 144\n")
 
 
 def src_env() -> dict[str, str]:
@@ -788,6 +812,18 @@ def test_bounds_check_of_a_100_digit_length_answers_at_once():
                           env=src_env(), capture_output=True, text=True, timeout=10, check=False)
     assert done.returncode == 0, done.stderr
     assert "qds_hamming: True" in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("k, verdict", [("1", "True"), (str(10**4299 - 100), "False")])
+def test_bounds_check_at_the_digit_limit_forms_no_binomial(capsys, monkeypatch, k, verdict):
+    # n = 10^4299 has the most digits a command line may give; bit lengths
+    # settle both verdicts, where C(n, 1000) took 6.4 s
+    def refuse(*_):
+        raise AssertionError("bounds.comb called")
+
+    monkeypatch.setattr(bounds, "comb", refuse)
+    code, out, _ = run(capsys, "bounds", "--check", str(10**4299), k, "2001")
+    assert code == 0 and f"qds_hamming: {verdict}" in out.splitlines()
 
 
 def test_the_package_runs_as_a_module():

@@ -1,6 +1,9 @@
 """Stabilizer/subsystem code objects, distances, purity, and the catalog."""
 
 import itertools
+import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -38,7 +41,9 @@ from qdscodes.errors import (
 )
 from qdscodes.f2 import Basis, null_space
 from qdscodes.gf4 import F4Vector, pauli_string_parse, syndrome, trace_inner_product
-from qdscodes.qds import build_qds, extended_syndrome, qds_min_distance
+from qdscodes.qds import (
+    augment_parity, build_qds, extended_syndrome, identity_qds, qds_min_distance,
+)
 from qdscodes.smcodes import BinaryLinearCode, parse_binary_code_text
 
 STABILIZER_PARAMS = {
@@ -141,12 +146,75 @@ def test_span_members_have_zero_syndrome(name):
         assert syndrome(code.rows, v).bits == 0
 
 
-def test_catalog_distances_match_brute_force_oracle():
-    for name in ("five-qubit", "example-6-1-3", "steane", "shor"):
+# vectors per kernel block: one support per block, a few, several, and the
+# default, so that searches also stop inside a later block of a weight
+BLOCK_SIZES = (1, 27, 100, codes.BLOCK_VECTORS)
+
+
+def catalog_and_reversed():
+    """(label, code) for each catalog code and for it with its coordinates
+    reversed, which moves the first weight-3 logical error of Steane and of
+    the two [[6,1,3]] codes past support {0, 1, 2}."""
+    for name in catalog_names():
         code = catalog(name)
-        assert brute_force_distance(code) == min_distance(code)
-    bs = catalog("bacon-shor")
-    assert brute_force_distance(bs) == min_distance(bs) == 3
+        rows = [r.permute(range(code.n - 1, -1, -1)) for r in code.gauge.rows]
+        build = make_stabilizer if isinstance(code, StabilizerCode) else make_subsystem
+        yield name, code
+        yield f"{name} reversed", build(rows)
+
+
+def test_catalog_distances_match_brute_force_oracle():
+    for name, code in catalog_and_reversed():
+        expected = brute_force_distance(code)
+        qds_codes = (identity_qds(code), augment_parity(code))
+        # every error of weight 4 or more costs at least 4
+        qds_expected = [min(t for t in _direct_qds_totals(q, 3).values() if t is not None)
+                        for q in qds_codes]
+        assert expected == 3 and max(qds_expected) <= 4
+        for block in BLOCK_SIZES:
+            with patch.object(codes, "BLOCK_VECTORS", block):
+                assert min_distance(code) == expected, (name, block)
+                assert [qds_min_distance(q) for q in qds_codes] == qds_expected, (name, block)
+
+
+def test_a_search_stops_at_the_block_of_its_first_hit(monkeypatch):
+    # with one support per block, min_distance forms every support of
+    # weights 1 and 2, then those of weight 3 up to the first that carries
+    # a logical error (in errors_of_weight's order), and no further
+    weight_blocks, seen = codes._weight_blocks, []
+
+    def recorded(table, top):
+        for w, words in weight_blocks(table, top):
+            seen.append(w)
+            yield w, words
+
+    monkeypatch.setattr(codes, "BLOCK_VECTORS", 1)
+    monkeypatch.setattr(codes, "_weight_blocks", recorded)
+    supports = set()
+    for name, code in catalog_and_reversed():
+        seen[:] = []
+        gauge = {v.symbols() for v in code.gauge.span()}
+        first = next(e for e in errors_of_weight(code.n, 3)
+                     if not syndrome(code.rows, e).bits and e.symbols() not in gauge)
+        support = [i for i in range(code.n) if first.symbol(i)]
+        index = list(itertools.combinations(range(code.n), 3)).index(tuple(support))
+        assert min_distance(code) == 3
+        assert seen == [1] * code.n + [2] * math.comb(code.n, 2) + [3] * (index + 1), name
+        supports.add(index)
+    # some search stops past the first block of weight 3
+    assert max(supports) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 16, 25])
+def test_support_arrays_are_read_only_and_in_combinations_order(n):
+    for w in range(1, min(MAX_SEARCH_WEIGHT, n) + 1):
+        supports = codes._supports(n, w)
+        assert supports is codes._supports(n, w)
+        assert supports.dtype == np.intp and supports.shape == (math.comb(n, w), w)
+        assert supports.tolist() == [list(c) for c in itertools.combinations(range(n), w)]
+        assert not supports.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            supports[0, 0] = 1
 
 
 def test_catalog_unknown_name():
@@ -353,15 +421,16 @@ def small_codes(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(code=small_codes())
-def test_min_distance_matches_brute_force_on_random_codes(code):
+@given(code=small_codes(), block=st.sampled_from(BLOCK_SIZES))
+def test_min_distance_matches_brute_force_on_random_codes(code, block):
     expected = brute_force_distance(code, max_weight=code.n)
-    if expected is None:  # with k = 0 every error of zero syndrome lies in the gauge group
-        assert code.k == 0
-        with pytest.raises(DimensionError, match=r"no logical qubit \(k = 0\)"):
-            min_distance(code)
-    else:
-        assert min_distance(code) == expected
+    with patch.object(codes, "BLOCK_VECTORS", block):
+        if expected is None:  # with k = 0 every error of zero syndrome lies in the gauge group
+            assert code.k == 0
+            with pytest.raises(DimensionError, match=r"no logical qubit \(k = 0\)"):
+                min_distance(code)
+        else:
+            assert min_distance(code) == expected
 
 
 def _direct_qds_totals(qds, max_weight):
@@ -377,8 +446,8 @@ def _direct_qds_totals(qds, max_weight):
 
 
 @settings(max_examples=30, deadline=None)
-@given(code=small_codes(), data=st.data())
-def test_qds_min_distance_matches_direct_enumeration_on_random_codes(code, data):
+@given(code=small_codes(), data=st.data(), block=st.sampled_from(BLOCK_SIZES))
+def test_qds_min_distance_matches_direct_enumeration_on_random_codes(code, data, block):
     m = len(code.rows)
     assume(m >= 1)
     columns = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=4))
@@ -389,11 +458,12 @@ def test_qds_min_distance_matches_direct_enumeration_on_random_codes(code, data)
     expected = min(t for t in totals.values() if t is not None)
     top = min(MAX_SEARCH_WEIGHT, code.n)
     searched = min((t for w, t in totals.items() if w <= top and t is not None), default=None)
-    if searched is None or (top < code.n and searched > top + 1):
-        with pytest.raises(CapacityError, match="no minimum settled"):
-            qds_min_distance(qds)
-    else:
-        assert qds_min_distance(qds) == expected
+    with patch.object(codes, "BLOCK_VECTORS", block):
+        if searched is None or (top < code.n and searched > top + 1):
+            with pytest.raises(CapacityError, match="no minimum settled"):
+                qds_min_distance(qds)
+        else:
+            assert qds_min_distance(qds) == expected
 
 
 def word_table_by_bits(rows, excluded):
@@ -475,6 +545,22 @@ def test_is_impure_above_the_span_cap_matches_basis_scan(d):
     assert x_chain.m > MAX_SPAN_EXPONENT and 2 * z_chain.n - z_chain.m > 64
     for code in (x_chain, z_chain):
         assert is_impure(code, d) == _low_weight_member(code, d) == (d == 3)
+
+
+def test_is_impure_beyond_the_search_cap_keeps_its_memory_per_block():
+    # 23 disjoint ZZZZ blocks on 92 qubits: the first weight-4 support is a
+    # stabilizer element, so the search stops in its first weight-4 block;
+    # the C(92, 4) supports of that weight alone would take 87 MB
+    blocks = make_stabilizer(F4Vector(92, 0, 15 << 4 * j) for j in range(23))
+    cached = codes._supports.cache_info().currsize
+    tracemalloc.start()
+    try:
+        assert is_impure(blocks, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert codes._supports.cache_info().currsize == cached
 
 
 # ----------------------------------------------------------------------
