@@ -35,7 +35,7 @@ from . import f2, gf4
 from .errors import (
     CapacityError, CatalogError, CommutationError, DimensionError, ParseError, RankError,
 )
-from .gf4 import F4Vector, f2_rank, pauli_string_parse, trace_inner_product
+from .gf4 import F4Vector, f2_rank, pauli_string_parse
 
 MAX_N = 16
 MAX_SEARCH_WEIGHT = 5
@@ -147,21 +147,20 @@ def make_stabilizer(rows: Iterable[F4Vector]) -> StabilizerCode:
     """Validate rows as independent, mutually commuting generators."""
     rows = tuple(rows)
     code = AdditiveCode.from_rows(rows)
-    for i, gi in enumerate(rows):
-        for gj in rows[i + 1 :]:
-            if trace_inner_product(gi, gj):
-                raise CommutationError(f"generators {gi} and {gj} anticommute")
+    for i, entry in enumerate(gf4.commutation_matrix(rows)):
+        if later := entry >> (i + 1):  # the first pair (i, j > i) that anticommutes
+            j = i + (later & -later).bit_length()
+            raise CommutationError(f"generators {rows[i]} and {rows[j]} anticommute")
     return StabilizerCode(code)
 
 
 def _gram_null_combinations(rows: Sequence[F4Vector]) -> tuple[F4Vector, ...]:
     """Basis of {v in span(rows) : v orthogonal to every row}.
 
-    Solves c . Gram = 0 for the F2 Gram matrix of the trace form, so no
-    explicit dual basis is needed.  Bit j of Gram row i is
-    tr(rows[j], rows[i]), the syndrome of rows[i]; the form is symmetric.
+    Solves c . Gram = 0 for the F2 Gram matrix of the trace form, the
+    rows' commutation matrix, so no explicit dual basis is needed.
     """
-    gram = [gf4.syndrome(rows, row).bits for row in rows]
+    gram = gf4.commutation_matrix(rows)
     return tuple(gf4.combination(rows, c) for c in f2.null_space(gram, len(rows)))
 
 

@@ -224,6 +224,45 @@ def syndrome(rows: Sequence[F4Vector], e: F4Vector) -> BitVector:
     return BitVector(len(rows), bits)
 
 
+def commutation_matrix(rows: Sequence[F4Vector]) -> list[int]:
+    """Entry i has bit j = trace_inner_product(rows[i], rows[j]).
+
+    The symplectic form taken position by position: with bit i of
+    x_columns[p] (z_columns[p]) the X-part (Z-part) bit p of rows[i],
+    entry i is the XOR of z_columns[p] over the X support of rows[i] and
+    of x_columns[p] over its Z support, so the work grows with the rows'
+    total weight, not with the number of pairs.
+    """
+    n = rows[0].n if rows else 0
+    for row in rows:
+        if row.n != n:
+            raise DimensionError(f"length mismatch: {n} vs {row.n}")
+    x_columns, z_columns = [0] * n, [0] * n
+    for i, row in enumerate(rows):
+        x, z = row.x, row.z
+        while x:
+            low = x & -x
+            x_columns[low.bit_length() - 1] |= 1 << i
+            x ^= low
+        while z:
+            low = z & -z
+            z_columns[low.bit_length() - 1] |= 1 << i
+            z ^= low
+    matrix = []
+    for row in rows:
+        entry, x, z = 0, row.x, row.z
+        while x:
+            low = x & -x
+            entry ^= z_columns[low.bit_length() - 1]
+            x ^= low
+        while z:
+            low = z & -z
+            entry ^= x_columns[low.bit_length() - 1]
+            z ^= low
+        matrix.append(entry)
+    return matrix
+
+
 def combination(rows: Sequence[F4Vector], mask: int) -> F4Vector:
     """The sum of the rows that mask names: rows[i] for each set bit i."""
     x = z = 0

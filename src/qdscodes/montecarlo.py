@@ -107,7 +107,7 @@ def _sampler_blocks(part: noise.SMPart) -> list[tuple[int, np.ndarray]]:
     sum_{j<c} C(N, j)."""
     blocks = []
     for k, mask in enumerate(part._unit_costs.masks):
-        positions = [j for j in range(part.code.length) if (int(mask) >> j) & 1]
+        positions = [j for j in range(part.code.length) if (mask >> j) & 1]
         count = -(-len(positions) // SAMPLER_BLOCK_BITS)
         for block in np.array_split(np.array(positions, dtype=np.uint64), count):
             local = np.arange(1 << len(block), dtype=np.uint64)
@@ -519,8 +519,7 @@ def _cell_flags(sampler: _Sampler, costs: noise._Costs) -> np.ndarray:
     first.  Each weight class lies in one class of the rule, the class of
     its first position."""
     sizes, classes, columns = sampler.cells
-    rule_class = np.array([next(c for c, mask in enumerate(costs.masks) if (int(mask) >> j) & 1)
-                           for j in sampler.part._unit_costs.first])
+    rule_class = np.array([costs.classes[j] for j in sampler.part._unit_costs.first])
     flags = np.empty(tuple((sizes + 1)[::-1].tolist()), dtype=bool)
     cells = (sizes, rule_class[classes], columns)
     for box, _, decodes in noise._cell_decodes(sampler.part, costs, cells):

@@ -14,20 +14,24 @@ type); the scheme fails when any part fails, and a part fails when its
 decoder returns the wrong word or declares a tie.
 
 Exact evaluation never forms 1 - success.  Bits of one weight flip alike,
-so an SM part prices each p_m point per weight class (SMPart._pricing).
-The failing patterns of each cost rule are counted once, as a histogram
-over per-class flip counts, in whichever domain is smaller: the 2^n
-patterns, in one pass that keeps each coset's lowest two costs and
-lowest-cost word, or the flip-count vectors of the part's cells (the
-positions sharing one generator column and one class), each against its
-2^k codeword images; either fits 2^HARD_EXACT_BITS entries.  A
-repetition bit fails with a sum of binomial terms.  The points of one
-rule are priced in one table: a row of
-per-class pattern probabilities per point, TILE_WORDS entries at a time,
-each row summed against the histogram by one fsum.  The unit failure
-probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so a tiny
-p_se keeps its precision.  Monte Carlo (pse_monte_carlo) samples in the
-montecarlo module, which this one imports on the first Monte Carlo call.
+so an SM part prices each p_m point per weight class (SMPart._rule), with
+p_err taken once per weight class over the whole grid.  The failing
+patterns of each cost rule are counted once, as a histogram over
+per-class flip counts, in whichever domain is smaller: the 2^n patterns,
+in one pass that keeps each coset's lowest two costs and lowest-cost word
+in arrays updated in place, on uint32 words when n <= 32 (the walk never
+passes HARD_EXACT_BITS bits), or the flip-count vectors of the part's
+cells (the positions sharing one generator column and one class), each
+against its 2^k codeword images; either fits 2^HARD_EXACT_BITS entries.
+A repetition bit fails with a sum of binomial terms, one column per
+weight over the grid.  The points of one rule are priced in one table: a
+row of per-class pattern probabilities per point, TILE_WORDS entries at a
+time, each row summed against the histogram by one fsum.  The unit
+failure probabilities f_i combine as p_se = -expm1(sum log1p(-f_i)), so a
+tiny p_se keeps its precision.  Every scalar keeps the bits of the
+formulas above evaluated point by point with Python floats.  Monte Carlo
+(pse_monte_carlo) samples in the montecarlo module, which this one
+imports on the first Monte Carlo call.
 """
 
 from __future__ import annotations
@@ -62,13 +66,18 @@ DECODERS = (COSET_LEADER, WEIGHTED_ML)
 
 def p_err(w: int, p_m: float) -> float:
     """Probability that the syndrome bit of a weight-w element flips."""
+    return _p_errs(w, [p_m])[0]
+
+
+def _p_errs(w: int, p_ms: Sequence[float]) -> list[float]:
+    """p_err(w, p_m) at each p_m, each by the formula's terms in its order
+    and the builtin sum, with C(w, j) and 1 - p_m formed once each."""
     if w < 1:
         raise PreconditionError(f"element weight must be positive, got {w}")
-    if not 0.0 <= p_m <= 1.0:
-        raise PreconditionError(f"p_m={p_m} outside [0, 1]")
-    return sum(
-        math.comb(w, j) * p_m**j * (1.0 - p_m) ** (w - j) for j in range(1, w + 1, 2)
-    )
+    _check_p_ms(p_ms)
+    terms = [(math.comb(w, j), j, w - j) for j in range(1, w + 1, 2)]
+    return [sum([c * p_m**j * q**r for c, j, r in terms])
+            for p_m, q in zip(p_ms, [1.0 - p_m for p_m in p_ms])]
 
 
 def _check_p_ms(p_ms: Sequence[float]) -> None:
@@ -106,13 +115,15 @@ class _Costs:
         index: dict = {}
         masks: list[int] = []
         self.first: list[int] = []
+        self.classes: list[int] = []  # each position's class
         for j, label in enumerate(labels):
             if label not in index:
                 index[label] = len(masks)
                 masks.append(0)
                 self.first.append(j)
+            self.classes.append(index[label])
             masks[index[label]] |= 1 << j
-        self.masks = [np.uint64(m) for m in masks]
+        self.masks = masks  # ints, so an AND keeps a word array's type
         self.sizes = [m.bit_count() for m in masks]
         self.strides = [math.prod(n + 1 for n in self.sizes[:k]) for k in range(len(masks))]
         self.vectors = math.prod(n + 1 for n in self.sizes)
@@ -231,23 +242,31 @@ class SMPart:
 
     def _pricing(self, p_m: float) -> tuple[_Costs, list[float]]:
         """The cost rule the decoder minimizes at p_m, and the flip
-        probability of each of its classes.
+        probability of each of its classes (_rule), p_err run once per
+        weight."""
+        return self._rule([p_err(self.weights[j], p_m) for j in self._unit_costs.first])
 
-        p_err runs once per weight, and the likelihood classes are found
-        among the distinct weights, in first-seen order.  Weighted ML with
-        one likelihood class and 0 < lambda < inf makes every comparison
-        minimum-weight decoding makes, so it shares the unit costs (and
-        their cached histogram); otherwise its costs are summed as
-        weighted_ml_decode sums them, so exact ties are decided identically.
+    def _rule(self, q: list[float]) -> tuple[_Costs, list[float]]:
+        """The cost rule the decoder minimizes when the weight classes (the
+        unit costs' classes) flip with probabilities q, and the flip
+        probability of each of the rule's classes.
+
+        Minimum-weight decoding keeps the unit costs.  Weighted ML finds its
+        likelihood classes among the weight classes, in first-seen order;
+        with one likelihood class and 0 < lambda < inf it makes every
+        comparison minimum-weight decoding makes, so it shares the unit
+        costs (and their cached histogram); otherwise its costs are summed
+        as weighted_ml_decode sums them, so exact ties are decided
+        identically.
         """
-        q = {w: p_err(w, p_m) for w in dict.fromkeys(self.weights)}
         costs = self._unit_costs
         if self.decoder == WEIGHTED_ML:
-            lams, labels = likelihood_classes(list(q.values()))
+            lams, labels = likelihood_classes(q)
             if not (len(lams) == 1 and 0.0 < lams[0] < math.inf):
-                label = dict(zip(q, labels))
-                costs = _Costs([label[w] for w in self.weights], lams)
-        return costs, [q[self.weights[j]] for j in costs.first]
+                classes = costs.classes
+                costs = _Costs([labels[k] for k in classes], lams)
+                q = [q[classes[j]] for j in costs.first]
+        return costs, q
 
 
 Part = RepetitionPart | SMPart
@@ -280,34 +299,32 @@ def _majority_bit_failure(q: float, fold: int, counts: range | None = None) -> f
     """P[Binomial(fold, q) in counts] by one fsum; by default counts are
     (fold + 1) // 2 ... fold, a wrong or tied majority for one bit under iid
     flips q."""
+    return _majority_bit_failures([q], fold, counts)[0]
+
+
+def _majority_bit_failures(qs: Sequence[float], fold: int,
+                           counts: range | None = None) -> list[float]:
+    """_majority_bit_failure at each q, with C(fold, c) and 1 - q formed
+    once each."""
     if counts is None:
         counts = range((fold + 1) // 2, fold + 1)
-    return math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c) for c in counts)
+    terms = [(math.comb(fold, c), c, fold - c) for c in counts]
+    return [math.fsum([b * q**c * r**s for b, c, s in terms])
+            for q, r in zip(qs, [1.0 - q for q in qs])]
 
 
 def _coset_bases(code: BinaryLinearCode) -> Iterator[np.ndarray]:
-    """The words (0, s) for every syndrome s, TILE_WORDS at a time.
+    """The words (0, s) for every syndrome s, TILE_WORDS at a time, as
+    uint32 when the code length allows (the walk never passes
+    HARD_EXACT_BITS bits) and uint64 otherwise.
 
     In systematic order (0, s) has syndrome s, so the cosets (0, s) ^ C
     partition F2^n and come out in syndrome order.
     """
+    word = np.uint32 if code.length <= 32 else np.uint64
     cosets = 1 << code.redundancy
     for start in range(0, cosets, TILE_WORDS):
-        syndromes = np.arange(start, min(start + TILE_WORDS, cosets), dtype=np.uint64)
-        yield syndromes << np.uint64(code.dim)
-
-
-def _lowest_two(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]):
-    """Merge two (lowest, second-lowest[, word of lowest]) tuples, counted
-    with multiplicity; on a tie either word is kept, as neither is unique."""
-    (low_a, second_a, *word_a), (low_b, second_b, *word_b) = a, b
-    merged = (
-        np.minimum(low_a, low_b),
-        np.minimum(np.minimum(second_a, second_b), np.maximum(low_a, low_b)),
-    )
-    if word_a:
-        merged += (np.where(low_b < low_a, word_b[0], word_a[0]),)
-    return merged
+        yield np.arange(start, min(start + TILE_WORDS, cosets), dtype=word) << word(code.dim)
 
 
 def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs, word: bool = True):
@@ -316,22 +333,38 @@ def _coset_minima(base: np.ndarray, codewords: np.ndarray, costs: _Costs, word: 
 
     A word is the unique minimum-cost member of its coset, the condition
     under which both decoders return it as the error pattern, iff it is
-    lowest_word and lowest < runner_up.  Blocks of at most TILE_WORDS words
-    (or one row) have a power-of-two row count, so each is reduced by
-    merging its halves, in O(log rows) array operations.
+    lowest_word and lowest < runner_up.  The three are arrays updated in
+    place, block by block of at most TILE_WORDS words (or one row), in
+    the word type of base.  A block of several rows (a power of two) is
+    first reduced by merging its halves, in O(log rows) array operations;
+    a block of one row is its own lowest cost, with the ceiling as its
+    runner-up, so it merges only its cost.  On a tie either word is kept,
+    as neither is unique.
     """
-    ceiling = np.full(len(base), costs.ceiling, dtype=costs.dtype)
-    minima = (ceiling, ceiling, base) if word else (ceiling, ceiling)
+    low = np.full(len(base), costs.ceiling, dtype=costs.dtype)
+    second, higher = low.copy(), np.empty_like(low)
+    lowest = base.copy() if word else None
     rows = 1 << max(0, (TILE_WORDS // len(base)).bit_length() - 1)
     for start in range(0, len(codewords), rows):
-        members = base ^ codewords[start:start + rows, None]
-        cost = costs(members)
-        block = (cost, np.full_like(cost, costs.ceiling), members)[:len(minima)]
-        while len(block[0]) > 1:
-            half = len(block[0]) // 2
-            block = _lowest_two(tuple(x[:half] for x in block), tuple(x[half:] for x in block))
-        minima = _lowest_two(minima, tuple(x[0] for x in block))
-    return minima
+        members = base ^ codewords[start:start + rows, None].astype(base.dtype)
+        cost, runner_up = costs(members), None
+        while len(cost) > 1:
+            half = len(cost) // 2
+            first, last = cost[:half], cost[half:]
+            if word:
+                members = np.where(last < first, members[half:], members[:half])
+            top = np.maximum(first, last)
+            runner_up = top if runner_up is None else np.minimum(
+                np.minimum(runner_up[:half], runner_up[half:]), top)
+            cost = np.minimum(first, last)
+        cost = cost[0]
+        if runner_up is not None:
+            np.minimum(second, runner_up[0], out=second)
+        np.minimum(second, np.maximum(low, cost, out=higher), out=second)
+        if word:
+            np.copyto(lowest, members[0], where=cost < low)
+        np.minimum(low, cost, out=low)
+    return (low, second, lowest) if word else (low, second)
 
 
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # each cell's size, class and column
@@ -343,7 +376,7 @@ def _cells(part: SMPart, costs: _Costs) -> Cells:
     i set iff systematic row i covers the cell).  A codeword flips a cell
     wholly or not at all, so whether a pattern decodes to zero depends only
     on its flip count in each cell."""
-    cells = [(int(mask), k, 0) for k, mask in enumerate(costs.masks)]  # (positions, class, column)
+    cells = [(mask, k, 0) for k, mask in enumerate(costs.masks)]  # (positions, class, column)
     for i, row in enumerate(part.code.systematic_rows):
         cells = [(half, k, column | bit) for mask, k, column in cells
                  for half, bit in ((mask & row, 1 << i), (mask & ~row, 0)) if half]
@@ -469,27 +502,25 @@ def _failure_probabilities(part: Part, p_ms: Sequence[float]) -> list[list[float
     """At each p_m, the failure probability of each independently decoded
     unit of the part: the SM part itself, or each bit of a repetition part.
 
-    An SM part's points are grouped by the cost rule their decoder
-    minimizes, and each rule's failing-pattern histogram prices its points
-    in one table.  Only the unit costs keep their histogram on the part.
+    p_err runs once per weight class over the whole grid.  An SM part's
+    points are grouped by the cost rule their decoder minimizes
+    (SMPart._rule), and each rule's failing-pattern histogram prices its
+    points in one table.  Only the unit costs keep their histogram on the
+    part.  A repetition part takes one column of bit failures per weight.
     """
-    if isinstance(part, SMPart):
-        rules: dict[_Costs, list[tuple[int, list[float]]]] = {}
-        for i, p_m in enumerate(p_ms):
-            costs, class_q = part._pricing(p_m)
-            rules.setdefault(costs, []).append((i, class_q))
-        failures = [[0.0] for _ in p_ms]
-        for costs, points in rules.items():
-            failing = (part._unit_failures if costs is part._unit_costs
-                       else _failing_patterns(part, costs))
-            for (i, _), f in zip(points, _failure_sums(failing, costs, [q for _, q in points])):
-                failures[i] = [f]
-        return failures
-    per_point = []
-    for p_m in p_ms:
-        per_weight = {w: _majority_bit_failure(p_err(w, p_m), part.fold) for w in set(part.weights)}
-        per_point.append([per_weight[w] for w in part.weights])
-    return per_point
+    if isinstance(part, RepetitionPart):
+        columns = {w: _majority_bit_failures(_p_errs(w, p_ms), part.fold)
+                   for w in dict.fromkeys(part.weights)}
+        return [list(point) for point in zip(*[columns[w] for w in part.weights])]
+    weight_q = zip(*[_p_errs(part.weights[j], p_ms) for j in part._unit_costs.first])
+    priced = [part._rule(list(q)) for q in weight_q]
+    failures: list[list[float]] = [[]] * len(p_ms)
+    for costs in dict.fromkeys([rule for rule, _ in priced]):
+        points = [i for i, (rule, _) in enumerate(priced) if rule is costs]
+        failing = part._unit_failures if costs is part._unit_costs else _failing_patterns(part, costs)
+        for i, f in zip(points, _failure_sums(failing, costs, [priced[i][1] for i in points])):
+            failures[i] = [f]
+    return failures
 
 
 def pse_exact(
@@ -507,14 +538,15 @@ def pse_exact(
     p_ms = [p_m] if scalar else list(p_m)
     distinct = {id(part): part for part in scheme.parts}
     per_part = {key: _failure_probabilities(part, p_ms) for key, part in distinct.items()}
+    columns = [per_part[id(part)] for part in scheme.parts]
     results = []
     for i in range(len(p_ms)):
-        failures = [f for part in scheme.parts for f in per_part[id(part)][i]]
-        if any(f >= 1.0 for f in failures):
+        failures = [f for column in columns for f in column[i]]
+        if any([f >= 1.0 for f in failures]):
             p_se = 1.0
         else:
-            p_se = max(0.0, -math.expm1(math.fsum(math.log1p(-f) for f in failures)))
-        results.append(SimResult(p_se=p_se, stderr=0.0, trials=0, method="exact"))
+            p_se = max(0.0, -math.expm1(math.fsum([math.log1p(-f) for f in failures])))
+        results.append(SimResult(p_se, 0.0, 0, "exact"))
     return results[0] if scalar else results
 
 
@@ -607,32 +639,17 @@ def sweep(
         results = pse_exact(scheme, p_ms)
     else:
         results = pse_monte_carlo(scheme, p_ms, trials, seed)
-    rows = []
-    for lp, result in zip(pm_log2_grid, results):
-        log2_pse = math.log2(result.p_se) if result.p_se > 0 else -math.inf
-        rows.append(
-            SweepRow(
-                log2_pm=lp,
-                log2_pse=log2_pse,
-                stderr=result.stderr,
-                trials=result.trials,
-                total_measurements=scheme.total_measurements,
-                scheme=scheme.name,
-                method=result.method,
-            )
-        )
-    return rows
+    total, name = scheme.total_measurements, scheme.name
+    return [SweepRow(lp, math.log2(r.p_se) if r.p_se > 0 else -math.inf, r.stderr, r.trials,
+                     total, name, r.method)
+            for lp, r in zip(pm_log2_grid, results)]
 
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [f"{r.log2_pm:.10g}", repr(r.log2_pse), f"{r.stderr:.6g}",
-             r.trials, r.total_measurements, r.scheme, r.method]
-        )
+    csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER] + [
+        (f"{r.log2_pm:.10g}", repr(r.log2_pse), f"{r.stderr:.6g}",
+         r.trials, r.total_measurements, r.scheme, r.method) for r in rows])
     return buf.getvalue()
 
 

@@ -94,6 +94,18 @@ def test_make_stabilizer_rejects_anticommuting_rows():
         make_stabilizer([pauli_string_parse("X"), pauli_string_parse("Z")])
 
 
+@pytest.mark.parametrize("rows, first", [
+    (["XIII", "IZII", "ZIII", "IXII"], ("XIII", "ZIII")),
+    (["IZII", "IIXI", "IXII", "IIZI"], ("IZII", "IXII")),
+    (["ZZII", "XXII", "IIXY", "IIZI"], ("IIXY", "IIZI")),
+    (["XIII", "IIZI", "ZIII", "YZII"], ("XIII", "ZIII")),  # XIII has two partners
+])
+def test_make_stabilizer_names_the_first_anticommuting_pair(rows, first):
+    # in row order: the least i, then the least j > i
+    with pytest.raises(CommutationError, match=f"^generators {first[0]} and {first[1]} anticommute$"):
+        make_stabilizer([pauli_string_parse(r) for r in rows])
+
+
 def test_make_stabilizer_rejects_dependent_rows():
     v = pauli_string_parse("XZY")
     with pytest.raises(RankError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdscodes import gf4
 from qdscodes.errors import DimensionError, ParseError
@@ -10,6 +12,7 @@ from qdscodes.gf4 import (
     OMEGA2,
     BitVector,
     F4Vector,
+    commutation_matrix,
     f2_rank,
     f4_add,
     f4_conj,
@@ -244,6 +247,32 @@ def test_syndrome_length_and_mismatch():
     assert syndrome(rows, F4Vector.zero(6)).n == 5
     with pytest.raises(DimensionError):
         syndrome(rows, F4Vector.zero(5))
+
+
+@st.composite
+def row_lists(draw):
+    """Up to 12 rows of one length n >= 1, every symbol I, X, Z or Y."""
+    n = draw(st.integers(1, 10))
+    symbols = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return [F4Vector.from_symbols(row) for row in draw(st.lists(symbols, max_size=12))]
+
+
+@given(row_lists())
+def test_commutation_matrix_is_the_pairwise_trace_inner_product(rows):
+    matrix = commutation_matrix(rows)
+    assert len(matrix) == len(rows)
+    for i, u in enumerate(rows):
+        assert matrix[i] == sum(trace_inner_product(u, v) << j for j, v in enumerate(rows))
+        assert matrix[i] == syndrome(rows, u).bits
+
+
+def test_commutation_matrix_examples_and_mismatch():
+    # n = 1: X, Z and Y anticommute pairwise, and each commutes with itself and I
+    rows = [pauli_string_parse(s) for s in "XZYI"]
+    assert commutation_matrix(rows) == [0b0110, 0b0101, 0b0011, 0]
+    assert commutation_matrix([]) == []
+    with pytest.raises(DimensionError, match="length mismatch"):
+        commutation_matrix([F4Vector.zero(2), F4Vector.zero(3)])
 
 
 def test_f2_rank_examples():

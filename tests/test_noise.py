@@ -85,6 +85,30 @@ def test_p_err_matches_closed_form_grid():
             assert abs(p_err(w, float(p)) - closed_form_p_err(w, float(p))) <= 1e-12
 
 
+# the curves grid, log2 p_m = -1.5 ... -8 in steps of 0.1, plus the ends
+PINNED_PMS = [2.0 ** round(-1.5 - 0.1 * i, 12) for i in range(66)] + [
+    0.0, 2.0**-1074, 2.0**-60, 0.5, 1.0]
+
+
+def test_p_err_and_majority_failure_are_their_literal_formulas_bit_for_bit():
+    # exact evaluation's values, and so its CSVs, rest on these bits: Python
+    # scalar ** (numpy's power differs in the last bit on some hosts) and the
+    # builtin sum, which this Python may or may not compensate
+    for w in range(1, 13):
+        qs = [p_err(w, p) for p in PINNED_PMS]
+        assert qs == [sum(math.comb(w, j) * p**j * (1.0 - p) ** (w - j)
+                          for j in range(1, w + 1, 2)) for p in PINNED_PMS]
+        for fold in range(1, 13):
+            majority = range((fold + 1) // 2, fold + 1)
+            assert [noise._majority_bit_failure(q, fold) for q in qs] == [
+                math.fsum(math.comb(fold, c) * q**c * (1.0 - q) ** (fold - c) for c in majority)
+                for q in qs]
+    # the grid path takes each weight's column at once, with the same bits
+    part = RepetitionPart(weights=(3, 1, 3, 6), fold=5)
+    assert noise._failure_probabilities(part, PINNED_PMS) == [
+        [noise._majority_bit_failure(p_err(w, p), 5) for w in part.weights] for p in PINNED_PMS]
+
+
 def test_p_err_validation():
     with pytest.raises(PreconditionError):
         p_err(0, 0.1)
@@ -419,6 +443,31 @@ def _brute_force_failure(part: SMPart, p_m: float) -> float:
 def test_exact_enumerator_matches_brute_force_decoding(part, log2_pm):
     got = pse_exact(MeasurementScheme("random", (part,)), 2.0**log2_pm).p_se
     assert got == pytest.approx(_brute_force_failure(part, 2.0**log2_pm), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(part=systematic_parts())
+def test_one_row_blocks_and_small_tiles_count_what_one_tile_counts(part):
+    # with TILE_WORDS at 8 or 2, these n <= 10 parts walk their cosets in
+    # one-row blocks (several-row ones at 8 when there are few cosets) and
+    # across tile boundaries; the walk is forced where cells would be smaller
+    for decoder in DECODERS:
+        part = SMPart(part.code, part.weights, decoder)
+        for p_m in (0.0, 2.0**-3, 1.0):
+            costs, class_q = part._pricing(p_m)
+            failing = _failing_patterns(part, costs).tolist()
+            runner_up = montecarlo._runner_up_by_syndrome(part, costs).tolist()
+            brute = _brute_force_failure(part, p_m)
+            for tile in (8, 2):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(noise, "TILE_WORDS", tile)
+                    patch.setattr(noise, "_exact_domain",
+                                  lambda part, costs: (1 << part.code.length, None))
+                    walked = _failing_patterns(part, costs)
+                    assert walked.tolist() == failing
+                    assert montecarlo._runner_up_by_syndrome(part, costs).tolist() == runner_up
+                    priced = noise._failure_sums(walked, costs, [class_q])[0]
+                    assert priced == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 def _high_rate_code(a_columns: list[int]) -> BinaryLinearCode:
